@@ -5,8 +5,9 @@
  *
  * Part A sweeps trace-capture faults (dropped/duplicated records,
  * truncated tails) and compares level-1 identification from a single
- * corrupted capture against identifyResilient() over R repaired
- * captures with the CNN→kNN→sequence-predictor degradation chain.
+ * corrupted capture against identifyFused() over R repaired
+ * timestamp captures (consensus classification plus a per-capture
+ * quorum vote).
  *
  * Part B sweeps bit-probe faults (transient flips + failed attempts)
  * on a partially hammerable DRAM (hammerableRowFraction = 0.85) and
@@ -120,8 +121,7 @@ main()
     const double clean_acc = pipeline.trainExtractor(pool);
 
     const std::size_t kCaptures = 5;
-    util::Table ta({"drop rate", "1-capture acc", "resilient acc",
-                    "knn fallbacks", "seq fallbacks"});
+    util::Table ta({"drop rate", "1-capture acc", "resilient acc"});
     double resilient_acc_low = 0.0;
     for (double drop : {0.0, 0.02, 0.10}) {
         fault::FaultSpec tspec;
@@ -132,24 +132,22 @@ main()
         fault::FaultInjector tinj(tspec);
 
         std::size_t single_ok = 0, multi_ok = 0, total = 0;
-        std::size_t knn_falls = 0, seq_falls = 0;
         for (const auto *victim : pool.finetuned()) {
             const gpusim::TraceGenerator gen(victim->signature);
             const auto clean =
                 gen.generate(victim->arch, 0xabcdefULL + total);
-            std::vector<gpusim::KernelTrace> captures;
+            core::MultiChannelCapture captures;
             for (std::size_t r = 0; r < kCaptures; ++r)
-                captures.push_back(tinj.corruptTrace(
+                captures.timestampCaptures.push_back(tinj.corruptTrace(
                     clean, total * kCaptures + r));
 
-            const auto one = pipeline.identify(captures.front());
+            const auto one =
+                pipeline.identify(captures.timestampCaptures.front());
             single_ok +=
                 one.pretrainedName == victim->pretrainedName ? 1 : 0;
-            const auto multi = pipeline.identifyResilient(captures);
+            const auto multi = pipeline.identifyFused(captures);
             multi_ok +=
                 multi.pretrainedName == victim->pretrainedName ? 1 : 0;
-            knn_falls += multi.usedKnnFallback ? 1 : 0;
-            seq_falls += multi.usedSeqFallback ? 1 : 0;
             ++total;
         }
         const double single_acc = static_cast<double>(single_ok) /
@@ -161,16 +159,10 @@ main()
         ta.row()
             .cell(drop, 2)
             .cell(single_acc, 3)
-            .cell(multi_acc, 3)
-            .cell(knn_falls)
-            .cell(seq_falls);
+            .cell(multi_acc, 3);
         const std::string label = point_label("drop", drop, "");
         bench_reg.setGauge(label + ".single_capture_acc", single_acc);
         bench_reg.setGauge(label + ".resilient_acc", multi_acc);
-        bench_reg.setGauge(label + ".knn_fallbacks",
-                           static_cast<double>(knn_falls));
-        bench_reg.setGauge(label + ".seq_fallbacks",
-                           static_cast<double>(seq_falls));
     }
     util::printBanner(std::cout,
                       "Level 1: identification vs trace-capture "

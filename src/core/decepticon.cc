@@ -48,70 +48,39 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
         dataset.resolution, dataset.numClasses(), opts_.seed ^ 0xc44ULL);
     cnn_->train(train, opts_.cnnOptions);
 
-    // Degradation tier 2: the kNN template matcher shares the CNN's
-    // training images, so falling back never needs extra profiling.
-    knn_.train(train);
-
-    // Degradation tier 3: one kernel-sequence predictor per lineage,
-    // trained on profiled traces of that lineage's zoo models. A
-    // victim trace is then attributed to the lineage whose predictor
-    // decodes it with the lowest layer error rate.
-    seqPredictors_.assign(classNames_.size(),
-                          fingerprint::KernelSequencePredictor{});
-    // Draw the per-trace seeds serially in the exact order the legacy
-    // nested loop did, then capture all traces in parallel: each job
-    // fills its own slot, so the training sets are scheduling-
-    // independent bit-for-bit.
-    struct TraceJob
-    {
-        const zoo::ModelIdentity *model;
-        std::uint64_t runSeed;
-    };
-    std::vector<TraceJob> jobs;
-    std::vector<std::pair<std::size_t, std::size_t>> class_ranges;
-    util::Rng trace_rng(opts_.seed ^ 0x5e9ULL);
-    for (std::size_t c = 0; c < classNames_.size(); ++c) {
-        const std::size_t begin = jobs.size();
-        for (const auto &model : candidate_pool.models()) {
-            if (model.pretrainedName != classNames_[c])
-                continue;
-            jobs.push_back({&model, trace_rng.nextU64()});
-            jobs.push_back({&model, trace_rng.nextU64()});
-        }
-        class_ranges.emplace_back(begin, jobs.size());
-    }
-    std::vector<gpusim::KernelTrace> all_traces(jobs.size());
-    sched::parallelFor(jobs.size(), 1, [&](std::size_t i) {
-        const gpusim::TraceGenerator gen(jobs[i].model->signature);
-        all_traces[i] = gen.generate(jobs[i].model->arch, jobs[i].runSeed);
-    });
-    for (std::size_t c = 0; c < classNames_.size(); ++c) {
-        const auto [begin, end] = class_ranges[c];
-        std::vector<gpusim::KernelTrace> traces(
-            all_traces.begin() + static_cast<long>(begin),
-            all_traces.begin() + static_cast<long>(end));
-        seqPredictors_[c].train(traces);
-    }
-
     const double cnn_accuracy = cnn_->evaluate(test);
 
-    // Side channels: each profiled trace also yields a power trace, a
-    // thermal envelope and a profiler counter vector — the attacker
-    // records them during the same profiling runs, so no extra trace
-    // generation is needed. One lightweight classifier per channel;
-    // its held-out accuracy becomes the channel's reliability prior
-    // in the fusion engine.
+    // Side channels: each profiling run also yields a power trace, a
+    // thermal envelope and a profiler counter vector. One lightweight
+    // classifier per channel; its held-out accuracy becomes the
+    // channel's reliability prior in the fusion engine.
     fusion_.reset();
     for (auto &clf : channelClassifiers_)
         clf.reset();
     if (opts_.trainChannelClassifiers) {
         auto ch_span = obs::span("level1.train_channels", "level1");
 
-        std::vector<int> job_labels(jobs.size(), 0);
-        for (std::size_t c = 0; c < class_ranges.size(); ++c) {
-            for (std::size_t i = class_ranges[c].first;
-                 i < class_ranges[c].second; ++i)
-                job_labels[i] = static_cast<int>(c);
+        // Two profiling runs per zoo model. The run seeds are drawn
+        // serially in (class, model) order; trace generation, emission
+        // and feature extraction are pure per run (the emitters split
+        // their noise streams from the run seed), so the runs fill
+        // independent slots in parallel.
+        struct ProfileRun
+        {
+            const zoo::ModelIdentity *model;
+            std::uint64_t runSeed;
+            int label;
+        };
+        std::vector<ProfileRun> runs;
+        util::Rng trace_rng(opts_.seed ^ 0x5e9ULL);
+        for (std::size_t c = 0; c < classNames_.size(); ++c) {
+            for (const auto &model : candidate_pool.models()) {
+                if (model.pretrainedName != classNames_[c])
+                    continue;
+                for (int r = 0; r < 2; ++r)
+                    runs.push_back({&model, trace_rng.nextU64(),
+                                    static_cast<int>(c)});
+            }
         }
 
         constexpr fault::Channel kSeriesChannels[] = {
@@ -119,26 +88,26 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
             fault::Channel::Thermal,
             fault::Channel::Profiler,
         };
-        // Emission and feature extraction are pure per trace (the
-        // emitters split their noise streams from the run seed), so
-        // the jobs fill independent slots in parallel.
         std::array<std::vector<std::vector<float>>, 3> feats;
         for (auto &f : feats)
-            f.resize(jobs.size());
-        sched::parallelFor(jobs.size(), 1, [&](std::size_t i) {
-            const gpusim::KernelTrace &t = all_traces[i];
+            f.resize(runs.size());
+        sched::parallelFor(runs.size(), 1, [&](std::size_t i) {
+            const ProfileRun &run = runs[i];
+            const gpusim::KernelTrace t =
+                gpusim::TraceGenerator(run.model->signature)
+                    .generate(run.model->arch, run.runSeed);
             feats[0][i] = sidechan::channelFeatures(
                 fault::Channel::Power,
                 gpusim::emitPowerTrace(t, opts_.emissionOptions,
-                                       jobs[i].runSeed));
+                                       run.runSeed));
             feats[1][i] = sidechan::channelFeatures(
                 fault::Channel::Thermal,
                 gpusim::emitThermalTrace(t, opts_.emissionOptions,
-                                         jobs[i].runSeed));
+                                         run.runSeed));
             feats[2][i] = sidechan::channelFeatures(
                 fault::Channel::Profiler,
                 gpusim::emitProfilerCounters(t, opts_.emissionOptions,
-                                             jobs[i].runSeed));
+                                             run.runSeed));
         });
 
         fusion_ =
@@ -152,11 +121,11 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
             // held out and becomes the channel's reliability prior.
             std::vector<std::vector<float>> train_f, held_f;
             std::vector<int> train_y, held_y;
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
+            for (std::size_t i = 0; i < runs.size(); ++i) {
                 auto &dst_f = (i % 2 == 0) ? train_f : held_f;
                 auto &dst_y = (i % 2 == 0) ? train_y : held_y;
                 dst_f.push_back(feats[s][i]);
-                dst_y.push_back(job_labels[i]);
+                dst_y.push_back(runs[i].label);
             }
             auto &clf =
                 channelClassifiers_[static_cast<std::size_t>(channel)];
@@ -184,7 +153,6 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     fusion_.reset();
     for (auto &clf : channelClassifiers_)
         clf.reset();
-    seqPredictors_.clear();
 
     classNames_ = candidate_pool.lineageNames();
     assert(!classNames_.empty());
@@ -262,58 +230,67 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     return accuracy;
 }
 
-void
-Decepticon::recordIndexStats(const fingerprint::IndexLookupStats &stats)
+std::vector<std::vector<double>>
+Decepticon::scoreTraces(
+    const std::vector<const gpusim::KernelTrace *> &traces)
 {
-    obs::count("zooindex.lookups");
-    obs::observe("zooindex.shortlist_hist",
-                 static_cast<double>(stats.shortlistClasses));
-    obs::gaugeSet("zooindex.shortlist_classes",
-                  static_cast<double>(stats.shortlistClasses));
-    obs::gaugeSet("zooindex.bucket_probes",
-                  static_cast<double>(stats.bucketProbes));
-    if (stats.exhaustiveFallback)
-        obs::count("zooindex.exhaustive_fallbacks");
+    assert((cnn_ || index_) && "trainExtractor must run first");
+
+    // Each trace's scoring is pure, so the traces fill private slots in
+    // parallel; anything that touches shared state runs serially in
+    // queue order, so the rows are bit-identical at any lane count
+    // (DESIGN §9).
+    if (index_) {
+        auto lookup_span = obs::span("level1.index_lookup", "level1");
+        std::vector<std::vector<double>> probs(traces.size());
+        std::vector<fingerprint::IndexLookupStats> stats(traces.size());
+        sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
+            const std::vector<float> emb =
+                fingerprint::traceEmbedding(*traces[i]);
+            probs[i] =
+                index_->scores(emb, index_->shortlist(emb, &stats[i]));
+        });
+        for (const auto &st : stats) {
+            obs::count("zooindex.lookups");
+            obs::observe("zooindex.shortlist_hist",
+                         static_cast<double>(st.shortlistClasses));
+            obs::gaugeSet("zooindex.shortlist_classes",
+                          static_cast<double>(st.shortlistClasses));
+            obs::gaugeSet("zooindex.bucket_probes",
+                          static_cast<double>(st.bucketProbes));
+            if (st.exhaustiveFallback)
+                obs::count("zooindex.exhaustive_fallbacks");
+        }
+        return probs;
+    }
+
+    auto raster_span = obs::span("level1.rasterize", "level1");
+    std::vector<tensor::Tensor> images(traces.size());
+    sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
+        images[i] = fingerprint::fingerprintImage(
+            *traces[i], cnn_->resolution(),
+            opts_.datasetOptions.cropIrregular);
+    });
+    raster_span.end();
+
+    // probabilitiesBatch copies the CNN per chunk; its rows equal a
+    // serial classProbabilities() call bit for bit. A lone image skips
+    // the copy, which costs more than its forward pass.
+    auto cnn_span = obs::span("level1.cnn_classify", "level1");
+    if (images.size() == 1)
+        return {cnn_->classProbabilities(images[0])};
+    std::vector<const tensor::Tensor *> image_ptrs;
+    image_ptrs.reserve(images.size());
+    for (const auto &img : images)
+        image_ptrs.push_back(&img);
+    return fingerprint::probabilitiesBatch(*cnn_, image_ptrs);
 }
 
 IdentificationResult
 Decepticon::identify(const gpusim::KernelTrace &victim_trace,
                      const std::function<std::vector<bool>()> &query_victim)
 {
-    assert((cnn_ || index_) && "trainExtractor must run first");
-
-    auto sp = obs::span("level1.identify", "level1");
-    obs::count("level1.identifies");
-    obs::StageTimer stage_timer("classify");
-
-    std::vector<double> probs;
-    if (index_) {
-        auto lookup_span = obs::span("level1.index_lookup", "level1");
-        const std::vector<float> emb =
-            fingerprint::traceEmbedding(victim_trace);
-        fingerprint::IndexLookupStats stats;
-        const std::vector<std::size_t> candidates =
-            index_->shortlist(emb, &stats);
-        probs = index_->scores(emb, candidates);
-        recordIndexStats(stats);
-        lookup_span.end();
-    } else {
-        auto raster_span = obs::span("level1.rasterize", "level1");
-        const tensor::Tensor image = fingerprint::fingerprintImage(
-            victim_trace, cnn_->resolution(),
-            opts_.datasetOptions.cropIrregular);
-        raster_span.end();
-
-        auto cnn_span = obs::span("level1.cnn_classify", "level1");
-        probs = cnn_->classProbabilities(image);
-        cnn_span.end();
-    }
-
-    IdentificationResult result =
-        resolveFromProbabilities(probs, query_victim);
-    sp.arg("parent", result.pretrainedName);
-    sp.arg("confidence", result.topProbability);
-    return result;
+    return identifyBatch({&victim_trace}, {query_victim}).front();
 }
 
 IdentificationResult
@@ -395,61 +372,16 @@ Decepticon::identifyBatch(
     const std::vector<const gpusim::KernelTrace *> &traces,
     const std::vector<std::function<std::vector<bool>()>> &query_hooks)
 {
-    assert((cnn_ || index_) && "trainExtractor must run first");
     assert(query_hooks.empty() || query_hooks.size() == traces.size());
 
     auto sp = obs::span("level1.identify_batch", "level1");
     sp.arg("victims", static_cast<std::uint64_t>(traces.size()));
     obs::StageTimer stage_timer("classify");
 
-    if (index_) {
-        // Indexed path: embedding, shortlist, and re-rank are const
-        // lookups, pure per victim, so they fill private slots in
-        // parallel. The shared decision tail and the obs accounting
-        // stay serial in queue order — results are bit-identical to a
-        // serial identify() loop at any lane count (DESIGN §9).
-        std::vector<std::vector<double>> iprobs(traces.size());
-        std::vector<fingerprint::IndexLookupStats> stats(traces.size());
-        sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
-            const std::vector<float> emb =
-                fingerprint::traceEmbedding(*traces[i]);
-            const std::vector<std::size_t> candidates =
-                index_->shortlist(emb, &stats[i]);
-            iprobs[i] = index_->scores(emb, candidates);
-        });
-        std::vector<IdentificationResult> results;
-        results.reserve(traces.size());
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            obs::count("level1.identifies");
-            recordIndexStats(stats[i]);
-            results.push_back(resolveFromProbabilities(
-                iprobs[i], query_hooks.empty()
-                               ? std::function<std::vector<bool>()>{}
-                               : query_hooks[i]));
-        }
-        return results;
-    }
-
-    // Rasterization and the CNN forward pass are pure per victim, so
-    // both fan out on the sched pool (probabilitiesBatch copies the
-    // CNN per chunk). The decision tail — ambiguity handling, query
-    // probing, confidence gauges — mutates shared probe state and
-    // metrics, so it stays serial in queue order; results are
-    // therefore bit-identical to a serial identify() loop at any lane
-    // count (DESIGN §9).
-    std::vector<tensor::Tensor> images(traces.size());
-    sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
-        images[i] = fingerprint::fingerprintImage(
-            *traces[i], cnn_->resolution(),
-            opts_.datasetOptions.cropIrregular);
-    });
-    std::vector<const tensor::Tensor *> image_ptrs;
-    image_ptrs.reserve(images.size());
-    for (const auto &img : images)
-        image_ptrs.push_back(&img);
-    const std::vector<std::vector<double>> probs =
-        fingerprint::probabilitiesBatch(*cnn_, image_ptrs);
-
+    // The decision tail (ambiguity handling, query probing, confidence
+    // gauges) mutates shared probe state and metrics, so it runs
+    // serially in queue order.
+    const std::vector<std::vector<double>> probs = scoreTraces(traces);
     std::vector<IdentificationResult> results;
     results.reserve(traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -460,19 +392,6 @@ Decepticon::identifyBatch(
                           : query_hooks[i]));
     }
     return results;
-}
-
-IdentificationResult
-Decepticon::identifyResilient(
-    const std::vector<gpusim::KernelTrace> &captures,
-    const ResilientIdentifyOptions &ropts,
-    const std::function<std::vector<bool>()> &query_victim)
-{
-    // Timestamp-only view of the multi-channel path: same decision
-    // graph, with the three side channels dark.
-    MultiChannelCapture capture;
-    capture.timestampCaptures = captures;
-    return identifyFused(capture, ropts, query_victim);
 }
 
 namespace {
@@ -497,10 +416,6 @@ Decepticon::identifyFused(
     const ResilientIdentifyOptions &ropts,
     const std::function<std::vector<bool>()> &query_victim)
 {
-    if (index_)
-        return identifyFusedIndexed(capture, ropts, query_victim);
-    assert(cnn_ && "trainExtractor must run first");
-
     auto sp = obs::span("level1.identify_fused", "level1");
     obs::count("level1.identifies");
     obs::StageTimer stage_timer("classify");
@@ -517,7 +432,7 @@ Decepticon::identifyFused(
     // ---- channel availability ------------------------------------
     // A channel is usable when at least one capture carries enough
     // signal to vote — and, for the side channels, when a trained
-    // classifier exists for it.
+    // classifier exists for it (never on the indexed path).
     std::vector<const gpusim::KernelTrace *> ts_caps;
     for (const auto &t : capture.timestampCaptures) {
         if (!t.records.empty())
@@ -566,6 +481,7 @@ Decepticon::identifyFused(
     sp.arg("channels",
            static_cast<std::uint64_t>(result.channelsAvailable));
 
+    // ---- step 1: blackout -----------------------------------------
     if (result.channelsAvailable == 0) {
         // Total blackout: say so instead of guessing.
         result.insufficientEvidence = true;
@@ -577,73 +493,46 @@ Decepticon::identifyFused(
         return result;
     }
 
-    auto plurality = [&](const std::vector<std::size_t> &votes,
-                         double &share) {
-        const auto it = std::max_element(votes.begin(), votes.end());
-        std::size_t total = 0;
-        for (std::size_t v : votes)
-            total += v;
-        share = static_cast<double>(*it) / static_cast<double>(total);
-        return static_cast<std::size_t>(it - votes.begin());
-    };
-
-    // ---- stage 1: the timestamp channel (legacy CNN quorum) -------
-    gpusim::KernelTrace repaired;
-    std::vector<tensor::Tensor> voter_images;
+    // ---- step 2: the timestamp channel (consensus + quorum) ------
     std::vector<double> ts_probs;
-    double cnn_share = 0.0;
     if (ts_usable) {
         std::vector<gpusim::KernelTrace> clean;
         clean.reserve(ts_caps.size());
         for (const auto *t : ts_caps)
             clean.push_back(*t);
-        trace::RepairReport report;
-        repaired = trace::repairTraces(clean, &report);
+        const gpusim::KernelTrace repaired = trace::repairTraces(clean);
 
-        // The consensus trace goes through the full single-trace path
-        // (top-k, ambiguity handling, query probing).
-        const IdentificationResult base = identify(repaired, query_victim);
+        // The consensus trace and every raw capture each cast one
+        // vote, so a single badly-mangled capture cannot swing the
+        // answer the way it could swing a single classification. The
+        // consensus row also goes through the single-trace decision
+        // tail (top-k, ambiguity handling, query probing).
+        std::vector<const gpusim::KernelTrace *> voters{&repaired};
+        voters.insert(voters.end(), ts_caps.begin(), ts_caps.end());
+        std::vector<std::vector<double>> probs = scoreTraces(voters);
+        const IdentificationResult base =
+            resolveFromProbabilities(probs[0], query_victim);
         result.pretrainedName = base.pretrainedName;
         result.topProbability = base.topProbability;
         result.candidates = base.candidates;
         result.usedQueryProbes = base.usedQueryProbes;
 
-        // CNN quorum: the consensus trace and every raw capture each
-        // cast one vote, so a single badly-mangled capture cannot
-        // swing the answer the way it could swing a single
-        // classification. Both the rasterization and the per-image
-        // classifications are pure per voter, so the voters run in
-        // parallel; the vote tally is a commutative sum and therefore
-        // scheduling-independent.
-        std::vector<const gpusim::KernelTrace *> voters;
-        voters.push_back(&repaired);
-        for (const auto &cap : clean)
-            voters.push_back(&cap);
-        voter_images.resize(voters.size());
-        sched::parallelFor(voters.size(), 1, [&](std::size_t i) {
-            voter_images[i] = fingerprint::fingerprintImage(
-                *voters[i], cnn_->resolution(),
-                opts_.datasetOptions.cropIrregular);
-        });
-        std::vector<const tensor::Tensor *> voter_image_ptrs;
-        voter_image_ptrs.reserve(voter_images.size());
-        for (const auto &img : voter_images)
-            voter_image_ptrs.push_back(&img);
-
-        std::vector<std::size_t> cnn_votes(classNames_.size(), 0);
-        for (int p : fingerprint::predictBatch(*cnn_, voter_image_ptrs))
-            ++cnn_votes[static_cast<std::size_t>(p)];
-        const std::size_t cnn_winner = plurality(cnn_votes, cnn_share);
-        result.quorumAgreement = cnn_share;
-        ts_probs = cnn_->classProbabilities(voter_images[0]);
+        std::vector<std::size_t> votes(classNames_.size(), 0);
+        for (const auto &p : probs)
+            ++votes[static_cast<std::size_t>(
+                std::max_element(p.begin(), p.end()) - p.begin())];
+        const auto win = std::max_element(votes.begin(), votes.end());
+        result.quorumAgreement = static_cast<double>(*win) /
+                                 static_cast<double>(voters.size());
 
         if (result.topProbability >= ropts.cnnConfidenceThreshold &&
-            cnn_share >= ropts.quorumThreshold) {
-            // Confident CNN: adopt the quorum winner unless query
-            // probes already disambiguated (stronger, input-dependent
-            // evidence).
+            result.quorumAgreement >= ropts.quorumThreshold) {
+            // Confident timestamp channel: adopt the quorum winner
+            // unless query probes already disambiguated (stronger,
+            // input-dependent evidence).
             if (!result.usedQueryProbes)
-                result.pretrainedName = classNames_[cnn_winner];
+                result.pretrainedName =
+                    classNames_[static_cast<std::size_t>(win - votes.begin())];
             obs::gaugeSet("level1.quorum_agreement",
                           result.quorumAgreement);
             obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
@@ -651,9 +540,10 @@ Decepticon::identifyFused(
             sp.arg("verdict", "timestamp");
             return result;
         }
+        ts_probs = std::move(probs[0]);
     }
 
-    // ---- stage 2: confidence-weighted channel fusion --------------
+    // ---- step 3: confidence-weighted channel fusion ---------------
     struct SeriesSet
     {
         fault::Channel channel;
@@ -669,41 +559,8 @@ Decepticon::identifyFused(
         {fault::Channel::Profiler, &capture.profilerCaptures,
          profiler_usable, 1},
     };
-    const std::size_t side_channels =
-        (power_usable ? 1u : 0u) + (thermal_usable ? 1u : 0u) +
-        (profiler_usable ? 1u : 0u);
 
-    sidechan::FusionDecision decision;
-    bool fusion_ran = false;
-
-    auto adopt_fused = [&]() {
-        const auto label = static_cast<std::size_t>(decision.label);
-        result.pretrainedName = classNames_[label];
-        if (!ts_usable) {
-            // No CNN posterior: the fused posterior is the evidence
-            // trail, so the candidate list and top probability come
-            // from it.
-            result.topProbability = decision.fusedProbs[label];
-            std::vector<std::size_t> order(classNames_.size());
-            for (std::size_t k = 0; k < order.size(); ++k)
-                order[k] = k;
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          if (decision.fusedProbs[a] !=
-                              decision.fusedProbs[b])
-                              return decision.fusedProbs[a] >
-                                     decision.fusedProbs[b];
-                          return a < b;
-                      });
-            result.candidates.clear();
-            const std::size_t k_out =
-                std::min(opts_.topK, order.size());
-            for (std::size_t k = 0; k < k_out; ++k)
-                result.candidates.push_back(classNames_[order[k]]);
-        }
-    };
-
-    if (side_channels > 0) {
+    if (power_usable || thermal_usable || profiler_usable) {
         // Feature extraction is pure per capture; the captures fill
         // independent slots in parallel. Classifier inference then
         // runs serially in channel order (the classifiers hold shared
@@ -734,7 +591,7 @@ Decepticon::identifyFused(
             ev.channel = fault::Channel::Timestamp;
             ev.available = true;
             ev.probs = ts_probs;
-            ev.quality = cnn_share;
+            ev.quality = result.quorumAgreement;
             evidence.push_back(std::move(ev));
         }
         for (std::size_t s = 0; s < 3; ++s) {
@@ -767,213 +624,52 @@ Decepticon::identifyFused(
             evidence.push_back(std::move(ev));
         }
 
-        decision = fusion_->fuse(evidence);
-        fusion_ran = true;
+        const sidechan::FusionDecision decision = fusion_->fuse(evidence);
         result.usedChannelFusion = true;
         result.fusedConfidence = decision.confidence;
         obs::gaugeSet("level1.fused_confidence", decision.confidence);
 
-        if (decision.verdict == sidechan::FusionVerdict::Identified &&
-            decision.confidence >= ropts.fusionMinConfidence) {
-            adopt_fused();
-            obs::count("level1.fusion_adoptions");
+        // At or above the confidence bar the fused label is adopted
+        // outright; below it, it is still the best available evidence
+        // and is adopted at its honest low confidence.
+        if (decision.verdict == sidechan::FusionVerdict::Identified) {
+            const auto label = static_cast<std::size_t>(decision.label);
+            result.pretrainedName = classNames_[label];
+            if (!ts_usable) {
+                // No timestamp posterior: the fused posterior is the
+                // evidence trail, so the candidate list and top
+                // probability come from it.
+                result.topProbability = decision.fusedProbs[label];
+                std::vector<std::size_t> order(classNames_.size());
+                std::iota(order.begin(), order.end(), std::size_t{0});
+                std::sort(order.begin(), order.end(),
+                          [&](std::size_t a, std::size_t b) {
+                              if (decision.fusedProbs[a] !=
+                                  decision.fusedProbs[b])
+                                  return decision.fusedProbs[a] >
+                                         decision.fusedProbs[b];
+                              return a < b;
+                          });
+                result.candidates.clear();
+                const std::size_t k_out =
+                    std::min(opts_.topK, order.size());
+                for (std::size_t k = 0; k < k_out; ++k)
+                    result.candidates.push_back(classNames_[order[k]]);
+            }
+            const bool confident =
+                decision.confidence >= ropts.fusionMinConfidence;
+            obs::count(confident ? "level1.fusion_adoptions"
+                                 : "level1.fusion_best_effort");
+            const char *verdict = confident ? "fused" : "fused_best_effort";
             obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                              "fused", decision.confidence);
-            sp.arg("verdict", "fused");
+                              verdict, decision.confidence);
+            sp.arg("verdict", verdict);
             sp.arg("confidence", decision.confidence);
             return result;
         }
     }
 
-    // ---- stage 3: timestamp-only fallback chain -------------------
-    if (ts_usable) {
-        // Tier 2: kNN template quorum over the same images.
-        result.usedKnnFallback = true;
-        obs::count("level1.knn_fallbacks");
-        std::vector<std::size_t> knn_votes(classNames_.size(), 0);
-        std::vector<int> knn_preds(voter_images.size());
-        sched::parallelFor(voter_images.size(), 1, [&](std::size_t i) {
-            knn_preds[i] = knn_.predict(voter_images[i]);
-        });
-        for (int p : knn_preds)
-            ++knn_votes[static_cast<std::size_t>(p)];
-        double knn_share = 0.0;
-        const std::size_t knn_winner = plurality(knn_votes, knn_share);
-        if (knn_share >= ropts.quorumThreshold) {
-            result.pretrainedName = classNames_[knn_winner];
-            result.quorumAgreement = knn_share;
-            obs::gaugeSet("level1.quorum_agreement",
-                          result.quorumAgreement);
-            obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                              "knn", knn_share);
-            sp.arg("verdict", "knn");
-            return result;
-        }
-
-        // Tier 3: attribute the consensus trace to the lineage whose
-        // sequence predictor decodes it with the lowest layer error
-        // rate — but abstain when even the best decode is noise-level
-        // (a garbage trace always has *some* argmin).
-        result.usedSeqFallback = true;
-        obs::count("level1.seq_fallbacks");
-        std::size_t best = 0;
-        double best_ler = seqPredictors_[0].layerErrorRate(repaired);
-        for (std::size_t c = 1; c < seqPredictors_.size(); ++c) {
-            const double ler = seqPredictors_[c].layerErrorRate(repaired);
-            if (ler < best_ler) {
-                best_ler = ler;
-                best = c;
-            }
-        }
-        if (best_ler < ropts.seqLerRejectThreshold) {
-            result.pretrainedName = classNames_[best];
-            obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                              "seq", best_ler);
-            sp.arg("verdict", "seq");
-            return result;
-        }
-        obs::count("level1.seq_rejections");
-    }
-
-    // ---- stage 4: best-effort fusion, then honest failure ---------
-    if (fusion_ran &&
-        decision.verdict == sidechan::FusionVerdict::Identified) {
-        // Below the confidence bar and with the timestamp chain
-        // exhausted, the fused label is still the best available
-        // evidence — adopt it at its honest low confidence.
-        adopt_fused();
-        obs::count("level1.fusion_best_effort");
-        obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                          "fused_best_effort", decision.confidence);
-        sp.arg("verdict", "fused_best_effort");
-        sp.arg("confidence", decision.confidence);
-        return result;
-    }
-
-    result.insufficientEvidence = true;
-    result.pretrainedName.clear();
-    result.topProbability = 0.0;
-    obs::count("level1.insufficient_evidence");
-    obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                      "insufficient");
-    obs::flightNoteError();
-    sp.arg("verdict", "insufficient");
-    return result;
-}
-
-IdentificationResult
-Decepticon::identifyFusedIndexed(
-    const MultiChannelCapture &capture,
-    const ResilientIdentifyOptions &ropts,
-    const std::function<std::vector<bool>()> &query_victim)
-{
-    auto sp = obs::span("level1.identify_fused", "level1");
-    obs::count("level1.identifies");
-    obs::StageTimer stage_timer("classify");
-
-    IdentificationResult result;
-    result.capturesUsed = capture.timestampCaptures.size() +
-                          capture.powerCaptures.size() +
-                          capture.thermalCaptures.size() +
-                          capture.profilerCaptures.size();
-    result.quorumAgreement = 0.0;
-    result.channelsAvailable = 0;
-    sp.arg("captures", static_cast<std::uint64_t>(result.capturesUsed));
-
-    // Only the timestamp channel can vote in indexed mode: a
-    // 5,000-lineage pool would need 5,000-way side-channel MLPs for
-    // marginal evidence, so the index trains none. The channel
-    // accounting keeps the same shape as the exhaustive path.
-    std::vector<const gpusim::KernelTrace *> ts_caps;
-    for (const auto &t : capture.timestampCaptures) {
-        if (!t.records.empty())
-            ts_caps.push_back(&t);
-    }
-    const bool usable[fault::kNumChannels] = {!ts_caps.empty(), false,
-                                              false, false};
-    for (std::size_t c = 0; c < fault::kNumChannels; ++c) {
-        const char *name =
-            fault::channelName(static_cast<fault::Channel>(c));
-        obs::count((std::string("level1.channel.") + name +
-                    (usable[c] ? ".available" : ".dark"))
-                       .c_str());
-        if (usable[c]) {
-            ++result.channelsAvailable;
-            result.channelsUsed.emplace_back(name);
-        }
-    }
-    obs::gaugeSet("level1.channels_available",
-                  static_cast<double>(result.channelsAvailable));
-    sp.arg("channels",
-           static_cast<std::uint64_t>(result.channelsAvailable));
-
-    if (result.channelsAvailable == 0) {
-        // Total blackout: say so instead of guessing.
-        result.insufficientEvidence = true;
-        obs::count("level1.insufficient_evidence");
-        obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                          "insufficient_blackout");
-        obs::flightNoteError();
-        sp.arg("verdict", "insufficient");
-        return result;
-    }
-
-    std::vector<gpusim::KernelTrace> clean;
-    clean.reserve(ts_caps.size());
-    for (const auto *t : ts_caps)
-        clean.push_back(*t);
-    trace::RepairReport report;
-    const gpusim::KernelTrace repaired =
-        trace::repairTraces(clean, &report);
-
-    // The consensus trace goes through the full indexed single-trace
-    // path (shortlist, re-rank, ambiguity handling, query probing).
-    const IdentificationResult base = identify(repaired, query_victim);
-    result.pretrainedName = base.pretrainedName;
-    result.topProbability = base.topProbability;
-    result.candidates = base.candidates;
-    result.usedQueryProbes = base.usedQueryProbes;
-
-    // Index quorum: the consensus trace and every raw capture each
-    // cast one shortlist-classification vote. Lookups are const and
-    // pure per voter, so they fan out; the tally is a commutative
-    // integer sum and therefore scheduling-independent.
-    std::vector<const gpusim::KernelTrace *> voters;
-    voters.push_back(&repaired);
-    for (const auto &cap : clean)
-        voters.push_back(&cap);
-    std::vector<std::size_t> voter_class(voters.size());
-    sched::parallelFor(voters.size(), 1, [&](std::size_t i) {
-        voter_class[i] =
-            index_->classify(fingerprint::traceEmbedding(*voters[i]));
-    });
-    std::vector<std::size_t> votes(classNames_.size(), 0);
-    for (std::size_t v : voter_class)
-        ++votes[v];
-    const auto win = std::max_element(votes.begin(), votes.end());
-    const double share = static_cast<double>(*win) /
-                         static_cast<double>(voters.size());
-    const auto winner =
-        static_cast<std::size_t>(win - votes.begin());
-    result.quorumAgreement = share;
-
-    if (result.topProbability >= ropts.cnnConfidenceThreshold &&
-        share >= ropts.quorumThreshold) {
-        // Confident lookup: adopt the quorum winner unless query
-        // probes already disambiguated (stronger, input-dependent
-        // evidence).
-        if (!result.usedQueryProbes)
-            result.pretrainedName = classNames_[winner];
-        obs::gaugeSet("level1.quorum_agreement",
-                      result.quorumAgreement);
-        obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
-                          "timestamp", result.quorumAgreement);
-        sp.arg("verdict", "timestamp");
-        return result;
-    }
-
-    // No kNN / sequence-predictor tiers behind the index — when the
-    // lookup is unconfident or the quorum splits, abstain honestly.
+    // ---- step 4: abstain ------------------------------------------
     result.insufficientEvidence = true;
     result.pretrainedName.clear();
     result.topProbability = 0.0;

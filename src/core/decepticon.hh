@@ -23,8 +23,6 @@
 #include "fingerprint/cnn.hh"
 #include "fingerprint/dataset.hh"
 #include "fingerprint/index/lsh.hh"
-#include "fingerprint/knn.hh"
-#include "fingerprint/seq_predictor.hh"
 #include "gpusim/emission.hh"
 #include "gpusim/kernel.hh"
 #include "sidechan/classifier.hh"
@@ -72,27 +70,20 @@ struct DecepticonOptions
 
 /**
  * Knobs for the unreliable-channel identification path: how confident
- * the CNN must be on the repaired consensus trace, and how unanimous
- * the per-capture quorum must be, before the degradation chain
- * (kNN templates, then sequence-predictor LER matching) takes over.
+ * level 1 must be on the repaired consensus trace, and how unanimous
+ * the per-capture quorum must be, before the timestamp channel alone
+ * decides; and how confident channel fusion must be otherwise.
  */
 struct ResilientIdentifyOptions
 {
-    /** Minimum CNN top-1 probability on the repaired trace. */
+    /** Minimum top-1 probability on the repaired trace. Gates the
+     *  CNN and the fingerprint index lookup alike. */
     double cnnConfidenceThreshold = 0.45;
     /** Minimum fraction of quorum votes behind the winning lineage. */
     double quorumThreshold = 0.5;
-    /** Minimum calibrated fusion confidence to adopt the fused label
-     *  ahead of the timestamp-only fallback chain. */
+    /** Minimum calibrated fusion confidence for a "fused" verdict;
+     *  below it the fused label is adopted as best effort. */
     double fusionMinConfidence = 0.35;
-    /**
-     * Sequence-predictor fallback rejection: when even the best
-     * lineage predictor decodes the consensus trace with a layer
-     * error rate at or above this, the trace carries no usable
-     * sequence structure and the fallback abstains instead of
-     * emitting its argmin as a silent guess.
-     */
-    double seqLerRejectThreshold = 0.9;
     /** Series captures shorter than this carry too little signal to
      *  vote (power/thermal samples; profiler vectors are exempt). */
     std::size_t minSeriesSamples = 8;
@@ -122,14 +113,11 @@ struct IdentificationResult
     double topProbability = 0.0;
     std::vector<std::string> candidates; ///< CNN top-k, descending
     bool usedQueryProbes = false;
-    // --- identifyResilient() accounting (defaults for identify()) ---
+    // --- identifyFused() accounting (defaults for identify()) ---
     /** Noisy captures consumed (1 for the single-trace path). */
     std::size_t capturesUsed = 1;
-    /** Fraction of CNN quorum votes behind the chosen lineage. */
+    /** Fraction of quorum votes behind the chosen lineage. */
     double quorumAgreement = 1.0;
-    bool usedKnnFallback = false; ///< CNN confidence/quorum failed
-    bool usedSeqFallback = false; ///< kNN quorum failed too
-    // --- identifyFused() accounting ---
     /** The label came from (or was checked against) channel fusion. */
     bool usedChannelFusion = false;
     /**
@@ -168,23 +156,25 @@ class Decepticon
     double trainExtractor(const zoo::ModelZoo &candidate_pool);
 
     /**
-     * Identify the victim's pre-trained model from an observed trace.
+     * Identify the victim's pre-trained model from an observed trace
+     * (identifyBatch of one).
      *
      * @param victim_trace the captured kernel execution time series
      * @param query_victim optional black-box query access: returns
      *        the victim's correctness vector over standardProbeSet().
-     *        Used only when the CNN's top candidates are ambiguous.
+     *        Used only when the top candidates are ambiguous.
      */
     IdentificationResult identify(
         const gpusim::KernelTrace &victim_trace,
         const std::function<std::vector<bool>()> &query_victim = {}) ;
 
     /**
-     * Identify many victims in one batch: rasterization and the CNN
-     * forward passes fan out across the sched pool, the per-victim
-     * decision tail (ambiguity handling, query probing) runs serially
-     * in queue order. results[i] is bit-identical to a serial
-     * identify(*traces[i], query_hooks[i]) call at any lane count.
+     * Identify many victims in one batch: scoring (rasterize + CNN, or
+     * embed + index lookup) fans out across the sched pool, the
+     * per-victim decision tail (ambiguity handling, query probing)
+     * runs serially in queue order. results[i] is bit-identical to a
+     * serial identify(*traces[i], query_hooks[i]) call at any lane
+     * count.
      * query_hooks is either empty (no query access for any victim) or
      * one hook per trace; individual hooks may be null.
      */
@@ -194,36 +184,20 @@ class Decepticon
             &query_hooks = {});
 
     /**
-     * Identify from R noisy captures of the same inference (dropped /
-     * duplicated / truncated records). The captures are repaired into
-     * one consensus trace; the CNN classifies the consensus and every
-     * capture (a quorum vote). When the CNN is unconfident or the
-     * quorum splits, identification degrades gracefully: first to the
-     * kNN template classifier, then to per-lineage kernel-sequence
-     * predictors (argmin layer error rate) — each strictly weaker but
-     * harder to starve than the last.
-     */
-    IdentificationResult identifyResilient(
-        const std::vector<gpusim::KernelTrace> &captures,
-        const ResilientIdentifyOptions &ropts = {},
-        const std::function<std::vector<bool>()> &query_victim = {});
-
-    /**
      * Identify from whatever channel subset survived the victim's
-     * defenses. The decision graph is availability-aware:
+     * defenses. The timestamp captures are repaired into one consensus
+     * trace; the consensus and every capture are scored in one batch,
+     * and each casts a quorum vote. The decision graph has four steps:
      *
      *  1. zero usable channels -> explicit insufficient-evidence
      *     verdict (never a silent guess);
-     *  2. healthy timestamp channel (confident CNN + quorum) -> the
-     *     legacy path, bit-identical to identifyResilient;
-     *  3. otherwise fuse every usable channel's posterior through the
-     *     confidence-weighted fusion engine and adopt the fused label
-     *     when its calibrated confidence clears the bar;
-     *  4. otherwise the timestamp fallback chain (kNN quorum, then
-     *     sequence predictors with an LER abstention threshold);
-     *  5. otherwise adopt the best-effort fused label at its honest
-     *     low confidence — or report insufficient evidence when even
-     *     fusion had nothing.
+     *  2. healthy timestamp channel (confident consensus + quorum) ->
+     *     the quorum winner, or the query-probe pick;
+     *  3. otherwise, when side-channel classifiers were trained (never
+     *     on the indexed path), fuse every usable channel's posterior
+     *     and adopt the fused label: as "fused" at or above
+     *     fusionMinConfidence, as "fused_best_effort" below it;
+     *  4. otherwise report insufficient evidence.
      */
     IdentificationResult identifyFused(
         const MultiChannelCapture &capture,
@@ -255,7 +229,16 @@ class Decepticon
 
   private:
     /**
-     * The decision tail shared by identify() and identifyBatch():
+     * Level-1 scoring, the one place the CNN/index fork lives: one
+     * probability vector per trace (rasterize + CNN on the exhaustive
+     * path; embed + shortlist + re-rank on the indexed path). Pure per
+     * trace and parallel; obs accounting runs serially in queue order.
+     */
+    std::vector<std::vector<double>> scoreTraces(
+        const std::vector<const gpusim::KernelTrace *> &traces);
+
+    /**
+     * The decision tail shared by identifyBatch() and identifyFused():
      * top-k + ambiguity handling over an already-computed probability
      * vector, query-probe disambiguation, confidence gauges.
      */
@@ -266,17 +249,6 @@ class Decepticon
     /** trainExtractor body for pools at/above indexZooThreshold. */
     double trainIndexed(const zoo::ModelZoo &candidate_pool);
 
-    /** identifyFused when the index owns level-1 (timestamp channel
-     *  only — indexed mode trains no side-channel classifiers). */
-    IdentificationResult identifyFusedIndexed(
-        const MultiChannelCapture &capture,
-        const ResilientIdentifyOptions &ropts,
-        const std::function<std::vector<bool>()> &query_victim);
-
-    /** Surface one lookup's shortlist/probe accounting via obs. */
-    static void recordIndexStats(
-        const fingerprint::IndexLookupStats &stats);
-
     DecepticonOptions opts_;
     std::unique_ptr<fingerprint::FingerprintCnn> cnn_;
     /** Sublinear level-1 (valid after trainExtractor on large pools). */
@@ -284,10 +256,6 @@ class Decepticon
     std::vector<std::string> classNames_;
     std::vector<zoo::VocabularyProfile> classProfiles_;
     std::vector<zoo::QueryProbe> probes_;
-    /** Degradation tier 2: template matcher over the same images. */
-    fingerprint::NearestNeighborClassifier knn_{3};
-    /** Degradation tier 3: one sequence predictor per lineage. */
-    std::vector<fingerprint::KernelSequencePredictor> seqPredictors_;
     /** Per-channel lineage classifiers, indexed by fault::Channel
      *  (Timestamp slot unused — the CNN owns that channel). */
     std::array<std::unique_ptr<sidechan::ChannelClassifier>,

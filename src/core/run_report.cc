@@ -12,8 +12,6 @@ AttackRunReport::recordIdentification(const IdentificationResult &ident)
     identifiedParent = ident.pretrainedName;
     identifyConfidence = ident.topProbability;
     usedQueryProbes = ident.usedQueryProbes;
-    usedKnnFallback = ident.usedKnnFallback;
-    usedSeqFallback = ident.usedSeqFallback;
     capturesUsed = ident.capturesUsed;
     quorumAgreement = ident.quorumAgreement;
     usedChannelFusion = ident.usedChannelFusion;
@@ -66,10 +64,6 @@ AttackRunReport::toJson() const
         << ",\"confidence\":" << obs::jsonNumber(identifyConfidence)
         << ",\"used_query_probes\":"
         << (usedQueryProbes ? "true" : "false")
-        << ",\"used_knn_fallback\":"
-        << (usedKnnFallback ? "true" : "false")
-        << ",\"used_seq_fallback\":"
-        << (usedSeqFallback ? "true" : "false")
         << ",\"captures_used\":" << capturesUsed
         << ",\"quorum_agreement\":" << obs::jsonNumber(quorumAgreement)
         << ",\"used_channel_fusion\":"
@@ -126,8 +120,6 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
     gauge("quorum_agreement", quorumAgreement);
     gauge("captures_used", static_cast<double>(capturesUsed));
     gauge("used_query_probes", usedQueryProbes ? 1.0 : 0.0);
-    gauge("used_knn_fallback", usedKnnFallback ? 1.0 : 0.0);
-    gauge("used_seq_fallback", usedSeqFallback ? 1.0 : 0.0);
     gauge("used_channel_fusion", usedChannelFusion ? 1.0 : 0.0);
     gauge("insufficient_evidence", insufficientEvidence ? 1.0 : 0.0);
     gauge("fused_confidence", fusedConfidence);
@@ -186,10 +178,6 @@ AttackRunReport::summaryParagraph() const
     }
     if (usedQueryProbes)
         oss << ", disambiguated via query probes";
-    if (usedSeqFallback)
-        oss << ", via sequence-predictor fallback";
-    else if (usedKnnFallback)
-        oss << ", via kNN fallback";
     oss << ". Extracted " << layersExtracted << " layer(s) reading "
         << bitsRead << " bits in " << hammerRounds
         << " hammer rounds, skipping " << weightsSkipped << " of "

@@ -39,8 +39,6 @@ struct AttackRunReport
     std::string identifiedParent;
     double identifyConfidence = 0.0;
     bool usedQueryProbes = false;
-    bool usedKnnFallback = false;
-    bool usedSeqFallback = false;
     std::size_t capturesUsed = 0;
     double quorumAgreement = 0.0;
     bool usedChannelFusion = false;
