@@ -23,9 +23,9 @@
  * std::scoped_lock acquires atomically and contributed no internal
  * edges upstream, so the blessed fix pattern stays quiet.
  *
- * Runs over (possibly cached) per-file summaries and is recomputed
- * every run: a cache hit can never hide an ordering regression
- * introduced by a different file.
+ * Runs over the per-file summaries of every scanned file, so an
+ * ordering regression introduced by a different file is always
+ * seen.
  */
 
 #include "lint.hh"

@@ -4,9 +4,7 @@
  * subset — `[section]` headers, `key = value` pairs, bare-value list
  * entries, `#` comments — so the tool stays dependency-free and the
  * file stays hand-editable in review (every new allowlist entry is a
- * one-line diff). The raw config bytes are hashed into
- * Config::sourceHash: it keys the incremental cache, so any config
- * edit invalidates every cached per-file summary at once.
+ * one-line diff).
  */
 
 #include "lint.hh"
@@ -14,7 +12,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 namespace decepticon::lint {
 
@@ -42,17 +39,11 @@ loadConfig(const std::string &path, Config &out, std::string *error)
             *error = "cannot open config: " + path;
         return false;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-
     out = Config{};
-    out.sourceHash = fnv1a64(bytes);
-    std::istringstream is(bytes);
     std::string section;
     std::string line;
     int lineNo = 0;
-    while (std::getline(is, line)) {
+    while (std::getline(in, line)) {
         ++lineNo;
         const std::size_t hash = line.find('#');
         if (hash != std::string::npos)

@@ -18,10 +18,10 @@
  *
  *   R10 a raw Tracer::beginSpan whose enclosing function either
  *       never calls endSpan, or can `return` after the span opens
- *       with no endSpan on that path. RAII (obs::ScopedSpan) never
+ *       with no endSpan on that path. RAII (obs::Span) never
  *       tokenizes as beginSpan at the call site, so it is exempt by
  *       construction. Spans opened inside nested lambdas are outside
- *       this function-granularity check (use ScopedSpan there).
+ *       this function-granularity check (use obs::span() there).
  *
  * R7/R8 run under [dataflow.paths]; R10 under [r10.paths] minus
  * [r10.allow_dirs] (the obs layer implements the tracer and owns raw
@@ -236,8 +236,9 @@ checkR10(const SourceFile &f, const TuIndex &ix, const Config &cfg,
         if (ends.empty()) {
             emitLocal(s, ix.toks[begins.front()].line, "R10",
                       "raw beginSpan is never ended in this function: "
-                      "every path must call endSpan, or use "
-                      "obs::ScopedSpan so unwinding closes the span");
+                      "every path must call endSpan, or use the "
+                      "obs::Span from obs::span() so unwinding closes "
+                      "the span");
             continue;
         }
         const std::size_t first = begins.front();
@@ -255,8 +256,8 @@ checkR10(const SourceFile &f, const TuIndex &ix, const Config &cfg,
                     "early return leaks the span opened by beginSpan "
                     "at line " +
                         std::to_string(ix.toks[first].line) +
-                        ": call endSpan on this path or use "
-                        "obs::ScopedSpan");
+                        ": call endSpan on this path or use the "
+                        "obs::Span from obs::span()");
         }
     }
 }

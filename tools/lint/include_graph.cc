@@ -5,10 +5,9 @@
  * a -> b is legal iff rank(a) > rank(b) or a == b), and reject
  * file-level include cycles. Only files under src/ contribute
  * edges — tests/bench/examples sit above every layer by
- * construction. Runs over the per-file summaries, so it sees cached
- * and freshly-scanned files identically and is recomputed every run:
- * a cache hit can never hide a layering regression introduced by a
- * different file.
+ * construction. Runs over the per-file summaries of every scanned
+ * file, so a layering regression introduced by a different file is
+ * always seen.
  */
 
 #include "lint.hh"

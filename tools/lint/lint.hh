@@ -50,16 +50,15 @@
  *       internal edges.
  *   R10 obs-span balance — a raw beginSpan whose function can return
  *       without a matching endSpan on that path (or never ends the
- *       span at all); RAII ScopedSpan is exempt by construction.
+ *       span at all); the RAII obs::Span from obs::span() is exempt
+ *       by construction.
  *
  * Deliberately not built on libclang: a deterministic token/line
  * scanner plus the include-graph/symbol passes cover every rule
  * above, have zero dependencies, and produce byte-identical reports
- * across runs and hosts. A content-hash incremental cache keyed on
- * (file bytes, config bytes, tool version) keeps the full-repo sweep
- * warm time a small fraction of the cold run: per-file findings and
- * symbol summaries are cached, cross-TU passes (R2, R9, stale
- * suppressions) are recomputed from the summaries every run.
+ * across runs and hosts. Every run is one cold pass: per-file rules
+ * distill a FileSummary per file, then the cross-TU passes (R2, R9,
+ * stale suppressions) run over all summaries.
  *
  * Suppression syntax (justification text is mandatory — a bare
  * suppression does not suppress; rule ids R1–R10 are valid and any
@@ -124,9 +123,6 @@ struct Config
     std::vector<std::string> r10AllowDirs;
     /** [scan.roots] directories walked under --root. */
     std::vector<std::string> scanRoots;
-    /** FNV-1a of the raw config bytes — part of the cache key, so a
-     *  config edit invalidates every cached summary. */
-    std::uint64_t sourceHash = 0;
 };
 
 /** Parse a config file. Returns false and sets *error on failure. */
@@ -146,9 +142,11 @@ struct Report
     std::vector<Violation> violations; ///< unsuppressed — these fail CI
     std::vector<Violation> suppressed; ///< visible in review via baseline
     std::size_t filesScanned = 0;
-    std::size_t cacheHits = 0; ///< files served from the incremental cache
     std::int64_t durationMicros = 0; ///< wall time of the lint run
     std::map<std::string, int> countsByRule; ///< unsuppressed, per rule
+    /** Raw line count per module: the file's directory, cut to at
+     *  most two components (`src/obs`, `tests`). */
+    std::map<std::string, std::size_t> linesByModule;
 };
 
 /** One suppression comment, matched to uses as rules fire. */
@@ -157,8 +155,7 @@ struct Suppression
     std::string rule;          ///< "R1".."R10"
     std::string justification; ///< text after the rule token, trimmed
     int line = 0;              ///< line the suppression targets
-    bool used = false;         ///< consumed by a per-file rule (cached)
-    bool usedCross = false;    ///< consumed by a cross-TU rule (per run)
+    bool used = false;         ///< consumed by some rule hit
 };
 
 /** A loaded source file: raw lines plus a comment/string-blanked code
@@ -181,11 +178,6 @@ struct SourceFile
 /** Load and pre-process one file. Returns false if unreadable. */
 bool loadSource(const std::string &absPath, const std::string &relPath,
                 SourceFile &out);
-
-/** Pre-process from in-memory bytes (the cache layer hashes the
- *  bytes first, so the file is read exactly once per run). */
-void loadSourceFromString(const std::string &text,
-                          const std::string &relPath, SourceFile &out);
 
 // --- token / symbol layer -----------------------------------------
 
@@ -235,7 +227,7 @@ struct HeldCall
     std::vector<std::string> held; ///< lock names held at the call
 };
 
-/** Cacheable per-function summary feeding the cross-TU lock pass. */
+/** Per-function summary feeding the cross-TU lock pass. */
 struct FunctionInfo
 {
     std::string name; ///< unqualified (last identifier)
@@ -246,8 +238,8 @@ struct FunctionInfo
     std::vector<HeldCall> heldCalls;
 };
 
-/** Full per-TU index (not cached — rebuilt when a file misses the
- *  cache; the cacheable subset is distilled into FileSummary). */
+/** Full per-TU index; the subset later passes need is distilled
+ *  into FileSummary. */
 struct TuIndex
 {
     std::vector<Token> toks;
@@ -290,17 +282,13 @@ struct Include
 /** Quoted includes from the code view. */
 std::vector<Include> quotedIncludes(const SourceFile &f);
 
-// --- per-file summary (the unit of incremental caching) -----------
+// --- per-file summary ----------------------------------------------
 
 /** Everything later passes need from a file: per-file findings plus
- *  the inputs to the cross-TU passes. Serialized to the cache keyed
- *  by content hash; cross-TU passes run fresh every time, so a
- *  cache hit can never hide a cross-file regression. */
+ *  the inputs to the cross-TU passes. */
 struct FileSummary
 {
     std::string path;
-    std::uint64_t contentHash = 0;
-    bool fromCache = false;
     std::vector<Suppression> lineSuppressions;
     std::vector<Suppression> fileSuppressions;
     std::vector<Violation> violations; ///< per-file rules, unsuppressed
@@ -314,14 +302,14 @@ struct FileSummary
 void emitLocal(FileSummary &s, int line, const std::string &rule,
                const std::string &message);
 
-/** Record a cross-TU rule hit against a (possibly cached) summary:
- *  consumes a suppression (marking usedCross) or appends to
+/** Record a cross-TU rule hit: consumes a matching justified
+ *  suppression (appending to out.suppressed) or appends to
  *  out.violations. */
 void emitCross(FileSummary &s, int line, const std::string &rule,
                const std::string &message, Report &out);
 
 /** Run every per-file rule (R1, R3–R8, R10) and distill the
- *  cacheable summary. */
+ *  summary. */
 FileSummary analyzeFile(const SourceFile &f, const Config &cfg);
 
 /** Token-level rules R1, R3, R4, R5, R6 (rules.cc). */
@@ -345,28 +333,10 @@ void checkLockGraph(std::vector<FileSummary> &sums, const Config &cfg,
 /** After all rules ran: flag stale suppressions (R5). */
 void checkUnusedSuppressions(const FileSummary &s, Report &out);
 
-// --- incremental cache (cache.cc) ---------------------------------
-
-/** Load cached summaries. Returns false (empty map) on any format or
- *  version mismatch — the cache is advisory, never authoritative. */
-bool loadCache(const std::string &path, std::uint64_t configHash,
-               std::map<std::string, FileSummary> &byPath);
-
-/** Persist summaries after a run (best effort; failure is silent —
- *  the next run is just cold). */
-void saveCache(const std::string &path, std::uint64_t configHash,
-               const std::vector<FileSummary> &sums);
-
-/** FNV-1a 64 over raw bytes — the cache key primitive. */
-std::uint64_t fnv1a64(const std::string &bytes);
-
 // --- orchestration / rendering ------------------------------------
 
-/** Walk cfg.scanRoots under root, run every rule, sort + count.
- *  With a non-empty cachePath, per-file work is served from /
- *  persisted to the incremental cache. */
-Report runLint(const std::string &root, const Config &cfg,
-               const std::string &cachePath = std::string());
+/** Walk cfg.scanRoots under root, run every rule, sort + count. */
+Report runLint(const std::string &root, const Config &cfg);
 
 /** Deterministic ordering + counts (runLint calls this). */
 void finalize(Report &r);
@@ -377,14 +347,9 @@ std::string renderText(const Report &r);
 /** Machine-readable report; byte-identical across runs when
  *  withGauges is false (the canonical findings document). With
  *  gauges, a `gauges` object adds lint.files_scanned,
- *  lint.cache_hits and lint.duration_micros (run telemetry — not
- *  part of the byte-identity contract). */
+ *  lint.duration_micros and one lint.lines.<module> per module (run
+ *  telemetry — not part of the byte-identity contract). */
 std::string renderJson(const Report &r, bool withGauges = false);
-
-/** SARIF 2.1.0 export (static-analysis interchange): rule metadata,
- *  unsuppressed results at level error, suppressed results carried
- *  with their inSource justification. Byte-identical across runs. */
-std::string renderSarif(const Report &r);
 
 } // namespace decepticon::lint
 

@@ -3,18 +3,16 @@
  * CLI driver for decepticon-lint.
  *
  *   decepticon-lint --root <repo> [--config <layers.toml>]
- *                   [--json <out.json>] [--sarif <out.sarif>]
- *                   [--cache <file>] [--no-gauges] [--quiet]
+ *                   [--json <out.json>] [--no-gauges] [--quiet]
  *
  * Prints `file:line: [rule] message` per unsuppressed violation and
  * exits with the violation count (clamped to 125 so it never
  * collides with shell/signal exit codes). `--json` additionally
  * writes the machine-readable report; the findings document is
  * byte-identical across runs, and a `gauges` object carries run
- * telemetry (files scanned, cache hits, wall micros) unless
+ * telemetry (files scanned, wall micros, lines per module) unless
  * `--no-gauges` asks for the canonical form (baseline
- * regeneration). `--sarif` writes a SARIF 2.1.0 export and
- * `--cache` enables the content-hash incremental cache.
+ * regeneration).
  */
 
 #include "lint.hh"
@@ -30,8 +28,6 @@ main(int argc, char **argv)
     std::string root = ".";
     std::string configPath;
     std::string jsonPath;
-    std::string sarifPath;
-    std::string cachePath;
     bool quiet = false;
     bool gauges = true;
 
@@ -51,10 +47,6 @@ main(int argc, char **argv)
             configPath = next("--config");
         } else if (arg == "--json") {
             jsonPath = next("--json");
-        } else if (arg == "--sarif") {
-            sarifPath = next("--sarif");
-        } else if (arg == "--cache") {
-            cachePath = next("--cache");
         } else if (arg == "--no-gauges") {
             gauges = false;
         } else if (arg == "--quiet") {
@@ -62,7 +54,6 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: decepticon-lint --root <repo> "
                          "[--config <layers.toml>] [--json <out>] "
-                         "[--sarif <out>] [--cache <file>] "
                          "[--no-gauges] [--quiet]\n";
             return 0;
         } else {
@@ -81,7 +72,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const Report report = runLint(root, cfg, cachePath);
+    const Report report = runLint(root, cfg);
 
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath, std::ios::binary);
@@ -91,15 +82,6 @@ main(int argc, char **argv)
             return 2;
         }
         out << renderJson(report, gauges);
-    }
-    if (!sarifPath.empty()) {
-        std::ofstream out(sarifPath, std::ios::binary);
-        if (!out) {
-            std::cerr << "decepticon-lint: cannot write " << sarifPath
-                      << "\n";
-            return 2;
-        }
-        out << renderSarif(report);
     }
     if (!quiet)
         std::cout << renderText(report);

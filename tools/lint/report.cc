@@ -1,14 +1,13 @@
 /**
  * @file
  * Orchestration and rendering for decepticon-lint: deterministic
- * directory walk, cache-aware per-file analysis, the cross-TU
- * passes, stable ordering, and the text/JSON/SARIF renderers. The
- * JSON findings document is byte-identical across runs — no
- * timestamps, no host paths, fully sorted — so it can be diffed
- * against a committed baseline in review
- * (`bench/bench_compare.py --lint-report`); run telemetry (files
- * scanned, cache hits, wall time) rides along as an optional
- * `gauges` object outside that contract.
+ * directory walk, per-file analysis, the cross-TU passes, stable
+ * ordering, and the text/JSON renderers. The JSON findings document
+ * is byte-identical across runs — no timestamps, no host paths,
+ * fully sorted — so it can be diffed against a committed baseline in
+ * review (`bench/bench_compare.py --lint-report`); run telemetry
+ * (files scanned, wall time, lines per module) rides along as an
+ * optional `gauges` object outside that contract.
  */
 
 #include "lint.hh"
@@ -16,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 namespace fs = std::filesystem;
@@ -54,6 +52,18 @@ collectFiles(const std::string &root, const Config &cfg)
     std::sort(rel.begin(), rel.end());
     rel.erase(std::unique(rel.begin(), rel.end()), rel.end());
     return rel;
+}
+
+/** Gauge module of a repo-relative file: its directory, cut to at
+ *  most two components (`src/obs/tracer.hh` -> `src/obs`). */
+std::string
+moduleOf(const std::string &rel)
+{
+    const std::size_t slash = rel.rfind('/');
+    if (slash == std::string::npos)
+        return ".";
+    const std::size_t second = rel.find('/', rel.find('/') + 1);
+    return rel.substr(0, std::min(slash, second));
 }
 
 bool
@@ -145,44 +155,23 @@ analyzeFile(const SourceFile &f, const Config &cfg)
 }
 
 Report
-runLint(const std::string &root, const Config &cfg,
-        const std::string &cachePath)
+runLint(const std::string &root, const Config &cfg)
 {
     const auto t0 = std::chrono::steady_clock::now();
     Report report;
 
-    std::map<std::string, FileSummary> cached;
-    if (!cachePath.empty())
-        loadCache(cachePath, cfg.sourceHash, cached);
-
     std::vector<FileSummary> sums;
     for (const std::string &rel : collectFiles(root, cfg)) {
-        std::ifstream in((fs::path(root) / rel).string(),
-                         std::ios::binary);
-        if (!in)
-            continue;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::string bytes = buf.str();
-        const std::uint64_t hash = fnv1a64(bytes);
-
-        const auto hit = cached.find(rel);
-        if (hit != cached.end() && hit->second.contentHash == hash) {
-            sums.push_back(hit->second);
-            ++report.cacheHits;
-            continue;
-        }
         SourceFile f;
-        loadSourceFromString(bytes, rel, f);
-        FileSummary s = analyzeFile(f, cfg);
-        s.contentHash = hash;
-        sums.push_back(std::move(s));
+        if (!loadSource((fs::path(root) / rel).string(), rel, f))
+            continue;
+        report.linesByModule[moduleOf(rel)] += f.raw.size();
+        sums.push_back(analyzeFile(f, cfg));
     }
     report.filesScanned = sums.size();
 
-    // Per-file findings (cached or fresh) feed the report verbatim;
-    // the cross-TU passes always run over every summary, so a cache
-    // hit can never hide a cross-file regression.
+    // Per-file findings feed the report verbatim; the cross-TU passes
+    // then run over every summary.
     for (const FileSummary &s : sums) {
         report.violations.insert(report.violations.end(),
                                  s.violations.begin(), s.violations.end());
@@ -193,9 +182,6 @@ runLint(const std::string &root, const Config &cfg,
     checkLockGraph(sums, cfg, report);
     for (const FileSummary &s : sums)
         checkUnusedSuppressions(s, report);
-
-    if (!cachePath.empty())
-        saveCache(cachePath, cfg.sourceHash, sums);
 
     finalize(report);
     report.durationMicros =
@@ -213,10 +199,7 @@ renderText(const Report &r)
         os << v.file << ":" << v.line << ": [" << v.rule << "] "
            << v.message << "\n";
     os << r.filesScanned << " files scanned, " << r.violations.size()
-       << " violation(s), " << r.suppressed.size() << " suppressed";
-    if (r.cacheHits)
-        os << ", " << r.cacheHits << " from cache";
-    os << "\n";
+       << " violation(s), " << r.suppressed.size() << " suppressed\n";
     return os.str();
 }
 
@@ -230,9 +213,13 @@ renderJson(const Report &r, bool withGauges)
     os << "  \"files_scanned\": " << r.filesScanned << ",\n";
     if (withGauges) {
         os << "  \"gauges\": {\"lint.files_scanned\": " << r.filesScanned
-           << ", \"lint.cache_hits\": " << r.cacheHits
-           << ", \"lint.duration_micros\": " << r.durationMicros
-           << "},\n";
+           << ", \"lint.duration_micros\": " << r.durationMicros;
+        for (const auto &[module, lines] : r.linesByModule) {
+            os << ", ";
+            jsonEscape(os, "lint.lines." + module);
+            os << ": " << lines;
+        }
+        os << "},\n";
     }
     os << "  \"counts\": {";
     bool first = true;
@@ -248,112 +235,6 @@ renderJson(const Report &r, bool withGauges)
     os << ",\n  \"suppressed\": ";
     renderViolationList(os, r.suppressed);
     os << "\n}\n";
-    return os.str();
-}
-
-namespace {
-
-struct SarifRule
-{
-    const char *id;
-    const char *name;
-    const char *text;
-};
-
-constexpr SarifRule kSarifRules[] = {
-    {"R1", "BannedNondeterminism",
-     "std::rand/srand, random_device, argless time(), and raw "
-     "chrono clock ::now outside the clock shim"},
-    {"R2", "LayeringViolation",
-     "quoted #include edge against the declared subsystem partial "
-     "order, or a file-level include cycle"},
-    {"R3", "UnorderedIteration",
-     "range-for over an unordered container in deterministic-tagged "
-     "code without an ordered-ok justification"},
-    {"R4", "RawThread",
-     "std::thread/jthread/async or #pragma omp outside the "
-     "scheduler implementation"},
-    {"R5", "Hygiene",
-     "unguarded header, getenv outside the config shims, untagged "
-     "TODO/FIXME, stale suppression, or a suppression naming an "
-     "unknown rule id"},
-    {"R6", "ConsoleIO",
-     "std::cout/cerr/clog or printf-family call in library code"},
-    {"R7", "SharedRngInParallelTask",
-     "Rng lvalue captured by reference (or Rng pointer captured) "
-     "into a parallel task whose body never calls .split()"},
-    {"R8", "OrderDependentReduction",
-     "+=/-= on a by-reference-captured float/double/Tensor "
-     "accumulator inside a parallel task body"},
-    {"R9", "LockOrderInversion",
-     "cycle in the cross-TU lock-order graph built from "
-     "lock_guard/unique_lock/scoped_lock acquisition sequences"},
-    {"R10", "UnbalancedObsSpan",
-     "raw beginSpan without a matching endSpan on every return "
-     "path (RAII ScopedSpan exempt)"},
-};
-
-void
-sarifResult(std::ostringstream &os, const Violation &v, bool suppressed,
-            bool firstResult)
-{
-    os << (firstResult ? "\n        " : ",\n        ");
-    os << "{\"ruleId\": ";
-    jsonEscape(os, v.rule);
-    os << ", \"level\": " << (suppressed ? "\"note\"" : "\"error\"")
-       << ", \"message\": {\"text\": ";
-    jsonEscape(os, v.message);
-    os << "}, \"locations\": [{\"physicalLocation\": "
-          "{\"artifactLocation\": {\"uri\": ";
-    jsonEscape(os, v.file);
-    os << "}, \"region\": {\"startLine\": " << (v.line > 0 ? v.line : 1)
-       << "}}}]";
-    if (suppressed) {
-        os << ", \"suppressions\": [{\"kind\": \"inSource\", "
-              "\"justification\": ";
-        jsonEscape(os, v.justification);
-        os << "}]";
-    }
-    os << "}";
-}
-
-} // namespace
-
-std::string
-renderSarif(const Report &r)
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"$schema\": "
-          "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-    os << "  \"version\": \"2.1.0\",\n";
-    os << "  \"runs\": [{\n";
-    os << "    \"tool\": {\"driver\": {\n";
-    os << "      \"name\": \"decepticon-lint\",\n";
-    os << "      \"rules\": [";
-    for (std::size_t i = 0; i < std::size(kSarifRules); ++i) {
-        const SarifRule &rule = kSarifRules[i];
-        os << (i ? ",\n        " : "\n        ");
-        os << "{\"id\": \"" << rule.id << "\", \"name\": \""
-           << rule.name << "\", \"shortDescription\": {\"text\": ";
-        jsonEscape(os, rule.text);
-        os << "}}";
-    }
-    os << "\n      ]\n";
-    os << "    }},\n";
-    os << "    \"results\": [";
-    bool first = true;
-    for (const Violation &v : r.violations) {
-        sarifResult(os, v, /*suppressed=*/false, first);
-        first = false;
-    }
-    for (const Violation &v : r.suppressed) {
-        sarifResult(os, v, /*suppressed=*/true, first);
-        first = false;
-    }
-    os << (first ? "]\n" : "\n    ]\n");
-    os << "  }]\n";
-    os << "}\n";
     return os.str();
 }
 

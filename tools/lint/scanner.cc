@@ -130,14 +130,7 @@ loadSource(const std::string &absPath, const std::string &relPath,
         return false;
     std::ostringstream buf;
     buf << in.rdbuf();
-    loadSourceFromString(buf.str(), relPath, out);
-    return true;
-}
-
-void
-loadSourceFromString(const std::string &text, const std::string &relPath,
-                     SourceFile &out)
-{
+    const std::string text = buf.str();
     out = SourceFile{};
     out.path = relPath;
 
@@ -308,36 +301,43 @@ loadSourceFromString(const std::string &text, const std::string &relPath,
             out.lineSuppressions.push_back(s);
         }
     }
+    return true;
 }
 
 namespace {
 
-/** Shared suppression matching: returns true and fills
- *  *justification if a justified suppression covered the hit (the
- *  matched suppression is flagged via `used` or `usedCross`). */
-bool
-matchSuppression(FileSummary &s, int line, const std::string &rule,
-                 bool cross, std::string *justification)
+/** The suppression a hit on (line, rule) consumes: a line suppression
+ *  first, then a file-wide one. */
+Suppression *
+findSuppression(FileSummary &s, int line, const std::string &rule)
 {
-    for (Suppression &sup : s.lineSuppressions) {
-        if (sup.line == line && sup.rule == rule) {
-            (cross ? sup.usedCross : sup.used) = true;
-            if (sup.justification.empty())
-                return false; // bare suppression: does not suppress
-            *justification = sup.justification;
-            return true;
-        }
+    for (Suppression &sup : s.lineSuppressions)
+        if (sup.line == line && sup.rule == rule)
+            return &sup;
+    for (Suppression &sup : s.fileSuppressions)
+        if (sup.rule == rule)
+            return &sup;
+    return nullptr;
+}
+
+/** Shared by the per-file and cross-TU emit paths: a hit covered by a
+ *  justified suppression goes to `suppressed`, any other hit to
+ *  `violations`. A matched suppression is flagged `used` either way. */
+void
+emit(FileSummary &s, int line, const std::string &rule,
+     const std::string &message, std::vector<Violation> &violations,
+     std::vector<Violation> &suppressed)
+{
+    Violation v{s.path, line, rule, message, {}};
+    Suppression *sup = findSuppression(s, line, rule);
+    if (sup)
+        sup->used = true;
+    if (sup && !sup->justification.empty()) {
+        v.justification = sup->justification;
+        suppressed.push_back(v);
+    } else {
+        violations.push_back(v); // bare suppression: does not suppress
     }
-    for (Suppression &sup : s.fileSuppressions) {
-        if (sup.rule == rule) {
-            (cross ? sup.usedCross : sup.used) = true;
-            if (sup.justification.empty())
-                return false;
-            *justification = sup.justification;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace
@@ -346,57 +346,33 @@ void
 emitLocal(FileSummary &s, int line, const std::string &rule,
           const std::string &message)
 {
-    Violation v;
-    v.file = s.path;
-    v.line = line;
-    v.rule = rule;
-    v.message = message;
-    if (matchSuppression(s, line, rule, /*cross=*/false, &v.justification))
-        s.suppressed.push_back(v);
-    else
-        s.violations.push_back(v);
+    emit(s, line, rule, message, s.violations, s.suppressed);
 }
 
 void
 emitCross(FileSummary &s, int line, const std::string &rule,
           const std::string &message, Report &out)
 {
-    Violation v;
-    v.file = s.path;
-    v.line = line;
-    v.rule = rule;
-    v.message = message;
-    if (matchSuppression(s, line, rule, /*cross=*/true, &v.justification))
-        out.suppressed.push_back(v);
-    else
-        out.violations.push_back(v);
+    emit(s, line, rule, message, out.violations, out.suppressed);
 }
 
 void
 checkUnusedSuppressions(const FileSummary &s, Report &out)
 {
-    for (const Suppression &sup : s.lineSuppressions) {
-        if (sup.used || sup.usedCross)
-            continue;
-        Violation v;
-        v.file = s.path;
-        v.line = sup.line;
-        v.rule = "R5";
-        v.message = "stale suppression: no " + sup.rule +
-                    " violation on this line (remove the comment)";
-        out.violations.push_back(v);
-    }
-    for (const Suppression &sup : s.fileSuppressions) {
-        if (sup.used || sup.usedCross)
-            continue;
-        Violation v;
-        v.file = s.path;
-        v.line = sup.line;
-        v.rule = "R5";
-        v.message = "stale file-wide suppression: no " + sup.rule +
-                    " violation in this file (remove the comment)";
-        out.violations.push_back(v);
-    }
+    for (const Suppression &sup : s.lineSuppressions)
+        if (!sup.used)
+            out.violations.push_back(
+                {s.path, sup.line, "R5",
+                 "stale suppression: no " + sup.rule +
+                     " violation on this line (remove the comment)",
+                 {}});
+    for (const Suppression &sup : s.fileSuppressions)
+        if (!sup.used)
+            out.violations.push_back(
+                {s.path, sup.line, "R5",
+                 "stale file-wide suppression: no " + sup.rule +
+                     " violation in this file (remove the comment)",
+                 {}});
 }
 
 } // namespace decepticon::lint
