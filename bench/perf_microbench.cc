@@ -311,8 +311,8 @@ runStageLatencyWorkload()
         ++n;
     }
 
-    // probe + extract: one small layer pulled through the retrying
-    // prober (per-bit probe spans) and the selective extractor.
+    // extract: one small layer pulled through the retrying prober
+    // and the selective extractor.
     gpusim::ArchParams arch;
     arch.numLayers = 2;
     arch.hidden = 128;

@@ -28,8 +28,10 @@ int
 main()
 {
     // Telemetry: DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/run.jsonl
-    // exports a Chrome trace spanning both attack levels plus a JSONL
-    // dump of every probe/retry/fallback counter below.
+    // exports a Chrome trace spanning both attack levels (rendered from
+    // the flight recorder's event stream, retries as instants) plus a
+    // JSONL dump of every probe/retry/fallback counter below;
+    // DECEPTICON_OBS_FLIGHT=on:/tmp/f.jsonl also dumps that stream.
     obs::initFromEnv();
     std::uint64_t phase_start = obs::clock().nowMicros();
     const auto end_phase = [&](const char *name) {
@@ -78,7 +80,7 @@ main()
     // levels end to end (train extractor -> identify -> extract).
     // ------------------------------------------------------------------
     {
-        auto sp = obs::span("example.level1", "example");
+        auto sp = obs::span("example.level1");
         zoo::ModelZoo pool = zoo::ModelZoo::buildDefault(11, 6, 12);
         core::DecepticonOptions dopts;
         dopts.datasetOptions.imagesPerModel = 4;
@@ -91,7 +93,6 @@ main()
         const auto trace = gpusim::TraceGenerator(zvictim->signature)
                                .generate(zvictim->arch, 0xfeedULL);
         const auto ident = pipeline.identify(trace);
-        sp.arg("parent", ident.pretrainedName);
         std::cout << "[level 1] victim parent identified as "
                   << ident.pretrainedName << " (confidence "
                   << ident.topProbability << "; actual "
@@ -99,7 +100,7 @@ main()
     }
     end_phase("level1");
 
-    auto level2_span = obs::span("example.level2", "example");
+    auto level2_span = obs::span("example.level2");
     const auto dev = task.sample(120, 3);
     std::vector<int> victim_preds;
     for (const auto &ex : dev.examples)

@@ -40,7 +40,8 @@ int
 main()
 {
     // Telemetry: set DECEPTICON_OBS=trace:/tmp/run.json,metrics:...
-    // to capture spans and counters of the whole attack.
+    // to capture the whole attack's spans (flight events, rendered as
+    // a Chrome trace at exit) and counters.
     obs::initFromEnv();
     core::AttackRunReport run;
     std::uint64_t phase_start = obs::clock().nowMicros();

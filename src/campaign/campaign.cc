@@ -46,9 +46,7 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
     core::CampaignReport report;
     const CacheStats stats_at_start = cache_.stats();
 
-    auto campaign_span = obs::span("campaign.run", "campaign");
-    campaign_span.arg("sessions",
-                      static_cast<std::uint64_t>(sessions.size()));
+    auto campaign_span = obs::span("campaign.run");
     obs::Watchdog watchdog;
     if (obs::metricsEnabled())
         watchdog.tick(obs::metrics()); // baseline snapshot
@@ -261,7 +259,6 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
     report.cacheInvalidations =
         stats_now.invalidations - stats_at_start.invalidations;
     report.watchdog = watchdog.report();
-    campaign_span.arg("victims_per_sec", report.victimsPerSec());
     if (obs::metricsEnabled())
         report.toMetrics(obs::metrics());
     return report;

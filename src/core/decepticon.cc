@@ -27,7 +27,7 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
         return trainIndexed(candidate_pool);
     index_.reset();
 
-    auto sp = obs::span("level1.train_extractor", "level1");
+    auto sp = obs::span("level1.train_extractor");
     fingerprint::DatasetOptions ds_opts = opts_.datasetOptions;
     ds_opts.seed = opts_.seed;
     const fingerprint::FingerprintDataset dataset =
@@ -58,7 +58,7 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
     for (auto &clf : channelClassifiers_)
         clf.reset();
     if (opts_.trainChannelClassifiers) {
-        auto ch_span = obs::span("level1.train_channels", "level1");
+        auto ch_span = obs::span("level1.train_channels");
 
         // Two profiling runs per zoo model. The run seeds are drawn
         // serially in (class, model) order; trace generation, emission
@@ -145,7 +145,7 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
 double
 Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
 {
-    auto sp = obs::span("level1.train_index", "level1");
+    auto sp = obs::span("level1.train_index");
 
     // Indexed mode replaces the CNN stack wholesale; stale exhaustive
     // state must not leak across retrains.
@@ -165,7 +165,6 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     }
     const std::size_t num_classes = classNames_.size();
     const std::size_t per_class = opts_.indexOptions.profilesPerLineage;
-    sp.arg("classes", static_cast<std::uint64_t>(num_classes));
 
     // Per-run seeds are drawn serially in (class, profile) order (the
     // §9 serial-schedule rule); trace generation and embedding are
@@ -225,7 +224,6 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     }
     const double accuracy = static_cast<double>(correct) /
                             static_cast<double>(preds.size());
-    sp.arg("accuracy", accuracy);
     obs::gaugeSet("zooindex.heldout_accuracy", accuracy);
     return accuracy;
 }
@@ -241,7 +239,7 @@ Decepticon::scoreTraces(
     // queue order, so the rows are bit-identical at any lane count
     // (DESIGN §9).
     if (index_) {
-        auto lookup_span = obs::span("level1.index_lookup", "level1");
+        auto lookup_span = obs::span("level1.index_lookup");
         std::vector<std::vector<double>> probs(traces.size());
         std::vector<fingerprint::IndexLookupStats> stats(traces.size());
         sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
@@ -264,7 +262,7 @@ Decepticon::scoreTraces(
         return probs;
     }
 
-    auto raster_span = obs::span("level1.rasterize", "level1");
+    auto raster_span = obs::span("level1.rasterize");
     std::vector<tensor::Tensor> images(traces.size());
     sched::parallelFor(traces.size(), 1, [&](std::size_t i) {
         images[i] = fingerprint::fingerprintImage(
@@ -276,7 +274,7 @@ Decepticon::scoreTraces(
     // probabilitiesBatch copies the CNN per chunk; its rows equal a
     // serial classProbabilities() call bit for bit. A lone image skips
     // the copy, which costs more than its forward pass.
-    auto cnn_span = obs::span("level1.cnn_classify", "level1");
+    auto cnn_span = obs::span("level1.cnn_classify");
     if (images.size() == 1)
         return {cnn_->classProbabilities(images[0])};
     std::vector<const tensor::Tensor *> image_ptrs;
@@ -344,7 +342,7 @@ Decepticon::resolveFromProbabilities(
         result.usedQueryProbes = true;
         obs::count("level1.query_probe_rounds");
         obs::StageTimer probe_timer("probe");
-        auto probe_span = obs::span("level1.query_probes", "level1");
+        auto probe_span = obs::span("level1.query_probes");
         const std::vector<bool> victim_resp = query_victim();
         int best = ambiguous[0];
         std::size_t best_dist = probes_.size() + 1;
@@ -374,8 +372,7 @@ Decepticon::identifyBatch(
 {
     assert(query_hooks.empty() || query_hooks.size() == traces.size());
 
-    auto sp = obs::span("level1.identify_batch", "level1");
-    sp.arg("victims", static_cast<std::uint64_t>(traces.size()));
+    auto sp = obs::span("level1.identify_batch");
     obs::StageTimer stage_timer("classify");
 
     // The decision tail (ambiguity handling, query probing, confidence
@@ -416,7 +413,7 @@ Decepticon::identifyFused(
     const ResilientIdentifyOptions &ropts,
     const std::function<std::vector<bool>()> &query_victim)
 {
-    auto sp = obs::span("level1.identify_fused", "level1");
+    auto sp = obs::span("level1.identify_fused");
     obs::count("level1.identifies");
     obs::StageTimer stage_timer("classify");
 
@@ -427,7 +424,6 @@ Decepticon::identifyFused(
                           capture.profilerCaptures.size();
     result.quorumAgreement = 0.0;
     result.channelsAvailable = 0;
-    sp.arg("captures", static_cast<std::uint64_t>(result.capturesUsed));
 
     // ---- channel availability ------------------------------------
     // A channel is usable when at least one capture carries enough
@@ -478,8 +474,6 @@ Decepticon::identifyFused(
     }
     obs::gaugeSet("level1.channels_available",
                   static_cast<double>(result.channelsAvailable));
-    sp.arg("channels",
-           static_cast<std::uint64_t>(result.channelsAvailable));
 
     // ---- step 1: blackout -----------------------------------------
     if (result.channelsAvailable == 0) {
@@ -489,7 +483,6 @@ Decepticon::identifyFused(
         obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
                           "insufficient_blackout");
         obs::flightNoteError();
-        sp.arg("verdict", "insufficient");
         return result;
     }
 
@@ -537,7 +530,6 @@ Decepticon::identifyFused(
                           result.quorumAgreement);
             obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
                               "timestamp", result.quorumAgreement);
-            sp.arg("verdict", "timestamp");
             return result;
         }
         ts_probs = std::move(probs[0]);
@@ -663,8 +655,6 @@ Decepticon::identifyFused(
             const char *verdict = confident ? "fused" : "fused_best_effort";
             obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
                               verdict, decision.confidence);
-            sp.arg("verdict", verdict);
-            sp.arg("confidence", decision.confidence);
             return result;
         }
     }
@@ -677,7 +667,6 @@ Decepticon::identifyFused(
     obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
                       "insufficient");
     obs::flightNoteError();
-    sp.arg("verdict", "insufficient");
     return result;
 }
 

@@ -49,7 +49,7 @@ TwoLevelAttack::execute(
     assert(prepared_ && "prepare() must run before execute()");
     AttackReport report;
 
-    auto attack_span = obs::span("attack.execute", "attack");
+    auto attack_span = obs::span("attack.execute");
     auto phase_start = obs::clock().nowMicros();
     // One watchdog tick per phase boundary: the baseline tick here,
     // then one after each end_phase, so every phase's counter deltas
@@ -74,7 +74,7 @@ TwoLevelAttack::execute(
     // Level 1: name the pre-trained parent.
     // ------------------------------------------------------------------
     {
-        auto sp = obs::span("attack.phase.identify", "attack");
+        auto sp = obs::span("attack.phase.identify");
         report.identification =
             pipeline_->identify(victim_trace, query_victim);
     }
@@ -128,7 +128,7 @@ TwoLevelAttack::execute(
     // Adversarial follow-up with the clone.
     // ------------------------------------------------------------------
     {
-        auto sp = obs::span("attack.phase.adversarial", "attack");
+        auto sp = obs::span("attack.phase.adversarial");
         report.adversarial = attack::evaluateTransfer(
             victim, *report.clone, adversarial_seeds, opts_.adversarial);
     }
@@ -141,8 +141,6 @@ TwoLevelAttack::execute(
     report.run.adversarialSuccess = report.adversarial.successRate();
     report.run.complete = true;
     report.run.watchdog = watchdog.report();
-    attack_span.arg("parent", report.identification.pretrainedName);
-    attack_span.arg("agreement", report.cloneVictimAgreement);
     if (obs::metricsEnabled())
         report.run.toMetrics(obs::metrics());
     return report;

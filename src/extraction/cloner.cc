@@ -70,7 +70,7 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
 {
     using transformer::Trainer;
 
-    auto clone_span = obs::span("level2.clone", "level2");
+    auto clone_span = obs::span("level2.clone");
     obs::StageTimer stage_timer("extract");
 
     CloneResult result;
@@ -148,9 +148,8 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
 
     // Step 1: full extraction of the baseline-less task head.
     {
-        auto sp = obs::span("level2.extract_head", "level2");
+        auto sp = obs::span("level2.extract_head");
         const std::size_t head_size = oracle.layerSize(head_group);
-        sp.arg("weights", static_cast<std::uint64_t>(head_size));
         auto head = extractor.extractHead(channel, head_group, head_size,
                                           result.extractionStats);
         setGroupWeights(clone_groups[head_group], head);
@@ -161,18 +160,13 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     for (std::size_t l = num_layers; l >= 1; --l) {
         if (result.agreementTrajectory.back() >= opts.agreementTarget)
             break;
-        auto sp = obs::span("level2.extract_layer", "level2");
-        sp.arg("layer", static_cast<std::uint64_t>(l - 1));
-        const std::size_t bits_before = physical.stats().bitsRead;
+        auto sp = obs::span("level2.extract_layer");
         const auto base = groupWeights(clone_groups[l]);
         auto extracted = extractor.extractLayer(base, channel, l,
                                                 result.extractionStats);
         setGroupWeights(clone_groups[l], extracted);
         ++result.layersExtracted;
         result.agreementTrajectory.push_back(agreement_now());
-        sp.arg("bits_read", static_cast<std::uint64_t>(
-                                physical.stats().bitsRead - bits_before));
-        sp.arg("agreement", result.agreementTrajectory.back());
         obs::observe("level2.layer_agreement",
                      result.agreementTrajectory.back());
     }
@@ -180,7 +174,7 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     // Step 3: embeddings, only if agreement is still short.
     if (opts.extractEmbeddings &&
         result.agreementTrajectory.back() < opts.agreementTarget) {
-        auto sp = obs::span("level2.extract_embeddings", "level2");
+        auto sp = obs::span("level2.extract_embeddings");
         const auto base = groupWeights(clone_groups[0]);
         auto extracted = extractor.extractLayer(base, channel, 0,
                                                 result.extractionStats);
@@ -208,10 +202,6 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
         result.extractionStats.toMetrics(obs::metrics());
         result.reliability.toMetrics(obs::metrics());
     }
-    clone_span.arg("layers_extracted",
-                   static_cast<std::uint64_t>(result.layersExtracted));
-    clone_span.arg("bits_read",
-                   static_cast<std::uint64_t>(result.probeStats.bitsRead));
     return result;
 }
 

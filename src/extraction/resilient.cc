@@ -52,7 +52,6 @@ ProbeAttempt
 RetryingProber::tryReadBit(std::size_t layer, std::size_t index,
                            int word_bit)
 {
-    obs::StageTimer stage_timer("probe");
     const int majority = opts_.votes / 2 + 1;
     int ones = 0;
     int zeros = 0;

@@ -116,9 +116,7 @@ FingerprintCnn::train(const FingerprintDataset &data,
     assert(!data.samples.empty());
     assert(data.resolution == resolution_);
 
-    auto sp = obs::span("fingerprint.cnn.train", "fingerprint");
-    sp.arg("samples", static_cast<std::uint64_t>(data.samples.size()));
-    sp.arg("epochs", static_cast<std::uint64_t>(opts.epochs));
+    auto sp = obs::span("fingerprint.cnn.train");
 
     nn::Adam optim(params(), opts.lr);
     util::Rng rng(opts.shuffleSeed);

@@ -96,7 +96,7 @@ std::vector<double>
 emitPowerTrace(const KernelTrace &trace, const EmissionOptions &opts,
                std::uint64_t run_seed)
 {
-    auto sp = obs::span("gpusim.emit_power", "gpusim");
+    auto sp = obs::span("gpusim.emit_power");
     std::vector<double> out;
     if (trace.records.empty())
         return out;
@@ -125,7 +125,7 @@ std::vector<double>
 emitThermalTrace(const KernelTrace &trace, const EmissionOptions &opts,
                  std::uint64_t run_seed)
 {
-    auto sp = obs::span("gpusim.emit_thermal", "gpusim");
+    auto sp = obs::span("gpusim.emit_thermal");
     std::vector<double> out;
     if (trace.records.empty())
         return out;
@@ -194,7 +194,7 @@ std::vector<double>
 emitProfilerCounters(const KernelTrace &trace,
                      const EmissionOptions &opts, std::uint64_t run_seed)
 {
-    auto sp = obs::span("gpusim.emit_counters", "gpusim");
+    auto sp = obs::span("gpusim.emit_counters");
     std::vector<double> ctr(kProfilerCounterCount, 0.0);
     if (trace.records.empty())
         return ctr;

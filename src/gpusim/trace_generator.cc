@@ -229,10 +229,8 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     assert(arch.numLayers > 0 && arch.hidden > 0 && arch.numHeads > 0);
     assert(arch.prunedHeads < arch.numHeads);
 
-    auto sp = obs::span("gpusim.generate", "gpusim");
+    auto sp = obs::span("gpusim.generate");
     obs::StageTimer stage_timer("trace_capture");
-    sp.arg("layers", static_cast<std::uint64_t>(arch.numLayers));
-    sp.arg("hidden", static_cast<std::uint64_t>(arch.hidden));
 
     util::Rng rng(run_seed ^ sig_.seed());
     KernelTrace trace;
@@ -300,7 +298,6 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     obs::count("gpusim.kernels_emitted", trace.records.size());
     if (strength > 0.0)
         obs::count("gpusim.defended_traces");
-    sp.arg("kernels", static_cast<std::uint64_t>(trace.records.size()));
     return trace;
 }
 

@@ -176,6 +176,80 @@ FlightRecorder::dumpJsonl(std::ostream &out) const
 }
 
 void
+FlightRecorder::renderChromeTrace(std::ostream &out) const
+{
+    const std::vector<FlightEvent> events = canonicalEvents();
+
+    // Spans outermost first: by start, then longest. The sort is
+    // stable over the canonical order, so ties stay deterministic.
+    struct Slice
+    {
+        std::uint64_t start;
+        std::uint64_t end;
+        const FlightEvent *ev;
+        std::size_t lane;
+    };
+    std::vector<Slice> slices;
+    for (const FlightEvent &ev : events) {
+        if (ev.kind != FlightEventKind::StageExit)
+            continue;
+        const auto dur = static_cast<std::uint64_t>(ev.value);
+        slices.push_back({ev.ts - std::min(dur, ev.ts), ev.ts, &ev, 0});
+    }
+    std::stable_sort(slices.begin(), slices.end(),
+                     [](const Slice &a, const Slice &b) {
+                         return a.start != b.start ? a.start < b.start
+                                                   : a.end > b.end;
+                     });
+
+    // Each lane is a stack of open span ends, innermost on top. A span
+    // goes to the first lane where, once the spans that ended by its
+    // start are popped, it fits inside the innermost open one.
+    std::vector<std::vector<std::uint64_t>> lanes;
+    for (Slice &sl : slices) {
+        std::size_t lane = 0;
+        for (; lane < lanes.size(); ++lane) {
+            std::vector<std::uint64_t> &open = lanes[lane];
+            while (!open.empty() && open.back() <= sl.start)
+                open.pop_back();
+            if (open.empty() || sl.end <= open.back())
+                break;
+        }
+        if (lane == lanes.size())
+            lanes.emplace_back();
+        lanes[lane].push_back(sl.end);
+        sl.lane = lane + 1;
+    }
+
+    out << "{\"traceEvents\":[";
+    const char *sep = "\n";
+    for (const Slice &sl : slices) {
+        const std::string &name = sl.ev->stage;
+        out << sep << "{\"name\":" << jsonQuote(name)
+            << ",\"cat\":" << jsonQuote(name.substr(0, name.find('.')))
+            << ",\"ph\":\"X\",\"ts\":" << sl.start
+            << ",\"dur\":" << sl.end - sl.start
+            << ",\"pid\":1,\"tid\":" << sl.lane << "}";
+        sep = ",\n";
+    }
+    for (const FlightEvent &ev : events) {
+        if (ev.kind == FlightEventKind::StageEnter ||
+            ev.kind == FlightEventKind::StageExit)
+            continue;
+        out << sep << "{\"name\":" << jsonQuote(ev.stage)
+            << ",\"cat\":\"" << flightKindName(ev.kind)
+            << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ev.ts
+            << ",\"pid\":1,\"tid\":0,\"args\":{\"detail\":"
+            << jsonQuote(ev.detail)
+            << ",\"value\":" << jsonNumber(ev.value) << "}}";
+        sep = ",\n";
+    }
+    out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"events\":"
+        << events.size() << ",\"dropped\":" << dropped()
+        << ",\"error\":" << (errorNoted() ? 1 : 0) << "}}\n";
+}
+
+void
 FlightRecorder::clear()
 {
     std::lock_guard<std::mutex> lock(ringsMu_);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Lock-light per-thread flight recorder — the event half of obs v2.
- * Each thread appends structured events (stage transitions, fault
- * injections, fusion verdicts, retry rounds) to its own fixed-size
+ * Lock-light per-thread flight recorder — the one event store of the
+ * telemetry layer. Each thread appends structured events (span
+ * open/close from obs::Span and StageTimer, fault injections, fusion
+ * verdicts, retry rounds) to its own fixed-size
  * ring buffer guarded by its own uncontended mutex; a global mutex is
  * taken only once per thread (ring registration) and at dump time.
  * Memory is strictly bounded: capacity events per thread, oldest
@@ -14,7 +15,9 @@
  * event multiset produced by a deterministic pipeline is identical at
  * any lane count, the dumped JSONL stream is bit-identical at 1/2/8
  * lanes — provided no ring wrapped (dropped counts are exported so a
- * truncated stream is visible, never silent).
+ * truncated stream is visible, never silent). The Chrome trace is a
+ * second rendering of that same canonical stream, so it inherits the
+ * bit-identity.
  */
 
 #ifndef DECEPTICON_OBS_FLIGHT_HH
@@ -48,7 +51,7 @@ const char *flightKindName(FlightEventKind kind);
 struct FlightEvent
 {
     FlightEventKind kind = FlightEventKind::StageEnter;
-    /** Pipeline stage (probe, trace_capture, classify, fuse, extract). */
+    /** Span or stage name ("level1.rasterize", "classify", ...). */
     std::string stage;
     /** Free-form qualifier (fault model, verdict label, ...). */
     std::string detail;
@@ -102,6 +105,20 @@ class FlightRecorder
      * trailer.
      */
     void dumpJsonl(std::ostream &out) const;
+
+    /**
+     * Chrome trace-event JSON rendered from canonicalEvents(): one
+     * "X" event per StageExit (ts = exit ts − duration, dur = the
+     * duration, cat = the name up to its first '.'), one "i" event per
+     * Fault/Verdict/Retry (name = stage, cat = kind, args = detail and
+     * value), then the dropped count under "otherData". A StageExit's
+     * tid is its nesting lane: the lowest lane whose open spans all
+     * contain or precede it, so the X events on each tid nest and the
+     * output is a pure function of the canonical stream (instants sit
+     * on tid 0). StageEnter events carry no extra information and are
+     * not rendered.
+     */
+    void renderChromeTrace(std::ostream &out) const;
 
     /** Empty every ring and clear the error flag. Registered rings
      *  stay alive so thread-local caches never dangle. */

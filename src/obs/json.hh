@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal JSON reader for telemetry round-trips: the exporters in
- * this module emit JSONL metrics and Chrome trace-event files, and
- * the tests (plus any future BENCH_*.json differ) must parse them
- * back without an external dependency. Supports the full JSON value
+ * this module emit JSONL metrics, flight JSONL dumps and the Chrome
+ * trace rendered from the flight stream, and the tests and obsview
+ * must parse them back without an external dependency. Supports the full JSON value
  * grammar; numbers are doubles.
  */
 

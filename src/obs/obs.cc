@@ -10,12 +10,13 @@ namespace decepticon::obs {
 namespace {
 
 std::atomic<bool> g_metricsEnabled{false};
-std::atomic<bool> g_traceEnabled{false};
 std::atomic<int> g_flightMode{static_cast<int>(FlightMode::Off)};
+// Read on every span boundary from every pool worker, so it is an
+// atomic rather than a field behind g_configMu.
+std::atomic<Clock *> g_testClock{nullptr};
 
 std::mutex g_configMu;
 ObsConfig g_config;
-Clock *g_testClock = nullptr;
 
 SteadyClock &
 steadyClock()
@@ -31,26 +32,24 @@ registrySingleton()
     return registry;
 }
 
-Tracer &
-tracerSingleton()
-{
-    // The tracer indirects through obs::clock() on every timestamp so
-    // a test clock injected later is picked up.
-    class IndirectClock : public Clock
-    {
-      public:
-        std::uint64_t nowMicros() override { return clock().nowMicros(); }
-    };
-    static IndirectClock indirect;
-    static Tracer tracer(indirect);
-    return tracer;
-}
-
 FlightRecorder &
 flightRecorderSingleton()
 {
     static FlightRecorder recorder;
     return recorder;
+}
+
+void
+recordAt(FlightEventKind kind, const char *stage, const char *detail,
+         double value, std::uint64_t ts)
+{
+    FlightEvent event;
+    event.kind = kind;
+    event.stage = stage;
+    event.detail = detail;
+    event.value = value;
+    event.ts = ts;
+    flightRecorderSingleton().record(std::move(event));
 }
 
 } // anonymous namespace
@@ -73,11 +72,9 @@ parseObsSpec(const std::string &spec)
             config.metricsEnabled = true;
             config.metricsPath = path;
         } else if (key == "trace") {
-            config.traceEnabled = true;
             config.tracePath = path;
         } else if (key == "on" || key == "1" || key == "all") {
             config.metricsEnabled = true;
-            config.traceEnabled = true;
         }
         if (comma == std::string::npos)
             break;
@@ -109,17 +106,20 @@ configure(const ObsConfig &config)
     // Touch the singletons before registering the atexit flush so the
     // flush runs before their destructors (LIFO teardown order).
     registrySingleton();
-    tracerSingleton();
     flightRecorderSingleton();
     {
         std::lock_guard<std::mutex> lock(g_configMu);
         g_config = config;
     }
+    // The trace is rendered from the flight stream, so a trace path
+    // needs the recorder on.
+    const FlightMode mode =
+        config.flightMode == FlightMode::Off && !config.tracePath.empty()
+            ? FlightMode::On
+            : config.flightMode;
     g_metricsEnabled.store(config.metricsEnabled,
                            std::memory_order_relaxed);
-    g_traceEnabled.store(config.traceEnabled, std::memory_order_relaxed);
-    g_flightMode.store(static_cast<int>(config.flightMode),
-                       std::memory_order_relaxed);
+    g_flightMode.store(static_cast<int>(mode), std::memory_order_relaxed);
     static bool flush_registered = false;
     if (!flush_registered &&
         (!config.metricsPath.empty() || !config.tracePath.empty() ||
@@ -161,10 +161,10 @@ flush()
         if (out)
             registrySingleton().exportJsonl(out);
     }
-    if (config.traceEnabled && !config.tracePath.empty()) {
+    if (!config.tracePath.empty()) {
         std::ofstream out(config.tracePath);
         if (out)
-            tracerSingleton().exportChromeTrace(out);
+            flightRecorderSingleton().renderChromeTrace(out);
     }
     if (config.flightMode != FlightMode::Off &&
         !config.flightPath.empty()) {
@@ -187,11 +187,9 @@ shutdown()
         g_config = ObsConfig{};
     }
     g_metricsEnabled.store(false, std::memory_order_relaxed);
-    g_traceEnabled.store(false, std::memory_order_relaxed);
     g_flightMode.store(static_cast<int>(FlightMode::Off),
                        std::memory_order_relaxed);
     registrySingleton().reset();
-    tracerSingleton().clear();
     flightRecorderSingleton().clear();
 }
 
@@ -199,12 +197,6 @@ bool
 metricsEnabled()
 {
     return g_metricsEnabled.load(std::memory_order_relaxed);
-}
-
-bool
-traceEnabled()
-{
-    return g_traceEnabled.load(std::memory_order_relaxed);
 }
 
 FlightMode
@@ -220,24 +212,17 @@ metrics()
     return registrySingleton();
 }
 
-Tracer *
-tracer()
-{
-    return traceEnabled() ? &tracerSingleton() : nullptr;
-}
-
 Clock &
 clock()
 {
-    std::lock_guard<std::mutex> lock(g_configMu);
-    return g_testClock != nullptr ? *g_testClock : steadyClock();
+    Clock *test_clock = g_testClock.load(std::memory_order_acquire);
+    return test_clock != nullptr ? *test_clock : steadyClock();
 }
 
 void
 setClockForTest(Clock *test_clock)
 {
-    std::lock_guard<std::mutex> lock(g_configMu);
-    g_testClock = test_clock;
+    g_testClock.store(test_clock, std::memory_order_release);
 }
 
 void
@@ -279,15 +264,8 @@ void
 flightRecord(FlightEventKind kind, const char *stage, const char *detail,
              double value)
 {
-    if (!flightEnabled())
-        return;
-    FlightEvent event;
-    event.kind = kind;
-    event.stage = stage;
-    event.detail = detail;
-    event.value = value;
-    event.ts = clock().nowMicros();
-    flightRecorderSingleton().record(std::move(event));
+    if (flightEnabled())
+        recordAt(kind, stage, detail, value, clock().nowMicros());
 }
 
 void
@@ -297,31 +275,44 @@ flightNoteError()
         flightRecorderSingleton().noteError();
 }
 
-StageTimer::StageTimer(const char *stage) : stage_(stage)
+Span::Span(const char *name)
 {
-    if (!metricsEnabled() && !flightEnabled())
+    if (!flightEnabled())
         return;
-    active_ = true;
+    name_ = name;
     t0_ = clock().nowMicros();
-    if (metricsEnabled())
-        registrySingleton().add(std::string("stage.") + stage_ +
-                                ".enter");
-    flightRecord(FlightEventKind::StageEnter, stage_);
+    recordAt(FlightEventKind::StageEnter, name_, "", 0.0, t0_);
+}
+
+void
+Span::close() noexcept
+{
+    if (flightEnabled()) {
+        const std::uint64_t now = clock().nowMicros();
+        recordAt(FlightEventKind::StageExit, name_, "",
+                 static_cast<double>(now - t0_), now);
+    }
+    name_ = nullptr;
+}
+
+StageTimer::StageTimer(const char *stage)
+    : span_(stage), stage_(stage), metrics_(metricsEnabled())
+{
+    if (!metrics_)
+        return;
+    t0_ = clock().nowMicros();
+    registrySingleton().add(std::string("stage.") + stage_ + ".enter");
 }
 
 StageTimer::~StageTimer()
 {
-    if (!active_)
+    span_.end();
+    if (!metrics_ || !metricsEnabled())
         return;
-    const std::uint64_t now = clock().nowMicros();
-    const double micros = static_cast<double>(now - t0_);
-    if (metricsEnabled()) {
-        registrySingleton().add(std::string("stage.") + stage_ +
-                                ".exit");
-        registrySingleton().observeLatency(
-            std::string("stage.") + stage_ + ".micros", micros);
-    }
-    flightRecord(FlightEventKind::StageExit, stage_, "", micros);
+    const double micros = static_cast<double>(clock().nowMicros() - t0_);
+    registrySingleton().add(std::string("stage.") + stage_ + ".exit");
+    registrySingleton().observeLatency(
+        std::string("stage.") + stage_ + ".micros", micros);
 }
 
 } // namespace decepticon::obs

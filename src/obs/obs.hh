@@ -9,13 +9,16 @@
  *
  *   DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/run.jsonl
  *
- * comma-separated sinks; "trace:<path>" writes a Chrome trace-event
- * file at exit, "metrics:<path>" a JSONL metrics dump. Bare "trace" /
- * "metrics" (or "on" for both) enable in-memory collection without a
- * file sink, which is what tests use.
+ * comma-separated sinks; "metrics:<path>" writes a JSONL metrics dump
+ * at exit, "trace:<path>" a Chrome trace-event file rendered from the
+ * flight recorder's canonical event stream (a trace path turns flight
+ * recording on when its mode is Off). Bare "metrics" (or "on")
+ * enables in-memory metrics without a file sink, which is what tests
+ * use.
  *
- * The flight recorder has its own knob (same near-zero-cost no-op
- * path when off — one relaxed atomic load per call site):
+ * Spans are flight events, so the flight recorder is the one event
+ * store. Its own knob (same near-zero-cost no-op path when off — one
+ * relaxed atomic load per call site):
  *
  *   DECEPTICON_OBS_FLIGHT=off | on[:<path>] | on_error[:<path>]
  *
@@ -30,11 +33,11 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "obs/clock.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
-#include "obs/tracer.hh"
 
 namespace decepticon::obs {
 
@@ -52,10 +55,11 @@ enum class FlightMode : int
 struct ObsConfig
 {
     bool metricsEnabled = false;
-    bool traceEnabled = false;
     /** JSONL metrics dump path; empty = in-memory only. */
     std::string metricsPath;
-    /** Chrome trace-event path; empty = in-memory only. */
+    /** Chrome trace-event path, rendered from the flight stream at
+     *  flush; empty = no trace. Non-empty records even when
+     *  flightMode is Off. */
     std::string tracePath;
     FlightMode flightMode = FlightMode::Off;
     /** Flight JSONL dump path; empty = in-memory only. */
@@ -63,8 +67,9 @@ struct ObsConfig
 };
 
 /**
- * Parse a DECEPTICON_OBS-style spec ("trace:/p,metrics:/q", "trace",
- * "metrics", "on", "off"/""). Unknown sink names are ignored.
+ * Parse a DECEPTICON_OBS-style spec ("trace:/p,metrics:/q", "metrics",
+ * "on", "off"/""). Unknown sink names, and "trace" without a path,
+ * are ignored.
  */
 ObsConfig parseObsSpec(const std::string &spec);
 
@@ -81,16 +86,17 @@ void configure(const ObsConfig &config);
 /** configure(parseObsSpec(getenv("DECEPTICON_OBS"))); safe if unset. */
 void initFromEnv();
 
-/** Write the configured trace/metrics files now (no-op without paths). */
+/** Write the configured metrics/trace/flight files now (no-op without
+ *  paths). */
 void flush();
 
 /** Disable telemetry and clear all collected data (test teardown). */
 void shutdown();
 
 bool metricsEnabled();
-bool traceEnabled();
 
-/** Current flight mode (relaxed atomic load — the fast-path gate). */
+/** Current flight mode (relaxed atomic load — the fast-path gate);
+ *  On when only a trace path is configured. */
 FlightMode flightMode();
 
 /** True when any flight recording is active. */
@@ -103,24 +109,15 @@ flightEnabled()
 /** The process-wide registry (always exists; cold when disabled). */
 MetricsRegistry &metrics();
 
-/** The process-wide tracer, or nullptr when tracing is disabled. */
-Tracer *tracer();
-
-/** The tracer's clock (steady by default; injectable for tests). */
+/** The telemetry clock (steady by default; injectable for tests).
+ *  Lock-free: one atomic load. */
 Clock &clock();
 
 /**
  * Inject a test clock (not owned; pass nullptr to restore the steady
- * default). Affects spans started after the call.
+ * default). Affects timestamps taken after the call.
  */
 void setClockForTest(Clock *test_clock);
-
-/** Open an RAII span; inactive (two-word no-op) when tracing is off. */
-inline Span
-span(const char *name, const char *cat = "attack")
-{
-    return Span(tracer(), name, cat);
-}
 
 /** Counter increment; no-op when metrics are off. */
 void count(const char *name, std::uint64_t delta = 1);
@@ -148,12 +145,82 @@ void flightRecord(FlightEventKind kind, const char *stage,
 void flightNoteError();
 
 /**
- * RAII pipeline-stage scope. On entry bumps stage.<s>.enter and
- * records a StageEnter flight event; on exit bumps stage.<s>.exit,
- * feeds stage.<s>.micros into the latency histogram, and records a
- * StageExit event carrying the duration. The enter/exit counter pair
- * is what the Watchdog's stall detector watches. Near-free when both
- * metrics and flight recording are off.
+ * RAII span: records a StageEnter flight event named @p name on open
+ * and a StageExit carrying the duration (µs) in its value on close.
+ * The Chrome trace renders each StageExit as one complete event
+ * (FlightRecorder::renderChromeTrace). Inactive when flight recording
+ * is off — the disabled path is a two-word store and a null check.
+ * The name must outlive the span (pass a literal).
+ */
+class Span
+{
+  public:
+    Span() = default;
+    explicit Span(const char *name);
+
+    Span(const Span &) = delete;
+    Span &operator=(const Span &) = delete;
+
+    Span(Span &&other) noexcept : name_(other.name_), t0_(other.t0_)
+    {
+        other.name_ = nullptr;
+    }
+
+    Span &
+    operator=(Span &&other) noexcept
+    {
+        if (this != &other) {
+            end();
+            name_ = other.name_;
+            t0_ = other.t0_;
+            other.name_ = nullptr;
+        }
+        return *this;
+    }
+
+    ~Span() { end(); }
+
+    /** Close early (the destructor otherwise closes at scope exit). */
+    void
+    end() noexcept
+    {
+        if (name_ != nullptr)
+            close();
+    }
+
+    bool active() const { return name_ != nullptr; }
+
+  private:
+    /** Record the StageExit and deactivate. @pre active() */
+    void close() noexcept;
+
+    const char *name_ = nullptr;
+    std::uint64_t t0_ = 0;
+};
+
+// The disabled path must stay near-zero-cost: a Span is two words and
+// its teardown cannot throw.
+static_assert(sizeof(Span) <= 2 * sizeof(void *),
+              "Span must stay a two-word handle");
+static_assert(std::is_nothrow_destructible_v<Span>,
+              "Span teardown must be noexcept");
+static_assert(std::is_nothrow_move_constructible_v<Span>,
+              "Span moves must be noexcept");
+
+/** Open an RAII span; inactive when flight recording is off. */
+inline Span
+span(const char *name)
+{
+    return Span(name);
+}
+
+/**
+ * RAII pipeline-stage scope: a Span named @p stage plus three
+ * metrics. On entry bumps stage.<s>.enter; on exit bumps
+ * stage.<s>.exit and feeds stage.<s>.micros into the latency
+ * histogram. The enter/exit counter pair is what the Watchdog's stall
+ * detector watches. Near-free when both metrics and flight recording
+ * are off.
  */
 class StageTimer
 {
@@ -165,9 +232,10 @@ class StageTimer
     StageTimer &operator=(const StageTimer &) = delete;
 
   private:
+    Span span_;
     const char *stage_;
     std::uint64_t t0_ = 0;
-    bool active_ = false;
+    bool metrics_ = false;
 };
 
 } // namespace decepticon::obs

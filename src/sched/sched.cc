@@ -118,10 +118,7 @@ ThreadPool::workerLoop(std::size_t self)
     for (;;) {
         Task task;
         if (popOrSteal(self, task)) {
-            {
-                auto sp = obs::span("sched.task", "sched");
-                task();
-            }
+            task();
             tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
             obs::count("sched.tasks");
             continue;

@@ -53,9 +53,7 @@ ChannelClassifier::train(
     const std::vector<int> &labels, const ChannelClassifierOptions &opts)
 {
     assert(!features.empty() && features.size() == labels.size());
-    auto sp = obs::span("sidechan.train", "sidechan");
-    sp.arg("channel", fault::channelName(channel_));
-    sp.arg("samples", static_cast<std::uint64_t>(features.size()));
+    auto sp = obs::span("sidechan.train");
 
     // Fit standardization on the training set.
     const auto n = static_cast<float>(features.size());

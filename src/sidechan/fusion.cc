@@ -53,7 +53,7 @@ FusionEngine::channelWeight(fault::Channel channel) const
 FusionDecision
 FusionEngine::fuse(const std::vector<ChannelEvidence> &evidence) const
 {
-    auto sp = obs::span("sidechan.fuse", "sidechan");
+    auto sp = obs::span("sidechan.fuse");
     obs::StageTimer stage_timer("fuse");
     FusionDecision decision;
 
@@ -80,8 +80,6 @@ FusionEngine::fuse(const std::vector<ChannelEvidence> &evidence) const
         for (std::size_t k = 0; k < numClasses_; ++k)
             logp[k] += w * std::log(std::max(ev.probs[k], 1e-9));
     }
-    sp.arg("channels", static_cast<std::uint64_t>(
-                           decision.channelsAvailable));
 
     if (decision.channelsAvailable == 0 || mass <= 0.0) {
         decision.verdict = FusionVerdict::InsufficientEvidence;

@@ -109,8 +109,7 @@ repairTraces(const std::vector<gpusim::KernelTrace> &captures,
 {
     assert(!captures.empty());
 
-    auto sp = obs::span("trace.repair", "trace");
-    sp.arg("captures", static_cast<std::uint64_t>(captures.size()));
+    auto sp = obs::span("trace.repair");
 
     std::size_t duplicates_removed = 0;
     std::vector<gpusim::KernelTrace> clean;
@@ -202,8 +201,6 @@ repairTraces(const std::vector<gpusim::KernelTrace> &captures,
     obs::count("trace.repair.consensus_records", out.records.size());
     obs::gaugeSet("trace.repair.mean_aligned_fraction",
                   aligned_fraction);
-    sp.arg("consensus_records",
-           static_cast<std::uint64_t>(out.records.size()));
     return out;
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,9 +210,11 @@ TEST(Determinism, FlightDumpBitIdenticalAcrossLanes)
         cfg.flightMode = obs::FlightMode::On;
         obs::configure(cfg);
 
-        // Events recorded from pool workers land in per-thread rings;
-        // the canonical dump must reassemble one fixed stream.
+        // Events and spans recorded from pool workers land in
+        // per-thread rings; the canonical dump must reassemble one
+        // fixed stream.
         sched::parallelFor(96, 1, [&](std::size_t i) {
+            auto sp = obs::span("test.worker");
             obs::flightRecord(obs::FlightEventKind::Retry, "probe",
                               "vote_rounds",
                               static_cast<double>(i));
@@ -229,19 +232,29 @@ TEST(Determinism, FlightDumpBitIdenticalAcrossLanes)
         auto out =
             extractor.extractLayer(pre.layers[0].w, prober, 0, stats);
 
-        std::ostringstream oss;
-        obs::flightRecorder().dumpJsonl(oss);
+        std::ostringstream dump;
+        obs::flightRecorder().dumpJsonl(dump);
+        std::ostringstream chrome;
+        obs::flightRecorder().renderChromeTrace(chrome);
         obs::shutdown(); // clears recorder + mode for the next lane
-        return oss.str();
+        return std::make_pair(dump.str(), chrome.str());
     };
 
-    const std::string reference = run(1);
-    EXPECT_NE(reference.find("\"type\":\"flight\""), std::string::npos);
-    EXPECT_NE(reference.find("\"dropped\":0"), std::string::npos)
+    const auto reference = run(1);
+    EXPECT_NE(reference.first.find("\"type\":\"flight\""),
+              std::string::npos);
+    EXPECT_NE(reference.first.find("\"dropped\":0"), std::string::npos)
         << "a wrapped ring would invalidate the bit-identity claim";
-    for (std::size_t threads : kThreadCounts)
-        EXPECT_EQ(run(threads), reference)
+    EXPECT_NE(reference.second.find("\"name\":\"test.worker\""),
+              std::string::npos);
+    EXPECT_NE(reference.second.find("\"dropped\":0"), std::string::npos);
+    for (std::size_t threads : kThreadCounts) {
+        const auto got = run(threads);
+        EXPECT_EQ(got.first, reference.first)
             << "flight dump differs at " << threads << " lanes";
+        EXPECT_EQ(got.second, reference.second)
+            << "Chrome trace differs at " << threads << " lanes";
+    }
 
     obs::setClockForTest(nullptr);
 }

@@ -15,6 +15,7 @@
 #include "core/two_level.hh"
 #include "extraction/cloner.hh"
 #include "gpusim/trace_generator.hh"
+#include "obs/obs.hh"
 #include "transformer/trainer.hh"
 
 namespace dc = decepticon::core;
@@ -23,6 +24,7 @@ namespace dg = decepticon::gpusim;
 namespace de = decepticon::extraction;
 namespace da = decepticon::attack;
 namespace dtr = decepticon::transformer;
+namespace dob = decepticon::obs;
 
 TEST(EndToEnd, TwoLevelAttack)
 {
@@ -203,4 +205,75 @@ TEST(EndToEnd, TwoLevelAttackApi)
     const std::string text = dc::formatReport(report);
     EXPECT_NE(text.find(parent->name), std::string::npos);
     EXPECT_NE(text.find("adversarial success"), std::string::npos);
+}
+
+TEST(EndToEnd, FlightStreamCarriesBothLevelsWithoutDrops)
+{
+    // One export explains the run: with the flight recorder on, a
+    // two-level attack through the resilient prober leaves its level-1
+    // and level-2 spans in the canonical stream, and the bounded rings
+    // never wrap (no per-bit events crowd the spans out).
+    dtr::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.maxSeqLen = 8;
+    cfg.hidden = 16;
+    cfg.numLayers = 2;
+    cfg.numHeads = 2;
+    cfg.ffnDim = 32;
+    cfg.numClasses = 4;
+
+    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(31, 4, 0);
+    dc::TwoLevelOptions opts;
+    opts.level1.datasetOptions.imagesPerModel = 2;
+    opts.level1.datasetOptions.resolution = 32;
+    opts.level1.cnnOptions.epochs = 5;
+    opts.level1.seed = 9;
+    opts.cloner.policy.maxBitsPerWeight = 4;
+    opts.cloner.agreementTarget = 1.1; // extract every layer
+    decepticon::fault::FaultSpec fspec;
+    fspec.probeFlipRate = 1e-3;
+    fspec.transientFailureRate = 0.01;
+    fspec.seed = 2026;
+    opts.cloner.faultSpec = fspec;
+    opts.cloner.resilience = de::ResilienceOptions{};
+    opts.adversarial.maxFlips = 1;
+
+    dc::TwoLevelAttack attack(opts);
+    std::vector<std::shared_ptr<dtr::TransformerClassifier>> weights;
+    for (const auto *candidate : zoo.pretrained()) {
+        weights.push_back(std::make_shared<dtr::TransformerClassifier>(
+            cfg, candidate->weightSeed));
+        attack.addCandidate(*candidate, weights.back());
+    }
+
+    dob::ObsConfig ocfg;
+    ocfg.flightMode = dob::FlightMode::On;
+    dob::configure(ocfg);
+    attack.prepare();
+
+    const dz::ModelIdentity *parent = zoo.pretrained()[1];
+    dtr::TransformerClassifier victim(*weights[1]);
+    victim.resetHead(2, 3);
+    dtr::MarkovTask task(16, 2, 8, 951, 4.0);
+    const auto trace = dg::TraceGenerator(parent->signature)
+                           .generate(parent->arch, 0xfeed);
+    const auto report = attack.execute(
+        victim, trace, dc::makeVictimQueryHook(parent->vocabProfile),
+        task.sample(20, 3), task.sample(20, 4).examples,
+        task.sample(4, 5).examples);
+    ASSERT_NE(report.clone, nullptr);
+    EXPECT_GT(report.probeStats.bitsRead, 0u);
+
+    EXPECT_EQ(dob::flightRecorder().dropped(), 0u);
+    std::size_t level1 = 0;
+    std::size_t clones = 0;
+    for (const auto &ev : dob::flightRecorder().canonicalEvents()) {
+        if (ev.kind != dob::FlightEventKind::StageExit)
+            continue;
+        level1 += ev.stage.rfind("level1.", 0) == 0 ? 1 : 0;
+        clones += ev.stage == "level2.clone" ? 1 : 0;
+    }
+    EXPECT_GT(level1, 0u);
+    EXPECT_EQ(clones, 1u);
+    dob::shutdown();
 }

@@ -55,7 +55,7 @@ TEST(Lint, GoodRepoIsClean)
 {
     const lint::Report r =
         lint::runLint(fixtures() + "/good_repo", fixtureConfig());
-    EXPECT_EQ(r.filesScanned, 10u);
+    EXPECT_EQ(r.filesScanned, 9u);
     EXPECT_TRUE(r.violations.empty())
         << lint::renderText(r)
         << "good fixture must produce zero unsuppressed violations";
@@ -115,11 +115,9 @@ TEST(Lint, BadRepoFiresEveryRule)
     EXPECT_EQ(countRuleInFile(r, "R9", "src/a/r9_inversion.cc"), 1);
     EXPECT_EQ(countRuleInFile(r, "R9", "src/a/r9_cross_a.cc"), 1);
 
-    // R10: the early-return leak and the never-ended span.
-    EXPECT_EQ(countRuleInFile(r, "R10", "src/a/r10_span.cc"), 2);
-
-    // R5 (v2): one stale suppression per new rule id, plus the
-    // unknown-id error — a typo'd id must never be silently inert.
+    // R5 (v2): one stale suppression per rule id R7–R9, plus the
+    // unknown-id errors (the retired R10 and the typo'd R42) — an
+    // unknown id must never be silently inert.
     EXPECT_EQ(countRuleInFile(r, "R5", "src/a/r7_r10_stale.cc"), 5);
     int unknownId = 0;
     for (const lint::Violation &v : r.violations)
@@ -127,7 +125,7 @@ TEST(Lint, BadRepoFiresEveryRule)
             ++unknownId;
     EXPECT_EQ(unknownId, 1);
 
-    EXPECT_EQ(r.violations.size(), 30u) << lint::renderText(r);
+    EXPECT_EQ(r.violations.size(), 28u) << lint::renderText(r);
     EXPECT_TRUE(r.suppressed.empty());
 
     // Rule counts in the report must agree with the raw list.
@@ -140,7 +138,6 @@ TEST(Lint, BadRepoFiresEveryRule)
     EXPECT_EQ(r.countsByRule.at("R7"), 1);
     EXPECT_EQ(r.countsByRule.at("R8"), 1);
     EXPECT_EQ(r.countsByRule.at("R9"), 2);
-    EXPECT_EQ(r.countsByRule.at("R10"), 2);
 }
 
 TEST(Lint, ViolationLinesPointAtTheConstruct)
@@ -156,9 +153,8 @@ TEST(Lint, ViolationLinesPointAtTheConstruct)
     EXPECT_EQ(lineOf("src/a/upward.cc", "R2"), 2);
     EXPECT_EQ(lineOf("src/a/r3_unordered.cc", "R3"), 10);
     EXPECT_EQ(lineOf("src/a/r5_unguarded.hh", "R5"), 1);
-    // R7 anchors at the first shared use, R10 at the leaking return.
+    // R7 anchors at the first shared use.
     EXPECT_EQ(lineOf("src/a/r7_shared_rng.cc", "R7"), 23);
-    EXPECT_EQ(lineOf("src/a/r10_span.cc", "R10"), 19);
 }
 
 TEST(Lint, JsonReportIsByteIdenticalAcrossRuns)
@@ -174,7 +170,7 @@ TEST(Lint, JsonReportIsByteIdenticalAcrossRuns)
     // gauges form adds the obs-style lint.* keys on top.
     EXPECT_EQ(ja.find("gauges"), std::string::npos);
     const std::string jg = lint::renderJson(a, /*withGauges=*/true);
-    EXPECT_NE(jg.find("\"lint.files_scanned\": 18"), std::string::npos);
+    EXPECT_NE(jg.find("\"lint.files_scanned\": 17"), std::string::npos);
     EXPECT_NE(jg.find("\"lint.duration_micros\":"), std::string::npos);
     std::size_t srcALines = 0;
     for (const auto &entry : std::filesystem::directory_iterator(
@@ -255,7 +251,6 @@ TEST(Lint, RepoConfigParsesAndDeclaresEveryModule)
     // The v2 rule scopes are wired in.
     EXPECT_FALSE(cfg.dataflowPaths.empty());
     EXPECT_FALSE(cfg.r9Paths.empty());
-    EXPECT_FALSE(cfg.r10Paths.empty());
 }
 
 TEST(Lint, MalformedConfigIsRejected)

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the telemetry layer: metrics registry semantics and JSONL
- * round-trips, tracer span nesting under a deterministic fake clock,
- * Chrome trace-event export validity (parsed back with the bundled
- * JSON reader), the near-zero-cost disabled path, DECEPTICON_OBS spec
- * parsing, and the BitProbeChannel::resetStats() regression (a reset
+ * round-trips, spans as flight events under a deterministic fake
+ * clock, the Chrome trace rendered from the flight stream (parsed
+ * back with the bundled JSON reader, lanes checked for nesting), the
+ * near-zero-cost disabled path, DECEPTICON_OBS spec parsing, and the
+ * BitProbeChannel::resetStats() regression (a reset
  * must re-publish zeroed gauges, never leave stale ones).
  */
 
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -25,7 +27,6 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/quantile.hh"
-#include "obs/tracer.hh"
 #include "obs/watchdog.hh"
 #include "sched/sched.hh"
 #include "util/rng.hh"
@@ -165,181 +166,14 @@ TEST(MetricsRegistry, JsonObjectExportParses)
 }
 
 // ---------------------------------------------------------------------
-// Tracer + Span under a deterministic clock
-// ---------------------------------------------------------------------
-
-TEST(Tracer, SpanNestingAndTimingUnderFakeClock)
-{
-    dob::FakeClock clock;
-    dob::Tracer tracer(clock);
-
-    {
-        dob::Span outer(&tracer, "outer", "test");
-        clock.advance(10);
-        {
-            dob::Span inner(&tracer, "inner", "test");
-            clock.advance(5);
-            inner.arg("layer", std::uint64_t{3});
-        }
-        clock.advance(7);
-    }
-
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 2u);
-    // Begin order: outer first.
-    EXPECT_EQ(events[0].name, "outer");
-    EXPECT_EQ(events[0].ts, 0u);
-    EXPECT_EQ(events[0].dur, 22u);
-    EXPECT_EQ(events[0].depth, 0);
-    EXPECT_EQ(events[1].name, "inner");
-    EXPECT_EQ(events[1].ts, 10u);
-    EXPECT_EQ(events[1].dur, 5u);
-    EXPECT_EQ(events[1].depth, 1);
-    // Child contained within the parent.
-    EXPECT_GE(events[1].ts, events[0].ts);
-    EXPECT_LE(events[1].ts + events[1].dur,
-              events[0].ts + events[0].dur);
-    ASSERT_EQ(events[1].args.size(), 1u);
-    EXPECT_EQ(events[1].args[0].first, "layer");
-    EXPECT_EQ(events[1].args[0].second, "3");
-}
-
-TEST(Tracer, ChromeTraceExportIsValidJson)
-{
-    dob::FakeClock clock;
-    dob::Tracer tracer(clock);
-    {
-        dob::Span a(&tracer, "phase_a", "attack");
-        a.arg("note", std::string("hello \"world\""));
-        clock.advance(100);
-    }
-    {
-        dob::Span b(&tracer, "phase_b", "attack");
-        clock.advance(50);
-    }
-
-    std::ostringstream oss;
-    tracer.exportChromeTrace(oss);
-
-    dob::json::Value v;
-    std::string err;
-    ASSERT_TRUE(dob::json::parse(oss.str(), v, &err)) << err;
-    const auto *events = v.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-    ASSERT_EQ(events->array.size(), 2u);
-    for (const auto &ev : events->array) {
-        EXPECT_EQ(ev.find("ph")->string, "X");
-        EXPECT_TRUE(ev.find("ts")->isNumber());
-        EXPECT_TRUE(ev.find("dur")->isNumber());
-        EXPECT_DOUBLE_EQ(ev.find("pid")->number, 1.0);
-    }
-    EXPECT_EQ(events->array[0].find("name")->string, "phase_a");
-    EXPECT_DOUBLE_EQ(events->array[0].find("dur")->number, 100.0);
-    EXPECT_EQ(
-        events->array[0].find("args")->find("note")->string,
-        "hello \"world\"");
-    ASSERT_NE(v.find("displayTimeUnit"), nullptr);
-}
-
-TEST(Tracer, SpanMoveTransfersOwnership)
-{
-    dob::FakeClock clock;
-    dob::Tracer tracer(clock);
-    {
-        dob::Span a(&tracer, "moved", "test");
-        clock.advance(3);
-        dob::Span b(std::move(a));
-        EXPECT_FALSE(a.active()); // NOLINT(bugprone-use-after-move)
-        EXPECT_TRUE(b.active());
-        clock.advance(4);
-    }
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].dur, 7u); // closed exactly once, at b's exit
-}
-
-TEST(Tracer, CrossThreadEndUnwindsTheBeginningThreadsDepth)
-{
-    // Regression: a span begun on the main thread but closed from
-    // another thread (a moved Span joining pool work) used to
-    // decrement the CLOSING thread's depth. The begin thread was left
-    // with a phantom nesting level, so its next span rendered one
-    // level too deep, and the closer's depth could underflow.
-    dob::FakeClock clock;
-    dob::Tracer tracer(clock);
-
-    const std::size_t handle = tracer.beginSpan("cross", "test");
-    clock.advance(5);
-    // lint: suppress(R4) regression test needs a span closed from a
-    // foreign thread, outside any pool bookkeeping
-    std::thread closer([&] { tracer.endSpan(handle); });
-    closer.join();
-
-    // The main thread's depth must be back to 0: a fresh span here is
-    // top-level again.
-    const std::size_t next = tracer.beginSpan("after", "test");
-    tracer.endSpan(next);
-
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].dur, 5u);
-    EXPECT_EQ(events[1].depth, 0) << "phantom depth left behind";
-    EXPECT_EQ(events[0].tid, events[1].tid);
-}
-
-TEST(Tracer, ConcurrentWorkerSpansKeepPerThreadDepths)
-{
-    // Hammer the tracer from several threads at once: every thread's
-    // spans must nest independently (depth 0 then 1 per iteration)
-    // and the event log must hold exactly the expected span count.
-    dob::FakeClock clock;
-    dob::Tracer tracer(clock);
-    constexpr int kThreads = 4;
-    constexpr int kRounds = 25;
-
-    // lint: suppress(R4) per-thread depth accounting is the thing
-    // under test; raw threads give each worker its own os tid
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&] {
-            for (int r = 0; r < kRounds; ++r) {
-                const std::size_t outer =
-                    tracer.beginSpan("outer", "test");
-                const std::size_t inner =
-                    tracer.beginSpan("inner", "test");
-                tracer.endSpan(inner);
-                tracer.endSpan(outer);
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(),
-              static_cast<std::size_t>(kThreads * kRounds * 2));
-    for (const auto &ev : events) {
-        if (ev.name == "outer")
-            EXPECT_EQ(ev.depth, 0);
-        else
-            EXPECT_EQ(ev.depth, 1);
-        EXPECT_GE(ev.tid, 1);
-        EXPECT_LE(ev.tid, kThreads);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Disabled path (the default): no-ops all the way down
+// Spans are flight events; the Chrome trace renders from that stream
 // ---------------------------------------------------------------------
 
 TEST(ObsFacade, DisabledPathIsInert)
 {
     dob::shutdown(); // known-off state
     EXPECT_FALSE(dob::metricsEnabled());
-    EXPECT_FALSE(dob::traceEnabled());
-    EXPECT_EQ(dob::tracer(), nullptr);
+    EXPECT_FALSE(dob::flightEnabled());
 
     // Free functions must not materialize anything while disabled.
     dob::count("ghost.counter", 9);
@@ -348,14 +182,15 @@ TEST(ObsFacade, DisabledPathIsInert)
     {
         auto sp = dob::span("ghost.span");
         EXPECT_FALSE(sp.active());
-        sp.arg("k", std::string("v")); // must be a no-op, not a crash
+        sp.end(); // must be a no-op, not a crash
     }
     EXPECT_FALSE(dob::metrics().hasCounter("ghost.counter"));
     EXPECT_FALSE(dob::metrics().hasGauge("ghost.gauge"));
     EXPECT_FALSE(dob::metrics().histogram("ghost.hist").has_value());
+    EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
 
     // The compile-time contract of the no-op path (mirrors the
-    // static_asserts in tracer.hh).
+    // static_asserts in obs.hh).
     static_assert(sizeof(dob::Span) <= 2 * sizeof(void *),
                   "Span must stay a two-word handle");
     static_assert(std::is_nothrow_destructible_v<dob::Span>,
@@ -366,54 +201,200 @@ TEST(ObsFacade, EnabledFacadeCollectsAndShutdownClears)
 {
     dob::ObsConfig cfg;
     cfg.metricsEnabled = true;
-    cfg.traceEnabled = true;
+    cfg.flightMode = dob::FlightMode::On;
     dob::configure(cfg);
 
-    dob::FakeClock clock;
+    dob::FakeClock clock(40);
     dob::setClockForTest(&clock);
 
     dob::count("live.counter", 2);
     dob::gaugeSet("live.gauge", 0.5);
     {
-        auto sp = dob::span("live.span", "test");
+        auto sp = dob::span("live.span");
         EXPECT_TRUE(sp.active());
         clock.advance(11);
     }
     EXPECT_EQ(dob::metrics().counter("live.counter"), 2u);
-    ASSERT_NE(dob::tracer(), nullptr);
-    const auto events = dob::tracer()->events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].name, "live.span");
-    EXPECT_EQ(events[0].dur, 11u);
+    const auto events = dob::flightRecorder().canonicalEvents();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, dob::FlightEventKind::StageEnter);
+    EXPECT_EQ(events[0].stage, "live.span");
+    EXPECT_EQ(events[0].ts, 40u);
+    EXPECT_EQ(events[1].kind, dob::FlightEventKind::StageExit);
+    EXPECT_EQ(events[1].ts, 51u);
+    EXPECT_DOUBLE_EQ(events[1].value, 11.0);
 
     dob::setClockForTest(nullptr);
     dob::shutdown();
     EXPECT_FALSE(dob::metricsEnabled());
+    EXPECT_FALSE(dob::flightEnabled());
     EXPECT_FALSE(dob::metrics().hasCounter("live.counter"));
-    EXPECT_EQ(dob::tracer(), nullptr);
+    EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
+}
+
+TEST(ObsFacade, SpanMoveTransfersOwnership)
+{
+    dob::ObsConfig cfg;
+    cfg.flightMode = dob::FlightMode::On;
+    dob::configure(cfg);
+    dob::FakeClock clock;
+    dob::setClockForTest(&clock);
+    {
+        auto a = dob::span("moved");
+        clock.advance(3);
+        dob::Span b(std::move(a));
+        EXPECT_FALSE(a.active()); // NOLINT(bugprone-use-after-move)
+        EXPECT_TRUE(b.active());
+        clock.advance(4);
+        dob::Span c;
+        c = std::move(b);
+        EXPECT_FALSE(b.active()); // NOLINT(bugprone-use-after-move)
+        clock.advance(2);
+    }
+    std::size_t exits = 0;
+    for (const auto &ev : dob::flightRecorder().canonicalEvents()) {
+        if (ev.kind != dob::FlightEventKind::StageExit)
+            continue;
+        ++exits;
+        EXPECT_DOUBLE_EQ(ev.value, 9.0); // closed once, at c's exit
+    }
+    EXPECT_EQ(exits, 1u);
+    dob::setClockForTest(nullptr);
+    dob::shutdown();
+}
+
+TEST(ObsFacade, TracePathTurnsFlightRecordingOn)
+{
+    dob::ObsConfig cfg;
+    cfg.tracePath = "unused.json"; // never flushed by this test
+    dob::configure(cfg);
+    EXPECT_EQ(dob::flightMode(), dob::FlightMode::On);
+    { auto sp = dob::span("traced.span"); }
+    EXPECT_EQ(dob::flightRecorder().canonicalEvents().size(), 2u);
+    dob::shutdown();
+    EXPECT_FALSE(dob::flightEnabled());
+}
+
+TEST(FlightRecorder, ChromeTraceNestsSpansPerLane)
+{
+    // Hand-built stream: two nested spans, a sibling that starts as
+    // the outer one ends, two spans that overlap without nesting (the
+    // concurrent case), a zero-length span, and one verdict.
+    dob::FlightRecorder rec;
+    const auto span_exit = [&](const char *name, std::uint64_t start,
+                          std::uint64_t end) {
+        dob::FlightEvent ev;
+        ev.kind = dob::FlightEventKind::StageExit;
+        ev.stage = name;
+        ev.value = static_cast<double>(end - start);
+        ev.ts = end;
+        rec.record(ev);
+    };
+    span_exit("level1.cnn_classify", 20, 60);
+    span_exit("level1.identify_batch", 10, 100);
+    span_exit("level2.clone", 100, 180);
+    span_exit("sidechan.fuse", 150, 220); // overlaps level2.clone
+    span_exit("classify", 130, 130);
+    dob::FlightEvent verdict;
+    verdict.kind = dob::FlightEventKind::Verdict;
+    verdict.stage = "classify";
+    verdict.detail = "fused";
+    verdict.value = 0.75;
+    verdict.ts = 60;
+    rec.record(verdict);
+
+    std::ostringstream oss;
+    rec.renderChromeTrace(oss);
+    dob::json::Value v;
+    std::string err;
+    ASSERT_TRUE(dob::json::parse(oss.str(), v, &err)) << err;
+    const auto *events = v.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_TRUE(events->isArray());
+    ASSERT_EQ(events->array.size(), 6u);
+
+    struct X
+    {
+        std::string cat;
+        double ts, dur, tid;
+    };
+    std::map<std::string, X> spans;
+    std::size_t instants = 0;
+    for (const auto &ev : events->array) {
+        EXPECT_DOUBLE_EQ(ev.find("pid")->number, 1.0);
+        if (ev.find("ph")->string == "i") {
+            ++instants;
+            EXPECT_EQ(ev.find("name")->string, "classify");
+            EXPECT_EQ(ev.find("cat")->string, "verdict");
+            EXPECT_EQ(ev.find("args")->find("detail")->string, "fused");
+            EXPECT_DOUBLE_EQ(ev.find("args")->find("value")->number,
+                             0.75);
+            continue;
+        }
+        ASSERT_EQ(ev.find("ph")->string, "X");
+        spans[ev.find("name")->string] = {
+            ev.find("cat")->string, ev.find("ts")->number,
+            ev.find("dur")->number, ev.find("tid")->number};
+    }
+    EXPECT_EQ(instants, 1u);
+    ASSERT_EQ(spans.size(), 5u);
+    EXPECT_EQ(spans["level1.identify_batch"].cat, "level1");
+    EXPECT_DOUBLE_EQ(spans["level1.identify_batch"].ts, 10.0);
+    EXPECT_DOUBLE_EQ(spans["level1.identify_batch"].dur, 90.0);
+    EXPECT_EQ(spans["level1.cnn_classify"].cat, "level1");
+    EXPECT_DOUBLE_EQ(spans["level1.cnn_classify"].ts, 20.0);
+    EXPECT_DOUBLE_EQ(spans["level1.cnn_classify"].dur, 40.0);
+    EXPECT_EQ(spans["level2.clone"].cat, "level2");
+    EXPECT_DOUBLE_EQ(spans["level2.clone"].dur, 80.0);
+    EXPECT_EQ(spans["sidechan.fuse"].cat, "sidechan");
+    EXPECT_EQ(spans["classify"].cat, "classify");
+    EXPECT_DOUBLE_EQ(spans["classify"].dur, 0.0);
+    // The overlapping pair cannot share a lane; everything else can.
+    EXPECT_NE(spans["level2.clone"].tid, spans["sidechan.fuse"].tid);
+    EXPECT_EQ(spans["level1.identify_batch"].tid,
+              spans["level1.cnn_classify"].tid);
+
+    // On every tid, any two X events are disjoint or nested.
+    for (const auto &[na, a] : spans) {
+        for (const auto &[nb, b] : spans) {
+            if (na == nb || a.tid != b.tid)
+                continue;
+            const bool disjoint =
+                a.ts + a.dur <= b.ts || b.ts + b.dur <= a.ts;
+            const bool a_in_b = b.ts <= a.ts && a.ts + a.dur <= b.ts + b.dur;
+            const bool b_in_a = a.ts <= b.ts && b.ts + b.dur <= a.ts + a.dur;
+            EXPECT_TRUE(disjoint || a_in_b || b_in_a)
+                << na << " and " << nb << " overlap on tid " << a.tid;
+        }
+    }
+
+    const auto *other = v.find("otherData");
+    ASSERT_NE(other, nullptr);
+    ASSERT_NE(other->find("dropped"), nullptr);
+    EXPECT_DOUBLE_EQ(other->find("dropped")->number, 0.0);
+    EXPECT_DOUBLE_EQ(other->find("events")->number, 6.0);
 }
 
 TEST(ObsFacade, ParseObsSpec)
 {
     const auto both =
         dob::parseObsSpec("trace:/tmp/a.json,metrics:/tmp/b.jsonl");
-    EXPECT_TRUE(both.traceEnabled);
     EXPECT_TRUE(both.metricsEnabled);
     EXPECT_EQ(both.tracePath, "/tmp/a.json");
     EXPECT_EQ(both.metricsPath, "/tmp/b.jsonl");
 
     const auto bare = dob::parseObsSpec("metrics");
     EXPECT_TRUE(bare.metricsEnabled);
-    EXPECT_FALSE(bare.traceEnabled);
+    EXPECT_TRUE(bare.tracePath.empty());
     EXPECT_TRUE(bare.metricsPath.empty());
 
     const auto on = dob::parseObsSpec("on");
     EXPECT_TRUE(on.metricsEnabled);
-    EXPECT_TRUE(on.traceEnabled);
+    EXPECT_TRUE(on.tracePath.empty());
 
     const auto off = dob::parseObsSpec("");
     EXPECT_FALSE(off.metricsEnabled);
-    EXPECT_FALSE(off.traceEnabled);
+    EXPECT_TRUE(off.tracePath.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -97,10 +97,6 @@ loadConfig(const std::string &path, Config &out, std::string *error)
             out.dataflowPaths.push_back(key);
         } else if (section == "r9.paths") {
             out.r9Paths.push_back(key);
-        } else if (section == "r10.paths") {
-            out.r10Paths.push_back(key);
-        } else if (section == "r10.allow_dirs") {
-            out.r10AllowDirs.push_back(key);
         } else if (section == "scan.roots") {
             out.scanRoots.push_back(key);
         } else {

@@ -16,16 +16,7 @@
  *       the interleaving. Task-local accumulators and indexed
  *       per-slot writes (`out[i] = ...`) are untouched.
  *
- *   R10 a raw Tracer::beginSpan whose enclosing function either
- *       never calls endSpan, or can `return` after the span opens
- *       with no endSpan on that path. RAII (obs::Span) never
- *       tokenizes as beginSpan at the call site, so it is exempt by
- *       construction. Spans opened inside nested lambdas are outside
- *       this function-granularity check (use obs::span() there).
- *
- * R7/R8 run under [dataflow.paths]; R10 under [r10.paths] minus
- * [r10.allow_dirs] (the obs layer implements the tracer and owns raw
- * begin/end internally).
+ * Both run under [dataflow.paths].
  */
 
 #include "lint.hh"
@@ -194,74 +185,6 @@ checkR8(const SourceFile &f, const TuIndex &ix, FileSummary &s)
     (void)f;
 }
 
-void
-checkR10(const SourceFile &f, const TuIndex &ix, const Config &cfg,
-         FileSummary &s)
-{
-    if (!underAny(f.path, cfg.r10Paths) ||
-        underAny(f.path, cfg.r10AllowDirs))
-        return;
-
-    for (const TuIndex::FnDef &fd : ix.functions) {
-        if (fd.bodyEnd <= fd.bodyBegin)
-            continue;
-        // Nested lambda bodies are separate execution scopes: their
-        // returns do not leave this function, and spans they open
-        // are out of scope for this function-granularity check.
-        std::vector<std::pair<std::size_t, std::size_t>> nested;
-        for (const LambdaInfo &lam : ix.lambdas)
-            if (lam.introTok > fd.bodyBegin && lam.bodyEnd < fd.bodyEnd)
-                nested.push_back({lam.bodyBegin, lam.bodyEnd});
-        auto inNested = [&](std::size_t k) {
-            for (const auto &[b, e] : nested)
-                if (k >= b && k <= e)
-                    return true;
-            return false;
-        };
-
-        std::vector<std::size_t> begins, ends, returns;
-        for (std::size_t k = fd.bodyBegin; k < fd.bodyEnd; ++k) {
-            if (!ix.toks[k].ident || inNested(k))
-                continue;
-            const std::string &x = ix.toks[k].text;
-            if (x == "beginSpan" && tokText(ix.toks, k + 1) == "(")
-                begins.push_back(k);
-            else if (x == "endSpan" && tokText(ix.toks, k + 1) == "(")
-                ends.push_back(k);
-            else if (x == "return")
-                returns.push_back(k);
-        }
-        if (begins.empty())
-            continue;
-        if (ends.empty()) {
-            emitLocal(s, ix.toks[begins.front()].line, "R10",
-                      "raw beginSpan is never ended in this function: "
-                      "every path must call endSpan, or use the "
-                      "obs::Span from obs::span() so unwinding closes "
-                      "the span");
-            continue;
-        }
-        const std::size_t first = begins.front();
-        for (std::size_t r : returns) {
-            if (r < first)
-                continue;
-            const bool closed =
-                std::any_of(ends.begin(), ends.end(),
-                            [&](std::size_t e) {
-                                return e > first && e < r;
-                            });
-            if (!closed)
-                emitLocal(
-                    s, ix.toks[r].line, "R10",
-                    "early return leaks the span opened by beginSpan "
-                    "at line " +
-                        std::to_string(ix.toks[first].line) +
-                        ": call endSpan on this path or use the "
-                        "obs::Span from obs::span()");
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -272,7 +195,6 @@ checkDataflow(const SourceFile &f, const TuIndex &ix, const Config &cfg,
         checkR7(f, ix, s);
         checkR8(f, ix, s);
     }
-    checkR10(f, ix, cfg, s);
 }
 
 } // namespace decepticon::lint

@@ -1,6 +1,6 @@
-// R5 positives: one stale suppression per v2 rule id (no matching
-// violation on the targeted lines), plus a suppression naming a rule
-// id the tool does not have.
+// R5 positives: one stale suppression per v2 rule id R7–R9 (no
+// matching violation on the targeted lines), plus suppressions naming
+// rule ids the tool does not have (the retired R10 and R42).
 #include <cstddef>
 
 namespace fixture {

@@ -48,10 +48,6 @@
  *       lock-order graph is a potential deadlock. A multi-mutex
  *       std::scoped_lock acquires atomically and contributes no
  *       internal edges.
- *   R10 obs-span balance — a raw beginSpan whose function can return
- *       without a matching endSpan on that path (or never ends the
- *       span at all); the RAII obs::Span from obs::span() is exempt
- *       by construction.
  *
  * Deliberately not built on libclang: a deterministic token/line
  * scanner plus the include-graph/symbol passes cover every rule
@@ -61,7 +57,7 @@
  * stale suppressions) run over all summaries.
  *
  * Suppression syntax (justification text is mandatory — a bare
- * suppression does not suppress; rule ids R1–R10 are valid and any
+ * suppression does not suppress; rule ids R1–R9 are valid and any
  * other id is itself an R5 violation):
  *
  *   code();            // lint: suppress(R4) tests the pool itself
@@ -116,11 +112,6 @@ struct Config
     /** [r9.paths] path prefixes contributing lock acquisitions and
      *  call-graph edges to the lock-order DAG. */
     std::vector<std::string> r9Paths;
-    /** [r10.paths] path prefixes where span balance is enforced. */
-    std::vector<std::string> r10Paths;
-    /** [r10.allow_dirs] prefixes exempt from R10 (the obs layer that
-     *  implements the tracer owns raw begin/end internally). */
-    std::vector<std::string> r10AllowDirs;
     /** [scan.roots] directories walked under --root. */
     std::vector<std::string> scanRoots;
 };
@@ -132,7 +123,7 @@ struct Violation
 {
     std::string file; ///< repo-relative, '/' separators
     int line = 0;
-    std::string rule; ///< "R1".."R10"
+    std::string rule; ///< "R1".."R9"
     std::string message;
     std::string justification; ///< non-empty only for suppressed hits
 };
@@ -152,7 +143,7 @@ struct Report
 /** One suppression comment, matched to uses as rules fire. */
 struct Suppression
 {
-    std::string rule;          ///< "R1".."R10"
+    std::string rule;          ///< "R1".."R9"
     std::string justification; ///< text after the rule token, trimmed
     int line = 0;              ///< line the suppression targets
     bool used = false;         ///< consumed by some rule hit
@@ -308,7 +299,7 @@ void emitLocal(FileSummary &s, int line, const std::string &rule,
 void emitCross(FileSummary &s, int line, const std::string &rule,
                const std::string &message, Report &out);
 
-/** Run every per-file rule (R1, R3–R8, R10) and distill the
+/** Run every per-file rule (R1, R3–R8) and distill the
  *  summary. */
 FileSummary analyzeFile(const SourceFile &f, const Config &cfg);
 
@@ -316,7 +307,7 @@ FileSummary analyzeFile(const SourceFile &f, const Config &cfg);
 void checkFileRules(const SourceFile &f, const std::vector<Token> &toks,
                     const Config &cfg, FileSummary &s);
 
-/** Dataflow rules R7, R8, R10 over the symbol index (dataflow.cc). */
+/** Dataflow rules R7, R8 over the symbol index (dataflow.cc). */
 void checkDataflow(const SourceFile &f, const TuIndex &ix,
                    const Config &cfg, FileSummary &s);
 

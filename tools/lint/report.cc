@@ -55,7 +55,7 @@ collectFiles(const std::string &root, const Config &cfg)
 }
 
 /** Gauge module of a repo-relative file: its directory, cut to at
- *  most two components (`src/obs/tracer.hh` -> `src/obs`). */
+ *  most two components (`src/obs/flight.hh` -> `src/obs`). */
 std::string
 moduleOf(const std::string &rel)
 {

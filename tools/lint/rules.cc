@@ -6,7 +6,7 @@
  * ids), R6 (console-I/O ban in library code).
  * All token-level checks run over the comment/string-blanked code
  * view, so `"std::rand()"` in a log string or a doc comment never
- * fires. The dataflow rules (R7, R8, R10) live in dataflow.cc on top
+ * fires. The dataflow rules (R7, R8) live in dataflow.cc on top
  * of the symbol index; the cross-TU rules (R2, R9) run later over
  * every file's summary.
  */
@@ -322,7 +322,7 @@ checkR5(const SourceFile &f, const std::vector<Token> &t,
     for (const auto &[line, badRule] : f.badSuppressions) {
         emitLocal(s, line, "R5",
                   "suppression names unknown rule id '" + badRule +
-                      "' (valid ids are R1..R10) — fix the id or "
+                      "' (valid ids are R1..R9) — fix the id or "
                       "remove the comment");
     }
 }

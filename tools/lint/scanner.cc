@@ -70,7 +70,7 @@ enum class ParseResult
 };
 
 /** Parse the payload after "lint:" / "lint-file:" into (rule,
- *  justification). Accepts `suppress(Rn) why` for R1..R10 and the R3
+ *  justification). Accepts `suppress(Rn) why` for R1..R9 and the R3
  *  alias `ordered-ok why`. A `suppress(...)` with any other id is an
  *  error (UnknownRule), never silently inert. */
 ParseResult
@@ -96,7 +96,7 @@ parseSuppression(const std::string &payload, Suppression &out,
             else
                 n = n * 10 + (rule[k] - '0');
         }
-        if (!valid || n < 1 || n > 10) {
+        if (!valid || n < 1 || n > 9) {
             if (badRule)
                 *badRule = rule;
             return ParseResult::UnknownRule;

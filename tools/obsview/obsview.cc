@@ -17,7 +17,10 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -397,6 +400,16 @@ diffFlights(const RunData &a, const RunData &b)
     return identical ? 0 : 1;
 }
 
+/** Parse all of @p text as a number; false on junk or overflow. */
+template <typename T>
+bool
+parseWhole(const char *text, T &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
+}
+
 void
 usage()
 {
@@ -426,9 +439,19 @@ main(int argc, char **argv)
         if (arg == "--check") {
             check = true;
         } else if (arg == "--threshold" && i + 1 < argc) {
-            threshold = std::stod(argv[++i]);
+            if (!parseWhole(argv[++i], threshold) ||
+                !std::isfinite(threshold)) {
+                std::cerr << "obsview: --threshold needs a number, got '"
+                          << argv[i] << "'\n";
+                return 2;
+            }
         } else if (arg == "--top" && i + 1 < argc) {
-            top_n = static_cast<std::size_t>(std::stoul(argv[++i]));
+            if (!parseWhole(argv[++i], top_n)) {
+                std::cerr << "obsview: --top needs a non-negative "
+                             "integer, got '"
+                          << argv[i] << "'\n";
+                return 2;
+            }
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
