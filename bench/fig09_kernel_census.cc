@@ -68,8 +68,8 @@ main()
         std::set<std::string> names;
         std::map<std::string, std::size_t> counts;
         for (const auto &r : trace.records) {
-            names.insert(trace.kernelNames[r.kernelId]);
-            ++counts[trace.kernelNames[r.kernelId]];
+            names.insert((*trace.kernelNames)[r.kernelId]);
+            ++counts[(*trace.kernelNames)[r.kernelId]];
         }
         names_per_source.push_back(names);
 

@@ -1,6 +1,9 @@
 #include "campaign/campaign.hh"
 
 #include <cassert>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "fault/fault.hh"
@@ -29,6 +32,16 @@ struct Ingest
 {
     gpusim::KernelTrace consensus;
     bool hasTrace = false;
+    /** sessionCacheKey(spec), set when hasTrace; S2, S5, S6 reuse it. */
+    std::string cacheKey;
+};
+
+/** One release's trace generator, built by the first S1 job that
+ *  needs it and shared by every session of that lineage in the batch. */
+struct GeneratorSlot
+{
+    std::once_flag built;
+    std::optional<gpusim::TraceGenerator> gen;
 };
 
 } // anonymous namespace
@@ -61,17 +74,32 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
 
         // ---- S1: parallel ingest. Trace synthesis, fault corruption
         // and repair are pure per session (all randomness derives from
-        // the session seed), so the jobs fill independent slots.
+        // the session seed), so the jobs fill independent slots. A
+        // generator depends only on its release, so each distinct
+        // lineage in the batch gets one, built once by whichever job
+        // reaches it first (DESIGN.md §14 explains why per batch).
+        std::map<const zoo::ModelIdentity *, std::size_t> slot_index;
+        std::vector<std::size_t> slot_of(batch_n);
+        for (std::size_t j = 0; j < batch_n; ++j) {
+            slot_of[j] = slot_index
+                             .emplace(sessions[batch_start + j].lineage,
+                                      slot_index.size())
+                             .first->second;
+        }
+        std::vector<GeneratorSlot> generators(slot_index.size());
         std::vector<Ingest> ingest(batch_n);
         sched::parallelFor(batch_n, 1, [&](std::size_t j) {
             const zoo::VictimSessionSpec &spec =
                 sessions[batch_start + j];
             if (spec.blackout)
                 return;
+            GeneratorSlot &slot = generators[slot_of[j]];
+            std::call_once(slot.built, [&] {
+                slot.gen.emplace(spec.lineage->signature);
+            });
             util::Rng rng(spec.seed);
-            const gpusim::TraceGenerator gen(spec.lineage->signature);
-            const gpusim::KernelTrace truth =
-                gen.generate(spec.lineage->arch, rng.nextU64());
+            gpusim::KernelTrace truth =
+                slot.gen->generate(spec.lineage->arch, rng.nextU64());
             if (spec.traceFaultSeverity > 0.0) {
                 fault::FaultSpec fs;
                 fs.recordDropRate =
@@ -89,8 +117,9 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
                         injector.corruptTrace(truth, rng.nextU64()));
                 ingest[j].consensus = trace::repairTraces(captures);
             } else {
-                ingest[j].consensus = truth;
+                ingest[j].consensus = std::move(truth);
             }
+            ingest[j].cacheKey = sessionCacheKey(spec);
             ingest[j].hasTrace = true;
         });
 
@@ -98,11 +127,9 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
         std::vector<CacheLookup> looked(batch_n);
         std::vector<std::size_t> classify; // batch-local indices
         for (std::size_t j = 0; j < batch_n; ++j) {
-            const zoo::VictimSessionSpec &spec =
-                sessions[batch_start + j];
             if (!ingest[j].hasTrace)
                 continue; // nothing captured, nothing to look up
-            looked[j] = cache_.lookup(sessionCacheKey(spec),
+            looked[j] = cache_.lookup(ingest[j].cacheKey,
                                       cacheClock_ + batch_start + j);
             if (looked[j].outcome != CacheOutcome::Hit)
                 classify.push_back(j);
@@ -144,14 +171,12 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
         // revalidation goes through storeIdentity too, which drops the
         // cached clone when the identity flipped.
         for (std::size_t j = 0; j < batch_n; ++j) {
-            const zoo::VictimSessionSpec &spec =
-                sessions[batch_start + j];
             if (!ingest[j].hasTrace ||
                 looked[j].outcome == CacheOutcome::Hit)
                 continue;
             if (!idents[j].insufficientEvidence &&
                 !idents[j].pretrainedName.empty())
-                cache_.storeIdentity(sessionCacheKey(spec),
+                cache_.storeIdentity(ingest[j].cacheKey,
                                      idents[j].pretrainedName,
                                      cacheClock_ + batch_start + j);
         }
@@ -223,7 +248,7 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
                             ? 0.0
                             : cloned.agreementTrajectory.back();
                     if (out.cloned && ingest[j].hasTrace)
-                        cache_.storeClone(sessionCacheKey(spec),
+                        cache_.storeClone(ingest[j].cacheKey,
                                           std::move(cloned.clone),
                                           cacheClock_ + batch_start + j);
                 }

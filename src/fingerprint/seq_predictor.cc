@@ -51,7 +51,7 @@ KernelSequencePredictor::train(
     for (const auto &trace : traces) {
         for (const auto &rec : trace.records) {
             const auto op = static_cast<std::size_t>(groundTruthOp(rec));
-            const std::string &name = trace.kernelNames[rec.kernelId];
+            const std::string &name = (*trace.kernelNames)[rec.kernelId];
             ++votes[name][op];
         }
     }
@@ -71,7 +71,7 @@ KernelSequencePredictor::predict(const gpusim::KernelTrace &trace) const
 {
     std::vector<int> out;
     for (const auto &rec : trace.records) {
-        const std::string &name = trace.kernelNames[rec.kernelId];
+        const std::string &name = (*trace.kernelNames)[rec.kernelId];
         const auto it = opOfKernel_.find(name);
         LayerOp op;
         if (it != opOfKernel_.end()) {

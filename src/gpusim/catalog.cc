@@ -200,17 +200,11 @@ KernelCatalog::KernelCatalog(const SoftwareSignature &sig)
                 std::to_string(i),
             KernelClass::Elementwise);
     }
-}
 
-std::vector<int>
-KernelCatalog::entriesOfClass(KernelClass klass) const
-{
-    std::vector<int> out;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].klass == klass)
-            out.push_back(static_cast<int>(i));
+        byClass_[static_cast<std::size_t>(entries_[i].klass)].push_back(
+            static_cast<int>(i));
     }
-    return out;
 }
 
 } // namespace decepticon::gpusim

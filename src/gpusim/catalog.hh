@@ -10,6 +10,7 @@
 #ifndef DECEPTICON_GPUSIM_CATALOG_HH
 #define DECEPTICON_GPUSIM_CATALOG_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,11 @@ class KernelCatalog
 
     const std::vector<CatalogEntry> &entries() const { return entries_; }
 
-    /** Indices of entries of the given class. */
-    std::vector<int> entriesOfClass(KernelClass klass) const;
+    /** Indices of entries of the given class, in catalog order. */
+    const std::vector<int> &entriesOfClass(KernelClass klass) const
+    {
+        return byClass_[static_cast<std::size_t>(klass)];
+    }
 
     /** Number of distinct kernels the release can launch. */
     std::size_t size() const { return entries_.size(); }
@@ -49,6 +53,10 @@ class KernelCatalog
 
   private:
     std::vector<CatalogEntry> entries_;
+    /** entriesOfClass() pools, one per KernelClass, built once. */
+    std::array<std::vector<int>,
+               static_cast<std::size_t>(KernelClass::Fusion) + 1>
+        byClass_;
 };
 
 } // namespace decepticon::gpusim

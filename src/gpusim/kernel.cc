@@ -1,7 +1,6 @@
 #include "gpusim/kernel.hh"
 
 #include <algorithm>
-#include <set>
 
 namespace decepticon::gpusim {
 
@@ -27,10 +26,10 @@ KernelTrace::durations() const
 std::size_t
 KernelTrace::uniqueKernelCount() const
 {
-    std::set<int> ids;
-    for (const auto &r : records)
-        ids.insert(r.kernelId);
-    return ids.size();
+    std::vector<int> ids = kernelIdSequence();
+    std::sort(ids.begin(), ids.end());
+    return static_cast<std::size_t>(
+        std::unique(ids.begin(), ids.end()) - ids.begin());
 }
 
 double

@@ -11,6 +11,7 @@
 #define DECEPTICON_GPUSIM_KERNEL_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,8 @@ enum class KernelClass
     Elementwise, ///< bias/activation/residual
     Reduction,   ///< short reduce kernels (Meta-style traces)
     Memory,      ///< copies / index selects
-    Fusion,      ///< XLA fused region kernel
+    Fusion,      ///< XLA fused region kernel (last: KernelCatalog
+                 ///< sizes its per-class pools by it)
 };
 
 /** One kernel invocation. Timestamps are microseconds from t=0. */
@@ -55,7 +57,13 @@ struct KernelRecord
 /** A full inference trace: kernel name table + time-ordered records. */
 struct KernelTrace
 {
-    std::vector<std::string> kernelNames;
+    /**
+     * Name of every kernel id the release can launch. Immutable and
+     * shared: the TraceGenerator builds it once, and every trace it
+     * emits, and every trace derived from one (corrupted, repaired,
+     * cropped), points at that same table instead of copying it.
+     */
+    std::shared_ptr<const std::vector<std::string>> kernelNames;
     std::vector<KernelRecord> records;
 
     /** Total wall time (end of last kernel). */

@@ -27,22 +27,31 @@ constexpr double kLaunchGapUs = 2.0;
 constexpr double kGemmBaseUs = 3.0;
 constexpr double kShortBaseUs = 2.0;
 constexpr double kReduceBaseUs = 1.5;
+// An XLA fusion burst runs kXlaBurstMin + [0, kXlaBurstSpread) kernels.
+constexpr std::size_t kXlaBurstMin = 25;
+constexpr std::size_t kXlaBurstSpread = 20;
 
 } // anonymous namespace
 
 TraceGenerator::TraceGenerator(const SoftwareSignature &sig)
-    : sig_(sig), catalog_(sig)
+    : sig_(sig), seed_(sig.seed()), catalog_(sig)
 {
-    util::Rng rng(sig.seed() ^ 0x7ace9e4e7a7e5eedULL);
+    auto names = std::make_shared<std::vector<std::string>>();
+    names->reserve(catalog_.size());
+    for (const auto &e : catalog_.entries())
+        names->push_back(e.name);
+    kernelNames_ = std::move(names);
 
-    const auto gemms = catalog_.entriesOfClass(KernelClass::Gemm);
-    const auto attns = catalog_.entriesOfClass(KernelClass::AttnGemm);
-    const auto softmaxes = catalog_.entriesOfClass(KernelClass::Softmax);
-    const auto norms = catalog_.entriesOfClass(KernelClass::LayerNorm);
-    const auto elems = catalog_.entriesOfClass(KernelClass::Elementwise);
-    const auto reduces = catalog_.entriesOfClass(KernelClass::Reduction);
-    const auto mems = catalog_.entriesOfClass(KernelClass::Memory);
-    const auto fusions = catalog_.entriesOfClass(KernelClass::Fusion);
+    util::Rng rng(seed_ ^ 0x7ace9e4e7a7e5eedULL);
+
+    const auto &gemms = catalog_.entriesOfClass(KernelClass::Gemm);
+    const auto &attns = catalog_.entriesOfClass(KernelClass::AttnGemm);
+    const auto &softmaxes = catalog_.entriesOfClass(KernelClass::Softmax);
+    const auto &norms = catalog_.entriesOfClass(KernelClass::LayerNorm);
+    const auto &elems = catalog_.entriesOfClass(KernelClass::Elementwise);
+    const auto &reduces = catalog_.entriesOfClass(KernelClass::Reduction);
+    const auto &mems = catalog_.entriesOfClass(KernelClass::Memory);
+    const auto &fusions = catalog_.entriesOfClass(KernelClass::Fusion);
     assert(!gemms.empty() && !attns.empty() && !softmaxes.empty());
     assert(!norms.empty() && !elems.empty() && !mems.empty());
 
@@ -232,11 +241,13 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     auto sp = obs::span("gpusim.generate");
     obs::StageTimer stage_timer("trace_capture");
 
-    util::Rng rng(run_seed ^ sig_.seed());
+    util::Rng rng(run_seed ^ seed_);
     KernelTrace trace;
-    trace.kernelNames.reserve(catalog_.size());
-    for (const auto &e : catalog_.entries())
-        trace.kernelNames.push_back(e.name);
+    trace.kernelNames = kernelNames_;
+    trace.records.reserve(
+        prologueTemplate_.size() + arch.numLayers * groupTemplate_.size() +
+        epilogueTemplate_.size() +
+        (sig_.useXla ? kXlaBurstMin + kXlaBurstSpread : 0));
 
     double t = 0.0;
     auto emit = [&](const Slot &slot, Phase phase, int layer) {
@@ -245,7 +256,7 @@ TraceGenerator::generateDefended(const ArchParams &arch,
             // Defense: re-route this launch to a random same-class
             // implementation with run-specific timing behaviour, and
             // pay the cost of not picking the tuned kernel.
-            const auto pool = catalog_.entriesOfClass(slot.klass);
+            const auto &pool = catalog_.entriesOfClass(slot.klass);
             launched.kernelId =
                 pool[rng.uniformInt(pool.size())];
             launched.personality =
@@ -274,10 +285,11 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     if (sig_.useXla)
         xla_after = arch.numLayers * 2 / 5;
 
-    const auto fusions = catalog_.entriesOfClass(KernelClass::Fusion);
+    const auto &fusions = catalog_.entriesOfClass(KernelClass::Fusion);
     for (std::size_t layer = 0; layer < arch.numLayers; ++layer) {
         if (sig_.useXla && layer == xla_after && !fusions.empty()) {
-            const std::size_t burst = 25 + rng.uniformInt(20);
+            const std::size_t burst =
+                kXlaBurstMin + rng.uniformInt(kXlaBurstSpread);
             for (std::size_t i = 0; i < burst; ++i) {
                 Slot s;
                 s.kernelId = fusions[rng.uniformInt(fusions.size())];

@@ -20,6 +20,8 @@
 #define DECEPTICON_GPUSIM_TRACE_GENERATOR_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "gpusim/catalog.hh"
@@ -55,6 +57,12 @@ struct ArchParams
  * per-encoder kernel-group template is fixed at construction (it is
  * the model's fingerprint); generate() instantiates it with per-run
  * timing jitter.
+ *
+ * Everything per release — the catalog, the templates, the signature
+ * seed and the kernel-name table every trace shares — is built once in
+ * the constructor. The generate*() members are const and write no
+ * member, so one generator may serve many seeds and be called
+ * from several sched lanes at once.
  */
 class TraceGenerator
 {
@@ -119,7 +127,11 @@ class TraceGenerator
     double slotDuration(const Slot &slot, const ArchParams &arch) const;
 
     SoftwareSignature sig_;
+    /** sig_.seed(), cached: it hashes the signature's string form. */
+    std::uint64_t seed_;
     KernelCatalog catalog_;
+    /** catalog_'s names; every generated trace points at this table. */
+    std::shared_ptr<const std::vector<std::string>> kernelNames_;
     std::vector<Slot> groupTemplate_;
     std::vector<Slot> prologueTemplate_;
     std::vector<Slot> epilogueTemplate_;

@@ -73,7 +73,8 @@ dg::KernelTrace
 syntheticTrace(std::size_t records = 40)
 {
     dg::KernelTrace t;
-    t.kernelNames = {"gemm", "softmax", "norm", "copy"};
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(
+        std::vector<std::string>{"gemm", "softmax", "norm", "copy"});
     double clock = 0.0;
     for (std::size_t i = 0; i < records; ++i) {
         dg::KernelRecord r;

@@ -89,7 +89,7 @@ TEST(Boundary, HandlesXlaTraceBySummingRegions)
 TEST(Boundary, NoPeriodicityInRandomTrace)
 {
     dg::KernelTrace t;
-    t.kernelNames.resize(64, "k");
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(64, "k");
     double time = 0.0;
     decepticon::util::Rng rng(5);
     for (int i = 0; i < 40; ++i) {
@@ -160,7 +160,7 @@ TEST(Boundary, CropIsIdentityWithoutPeriodicity)
     // The random, never-repeating trace from NoPeriodicityInRandomTrace:
     // cropToEncoderRegion must pass it through unchanged.
     dg::KernelTrace t;
-    t.kernelNames.resize(64, "k");
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(64, "k");
     double time = 0.0;
     decepticon::util::Rng rng(5);
     for (int i = 0; i < 40; ++i) {

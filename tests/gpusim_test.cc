@@ -1,19 +1,29 @@
 /**
  * @file
  * Tests for the GPU kernel-trace simulator: catalogs, signatures,
- * trace structure (repetition, scaling, XLA, head pruning), and
+ * trace structure (repetition, scaling, XLA, head pruning), generator
+ * reuse across seeds and lanes, the shared kernel-name table, and
  * measurement-noise injection.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "fault/fault.hh"
+#include "fingerprint/boundary.hh"
 #include "gpusim/catalog.hh"
 #include "gpusim/kernel.hh"
 #include "gpusim/noise.hh"
 #include "gpusim/signature.hh"
 #include "gpusim/trace_generator.hh"
+#include "sched/sched.hh"
+#include "trace/image.hh"
+#include "trace/repair.hh"
 
 namespace dg = decepticon::gpusim;
 
@@ -60,6 +70,26 @@ bertLarge()
     arch.numHeads = 16;
     arch.seqLen = 128;
     return arch;
+}
+
+/** Record-for-record, bit-for-bit equality of two traces. */
+testing::AssertionResult
+sameRecords(const dg::KernelTrace &a, const dg::KernelTrace &b)
+{
+    if (a.records.size() != b.records.size())
+        return testing::AssertionFailure()
+               << a.records.size() << " vs " << b.records.size()
+               << " records";
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+        const dg::KernelRecord &x = a.records[i];
+        const dg::KernelRecord &y = b.records[i];
+        if (x.kernelId != y.kernelId || x.tStart != y.tStart ||
+            x.tEnd != y.tEnd || x.phase != y.phase ||
+            x.klass != y.klass || x.layerIndex != y.layerIndex)
+            return testing::AssertionFailure() << "record " << i
+                                               << " differs";
+    }
+    return testing::AssertionSuccess();
 }
 
 } // anonymous namespace
@@ -306,7 +336,8 @@ TEST(TraceGenerator, EpiloguePresent)
 TEST(KernelTrace, HelperAccessors)
 {
     dg::KernelTrace t;
-    t.kernelNames = {"a", "b"};
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(
+        std::vector<std::string>{"a", "b"});
     t.records.push_back({0, 0.0, 2.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     t.records.push_back({1, 3.0, 4.0, dg::Phase::Encoder,
@@ -319,6 +350,106 @@ TEST(KernelTrace, HelperAccessors)
     EXPECT_EQ(t.encoderRecords().size(), 2u);
     EXPECT_EQ(t.kernelIdSequence(), (std::vector<int>{0, 1, 0}));
     EXPECT_EQ(t.durations(), (std::vector<double>{2.0, 1.0, 4.0}));
+}
+
+TEST(KernelTrace, UniqueKernelCountIgnoresRepeatsAndGaps)
+{
+    dg::KernelTrace t;
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(
+        41, "k");
+    double clock = 0.0;
+    for (int id : {7, 2, 7, 40, 2, 2, 0, 40, 7}) {
+        t.records.push_back({id, clock, clock + 1.0, dg::Phase::Encoder,
+                             dg::KernelClass::Elementwise, 0});
+        clock += 2.0;
+    }
+    EXPECT_EQ(t.uniqueKernelCount(), 4u); // {0, 2, 7, 40}
+    EXPECT_EQ(dg::KernelTrace{}.uniqueKernelCount(), 0u);
+}
+
+TEST(KernelCatalog, ClassPoolsPartitionTheCatalog)
+{
+    for (const auto &sig : {pytorchSig(), tfSig(true)}) {
+        const dg::KernelCatalog c(sig);
+        std::size_t total = 0;
+        for (int k = 0; k <= static_cast<int>(dg::KernelClass::Fusion);
+             ++k) {
+            const auto klass = static_cast<dg::KernelClass>(k);
+            const std::vector<int> &pool = c.entriesOfClass(klass);
+            total += pool.size();
+            for (std::size_t i = 0; i < pool.size(); ++i) {
+                EXPECT_EQ(c.klass(pool[i]), klass);
+                if (i > 0) {
+                    EXPECT_LT(pool[i - 1], pool[i]); // catalog order
+                }
+            }
+            // Built once: every call hands back the same pool.
+            EXPECT_EQ(&c.entriesOfClass(klass), &pool);
+        }
+        EXPECT_EQ(total, c.size());
+    }
+}
+
+TEST(TraceGenerator, ReusedAcrossSeedsAndLanesMatchesFreshPerSeed)
+{
+    struct LaneGuard
+    {
+        ~LaneGuard() { decepticon::sched::setThreads(0); }
+    } guard;
+    decepticon::sched::setThreads(2);
+
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t i = 0; i < 16; ++i)
+        seeds.push_back(1000 + 7919 * i);
+    for (const auto &sig : {pytorchSig(), tfSig(true)}) {
+        const dg::TraceGenerator shared(sig);
+        std::vector<dg::KernelTrace> got(seeds.size());
+        decepticon::sched::parallelFor(seeds.size(), 1, [&](std::size_t i) {
+            got[i] = shared.generate(bertBase(), seeds[i]);
+        });
+        for (std::size_t i = 0; i < seeds.size(); ++i) {
+            const dg::TraceGenerator fresh(sig);
+            const dg::KernelTrace want = fresh.generate(bertBase(), seeds[i]);
+            EXPECT_TRUE(sameRecords(got[i], want)) << "seed " << seeds[i];
+            EXPECT_EQ(*got[i].kernelNames, *want.kernelNames);
+            EXPECT_EQ(got[i].kernelNames, got[0].kernelNames); // shared
+        }
+    }
+}
+
+TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
+{
+    const dg::TraceGenerator gen(tfSig());
+    const dg::KernelTrace truth = gen.generate(bertBase(), 11);
+    ASSERT_NE(truth.kernelNames, nullptr);
+    EXPECT_EQ(truth.kernelNames->size(), gen.catalog().size());
+    const std::vector<std::string> *table = truth.kernelNames.get();
+    EXPECT_EQ(gen.generate(bertLarge(), 12).kernelNames.get(), table);
+
+    decepticon::fault::FaultSpec fs;
+    fs.recordDropRate = 0.2;
+    fs.recordDuplicateRate = 0.1;
+    fs.truncateProbability = 0.3;
+    fs.seed = 5;
+    decepticon::fault::FaultInjector injector(fs);
+    std::vector<dg::KernelTrace> captures;
+    for (std::uint64_t c = 0; c < 3; ++c) {
+        captures.push_back(injector.corruptTrace(truth, 100 + c));
+        EXPECT_EQ(captures.back().kernelNames.get(), table);
+    }
+    EXPECT_EQ(decepticon::trace::dedupeRecords(captures[0])
+                  .kernelNames.get(),
+              table);
+    const dg::KernelTrace repaired =
+        decepticon::trace::repairTraces(captures);
+    EXPECT_EQ(repaired.kernelNames.get(), table);
+    EXPECT_EQ(decepticon::trace::cropRecords(repaired, 0,
+                                             repaired.records.size() / 2)
+                  .kernelNames.get(),
+              table);
+    EXPECT_EQ(decepticon::fingerprint::cropToEncoderRegion(repaired)
+                  .kernelNames.get(),
+              table);
 }
 
 TEST(Noise, PerturbsRequestedKernelCount)

@@ -168,7 +168,8 @@ TEST(Robustness, DefenseCostsRuntime)
 TEST(Robustness, RasterizeSingleRecord)
 {
     dg::KernelTrace t;
-    t.kernelNames = {"k"};
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(
+        std::vector<std::string>{"k"});
     t.records.push_back({0, 0.0, 5.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     const auto img = dtc::rasterize(t, 16);

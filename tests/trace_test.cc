@@ -56,7 +56,8 @@ TEST(Rasterize, EmptyTraceIsBlack)
 TEST(Rasterize, PeakKernelLandsOnTopRow)
 {
     dg::KernelTrace t;
-    t.kernelNames = {"k"};
+    t.kernelNames = std::make_shared<const std::vector<std::string>>(
+        std::vector<std::string>{"k"});
     t.records.push_back({0, 0.0, 100.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     t.records.push_back({0, 150.0, 160.0, dg::Phase::Encoder,
@@ -104,7 +105,7 @@ TEST(CropRecords, EmptyRange)
     const auto trace = makeTrace();
     const auto cropped = dtc::cropRecords(trace, 3, 3);
     EXPECT_TRUE(cropped.records.empty());
-    EXPECT_EQ(cropped.kernelNames.size(), trace.kernelNames.size());
+    EXPECT_EQ(cropped.kernelNames->size(), trace.kernelNames->size());
 }
 
 TEST(ImageDistance, ZeroForIdentical)
