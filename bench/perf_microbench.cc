@@ -17,6 +17,7 @@
 #include "fault/fault.hh"
 #include "fingerprint/cnn.hh"
 #include "fingerprint/dataset.hh"
+#include "gpusim/emission.hh"
 #include "gpusim/trace_generator.hh"
 #include "sched/sched.hh"
 #include "tensor/tensor.hh"
@@ -282,7 +283,6 @@ runStageLatencyWorkload()
     tspec.seed = 616;
     fault::FaultInjector tinj(tspec);
 
-    const gpusim::EmissionOptions eopts;
     std::uint64_t cap_seed = 0;
     std::size_t n = 0;
     for (const auto *victim : pool.finetuned()) {
@@ -293,10 +293,10 @@ runStageLatencyWorkload()
             gen.generate(victim->arch, 0x5ca1eULL + n); // trace_capture
         pipeline.identify(
             tinj.corruptTrace(trace, ++cap_seed)); // classify
-        const auto power = gpusim::emitPowerTrace(trace, eopts, n);
-        const auto thermal = gpusim::emitThermalTrace(trace, eopts, n);
+        const auto power = gpusim::emitPowerTrace(trace, n);
+        const auto thermal = gpusim::emitThermalTrace(trace, n);
         const auto counters =
-            gpusim::emitProfilerCounters(trace, eopts, n);
+            gpusim::emitProfilerCounters(trace, n);
         core::MultiChannelCapture mc;
         for (std::size_t r = 0; r < 2; ++r) {
             ++cap_seed;
@@ -321,8 +321,7 @@ runStageLatencyWorkload()
     const auto victim = zoo::FineTuneSimulator::fineTune(pre, fopts, 6);
     extraction::WeightStoreOracle oracle(victim);
     extraction::BitProbeChannel channel(oracle);
-    extraction::ResilienceOptions ropts;
-    extraction::RetryingProber prober(channel, ropts, nullptr);
+    extraction::RetryingProber prober(channel, nullptr);
     extraction::ExtractionPolicy policy;
     extraction::SelectiveWeightExtractor extractor(policy);
     extraction::ExtractionStats stats;

@@ -201,8 +201,7 @@ main()
             spec.seed = 4242;
             copts.faultSpec = spec;
         }
-        if (resilient)
-            copts.resilience = extraction::ResilienceOptions{};
+        copts.resilient = resilient;
         auto result = extraction::ModelCloner::extract(
             vic, *pretrained, query, copts);
         CloneOutcome out;
@@ -327,7 +326,6 @@ main()
         {"profiler_only", false, false, false, true},
         {"none", false, false, false, false},
     };
-    const gpusim::EmissionOptions eopts;
     util::Table tc({"channels", "severity", "fused acc",
                     "insufficient", "mean conf"});
     double acc_all_clean = 0.0, acc_ts_only_clean = 0.0,
@@ -370,11 +368,11 @@ main()
                 const auto clean_trace =
                     gen.generate(victim->arch, 0x1ceULL + total);
                 const auto power = gpusim::emitPowerTrace(
-                    clean_trace, eopts, 0x1ceULL + total);
+                    clean_trace, 0x1ceULL + total);
                 const auto thermal = gpusim::emitThermalTrace(
-                    clean_trace, eopts, 0x1ceULL + total);
+                    clean_trace, 0x1ceULL + total);
                 const auto counters = gpusim::emitProfilerCounters(
-                    clean_trace, eopts, 0x1ceULL + total);
+                    clean_trace, 0x1ceULL + total);
                 core::MultiChannelCapture mc;
                 for (std::size_t r = 0; r < 3; ++r) {
                     ++cap_seed;

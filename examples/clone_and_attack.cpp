@@ -181,7 +181,7 @@ main()
         fspec.stuckBitRate = 1e-4;
         fspec.seed = 2026;
         copts.faultSpec = fspec;
-        copts.resilience = extraction::ResilienceOptions{};
+        copts.resilient = true;
         auto result = extraction::ModelCloner::extract(
             victim, pretrained, query, copts);
 

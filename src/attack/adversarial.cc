@@ -25,15 +25,11 @@ craftAdversarial(transformer::TransformerClassifier &surrogate,
         double best_score = 0.0;
         std::size_t best_pos = 0;
         int best_tok = -1;
-        const std::size_t cand =
-            opts.candidateLimit == 0
-                ? vocab
-                : std::min<std::size_t>(opts.candidateLimit, vocab);
         for (std::size_t pos = 0; pos < adv.size(); ++pos) {
             const float *grow = g.data() + pos * dim;
             const float *eold = emb.table.value.data() +
                 static_cast<std::size_t>(adv[pos]) * dim;
-            for (std::size_t v = 0; v < cand; ++v) {
+            for (std::size_t v = 0; v < vocab; ++v) {
                 if (static_cast<int>(v) == adv[pos])
                     continue;
                 const float *enew = emb.table.value.data() + v * dim;

@@ -21,10 +21,9 @@ namespace decepticon::attack {
 /** Adversarial crafting knobs. */
 struct AdversarialOptions
 {
-    /** Maximum token substitutions per input. */
+    /** Maximum token substitutions per input; every vocabulary token
+     *  is scored at every position. */
     std::size_t maxFlips = 2;
-    /** Candidate tokens scored per position (0 = full vocabulary). */
-    std::size_t candidateLimit = 0;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "fingerprint/index/embedding.hh"
+#include "gpusim/emission.hh"
 #include "gpusim/trace_generator.hh"
 #include "obs/obs.hh"
 #include "sched/sched.hh"
@@ -13,6 +14,24 @@
 #include "util/rng.hh"
 
 namespace decepticon::core {
+
+namespace {
+
+/** Candidates forwarded to the variant detector. */
+constexpr std::size_t kTopK = 3;
+/**
+ * Candidates whose probability is within this factor of the top
+ * candidate count as ambiguous and trigger query probing.
+ */
+constexpr double kAmbiguityRatio = 0.5;
+/** Minimum calibrated fusion confidence for a "fused" verdict; below
+ *  it the fused label is adopted as best effort. */
+constexpr double kFusionMinConfidence = 0.35;
+/** Series captures shorter than this carry too little signal to vote
+ *  (power/thermal samples; profiler vectors are exempt). */
+constexpr std::size_t kMinSeriesSamples = 8;
+
+} // anonymous namespace
 
 Decepticon::Decepticon(const DecepticonOptions &opts)
     : opts_(opts), probes_(zoo::standardProbeSet())
@@ -54,90 +73,76 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
     // thermal envelope and a profiler counter vector. One lightweight
     // classifier per channel; its held-out accuracy becomes the
     // channel's reliability prior in the fusion engine.
-    fusion_.reset();
-    for (auto &clf : channelClassifiers_)
-        clf.reset();
-    if (opts_.trainChannelClassifiers) {
-        auto ch_span = obs::span("level1.train_channels");
+    auto ch_span = obs::span("level1.train_channels");
 
-        // Two profiling runs per zoo model. The run seeds are drawn
-        // serially in (class, model) order; trace generation, emission
-        // and feature extraction are pure per run (the emitters split
-        // their noise streams from the run seed), so the runs fill
-        // independent slots in parallel.
-        struct ProfileRun
-        {
-            const zoo::ModelIdentity *model;
-            std::uint64_t runSeed;
-            int label;
-        };
-        std::vector<ProfileRun> runs;
-        util::Rng trace_rng(opts_.seed ^ 0x5e9ULL);
-        for (std::size_t c = 0; c < classNames_.size(); ++c) {
-            for (const auto &model : candidate_pool.models()) {
-                if (model.pretrainedName != classNames_[c])
-                    continue;
-                for (int r = 0; r < 2; ++r)
-                    runs.push_back({&model, trace_rng.nextU64(),
-                                    static_cast<int>(c)});
-            }
+    // Two profiling runs per zoo model. The run seeds are drawn
+    // serially in (class, model) order; trace generation, emission
+    // and feature extraction are pure per run (the emitters split
+    // their noise streams from the run seed), so the runs fill
+    // independent slots in parallel.
+    struct ProfileRun
+    {
+        const zoo::ModelIdentity *model;
+        std::uint64_t runSeed;
+        int label;
+    };
+    std::vector<ProfileRun> runs;
+    util::Rng trace_rng(opts_.seed ^ 0x5e9ULL);
+    for (std::size_t c = 0; c < classNames_.size(); ++c) {
+        for (const auto &model : candidate_pool.models()) {
+            if (model.pretrainedName != classNames_[c])
+                continue;
+            for (int r = 0; r < 2; ++r)
+                runs.push_back({&model, trace_rng.nextU64(),
+                                static_cast<int>(c)});
         }
+    }
 
-        constexpr fault::Channel kSeriesChannels[] = {
-            fault::Channel::Power,
+    constexpr fault::Channel kSeriesChannels[] = {
+        fault::Channel::Power,
+        fault::Channel::Thermal,
+        fault::Channel::Profiler,
+    };
+    std::array<std::vector<std::vector<float>>, 3> feats;
+    for (auto &f : feats)
+        f.resize(runs.size());
+    sched::parallelFor(runs.size(), 1, [&](std::size_t i) {
+        const ProfileRun &run = runs[i];
+        const gpusim::KernelTrace t =
+            gpusim::TraceGenerator(run.model->signature)
+                .generate(run.model->arch, run.runSeed);
+        feats[0][i] = sidechan::channelFeatures(
+            fault::Channel::Power, gpusim::emitPowerTrace(t, run.runSeed));
+        feats[1][i] = sidechan::channelFeatures(
             fault::Channel::Thermal,
+            gpusim::emitThermalTrace(t, run.runSeed));
+        feats[2][i] = sidechan::channelFeatures(
             fault::Channel::Profiler,
-        };
-        std::array<std::vector<std::vector<float>>, 3> feats;
-        for (auto &f : feats)
-            f.resize(runs.size());
-        sched::parallelFor(runs.size(), 1, [&](std::size_t i) {
-            const ProfileRun &run = runs[i];
-            const gpusim::KernelTrace t =
-                gpusim::TraceGenerator(run.model->signature)
-                    .generate(run.model->arch, run.runSeed);
-            feats[0][i] = sidechan::channelFeatures(
-                fault::Channel::Power,
-                gpusim::emitPowerTrace(t, opts_.emissionOptions,
-                                       run.runSeed));
-            feats[1][i] = sidechan::channelFeatures(
-                fault::Channel::Thermal,
-                gpusim::emitThermalTrace(t, opts_.emissionOptions,
-                                         run.runSeed));
-            feats[2][i] = sidechan::channelFeatures(
-                fault::Channel::Profiler,
-                gpusim::emitProfilerCounters(t, opts_.emissionOptions,
-                                             run.runSeed));
-        });
+            gpusim::emitProfilerCounters(t, run.runSeed));
+    });
 
-        fusion_ =
-            std::make_unique<sidechan::FusionEngine>(classNames_.size());
-        fusion_->setReliabilityPrior(fault::Channel::Timestamp,
-                                     cnn_accuracy);
-        for (std::size_t s = 0; s < 3; ++s) {
-            const fault::Channel channel = kSeriesChannels[s];
-            // Every model contributed two consecutive profiling runs:
-            // the first trains the channel classifier, the second is
-            // held out and becomes the channel's reliability prior.
-            std::vector<std::vector<float>> train_f, held_f;
-            std::vector<int> train_y, held_y;
-            for (std::size_t i = 0; i < runs.size(); ++i) {
-                auto &dst_f = (i % 2 == 0) ? train_f : held_f;
-                auto &dst_y = (i % 2 == 0) ? train_y : held_y;
-                dst_f.push_back(feats[s][i]);
-                dst_y.push_back(runs[i].label);
-            }
-            auto &clf =
-                channelClassifiers_[static_cast<std::size_t>(channel)];
-            clf = std::make_unique<sidechan::ChannelClassifier>(
-                channel, sidechan::featureDim(channel),
-                classNames_.size(),
-                opts_.seed ^ (0xabcdULL + 0x101ULL * s),
-                opts_.channelOptions.hidden);
-            clf->train(train_f, train_y, opts_.channelOptions);
-            fusion_->setReliabilityPrior(channel,
-                                         clf->evaluate(held_f, held_y));
+    fusion_ = std::make_unique<sidechan::FusionEngine>(classNames_.size());
+    fusion_->setReliabilityPrior(fault::Channel::Timestamp, cnn_accuracy);
+    const sidechan::ChannelClassifierOptions channel_opts;
+    for (std::size_t s = 0; s < 3; ++s) {
+        const fault::Channel channel = kSeriesChannels[s];
+        // Every model contributed two consecutive profiling runs:
+        // the first trains the channel classifier, the second is
+        // held out and becomes the channel's reliability prior.
+        std::vector<std::vector<float>> train_f, held_f;
+        std::vector<int> train_y, held_y;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            auto &dst_f = (i % 2 == 0) ? train_f : held_f;
+            auto &dst_y = (i % 2 == 0) ? train_y : held_y;
+            dst_f.push_back(feats[s][i]);
+            dst_y.push_back(runs[i].label);
         }
+        auto &clf = channelClassifiers_[static_cast<std::size_t>(channel)];
+        clf = std::make_unique<sidechan::ChannelClassifier>(
+            channel, sidechan::featureDim(channel), classNames_.size(),
+            opts_.seed ^ (0xabcdULL + 0x101ULL * s), channel_opts.hidden);
+        clf->train(train_f, train_y, channel_opts);
+        fusion_->setReliabilityPrior(channel, clf->evaluate(held_f, held_y));
     }
     return cnn_accuracy;
 }
@@ -164,7 +169,7 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
         classProfiles_.push_back(m->vocabProfile);
     }
     const std::size_t num_classes = classNames_.size();
-    const std::size_t per_class = opts_.indexOptions.profilesPerLineage;
+    const std::size_t per_class = fingerprint::kIndexProfilesPerLineage;
 
     // Per-run seeds are drawn serially in (class, profile) order (the
     // §9 serial-schedule rule); trace generation and embedding are
@@ -198,8 +203,7 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     for (std::size_t i = 0; i < ref_jobs.size(); ++i)
         ref_class[i] = i / per_class;
 
-    index_ = std::make_unique<fingerprint::FingerprintIndex>(
-        opts_.indexOptions);
+    index_ = std::make_unique<fingerprint::FingerprintIndex>();
     index_->build(std::move(ref_embs), std::move(ref_class),
                   num_classes);
     obs::gaugeSet("zooindex.classes",
@@ -308,7 +312,7 @@ Decepticon::resolveFromProbabilities(
     // lookup would).
     std::vector<int> top(probs.size());
     std::iota(top.begin(), top.end(), 0);
-    const std::size_t k = std::min(opts_.topK, top.size());
+    const std::size_t k = std::min(kTopK, top.size());
     std::partial_sort(top.begin(),
                       top.begin() + static_cast<std::ptrdiff_t>(k),
                       top.end(), [&](int a, int b) {
@@ -333,7 +337,7 @@ Decepticon::resolveFromProbabilities(
     std::vector<int> ambiguous;
     for (int c : top) {
         if (probs[static_cast<std::size_t>(c)] >=
-            opts_.ambiguityRatio * result.topProbability) {
+            kAmbiguityRatio * result.topProbability) {
             ambiguous.push_back(c);
         }
     }
@@ -451,10 +455,10 @@ Decepticon::identifyFused(
         };
     const bool power_usable =
         usable_series(fault::Channel::Power, capture.powerCaptures,
-                      ropts.minSeriesSamples);
+                      kMinSeriesSamples);
     const bool thermal_usable =
         usable_series(fault::Channel::Thermal, capture.thermalCaptures,
-                      ropts.minSeriesSamples);
+                      kMinSeriesSamples);
     const bool profiler_usable = usable_series(
         fault::Channel::Profiler, capture.profilerCaptures, 1);
 
@@ -519,7 +523,7 @@ Decepticon::identifyFused(
                                  static_cast<double>(voters.size());
 
         if (result.topProbability >= ropts.cnnConfidenceThreshold &&
-            result.quorumAgreement >= ropts.quorumThreshold) {
+            result.quorumAgreement >= kQuorumThreshold) {
             // Confident timestamp channel: adopt the quorum winner
             // unless query probes already disambiguated (stronger,
             // input-dependent evidence).
@@ -545,9 +549,9 @@ Decepticon::identifyFused(
     };
     const SeriesSet series_sets[3] = {
         {fault::Channel::Power, &capture.powerCaptures, power_usable,
-         ropts.minSeriesSamples},
+         kMinSeriesSamples},
         {fault::Channel::Thermal, &capture.thermalCaptures,
-         thermal_usable, ropts.minSeriesSamples},
+         thermal_usable, kMinSeriesSamples},
         {fault::Channel::Profiler, &capture.profilerCaptures,
          profiler_usable, 1},
     };
@@ -644,12 +648,12 @@ Decepticon::identifyFused(
                           });
                 result.candidates.clear();
                 const std::size_t k_out =
-                    std::min(opts_.topK, order.size());
+                    std::min(kTopK, order.size());
                 for (std::size_t k = 0; k < k_out; ++k)
                     result.candidates.push_back(classNames_[order[k]]);
             }
             const bool confident =
-                decision.confidence >= ropts.fusionMinConfidence;
+                decision.confidence >= kFusionMinConfidence;
             obs::count(confident ? "level1.fusion_adoptions"
                                  : "level1.fusion_best_effort");
             const char *verdict = confident ? "fused" : "fused_best_effort";

@@ -23,7 +23,6 @@
 #include "fingerprint/cnn.hh"
 #include "fingerprint/dataset.hh"
 #include "fingerprint/index/lsh.hh"
-#include "gpusim/emission.hh"
 #include "gpusim/kernel.hh"
 #include "sidechan/classifier.hh"
 #include "sidechan/fusion.hh"
@@ -32,30 +31,17 @@
 
 namespace decepticon::core {
 
-/** Pipeline configuration. */
+/**
+ * Pipeline configuration. The exhaustive path always trains the
+ * power/thermal/profiler classifiers and fusion priors alongside the
+ * CNN; the candidate count (top 3) and the ambiguity band of the
+ * decision tail are fixed in decepticon.cc.
+ */
 struct DecepticonOptions
 {
     fingerprint::DatasetOptions datasetOptions;
     fingerprint::CnnTrainOptions cnnOptions;
-    /** CNN candidates forwarded to the variant detector. */
-    std::size_t topK = 3;
-    /**
-     * Candidates whose probability is within this factor of the top
-     * candidate count as ambiguous and trigger query probing.
-     */
-    double ambiguityRatio = 0.5;
     std::uint64_t seed = 1;
-    /** Synthesis knobs for the side-channel emitters the attacker
-     *  profiles alongside the kernel stream. */
-    gpusim::EmissionOptions emissionOptions;
-    /** Training knobs for the per-channel lineage classifiers. */
-    sidechan::ChannelClassifierOptions channelOptions;
-    /**
-     * Train the power/thermal/profiler classifiers and fusion priors
-     * during trainExtractor. Off leaves identifyFused with the
-     * timestamp channel only (legacy behaviour, lower training cost).
-     */
-    bool trainChannelClassifiers = true;
     /**
      * Zoo size at which level-1 switches from the exhaustive CNN
      * classifier to the sublinear fingerprint index (DESIGN.md §15):
@@ -64,29 +50,22 @@ struct DecepticonOptions
      * indexed path entirely (always exhaustive).
      */
     std::size_t indexZooThreshold = 256;
-    /** Geometry/seeding of the fingerprint index (indexed path). */
-    fingerprint::IndexOptions indexOptions;
 };
 
+/** Minimum fraction of quorum votes behind the winning lineage before
+ *  the timestamp channel alone decides in identifyFused. */
+inline constexpr double kQuorumThreshold = 0.5;
+
 /**
- * Knobs for the unreliable-channel identification path: how confident
- * level 1 must be on the repaired consensus trace, and how unanimous
- * the per-capture quorum must be, before the timestamp channel alone
- * decides; and how confident channel fusion must be otherwise.
+ * Knob for the unreliable-channel identification path: how confident
+ * level 1 must be on the repaired consensus trace before the
+ * timestamp channel alone decides.
  */
 struct ResilientIdentifyOptions
 {
     /** Minimum top-1 probability on the repaired trace. Gates the
      *  CNN and the fingerprint index lookup alike. */
     double cnnConfidenceThreshold = 0.45;
-    /** Minimum fraction of quorum votes behind the winning lineage. */
-    double quorumThreshold = 0.5;
-    /** Minimum calibrated fusion confidence for a "fused" verdict;
-     *  below it the fused label is adopted as best effort. */
-    double fusionMinConfidence = 0.35;
-    /** Series captures shorter than this carry too little signal to
-     *  vote (power/thermal samples; profiler vectors are exempt). */
-    std::size_t minSeriesSamples = 8;
 };
 
 /**
@@ -193,10 +172,11 @@ class Decepticon
      *     verdict (never a silent guess);
      *  2. healthy timestamp channel (confident consensus + quorum) ->
      *     the quorum winner, or the query-probe pick;
-     *  3. otherwise, when side-channel classifiers were trained (never
-     *     on the indexed path), fuse every usable channel's posterior
-     *     and adopt the fused label: as "fused" at or above
-     *     fusionMinConfidence, as "fused_best_effort" below it;
+     *  3. otherwise, on the exhaustive path (the indexed path trains
+     *     no side-channel classifiers), fuse every usable channel's
+     *     posterior and adopt the fused label: as "fused" at a
+     *     calibrated confidence of 0.35 or above, as
+     *     "fused_best_effort" below it;
      *  4. otherwise report insufficient evidence.
      */
     IdentificationResult identifyFused(
@@ -214,8 +194,8 @@ class Decepticon
         return index_.get();
     }
 
-    /** The fusion engine, or nullptr when channel classifiers were
-     *  not trained. Exposes the learned reliability priors. */
+    /** The fusion engine, or nullptr on the indexed path. Exposes the
+     *  learned reliability priors. */
     const sidechan::FusionEngine *fusionEngine() const
     {
         return fusion_.get();
@@ -262,7 +242,7 @@ class Decepticon
                fault::kNumChannels>
         channelClassifiers_;
     /** Confidence-weighted late fusion (valid after trainExtractor
-     *  when trainChannelClassifiers is on). */
+     *  on the exhaustive path). */
     std::unique_ptr<sidechan::FusionEngine> fusion_;
 };
 

@@ -71,7 +71,6 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     using transformer::Trainer;
 
     auto clone_span = obs::span("level2.clone");
-    obs::StageTimer stage_timer("extract");
 
     CloneResult result;
 
@@ -118,15 +117,14 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     // head — snapshot it before extraction mutates the groups.
     std::unique_ptr<SnapshotOracle> baseline;
     std::unique_ptr<RetryingProber> prober;
-    if (opts.resilience) {
+    if (opts.resilient) {
         std::vector<std::vector<float>> baseline_groups;
         baseline_groups.reserve(clone_groups.size());
         for (const auto &group : clone_groups)
             baseline_groups.push_back(groupWeights(group));
         baseline = std::make_unique<SnapshotOracle>(
             std::move(baseline_groups));
-        prober = std::make_unique<RetryingProber>(
-            physical, *opts.resilience, baseline.get());
+        prober = std::make_unique<RetryingProber>(physical, baseline.get());
     }
     BitProbeChannel &channel = prober ? *prober : physical;
 
@@ -172,8 +170,7 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     }
 
     // Step 3: embeddings, only if agreement is still short.
-    if (opts.extractEmbeddings &&
-        result.agreementTrajectory.back() < opts.agreementTarget) {
+    if (result.agreementTrajectory.back() < opts.agreementTarget) {
         auto sp = obs::span("level2.extract_embeddings");
         const auto base = groupWeights(clone_groups[0]);
         auto extracted = extractor.extractLayer(base, channel, 0,

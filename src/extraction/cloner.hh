@@ -30,10 +30,12 @@ namespace decepticon::extraction {
 struct ClonerOptions
 {
     ExtractionPolicy policy;
-    /** Stop once clone/victim prediction agreement reaches this. */
+    /**
+     * Stop once clone/victim prediction agreement reaches this; the
+     * embeddings are extracted last if every encoder layer leaves the
+     * agreement short of it.
+     */
     double agreementTarget = 0.98;
-    /** Also extract embeddings if agreement is still below target. */
-    bool extractEmbeddings = true;
     /**
      * Model the rowhammer channel with DRAM physics (hammerable-row
      * limits, cold/warm round costs). Unset = idealized channel.
@@ -47,12 +49,12 @@ struct ClonerOptions
      */
     std::optional<fault::FaultSpec> faultSpec;
     /**
-     * Retry/vote/fallback policy wrapped around the channel (unset =
-     * raw, fault-exposed reads — the resilience-disabled baseline).
-     * The fallback baseline is the clone's pre-extraction state: the
-     * identified pre-trained weights plus the freshly reset head.
+     * Wrap the channel in a RetryingProber (false = raw, fault-exposed
+     * reads — the resilience-disabled baseline). The fallback baseline
+     * is the clone's pre-extraction state: the identified pre-trained
+     * weights plus the freshly reset head.
      */
-    std::optional<ResilienceOptions> resilience;
+    bool resilient = false;
 };
 
 /** Outcome of a cloning run. */

@@ -1,7 +1,6 @@
 #include "extraction/resilient.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "extraction/ieee.hh"
 #include "extraction/selective.hh"
@@ -9,6 +8,25 @@
 #include "obs/obs.hh"
 
 namespace decepticon::extraction {
+
+namespace {
+
+/**
+ * Reads per bit in the majority vote (odd; 1 disables voting). Early
+ * exit: reading stops once one value holds a majority.
+ */
+constexpr int kVotes = 3;
+/** Total attempt budget per bit, failed probes included. */
+constexpr int kMaxAttemptsPerBit = 9;
+/** Penalty rounds charged after the first consecutive failure. */
+constexpr std::size_t kBackoffBaseRounds = 4;
+/** Penalty doubles per consecutive failure up to this cap. */
+constexpr std::size_t kBackoffCapRounds = 256;
+
+static_assert(kVotes >= 1 && kVotes % 2 == 1);
+static_assert(kMaxAttemptsPerBit >= kVotes);
+
+} // anonymous namespace
 
 double
 ReliabilityStats::amplification() const
@@ -37,29 +55,25 @@ ReliabilityStats::toMetrics(obs::MetricsRegistry &registry,
 }
 
 RetryingProber::RetryingProber(BitProbeChannel &inner,
-                               const ResilienceOptions &opts,
                                const VictimWeightOracle *fallback)
     : BitProbeChannel(inner.oracle(), 1, 0.0, 0),
       inner_(inner),
-      opts_(opts),
       fallback_(fallback)
 {
-    assert(opts.votes >= 1 && opts.votes % 2 == 1);
-    assert(opts.maxAttemptsPerBit >= opts.votes);
 }
 
 ProbeAttempt
 RetryingProber::tryReadBit(std::size_t layer, std::size_t index,
                            int word_bit)
 {
-    const int majority = opts_.votes / 2 + 1;
+    const int majority = kVotes / 2 + 1;
     int ones = 0;
     int zeros = 0;
     int attempts = 0;
     int consecutive_failures = 0;
-    std::size_t backoff = opts_.backoffBaseRounds;
+    std::size_t backoff = kBackoffBaseRounds;
 
-    while (attempts < opts_.maxAttemptsPerBit && ones < majority &&
+    while (attempts < kMaxAttemptsPerBit && ones < majority &&
            zeros < majority) {
         const ProbeAttempt attempt =
             inner_.tryReadBit(layer, index, word_bit);
@@ -72,13 +86,13 @@ RetryingProber::tryReadBit(std::size_t layer, std::size_t index,
             if (consecutive_failures > 0) {
                 inner_.accrueRounds(backoff);
                 reliability_.backoffRounds += backoff;
-                backoff = std::min(2 * backoff, opts_.backoffCapRounds);
+                backoff = std::min(2 * backoff, kBackoffCapRounds);
             }
             ++consecutive_failures;
             continue;
         }
         consecutive_failures = 0;
-        backoff = opts_.backoffBaseRounds;
+        backoff = kBackoffBaseRounds;
         (attempt.bit ? ones : zeros) += 1;
     }
 

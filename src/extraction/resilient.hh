@@ -33,22 +33,6 @@
 
 namespace decepticon::extraction {
 
-/** Retry/vote/fallback policy of a RetryingProber. */
-struct ResilienceOptions
-{
-    /**
-     * Reads per bit in the majority vote (odd; 1 disables voting).
-     * Early exit: reading stops once one value holds a majority.
-     */
-    int votes = 3;
-    /** Total attempt budget per bit, failed probes included. */
-    int maxAttemptsPerBit = 9;
-    /** Penalty rounds charged after the first consecutive failure. */
-    std::size_t backoffBaseRounds = 4;
-    /** Penalty doubles per consecutive failure up to this cap. */
-    std::size_t backoffCapRounds = 256;
-};
-
 /** Reliability accounting of a RetryingProber session. */
 struct ReliabilityStats
 {
@@ -110,20 +94,21 @@ class SnapshotOracle : public VictimWeightOracle
  * BitProbeChannel. Drop-in for the selective extractor: logical reads
  * go through this object, physical attempts (and every hammer round,
  * including backoff penalties) are charged on the wrapped channel, so
- * inner.stats() remains the cost ledger of the session.
+ * inner.stats() remains the cost ledger of the session. The policy is
+ * fixed (resilient.cc): 3-read majority vote, 9 attempts per bit,
+ * backoff from 4 rounds doubling up to 256.
  */
 class RetryingProber : public BitProbeChannel
 {
   public:
     /**
      * @param inner the physical (possibly faulty) channel
-     * @param opts retry/vote policy
      * @param fallback baseline weights for budget-exhausted bits
      *        (typically the identified pre-trained model); nullptr
      *        degrades exhausted bits to a failed attempt instead
      */
-    RetryingProber(BitProbeChannel &inner, const ResilienceOptions &opts,
-                   const VictimWeightOracle *fallback = nullptr);
+    explicit RetryingProber(BitProbeChannel &inner,
+                            const VictimWeightOracle *fallback = nullptr);
 
     bool
     canRead(std::size_t layer, std::size_t index) const override
@@ -136,15 +121,8 @@ class RetryingProber : public BitProbeChannel
 
     const ReliabilityStats &reliability() const { return reliability_; }
 
-    void resetReliability() { reliability_ = ReliabilityStats{}; }
-
-    const ResilienceOptions &options() const { return opts_; }
-
-    BitProbeChannel &inner() { return inner_; }
-
   private:
     BitProbeChannel &inner_;
-    ResilienceOptions opts_;
     const VictimWeightOracle *fallback_;
     ReliabilityStats reliability_;
 };

@@ -11,10 +11,13 @@
 
 namespace decepticon::extraction {
 
+/** Reference magnitude of the attacker's U-shape law. */
+constexpr double kWRef = 0.25;
+
 double
 ExtractionPolicy::estimatedDist(double base_weight) const
 {
-    const double m = std::fabs(base_weight) / wRef;
+    const double m = std::fabs(base_weight) / kWRef;
     return baseDist * (1.0 + uShapeAlpha * m * m);
 }
 
@@ -123,7 +126,7 @@ planWeight(const ExtractionPolicy &policy, float base)
 
     // Step 1: tiny weights, or weights whose expected update is below
     // the significance threshold, keep the pre-trained value.
-    if (abs_base < policy.skipThreshold || est < policy.significance) {
+    if (abs_base < kSkipThreshold || est < policy.significance) {
         plan.action = WeightPlan::kSkip;
         return plan;
     }
@@ -385,7 +388,7 @@ SelectiveWeightExtractor::auditAccuracy(const std::vector<float> &extracted,
             const bool sign_flip =
                 std::signbit(base[i]) != std::signbit(actual[i]) &&
                 std::fabs(static_cast<double>(actual[i])) >
-                    policy_.skipThreshold;
+                    kSkipThreshold;
             if (sign_flip)
                 ++local.signFlips;
             if (residual > budget || sign_flip)

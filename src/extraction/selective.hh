@@ -30,18 +30,21 @@
 
 namespace decepticon::extraction {
 
+/** Algorithm 1 step 1: |base| below this reuses the pre-trained value. */
+inline constexpr double kSkipThreshold = 0.001;
+
 /** Attacker-side parameters of Algorithm 1. */
 struct ExtractionPolicy
 {
-    /** Step 1: |base| below this reuses the pre-trained value. */
-    double skipThreshold = 0.001;
     /** Gaps below this are too small to affect predictions. */
     double significance = 0.0025;
     /** Expected fine-tuning gap for near-zero weights. */
     double baseDist = 0.0012;
-    /** U-shape law the attacker calibrated from public model pairs. */
+    /**
+     * U-shape law the attacker calibrated from public model pairs:
+     * gap *= 1 + alpha * (|w| / 0.25)^2.
+     */
     double uShapeAlpha = 3.0;
-    double wRef = 0.25;
     /** Paper: checking up to two bits per weight suffices. */
     int maxBitsPerWeight = 2;
     /** Audit tolerance: |clone - actual| above this is an error. */

@@ -20,6 +20,11 @@ constexpr std::uint64_t kGarbageTag = 0x6a3ba6eULL;
 constexpr std::uint64_t kAttemptKeyTag = 0xa77e3b7ULL;
 constexpr std::uint64_t kTraceTag = 0x73ace0ULL;
 
+/** Flip probability inside a burst-faulty row. */
+constexpr double kBurstFlipRate = 0.25;
+/** Weights per modelled DRAM row (8 KB row / 4-byte float). */
+constexpr std::size_t kWeightsPerRow = 2048;
+
 /** Uniform double in [0, 1) from a 64-bit hash. */
 double
 uniformFromHash(std::uint64_t h)
@@ -55,14 +60,12 @@ FaultInjector::FaultInjector(const FaultSpec &spec) : spec_(spec)
     assert(validRate(spec.stuckBitRate));
     assert(validRate(spec.transientFailureRate));
     assert(validRate(spec.burstRowFraction));
-    assert(validRate(spec.burstFlipRate));
     assert(validRate(spec.recordDropRate));
     assert(validRate(spec.recordDuplicateRate));
     assert(spec.truncateProbability >= 0.0 &&
            spec.truncateProbability <= 1.0);
     assert(spec.truncateMaxFraction >= 0.0 &&
            spec.truncateMaxFraction < 1.0);
-    assert(spec.weightsPerRow >= 1);
 }
 
 std::uint64_t
@@ -93,7 +96,7 @@ FaultInjector::rowBursty(std::size_t layer, std::size_t index) const
 {
     if (spec_.burstRowFraction <= 0.0)
         return false;
-    const std::size_t row = index / spec_.weightsPerRow;
+    const std::size_t row = index / kWeightsPerRow;
     return uniformFromHash(addressHash(kBurstTag, layer, row, 0)) <
            spec_.burstRowFraction;
 }
@@ -139,7 +142,7 @@ FaultInjector::perturbProbe(std::size_t layer, std::size_t index,
     double flip_rate = spec_.probeFlipRate;
     const bool bursty = rowBursty(layer, index);
     if (bursty)
-        flip_rate = std::max(flip_rate, spec_.burstFlipRate);
+        flip_rate = std::max(flip_rate, kBurstFlipRate);
     if (flip_rate > 0.0 &&
         uniformFromHash(addressHash(kFlipTag ^ attempt, layer, index,
                                     word_bit)) < flip_rate) {

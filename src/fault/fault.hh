@@ -44,12 +44,11 @@ struct FaultSpec
      * nothing, but the hammer rounds are spent anyway.
      */
     double transientFailureRate = 0.0;
-    /** Fraction of DRAM rows whose reads flip at burstFlipRate. */
+    /**
+     * Fraction of modelled DRAM rows (8 KB: 2048 weights) whose reads
+     * flip at a rate of at least 0.25.
+     */
     double burstRowFraction = 0.0;
-    /** Flip probability inside a burst-faulty row. */
-    double burstFlipRate = 0.25;
-    /** Weights per modelled DRAM row (8 KB row / 4-byte float). */
-    std::size_t weightsPerRow = 2048;
 
     // ---- trace-capture channel ----
     /** Probability each kernel record is dropped from a capture. */

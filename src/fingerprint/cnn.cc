@@ -14,6 +14,9 @@ namespace decepticon::fingerprint {
 
 namespace {
 
+/** Seed of the per-epoch sample shuffle. */
+constexpr std::uint64_t kShuffleSeed = 7;
+
 /** Output size of a valid conv/pool stage: (in - k) / s + 1. */
 std::size_t
 stageOut(std::size_t in, std::size_t k, std::size_t s)
@@ -119,7 +122,7 @@ FingerprintCnn::train(const FingerprintDataset &data,
     auto sp = obs::span("fingerprint.cnn.train");
 
     nn::Adam optim(params(), opts.lr);
-    util::Rng rng(opts.shuffleSeed);
+    util::Rng rng(kShuffleSeed);
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), 0);
 

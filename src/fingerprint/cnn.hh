@@ -28,7 +28,6 @@ struct CnnTrainOptions
     std::size_t epochs = 30;
     float lr = 2e-3f;
     std::size_t batchSize = 8;
-    std::uint64_t shuffleSeed = 7;
 };
 
 /**

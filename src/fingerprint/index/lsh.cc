@@ -11,6 +11,17 @@ namespace decepticon::fingerprint {
 
 namespace {
 
+/** Independent hash tables; each adds one recall chance. */
+constexpr std::size_t kTables = 8;
+/**
+ * Sharpness of the shortlist softmax that converts re-rank distances
+ * into the probability vector consumed by the shared level-1 decision
+ * tail.
+ */
+constexpr double kSoftmaxSharpness = 48.0;
+/** Root seed of the per-table projection streams. */
+constexpr std::uint64_t kProjectionSeed = 0x1d5eedULL;
+
 std::size_t
 autoHashBits(std::size_t refs)
 {
@@ -25,10 +36,10 @@ autoHashBits(std::size_t refs)
 
 } // anonymous namespace
 
-FingerprintIndex::FingerprintIndex(const IndexOptions &opts) : opts_(opts)
+std::size_t
+FingerprintIndex::tableCount() const
 {
-    assert(opts_.tables > 0);
-    assert(opts_.profilesPerLineage > 0);
+    return kTables;
 }
 
 void
@@ -64,8 +75,7 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
         ++classOffset_[c + 1];
     for (std::size_t c = 0; c < numClasses_; ++c)
         classOffset_[c + 1] += classOffset_[c];
-    bits_ = opts_.hashBits == 0 ? autoHashBits(refs_.size())
-                                : std::min<std::size_t>(opts_.hashBits, 63);
+    bits_ = autoHashBits(refs_.size());
 
     // Center of the reference cloud (see center_ in the header):
     // hashing emb - center_ turns the one-orthant embedding cone into
@@ -83,9 +93,9 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
     // One projection matrix per table, derived via split(table) so the
     // hash family is a pure function of (seed, table) — independent of
     // build order, thread count, or any other draw in the process.
-    const util::Rng root(opts_.seed);
-    projections_.assign(opts_.tables, {});
-    for (std::size_t t = 0; t < opts_.tables; ++t) {
+    const util::Rng root(kProjectionSeed);
+    projections_.assign(kTables, {});
+    for (std::size_t t = 0; t < kTables; ++t) {
         util::Rng rng = root.split(t);
         auto &proj = projections_[t];
         proj.resize(bits_ * dim_);
@@ -93,8 +103,8 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
             v = static_cast<float>(rng.gaussian());
     }
 
-    buckets_.assign(opts_.tables, {});
-    for (std::size_t t = 0; t < opts_.tables; ++t) {
+    buckets_.assign(kTables, {});
+    for (std::size_t t = 0; t < kTables; ++t) {
         auto &table = buckets_[t];
         table.reserve(refs_.size());
         for (std::size_t i = 0; i < refs_.size(); ++i) {
@@ -132,7 +142,7 @@ FingerprintIndex::shortlist(const std::vector<float> &embedding,
     assert(!refs_.empty() && "build() must run first");
     std::vector<std::size_t> classes;
     std::size_t probes = 0;
-    for (std::size_t t = 0; t < opts_.tables; ++t) {
+    for (std::size_t t = 0; t < kTables; ++t) {
         const std::uint64_t h = hashOf(t, embedding);
         const auto &table = buckets_[t];
         const auto lo = std::lower_bound(
@@ -201,7 +211,7 @@ FingerprintIndex::scores(const std::vector<float> &embedding,
     double z = 0.0;
     std::vector<double> expd(candidates.size());
     for (std::size_t k = 0; k < candidates.size(); ++k) {
-        expd[k] = std::exp(-opts_.softmaxSharpness * (dist[k] - min_d));
+        expd[k] = std::exp(-kSoftmaxSharpness * (dist[k] - min_d));
         z += expd[k];
     }
     std::vector<double> probs(numClasses_, 0.0);

@@ -9,9 +9,9 @@
  * Determinism contract: every projection is derived via
  * util::Rng::split(table), bucket tables are sorted vectors probed by
  * binary search, and the shortlist is returned as a sorted, deduped
- * class-id list — a pure function of (options, reference embeddings,
- * query). All lookup methods are const and touch no global state, so
- * campaign batches score shortlists from parallel sched workers.
+ * class-id list — a pure function of (reference embeddings, query).
+ * All lookup methods are const and touch no global state, so campaign
+ * batches score shortlists from parallel sched workers.
  */
 
 #ifndef DECEPTICON_FINGERPRINT_INDEX_LSH_HH
@@ -22,28 +22,8 @@
 
 namespace decepticon::fingerprint {
 
-/** Geometry and seeding of the fingerprint index. */
-struct IndexOptions
-{
-    /** Independent hash tables; each adds one recall chance. */
-    std::size_t tables = 8;
-    /**
-     * Sign bits per table key. 0 = auto: ~log2(reference count),
-     * clamped to [4, 16], so expected bucket load stays O(1) as the
-     * zoo grows.
-     */
-    std::size_t hashBits = 0;
-    /** Reference profiling runs embedded per lineage. */
-    std::size_t profilesPerLineage = 2;
-    /**
-     * Sharpness of the shortlist softmax that converts re-rank
-     * distances into the probability vector consumed by the shared
-     * level-1 decision tail.
-     */
-    double softmaxSharpness = 48.0;
-    /** Root seed of the per-table projection streams. */
-    std::uint64_t seed = 0x1d5eedULL;
-};
+/** Reference profiling runs embedded per lineage. */
+inline constexpr std::size_t kIndexProfilesPerLineage = 2;
 
 /** Per-lookup accounting surfaced through src/obs by the caller. */
 struct IndexLookupStats
@@ -58,13 +38,13 @@ struct IndexLookupStats
 
 /**
  * The index itself: reference embeddings labeled by class (lineage),
- * hashed into `tables` sorted bucket tables.
+ * hashed into tableCount() sorted bucket tables, each keyed by
+ * hashBits() sign bits: ~log2(reference count), clamped to [4, 16],
+ * so expected bucket load stays O(1) as the zoo grows.
  */
 class FingerprintIndex
 {
   public:
-    explicit FingerprintIndex(const IndexOptions &opts = {});
-
     /**
      * Build from reference embeddings. ref_class[i] labels
      * ref_embeddings[i]; classes must cover [0, num_classes).
@@ -75,7 +55,7 @@ class FingerprintIndex
 
     std::size_t numClasses() const { return numClasses_; }
     std::size_t referenceCount() const { return refs_.size(); }
-    std::size_t tableCount() const { return opts_.tables; }
+    std::size_t tableCount() const;
     std::size_t hashBits() const { return bits_; }
 
     /**
@@ -110,7 +90,6 @@ class FingerprintIndex
     std::uint64_t hashOf(std::size_t table,
                          const std::vector<float> &embedding) const;
 
-    IndexOptions opts_;
     std::size_t numClasses_ = 0;
     std::size_t bits_ = 0;
     std::size_t dim_ = 0;

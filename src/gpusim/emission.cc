@@ -18,6 +18,21 @@ constexpr std::uint64_t kPowerStreamTag = 0x70776572ULL;   // "pwer"
 constexpr std::uint64_t kThermalStreamTag = 0x7468726dULL; // "thrm"
 constexpr std::uint64_t kCounterStreamTag = 0x636e7472ULL; // "cntr"
 
+/** Power/thermal sensor sampling period (microseconds). */
+constexpr double kSamplePeriodUs = 25.0;
+/** Gaussian sensor noise on each power sample (watts, sigma). */
+constexpr double kSensorNoiseWatts = 1.0;
+/** Steady-state die rise per watt of sustained draw (C/W). */
+constexpr double kThermalRiseCPerWatt = 0.25;
+/** RC time constant of the die/heatsink system (microseconds). */
+constexpr double kThermalTauUs = 2000.0;
+/** Gaussian sensor noise on each thermal sample (C, sigma). */
+constexpr double kThermalSensorNoiseC = 0.15;
+/** Relative jitter on duration-valued profiler counters. */
+constexpr double kCounterRelativeJitter = 0.01;
+/** Profiler duration quantum (microseconds): totals are rounded. */
+constexpr double kCounterQuantumUs = 5.0;
+
 /**
  * Stable per-kernel-implementation draw modulation in [0.85, 1.15].
  * Keyed by kernel id only, so it is a property of the victim's
@@ -35,12 +50,12 @@ kernelPowerPersonality(int kernel_id)
 
 /** Effective sample period after capping the series length. */
 double
-effectivePeriod(const KernelTrace &trace, const EmissionOptions &opts)
+effectivePeriod(const KernelTrace &trace)
 {
     const double total = trace.totalTime();
-    double period = std::max(opts.samplePeriodUs, 1e-3);
-    if (total > period * static_cast<double>(opts.maxSamples))
-        period = total / static_cast<double>(opts.maxSamples);
+    double period = kSamplePeriodUs;
+    if (total > period * static_cast<double>(kEmissionMaxSamples))
+        period = total / static_cast<double>(kEmissionMaxSamples);
     return period;
 }
 
@@ -93,28 +108,24 @@ kernelClassPowerWatts(KernelClass klass)
 }
 
 std::vector<double>
-emitPowerTrace(const KernelTrace &trace, const EmissionOptions &opts,
-               std::uint64_t run_seed)
+emitPowerTrace(const KernelTrace &trace, std::uint64_t run_seed)
 {
     auto sp = obs::span("gpusim.emit_power");
     std::vector<double> out;
     if (trace.records.empty())
         return out;
-    const double period = effectivePeriod(trace, opts);
+    const double period = effectivePeriod(trace);
     const std::size_t n = std::min(
-        opts.maxSamples,
+        kEmissionMaxSamples,
         static_cast<std::size_t>(trace.totalTime() / period) + 1);
     out.reserve(n);
     const util::Rng noise_root(run_seed ^ kPowerStreamTag);
     std::size_t cursor = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double t = static_cast<double>(i) * period;
-        double watts =
-            opts.idlePowerWatts + rawPowerAt(trace, t, cursor);
-        if (opts.sensorNoiseWatts > 0.0) {
-            util::Rng r = noise_root.split(i);
-            watts += r.gaussian(0.0, opts.sensorNoiseWatts);
-        }
+        double watts = kIdlePowerWatts + rawPowerAt(trace, t, cursor);
+        util::Rng r = noise_root.split(i);
+        watts += r.gaussian(0.0, kSensorNoiseWatts);
         out.push_back(std::max(0.0, watts));
     }
     obs::count("gpusim.power_samples", out.size());
@@ -122,38 +133,30 @@ emitPowerTrace(const KernelTrace &trace, const EmissionOptions &opts,
 }
 
 std::vector<double>
-emitThermalTrace(const KernelTrace &trace, const EmissionOptions &opts,
-                 std::uint64_t run_seed)
+emitThermalTrace(const KernelTrace &trace, std::uint64_t run_seed)
 {
     auto sp = obs::span("gpusim.emit_thermal");
     std::vector<double> out;
     if (trace.records.empty())
         return out;
-    const double period = effectivePeriod(trace, opts);
+    const double period = effectivePeriod(trace);
     const std::size_t n = std::min(
-        opts.maxSamples,
+        kEmissionMaxSamples,
         static_cast<std::size_t>(trace.totalTime() / period) + 1);
     out.reserve(n);
     // First-order step response: alpha is the per-sample pole of the
     // RC system at this period.
-    const double alpha =
-        1.0 - std::exp(-period / std::max(opts.thermalTauUs, 1e-6));
+    const double alpha = 1.0 - std::exp(-period / kThermalTauUs);
     const util::Rng noise_root(run_seed ^ kThermalStreamTag);
-    double die = opts.thermalAmbientC;
+    double die = kThermalAmbientC;
     std::size_t cursor = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double t = static_cast<double>(i) * period;
-        const double watts =
-            opts.idlePowerWatts + rawPowerAt(trace, t, cursor);
-        const double target =
-            opts.thermalAmbientC + opts.thermalRiseCPerWatt * watts;
+        const double watts = kIdlePowerWatts + rawPowerAt(trace, t, cursor);
+        const double target = kThermalAmbientC + kThermalRiseCPerWatt * watts;
         die += alpha * (target - die);
-        double sample = die;
-        if (opts.thermalSensorNoiseC > 0.0) {
-            util::Rng r = noise_root.split(i);
-            sample += r.gaussian(0.0, opts.thermalSensorNoiseC);
-        }
-        out.push_back(sample);
+        util::Rng r = noise_root.split(i);
+        out.push_back(die + r.gaussian(0.0, kThermalSensorNoiseC));
     }
     obs::count("gpusim.thermal_samples", out.size());
     return out;
@@ -191,8 +194,7 @@ profilerCounterName(std::size_t index)
 }
 
 std::vector<double>
-emitProfilerCounters(const KernelTrace &trace,
-                     const EmissionOptions &opts, std::uint64_t run_seed)
+emitProfilerCounters(const KernelTrace &trace, std::uint64_t run_seed)
 {
     auto sp = obs::span("gpusim.emit_counters");
     std::vector<double> ctr(kProfilerCounterCount, 0.0);
@@ -228,15 +230,11 @@ emitProfilerCounters(const KernelTrace &trace,
     // under any evaluation order.
     const util::Rng jitter_root(run_seed ^ kCounterStreamTag);
     const auto jittered = [&](std::size_t index) {
-        double v = ctr[index];
-        if (opts.counterRelativeJitter > 0.0) {
-            util::Rng r = jitter_root.split(index);
-            v *= 1.0 + r.gaussian(0.0, opts.counterRelativeJitter);
-        }
-        if (opts.counterQuantumUs > 0.0)
-            v = std::round(v / opts.counterQuantumUs) *
-                opts.counterQuantumUs;
-        return std::max(0.0, v);
+        util::Rng r = jitter_root.split(index);
+        const double v =
+            ctr[index] * (1.0 + r.gaussian(0.0, kCounterRelativeJitter));
+        return std::max(0.0, std::round(v / kCounterQuantumUs) *
+                                 kCounterQuantumUs);
     };
     for (std::size_t k = 0; k < kProfilerClassCount; ++k)
         ctr[kCtrClassDurationBase + k] =

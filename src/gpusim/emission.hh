@@ -31,43 +31,26 @@
 
 namespace decepticon::gpusim {
 
-/** Physical constants of the simulated board and its sensors. */
-struct EmissionOptions
-{
-    /** Power/thermal sensor sampling period (microseconds). */
-    double samplePeriodUs = 25.0;
-    /** Cap on emitted series length; the period stretches to fit. */
-    std::size_t maxSamples = 2048;
-    /** Board draw with no kernel resident (watts). */
-    double idlePowerWatts = 45.0;
-    /** Gaussian sensor noise on each power sample (watts, sigma). */
-    double sensorNoiseWatts = 1.0;
-    /** Ambient (and initial die) temperature (Celsius). */
-    double thermalAmbientC = 35.0;
-    /** Steady-state die rise per watt of sustained draw (C/W). */
-    double thermalRiseCPerWatt = 0.25;
-    /** RC time constant of the die/heatsink system (microseconds). */
-    double thermalTauUs = 2000.0;
-    /** Gaussian sensor noise on each thermal sample (C, sigma). */
-    double thermalSensorNoiseC = 0.15;
-    /** Relative jitter on duration-valued profiler counters. */
-    double counterRelativeJitter = 0.01;
-    /** Profiler duration quantum (microseconds): totals are rounded. */
-    double counterQuantumUs = 5.0;
-};
+// Physical constants of the simulated board and its sensors that
+// callers outside the emitters read; the rest live in emission.cc.
+/** Cap on emitted series length; the sample period stretches to fit. */
+inline constexpr std::size_t kEmissionMaxSamples = 2048;
+/** Board draw with no kernel resident (watts). */
+inline constexpr double kIdlePowerWatts = 45.0;
+/** Ambient (and initial die) temperature (Celsius). */
+inline constexpr double kThermalAmbientC = 35.0;
 
 /** Characteristic draw of one kernel class above idle (watts). */
 double kernelClassPowerWatts(KernelClass klass);
 
 /**
  * Sample the board power during one inference. Sample i is the draw
- * at time i * period where period = max(samplePeriodUs,
- * totalTime / maxSamples). Pure function of (trace, opts, run_seed);
+ * at time i * period where period = max(sample period,
+ * totalTime / kEmissionMaxSamples). Pure function of (trace, run_seed);
  * per-sample sensor noise comes from an Rng::split stream keyed by
  * the sample index, so the series is order-independent.
  */
 std::vector<double> emitPowerTrace(const KernelTrace &trace,
-                                   const EmissionOptions &opts,
                                    std::uint64_t run_seed);
 
 /**
@@ -77,7 +60,6 @@ std::vector<double> emitPowerTrace(const KernelTrace &trace,
  * as emitPowerTrace.
  */
 std::vector<double> emitThermalTrace(const KernelTrace &trace,
-                                     const EmissionOptions &opts,
                                      std::uint64_t run_seed);
 
 // Layout of the profiler counter vector (InferNet-style aggregates).
@@ -104,12 +86,11 @@ std::string profilerCounterName(std::size_t index);
  * One aggregate profiler session over the inference: a fixed-length
  * vector of kProfilerCounterCount counters. Launch counts are exact;
  * duration-valued counters carry relative jitter (seeded per counter
- * via Rng::split) and are quantized to counterQuantumUs — the
+ * via Rng::split) and are quantized to a 5 us quantum — the
  * coarseness that makes this channel cheap for the attacker and hard
  * for the victim to starve.
  */
 std::vector<double> emitProfilerCounters(const KernelTrace &trace,
-                                         const EmissionOptions &opts,
                                          std::uint64_t run_seed);
 
 } // namespace decepticon::gpusim

@@ -10,6 +10,16 @@ constexpr const char *kStagePrefix = "stage.";
 constexpr const char *kEnterSuffix = ".enter";
 constexpr const char *kExitSuffix = ".exit";
 
+/** Consecutive no-progress ticks (with open spans) = stall. */
+constexpr int kStallTicks = 2;
+/** Max corrupted/attempts delta rate before a fault spike. */
+constexpr double kFaultRateMax = 0.75;
+/** Max insufficient-evidence/identify delta rate before an abstain
+ *  anomaly. */
+constexpr double kAbstainRateMax = 0.5;
+/** Minimum attempts in a delta window before rates are judged. */
+constexpr std::uint64_t kMinSamples = 4;
+
 std::uint64_t
 lookup(const std::map<std::string, std::uint64_t> &counters,
        const std::string &name)
@@ -51,7 +61,7 @@ WatchdogReport::toJson(std::ostream &out) const
     out << "]}";
 }
 
-Watchdog::Watchdog(WatchdogConfig config) : config_(config)
+Watchdog::Watchdog()
 {
     addFaultBand("fault.captures_corrupted", "fault.capture_attempts",
                  "trace_capture");
@@ -92,7 +102,7 @@ Watchdog::tick(MetricsRegistry &registry)
             const bool progressed = exit_now > exit_prev;
             if (open && !progressed) {
                 ++st.stalledTicks;
-                if (st.stalledTicks >= config_.stallTicks && !st.flagged) {
+                if (st.stalledTicks >= kStallTicks && !st.flagged) {
                     st.flagged = true;
                     std::ostringstream msg;
                     msg << "stage '" << stage << "' has "
@@ -102,7 +112,7 @@ Watchdog::tick(MetricsRegistry &registry)
                     fresh.push_back(WatchdogFinding{
                         "stall", stage,
                         static_cast<double>(st.stalledTicks),
-                        static_cast<double>(config_.stallTicks),
+                        static_cast<double>(kStallTicks),
                         msg.str()});
                     registry.add("obs.watchdog.stalls");
                 }
@@ -118,23 +128,23 @@ Watchdog::tick(MetricsRegistry &registry)
                 lookup(now, band.attempts) - lookup(prev_, band.attempts);
             const std::uint64_t bad = lookup(now, band.corrupted) -
                                       lookup(prev_, band.corrupted);
-            if (att < config_.minSamples) {
+            if (att < kMinSamples) {
                 band.flagged = false;
                 continue;
             }
             const double rate =
                 static_cast<double>(bad) / static_cast<double>(att);
-            if (rate > config_.faultRateMax) {
+            if (rate > kFaultRateMax) {
                 if (!band.flagged) {
                     band.flagged = true;
                     std::ostringstream msg;
                     msg << band.subject << " fault rate " << rate
                         << " over " << att
                         << " attempt(s) exceeds band "
-                        << config_.faultRateMax;
+                        << kFaultRateMax;
                     fresh.push_back(WatchdogFinding{
                         "fault_spike", band.subject, rate,
-                        config_.faultRateMax, msg.str()});
+                        kFaultRateMax, msg.str()});
                     registry.add("obs.watchdog.fault_spikes");
                 }
             } else {
@@ -150,19 +160,19 @@ Watchdog::tick(MetricsRegistry &registry)
             const std::uint64_t abst =
                 lookup(now, "level1.insufficient_evidence") -
                 lookup(prev_, "level1.insufficient_evidence");
-            if (ids >= config_.minSamples) {
+            if (ids >= kMinSamples) {
                 const double rate =
                     static_cast<double>(abst) / static_cast<double>(ids);
-                if (rate > config_.abstainRateMax) {
+                if (rate > kAbstainRateMax) {
                     if (!abstainFlagged_) {
                         abstainFlagged_ = true;
                         std::ostringstream msg;
                         msg << "fusion abstained on " << abst << " of "
                             << ids << " identification(s) (rate " << rate
-                            << " > " << config_.abstainRateMax << ")";
+                            << " > " << kAbstainRateMax << ")";
                         fresh.push_back(WatchdogFinding{
                             "abstain_anomaly", "level1.fusion", rate,
-                            config_.abstainRateMax, msg.str()});
+                            kAbstainRateMax, msg.str()});
                         registry.add("obs.watchdog.abstain_anomalies");
                     }
                 } else {

@@ -7,11 +7,15 @@
  *
  *  - **stall**: a stage with open spans (stage.<s>.enter >
  *    stage.<s>.exit) whose exit counter has made no progress for
- *    `stallTicks` consecutive ticks;
+ *    2 consecutive ticks;
  *  - **fault_spike**: a corrupted/attempts counter-pair delta rate
- *    above `faultRateMax`;
+ *    above 0.75;
  *  - **abstain_anomaly**: the fusion insufficient-evidence rate over
- *    identification attempts above `abstainRateMax`.
+ *    identification attempts above 0.5.
+ *
+ * Rates are judged only over windows of at least 4 attempts (no 1-of-1
+ * spikes). The bands are deliberately loose: the watchdog exists to
+ * catch pathology, not to grade ordinary jitter.
  *
  * Each finding is flagged once at the threshold crossing (re-flagged
  * only after recovery), published as obs.watchdog.* counters on the
@@ -32,22 +36,6 @@
 
 namespace decepticon::obs {
 
-/** SLO bands. Defaults are deliberately loose: the watchdog exists to
- *  catch pathology, not to grade ordinary jitter. */
-struct WatchdogConfig
-{
-    /** Consecutive no-progress ticks (with open spans) = stall. */
-    int stallTicks = 2;
-    /** Max corrupted/attempts delta rate before a fault spike. */
-    double faultRateMax = 0.75;
-    /** Max insufficient-evidence/identify delta rate before an
-     *  abstain anomaly. */
-    double abstainRateMax = 0.5;
-    /** Minimum attempts in a delta window before rates are judged
-     *  (avoids 1-of-1 spikes). */
-    std::uint64_t minSamples = 4;
-};
-
 /** One SLO violation. */
 struct WatchdogFinding
 {
@@ -57,7 +45,7 @@ struct WatchdogFinding
     std::string subject;
     /** Observed value (stalled ticks or rate). */
     double value = 0.0;
-    /** The configured band it crossed. */
+    /** The band it crossed. */
     double threshold = 0.0;
     /** Human-readable one-liner. */
     std::string message;
@@ -80,12 +68,7 @@ struct WatchdogReport
 class Watchdog
 {
   public:
-    explicit Watchdog(WatchdogConfig config = {});
-
-    /** Watch an extra corrupted/attempts counter pair. */
-    void addFaultBand(const std::string &corruptedCounter,
-                      const std::string &attemptsCounter,
-                      const std::string &subject);
+    Watchdog();
 
     /**
      * Snapshot `registry`, diff against the previous tick, flag
@@ -95,10 +78,14 @@ class Watchdog
      */
     std::vector<WatchdogFinding> tick(MetricsRegistry &registry);
 
-    const WatchdogConfig &config() const { return config_; }
     const WatchdogReport &report() const { return report_; }
 
   private:
+    /** Watch a corrupted/attempts counter pair. */
+    void addFaultBand(const std::string &corruptedCounter,
+                      const std::string &attemptsCounter,
+                      const std::string &subject);
+
     struct FaultBand
     {
         std::string corrupted;
@@ -113,7 +100,6 @@ class Watchdog
         bool flagged = false;
     };
 
-    WatchdogConfig config_;
     WatchdogReport report_;
     std::vector<FaultBand> bands_;
     std::map<std::string, StageState> stages_;

@@ -11,6 +11,13 @@
 
 namespace decepticon::sidechan {
 
+namespace {
+
+/** Seed of the per-epoch sample shuffle. */
+constexpr std::uint64_t kShuffleSeed = 11;
+
+} // anonymous namespace
+
 ChannelClassifier::ChannelClassifier(fault::Channel channel,
                                      std::size_t feature_dim,
                                      std::size_t num_classes,
@@ -76,7 +83,7 @@ ChannelClassifier::train(
     nn::Adam optim({fc1_.params()[0], fc1_.params()[1],
                     fc2_.params()[0], fc2_.params()[1]},
                    opts.lr);
-    util::Rng shuffle_rng(opts.shuffleSeed);
+    util::Rng shuffle_rng(kShuffleSeed);
     std::vector<std::size_t> order(features.size());
     std::iota(order.begin(), order.end(), 0);
 

@@ -29,7 +29,6 @@ struct ChannelClassifierOptions
     std::size_t epochs = 80;
     float lr = 4e-3f;
     std::size_t batchSize = 8;
-    std::uint64_t shuffleSeed = 11;
 };
 
 /**

@@ -9,9 +9,17 @@
 
 namespace decepticon::sidechan {
 
-FusionEngine::FusionEngine(std::size_t num_classes,
-                           const FusionOptions &opts)
-    : numClasses_(num_classes), opts_(opts)
+namespace {
+
+/** Weight floor for an available channel whose prior is barely above
+ *  chance — starving a weak channel entirely would forfeit its
+ *  tie-breaking value. */
+constexpr double kPriorFloor = 0.05;
+
+} // anonymous namespace
+
+FusionEngine::FusionEngine(std::size_t num_classes)
+    : numClasses_(num_classes)
 {
     assert(num_classes > 0);
 }
@@ -47,7 +55,7 @@ FusionEngine::channelWeight(fault::Channel channel) const
     const double chance = 1.0 / static_cast<double>(numClasses_);
     const double skill =
         std::max(0.0, (priors_[c] - chance) / (1.0 - chance));
-    return std::max(opts_.priorFloor, skill);
+    return std::max(kPriorFloor, skill);
 }
 
 FusionDecision

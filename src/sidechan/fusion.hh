@@ -42,15 +42,6 @@ struct ChannelEvidence
     double quality = 1.0;
 };
 
-/** Fusion knobs. */
-struct FusionOptions
-{
-    /** Weight floor for an available channel whose prior is barely
-     *  above chance — starving a weak channel entirely would forfeit
-     *  its tie-breaking value. */
-    double priorFloor = 0.05;
-};
-
 enum class FusionVerdict
 {
     Identified,
@@ -78,8 +69,7 @@ struct FusionDecision
 class FusionEngine
 {
   public:
-    explicit FusionEngine(std::size_t num_classes,
-                          const FusionOptions &opts = {});
+    explicit FusionEngine(std::size_t num_classes);
 
     std::size_t numClasses() const { return numClasses_; }
 
@@ -103,7 +93,6 @@ class FusionEngine
 
   private:
     std::size_t numClasses_;
-    FusionOptions opts_;
     std::array<double, fault::kNumChannels> priors_{};
     std::array<bool, fault::kNumChannels> registered_{};
 };

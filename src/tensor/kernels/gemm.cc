@@ -61,13 +61,8 @@ bool
 envNaiveDefault()
 {
     const char *e = std::getenv("DECEPTICON_NAIVE_KERNELS");
-    if (e == nullptr || e[0] == '\0') {
-#ifdef DECEPTICON_NAIVE_KERNELS_DEFAULT
-        return true;
-#else
+    if (e == nullptr || e[0] == '\0')
         return false;
-#endif
-    }
     return !(e[0] == '0' || e[0] == 'n' || e[0] == 'N' ||
              e[0] == 'f' || e[0] == 'F');
 }

@@ -16,9 +16,8 @@
  * differ from the naive reference loops by rounding (the differential
  * kernel tests allow 1e-5 relative).
  *
- * DECEPTICON_NAIVE_KERNELS=1 (env, or the CMake option of the same
- * name as a build-time default) routes every call through the legacy
- * reference loops for differential testing.
+ * The DECEPTICON_NAIVE_KERNELS=1 environment variable routes every
+ * call through the legacy reference loops for differential testing.
  */
 
 #ifndef DECEPTICON_TENSOR_KERNELS_KERNELS_HH
@@ -83,8 +82,8 @@ void gemmNaive(Trans t, const GemmCall &call);
 
 /**
  * Whether naive (reference) kernels are in force: the
- * DECEPTICON_NAIVE_KERNELS environment variable when set (read once),
- * otherwise the build-time default, overridable via setNaive().
+ * DECEPTICON_NAIVE_KERNELS environment variable (read once; unset or
+ * empty means optimized), overridable via setNaive().
  */
 bool naiveEnabled();
 

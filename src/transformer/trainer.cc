@@ -11,6 +11,11 @@ namespace decepticon::transformer {
 
 namespace {
 
+/** Decoupled (AdamW) weight decay of both optimizers. */
+constexpr float kWeightDecay = 0.01f;
+/** Seed of the per-epoch example shuffle. */
+constexpr std::uint64_t kShuffleSeed = 1;
+
 std::vector<EpochStats>
 runTraining(TransformerClassifier &model, const Dataset &full_data,
             const TrainOptions &opts, const nn::ParamRefs &trainable_body,
@@ -20,10 +25,10 @@ runTraining(TransformerClassifier &model, const Dataset &full_data,
     assert(!data.examples.empty());
 
     nn::Adam optim(trainable_body, opts.lr, 0.9f, 0.999f, 1e-8f,
-                   opts.weightDecay);
+                   kWeightDecay);
     nn::Adam head_optim(trainable_head, opts.lr * opts.headLrMultiplier,
-                        0.9f, 0.999f, 1e-8f, opts.weightDecay);
-    util::Rng rng(opts.shuffleSeed);
+                        0.9f, 0.999f, 1e-8f, kWeightDecay);
+    util::Rng rng(kShuffleSeed);
 
     std::vector<std::size_t> order(data.size());
     for (std::size_t i = 0; i < order.size(); ++i)

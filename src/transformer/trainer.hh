@@ -30,12 +30,10 @@ struct TrainOptions
      */
     float headLrMultiplier = 1.0f;
     std::size_t batchSize = 8;
-    float weightDecay = 0.01f;
     /** Encoder layers [0, freezeFirstN) are excluded from updates. */
     std::size_t freezeFirstN = 0;
     /** Use only this leading fraction of the training data. */
     double dataFraction = 1.0;
-    std::uint64_t shuffleSeed = 1;
     /** Invoked after each epoch (snapshotting for Fig. 6). */
     std::function<void(std::size_t epoch)> epochCallback;
 };

@@ -7,23 +7,34 @@
 
 namespace decepticon::zoo {
 
+namespace {
+
+/** Inter-epoch sigma at epoch 0 (ramp start). */
+constexpr double kStartSigma = 0.0005;
+/** Epoch at which the inter-epoch gap peaks. */
+constexpr double kPeakEpoch = 9;
+/** Epoch by which the gap has decayed to kFloorSigma. */
+constexpr double kDecayEndEpoch = 30;
+/** Reference magnitude of the simulated U-shape law. */
+constexpr double kWRef = 0.25;
+/** Multiplier applied to outlier updates. */
+constexpr double kOutlierScale = 12.0;
+
+} // anonymous namespace
+
 double
-FineTuneSimulator::epochSigma(std::size_t epoch,
-                              const FineTuneOptions &opts)
+FineTuneSimulator::epochSigma(std::size_t epoch)
 {
     const auto e = static_cast<double>(epoch + 1);
-    const auto peak = static_cast<double>(opts.peakEpoch);
-    if (e <= peak) {
-        // Linear ramp from startSigma up to peakSigma.
-        return opts.startSigma +
-               (opts.peakSigma - opts.startSigma) * (e / peak);
+    if (e <= kPeakEpoch) {
+        // Linear ramp from kStartSigma up to kPeakSigma.
+        return kStartSigma + (kPeakSigma - kStartSigma) * (e / kPeakEpoch);
     }
-    const auto end = static_cast<double>(opts.decayEndEpoch);
-    if (e >= end)
-        return opts.floorSigma;
-    // Linear decay from peakSigma down to floorSigma.
-    const double frac = (e - peak) / (end - peak);
-    return opts.peakSigma - (opts.peakSigma - opts.floorSigma) * frac;
+    if (e >= kDecayEndEpoch)
+        return kFloorSigma;
+    // Linear decay from kPeakSigma down to kFloorSigma.
+    const double frac = (e - kPeakEpoch) / (kDecayEndEpoch - kPeakEpoch);
+    return kPeakSigma - (kPeakSigma - kFloorSigma) * frac;
 }
 
 namespace {
@@ -39,10 +50,10 @@ applyEpoch(WeightStore &ws, const WeightStore &pretrained, double sigma,
         for (std::size_t i = 0; i < w.size(); ++i) {
             // U-shape: updates scale with the pre-trained magnitude.
             const double mag =
-                std::fabs(static_cast<double>(w0[i])) / opts.wRef;
+                std::fabs(static_cast<double>(w0[i])) / kWRef;
             double s = sigma * (1.0 + opts.uShapeAlpha * mag * mag);
             if (rng.bernoulli(opts.outlierProb))
-                s *= opts.outlierScale;
+                s *= kOutlierScale;
             w[i] += static_cast<float>(rng.gaussian(0.0, s));
         }
     }
@@ -92,7 +103,7 @@ FineTuneSimulator::fineTuneTrajectory(const WeightStore &pretrained,
     trajectory.reserve(opts.epochs);
     const double head_tau = 4.0;
     for (std::size_t e = 0; e < opts.epochs; ++e) {
-        applyEpoch(current, pretrained, epochSigma(e, opts), opts, rng);
+        applyEpoch(current, pretrained, epochSigma(e), opts, rng);
         // Exponential head convergence (Fig. 6, second panel).
         const double blend =
             1.0 - std::exp(-1.0 / head_tau);

@@ -28,27 +28,19 @@
 
 namespace decepticon::zoo {
 
+/** Peak per-epoch update sigma (paper Fig. 6 peaks ~0.0015). */
+inline constexpr double kPeakSigma = 0.0015;
+/** Floor sigma late in training (Fig. 6 tail ~0.0002). */
+inline constexpr double kFloorSigma = 0.0002;
+
 /** Update-law parameters (defaults calibrated to the paper's plots). */
 struct FineTuneOptions
 {
     std::size_t epochs = 3;
-    /** Peak per-epoch update sigma (paper Fig. 6 peaks ~0.0015). */
-    double peakSigma = 0.0015;
-    /** Inter-epoch sigma at epoch 0 (ramp start). */
-    double startSigma = 0.0005;
-    /** Floor sigma late in training (Fig. 6 tail ~0.0002). */
-    double floorSigma = 0.0002;
-    /** Epoch at which the inter-epoch gap peaks. */
-    std::size_t peakEpoch = 9;
-    /** Epoch by which the gap has decayed to floorSigma. */
-    std::size_t decayEndEpoch = 30;
-    /** Quadratic magnitude boost: sigma *= 1 + alpha*(|w|/wRef)^2. */
+    /** Quadratic magnitude boost: sigma *= 1 + alpha*(|w|/0.25)^2. */
     double uShapeAlpha = 3.0;
-    double wRef = 0.25;
-    /** Fraction of weights receiving outlier-scale updates. */
+    /** Fraction of weights receiving outlier-scale (12x) updates. */
     double outlierProb = 0.02;
-    /** Multiplier applied to outlier updates. */
-    double outlierScale = 12.0;
     /** Materialized size of the newly added task head. */
     std::size_t headWeights = 64;
 };
@@ -75,8 +67,12 @@ class FineTuneSimulator
     fineTuneTrajectory(const WeightStore &pretrained,
                        const FineTuneOptions &opts, std::uint64_t seed);
 
-    /** The inter-epoch update sigma schedule (Fig. 6 shape). */
-    static double epochSigma(std::size_t epoch, const FineTuneOptions &opts);
+    /**
+     * The inter-epoch update sigma schedule (Fig. 6 shape): a linear
+     * ramp to kPeakSigma at epoch 9, then a linear decay to
+     * kFloorSigma by epoch 30.
+     */
+    static double epochSigma(std::size_t epoch);
 };
 
 } // namespace decepticon::zoo

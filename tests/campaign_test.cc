@@ -23,6 +23,7 @@
 #include "obs/obs.hh"
 #include "sched/sched.hh"
 #include "transformer/classifier.hh"
+#include "util/rng.hh"
 #include "zoo/session.hh"
 #include "zoo/zoo.hh"
 
@@ -116,6 +117,13 @@ samplerOptions(std::size_t sessions)
     sopts.skewPopularity = 0.7;
     return sopts;
 }
+
+/**
+ * FNV-1a digest (util::hashString) of the 16-session CNN campaign
+ * report under FakeClock, pinned across commits. A change that alters
+ * campaign outcomes on purpose updates it and says so in CHANGES.md.
+ */
+constexpr std::uint64_t kCnnReportDigest = 0x7aa52e78d4434decULL;
 
 } // anonymous namespace
 
@@ -427,6 +435,23 @@ TEST(Campaign, ReportByteIdenticalAcrossLanes)
             << "campaign report differs at " << threads << " lanes";
 
     obs::setClockForTest(nullptr);
+}
+
+TEST(Campaign, ReportDigestPinnedAcrossCommits)
+{
+    PoolGuard guard;
+    Harness &h = harness();
+    obs::FakeClock clock;
+    obs::setClockForTest(&clock);
+    sched::setThreads(1);
+    dcp::CampaignDriver driver(*h.attack, campaignOptions());
+    const std::string json =
+        driver.run(dz::sampleSessions(h.zoo, samplerOptions(16), 77))
+            .toJson();
+    obs::setClockForTest(nullptr);
+    EXPECT_EQ(decepticon::util::hashString(json.c_str()),
+              kCnnReportDigest)
+        << json;
 }
 
 TEST(Campaign, BlackoutVictimsAbstainWithoutStallingQueue)

@@ -224,8 +224,7 @@ TEST(Determinism, FlightDumpBitIdenticalAcrossLanes)
         // through the resilient prober (noisy channel, stateful rng).
         de::WeightStoreOracle oracle(victim);
         de::BitProbeChannel channel(oracle, 1, 0.02, 13);
-        de::ResilienceOptions ropts;
-        de::RetryingProber prober(channel, ropts, nullptr);
+        de::RetryingProber prober(channel, nullptr);
         const de::ExtractionPolicy policy;
         const de::SelectiveWeightExtractor extractor(policy);
         de::ExtractionStats stats;

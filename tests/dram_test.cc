@@ -196,7 +196,7 @@ TEST(DramExtraction, UnreadableWeightsKeepBaseline)
                                     const bool skipped =
                                         std::fabs(
                                             fx.pre.layers[0].w[i]) <
-                                            policy.skipThreshold ||
+                                            de::kSkipThreshold ||
                                         est < policy.significance;
                                     if (skipped && !chan.canRead(0, i))
                                         ++n;

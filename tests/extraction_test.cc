@@ -14,6 +14,7 @@
 #include "extraction/cloner.hh"
 #include "extraction/ieee.hh"
 #include "extraction/selective.hh"
+#include "obs/obs.hh"
 #include "transformer/trainer.hh"
 #include "util/rng.hh"
 #include "zoo/finetune_sim.hh"
@@ -21,6 +22,7 @@
 namespace de = decepticon::extraction;
 namespace dz = decepticon::zoo;
 namespace dtr = decepticon::transformer;
+namespace dob = decepticon::obs;
 
 TEST(Ieee, BitsRoundTrip)
 {
@@ -429,6 +431,42 @@ TEST(Cloner, ClonesFineTunedVictim)
     const std::size_t full_cost =
         32 * decepticon::nn::totalParamCount(victim.params());
     EXPECT_LT(result.probeStats.bitsRead, full_cost / 2);
+}
+
+TEST(Cloner, ExtractStageCountsOneSamplePerLayer)
+{
+    // stage.extract is a per-layer stage (SelectiveWeightExtractor::
+    // extractLayer); the whole clone is covered by the level2.clone
+    // span, so the cloner must not open the stage itself.
+    dtr::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.maxSeqLen = 8;
+    cfg.hidden = 8;
+    cfg.numLayers = 2;
+    cfg.numHeads = 2;
+    cfg.ffnDim = 16;
+    cfg.numClasses = 2;
+    const dtr::TransformerClassifier pre(cfg, 71);
+    dtr::TransformerClassifier victim(pre);
+    victim.resetHead(2, 5);
+    const dtr::MarkovTask task(16, 2, 8, 711, 4.0);
+
+    de::ClonerOptions copts;
+    copts.agreementTarget = 1.1; // extract every layer and embeddings
+
+    dob::ObsConfig on;
+    on.metricsEnabled = true;
+    dob::configure(on);
+    const auto result = de::ModelCloner::extract(
+        victim, pre, task.sample(12, 3).examples, copts);
+    const std::uint64_t enters =
+        dob::metrics().counter("stage.extract.enter");
+    dob::shutdown();
+
+    // The trajectory holds one point for the head plus one per
+    // extractLayer call (encoders, then embeddings).
+    ASSERT_EQ(result.agreementTrajectory.size(), cfg.numLayers + 2);
+    EXPECT_EQ(enters, result.agreementTrajectory.size() - 1);
 }
 
 /** Quantization formats preserve selective extraction's key bits. */

@@ -99,7 +99,7 @@ TEST(RetryingProber, FaultFreeIsBitIdenticalToRawChannel)
     const auto oracle = makeOracle(7);
     dex::BitProbeChannel raw(oracle);
     dex::BitProbeChannel inner(oracle);
-    dex::RetryingProber prober(inner, dex::ResilienceOptions{});
+    dex::RetryingProber prober(inner);
 
     std::size_t bits = 0;
     for (std::size_t layer = 0; layer < 2; ++layer) {
@@ -134,7 +134,7 @@ TEST(RetryingProber, MajorityCorrectsAnySingleFlip)
     // still recovers the true bit.
     for (int flip_attempt = 0; flip_attempt < 3; ++flip_attempt) {
         FlipOnAttemptChannel flaky(oracle, flip_attempt);
-        dex::RetryingProber prober(flaky, dex::ResilienceOptions{});
+        dex::RetryingProber prober(flaky);
         for (int b = 0; b < 8; ++b) {
             // Only the first read of this loop sees the flip; the
             // point is that no single flipped attempt survives.
@@ -153,7 +153,7 @@ TEST(RetryingProber, StuckCellAnswersConsistentlyWrongOrRight)
     dfa::FaultInjector injector(spec);
     dex::BitProbeChannel inner(oracle);
     inner.attachFaultInjector(&injector);
-    dex::RetryingProber prober(inner, dex::ResilienceOptions{});
+    dex::RetryingProber prober(inner);
 
     // A stuck cell defeats voting: repeated reads agree with each
     // other (the cell's stuck value), never dither.
@@ -184,8 +184,7 @@ TEST(RetryingProber, ExhaustedBudgetFallsBackToBaselineBits)
     dfa::FaultInjector injector(spec);
     dex::BitProbeChannel inner(victim);
     inner.attachFaultInjector(&injector);
-    dex::RetryingProber prober(inner, dex::ResilienceOptions{},
-                               &baseline);
+    dex::RetryingProber prober(inner, &baseline);
 
     const float got = prober.readFullWeight(0, 1);
     EXPECT_FLOAT_EQ(got, -2.5f);

@@ -235,7 +235,7 @@ TEST(EndToEnd, FlightStreamCarriesBothLevelsWithoutDrops)
     fspec.transientFailureRate = 0.01;
     fspec.seed = 2026;
     opts.cloner.faultSpec = fspec;
-    opts.cloner.resilience = de::ResilienceOptions{};
+    opts.cloner.resilient = true;
     opts.adversarial.maxFlips = 1;
 
     dc::TwoLevelAttack attack(opts);

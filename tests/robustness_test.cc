@@ -367,16 +367,15 @@ victimEmissions(FusionFixture &fx)
 {
     static std::vector<VictimEmissions> cache = [&] {
         std::vector<VictimEmissions> out;
-        const dg::EmissionOptions eopts;
         std::uint64_t seed = 0x90d0;
         for (const auto *victim : fx.zoo.finetuned()) {
             const auto trace = dg::TraceGenerator(victim->signature)
                                    .generate(victim->arch, ++seed);
             VictimEmissions ve;
             ve.victim = victim;
-            ve.power = dg::emitPowerTrace(trace, eopts, seed);
-            ve.thermal = dg::emitThermalTrace(trace, eopts, seed);
-            ve.profiler = dg::emitProfilerCounters(trace, eopts, seed);
+            ve.power = dg::emitPowerTrace(trace, seed);
+            ve.thermal = dg::emitThermalTrace(trace, seed);
+            ve.profiler = dg::emitProfilerCounters(trace, seed);
             out.push_back(std::move(ve));
         }
         return out;
@@ -552,7 +551,6 @@ TEST(Fusion, ChannelDropoutMatrix)
 TEST(Fusion, AllChannelsHealthyBeatsTimestampOnly)
 {
     auto &fx = fusionFixture();
-    const dg::EmissionOptions eopts;
     std::size_t ts_correct = 0, fused_correct = 0;
     std::uint64_t seed = 0x7a11;
     for (const auto *victim : fx.zoo.finetuned()) {
@@ -561,11 +559,11 @@ TEST(Fusion, AllChannelsHealthyBeatsTimestampOnly)
         dc::MultiChannelCapture ts_only;
         ts_only.timestampCaptures = {trace, trace, trace};
         dc::MultiChannelCapture all = ts_only;
-        all.powerCaptures = {dg::emitPowerTrace(trace, eopts, seed)};
+        all.powerCaptures = {dg::emitPowerTrace(trace, seed)};
         all.thermalCaptures = {
-            dg::emitThermalTrace(trace, eopts, seed)};
+            dg::emitThermalTrace(trace, seed)};
         all.profilerCaptures = {
-            dg::emitProfilerCounters(trace, eopts, seed)};
+            dg::emitProfilerCounters(trace, seed)};
 
         const auto ts_res = fx.pipeline.identifyFused(ts_only);
         const auto all_res = fx.pipeline.identifyFused(all);
@@ -612,7 +610,7 @@ TEST(Fusion, HealthyTimestampCapturesMatchConsensusAndQuorum)
             static_cast<double>(*win) /
             static_cast<double>(1 + mc.timestampCaptures.size());
         ASSERT_GE(base.topProbability, ropts.cnnConfidenceThreshold);
-        ASSERT_GE(share, ropts.quorumThreshold);
+        ASSERT_GE(share, dc::kQuorumThreshold);
 
         const dc::IdentificationResult res =
             fx.pipeline.identifyFused(mc);

@@ -56,18 +56,17 @@ sampleTrace(std::uint64_t seed = 1, std::size_t layers = 4)
 TEST(Emission, PowerTraceDeterministicAndBounded)
 {
     const auto trace = sampleTrace(7);
-    const dg::EmissionOptions opts;
-    const auto a = dg::emitPowerTrace(trace, opts, 42);
-    const auto b = dg::emitPowerTrace(trace, opts, 42);
+    const auto a = dg::emitPowerTrace(trace, 42);
+    const auto b = dg::emitPowerTrace(trace, 42);
     ASSERT_FALSE(a.empty());
-    ASSERT_LE(a.size(), opts.maxSamples);
+    ASSERT_LE(a.size(), dg::kEmissionMaxSamples);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_DOUBLE_EQ(a[i], b[i]);
         EXPECT_GE(a[i], 0.0);
     }
     // A different run seed only perturbs the sensor noise.
-    const auto c = dg::emitPowerTrace(trace, opts, 43);
+    const auto c = dg::emitPowerTrace(trace, 43);
     ASSERT_EQ(c.size(), a.size());
     std::size_t differing = 0;
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -78,28 +77,26 @@ TEST(Emission, PowerTraceDeterministicAndBounded)
 TEST(Emission, PowerRisesAboveIdleDuringCompute)
 {
     const auto trace = sampleTrace(8);
-    const dg::EmissionOptions opts;
-    const auto series = dg::emitPowerTrace(trace, opts, 1);
+    const auto series = dg::emitPowerTrace(trace, 1);
     double mean = 0.0;
     for (double v : series)
         mean += v;
     mean /= static_cast<double>(series.size());
-    EXPECT_GT(mean, opts.idlePowerWatts);
+    EXPECT_GT(mean, dg::kIdlePowerWatts);
 }
 
 TEST(Emission, ThermalStartsAtAmbientAndRises)
 {
     const auto trace = sampleTrace(9, 6);
-    const dg::EmissionOptions opts;
-    const auto series = dg::emitThermalTrace(trace, opts, 5);
+    const auto series = dg::emitThermalTrace(trace, 5);
     ASSERT_GT(series.size(), 4u);
-    EXPECT_NEAR(series.front(), opts.thermalAmbientC, 2.0);
+    EXPECT_NEAR(series.front(), dg::kThermalAmbientC, 2.0);
     double peak = series.front();
     for (double v : series)
         peak = std::max(peak, v);
-    EXPECT_GT(peak, opts.thermalAmbientC + 1.0);
+    EXPECT_GT(peak, dg::kThermalAmbientC + 1.0);
     // Determinism.
-    const auto replay = dg::emitThermalTrace(trace, opts, 5);
+    const auto replay = dg::emitThermalTrace(trace, 5);
     ASSERT_EQ(replay.size(), series.size());
     for (std::size_t i = 0; i < series.size(); ++i)
         EXPECT_DOUBLE_EQ(series[i], replay[i]);
@@ -108,8 +105,7 @@ TEST(Emission, ThermalStartsAtAmbientAndRises)
 TEST(Emission, ProfilerCountsAreExactAndDeterministic)
 {
     const auto trace = sampleTrace(10);
-    const dg::EmissionOptions opts;
-    const auto ctr = dg::emitProfilerCounters(trace, opts, 11);
+    const auto ctr = dg::emitProfilerCounters(trace, 11);
     ASSERT_EQ(ctr.size(), dg::kProfilerCounterCount);
     // Launch counts are exact (no jitter): per-class counts sum to
     // the record total, which is itself exact.
@@ -121,7 +117,7 @@ TEST(Emission, ProfilerCountsAreExactAndDeterministic)
                      static_cast<double>(trace.records.size()));
     EXPECT_DOUBLE_EQ(ctr[dg::kCtrUniqueKernels],
                      static_cast<double>(trace.uniqueKernelCount()));
-    const auto replay = dg::emitProfilerCounters(trace, opts, 11);
+    const auto replay = dg::emitProfilerCounters(trace, 11);
     for (std::size_t i = 0; i < ctr.size(); ++i)
         EXPECT_DOUBLE_EQ(ctr[i], replay[i]);
     // Every slot has a printable name.
@@ -324,8 +320,7 @@ TEST(ChannelFeatures, DimsMatchAndEmptyMapsToZero)
 TEST(ChannelFeatures, PureFunctionOfSeries)
 {
     const auto trace = sampleTrace(12);
-    const dg::EmissionOptions opts;
-    const auto series = dg::emitPowerTrace(trace, opts, 3);
+    const auto series = dg::emitPowerTrace(trace, 3);
     const auto a = dsc::powerFeatures(series);
     const auto b = dsc::powerFeatures(series);
     ASSERT_EQ(a.size(), dsc::kPowerFeatureDim);
@@ -338,11 +333,10 @@ TEST(ChannelFeatures, DistinctArchitecturesSeparate)
 {
     // Power features of a 2-layer and an 8-layer model must differ —
     // otherwise the channel carries no architectural signal.
-    const dg::EmissionOptions opts;
     const auto small_f = dsc::powerFeatures(
-        dg::emitPowerTrace(sampleTrace(1, 2), opts, 1));
+        dg::emitPowerTrace(sampleTrace(1, 2), 1));
     const auto large_f = dsc::powerFeatures(
-        dg::emitPowerTrace(sampleTrace(1, 8), opts, 1));
+        dg::emitPowerTrace(sampleTrace(1, 8), 1));
     EXPECT_NE(small_f, large_f);
 }
 

@@ -28,6 +28,7 @@
 #include "sched/sched.hh"
 #include "trace/repair.hh"
 #include "transformer/classifier.hh"
+#include "util/rng.hh"
 #include "zoo/procedural.hh"
 #include "zoo/session.hh"
 #include "zoo/zoo.hh"
@@ -315,7 +316,7 @@ TEST(ZooIndex, FusedOnHealthyCapturesMatchesConsensusAndQuorum)
             static_cast<double>(1 + mc.timestampCaptures.size());
         const bool confident =
             base.topProbability >= ropts.cnnConfidenceThreshold &&
-            share >= ropts.quorumThreshold;
+            share >= dc::kQuorumThreshold;
 
         const dc::IdentificationResult res =
             h.level1->identifyFused(mc, ropts);
@@ -512,6 +513,43 @@ campaignIndexHarness()
     return h;
 }
 
+/** 24 sessions; a few forced blackouts exercise the indexed fused
+ *  path's honest abstention. */
+std::vector<dz::VictimSessionSpec>
+indexedCampaignSessions(const dz::ModelZoo &zoo)
+{
+    dz::SessionSamplerOptions sopts;
+    sopts.sessions = 24;
+    sopts.capturesPerVictim = 2;
+    sopts.skewPopularity = 0.7;
+    auto sessions = dz::sampleSessions(zoo, sopts, 77);
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+        sessions[i].blackout = (i % 8 == 5);
+        sessions[i].traceFaultSeverity =
+            sessions[i].blackout ? 1.0 : 0.0;
+    }
+    return sessions;
+}
+
+dcp::CampaignOptions
+indexedCampaignOptions()
+{
+    dcp::CampaignOptions copts;
+    copts.batchSize = 8;
+    copts.querySetSize = 12;
+    copts.victimConfig = tinyConfig();
+    copts.seed = 7;
+    copts.runLevel2 = false; // identification-scale campaign
+    return copts;
+}
+
+/**
+ * FNV-1a digest (util::hashString) of the indexed campaign report
+ * under FakeClock, pinned across commits. A change that alters
+ * campaign outcomes on purpose updates it and says so in CHANGES.md.
+ */
+constexpr std::uint64_t kIndexedReportDigest = 0xe41ae65c392747cdULL;
+
 } // anonymous namespace
 
 TEST(ZooIndex, CampaignReportByteIdenticalAcrossLanesOnIndexedPath)
@@ -526,29 +564,10 @@ TEST(ZooIndex, CampaignReportByteIdenticalAcrossLanesOnIndexedPath)
     obs::FakeClock clock;
     obs::setClockForTest(&clock);
 
-    dz::SessionSamplerOptions sopts;
-    sopts.sessions = 24;
-    sopts.capturesPerVictim = 2;
-    sopts.skewPopularity = 0.7;
-    auto sessions = dz::sampleSessions(h.zoo, sopts, 77);
-    // A few forced blackouts exercise the indexed fused path's honest
-    // abstention inside the same byte-identity check.
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-        sessions[i].blackout = (i % 8 == 5);
-        sessions[i].traceFaultSeverity =
-            sessions[i].blackout ? 1.0 : 0.0;
-    }
-
-    dcp::CampaignOptions copts;
-    copts.batchSize = 8;
-    copts.querySetSize = 12;
-    copts.victimConfig = tinyConfig();
-    copts.seed = 7;
-    copts.runLevel2 = false; // identification-scale campaign
-
+    const auto sessions = indexedCampaignSessions(h.zoo);
     auto run = [&](std::size_t threads) {
         sched::setThreads(threads);
-        dcp::CampaignDriver driver(*h.attack, copts);
+        dcp::CampaignDriver driver(*h.attack, indexedCampaignOptions());
         return driver.run(sessions).toJson();
     };
 
@@ -560,4 +579,20 @@ TEST(ZooIndex, CampaignReportByteIdenticalAcrossLanesOnIndexedPath)
             << " lanes";
 
     obs::setClockForTest(nullptr);
+}
+
+TEST(ZooIndex, CampaignReportDigestPinnedAcrossCommits)
+{
+    PoolGuard guard;
+    CampaignIndexHarness &h = campaignIndexHarness();
+    obs::FakeClock clock;
+    obs::setClockForTest(&clock);
+    sched::setThreads(1);
+    dcp::CampaignDriver driver(*h.attack, indexedCampaignOptions());
+    const std::string json =
+        driver.run(indexedCampaignSessions(h.zoo)).toJson();
+    obs::setClockForTest(nullptr);
+    EXPECT_EQ(decepticon::util::hashString(json.c_str()),
+              kIndexedReportDigest)
+        << json;
 }

@@ -198,17 +198,16 @@ TEST(WeightStore, DifferentSeedsDifferentWeights)
 
 TEST(FineTuneSim, EpochSigmaScheduleShape)
 {
-    dz::FineTuneOptions opts;
-    // Rises to the peak at peakEpoch...
-    EXPECT_LT(dz::FineTuneSimulator::epochSigma(0, opts),
-              dz::FineTuneSimulator::epochSigma(8, opts));
-    EXPECT_NEAR(dz::FineTuneSimulator::epochSigma(8, opts),
-                opts.peakSigma, 1e-9);
+    // Rises to the peak at epoch 9...
+    EXPECT_LT(dz::FineTuneSimulator::epochSigma(0),
+              dz::FineTuneSimulator::epochSigma(8));
+    EXPECT_NEAR(dz::FineTuneSimulator::epochSigma(8),
+                dz::kPeakSigma, 1e-9);
     // ...then decays toward the floor (paper Fig. 6).
-    EXPECT_GT(dz::FineTuneSimulator::epochSigma(8, opts),
-              dz::FineTuneSimulator::epochSigma(20, opts));
-    EXPECT_NEAR(dz::FineTuneSimulator::epochSigma(40, opts),
-                opts.floorSigma, 1e-9);
+    EXPECT_GT(dz::FineTuneSimulator::epochSigma(8),
+              dz::FineTuneSimulator::epochSigma(20));
+    EXPECT_NEAR(dz::FineTuneSimulator::epochSigma(40),
+                dz::kFloorSigma, 1e-9);
 }
 
 TEST(FineTuneSim, WeightGapSmallAndLongTailed)
