@@ -6,10 +6,14 @@
  * sizes, and indexed-vs-exhaustive accuracy (the EXPERIMENTS.md
  * zoo-scaling table reads from exactly these rows).
  *
- * The snapshot gauges ``zooindex.zoo<N>.lookups_per_sec`` are the
- * gated ones: bench_compare.py fails a candidate whose lookup
- * throughput drops more than the threshold below the committed
- * baseline (higher-is-better direction).
+ * The lookup pass runs kLookupTrials times per point; the point's
+ * lookup latency is the median trial, exported with the trials'
+ * interquartile range (``zooindex.zoo<N>.lookup_us`` and
+ * ``.lookup_us_iqr``). The snapshot gauges
+ * ``zooindex.zoo<N>.lookups_per_sec`` (from the median) are the gated
+ * ones: bench_compare.py fails a candidate whose lookup throughput
+ * drops more than the threshold below the committed baseline
+ * (higher-is-better direction).
  *
  * Shape checks (exit non-zero on failure):
  *  - every sweep point trains the indexed path (never the CNN);
@@ -35,6 +39,7 @@
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
 #include "zoo/procedural.hh"
 
@@ -45,12 +50,16 @@ namespace {
 constexpr std::size_t kZooSizes[] = {64, 512, 4096};
 constexpr std::size_t kQueriesPerPoint = 512;
 constexpr std::uint64_t kQuerySeedBase = 0xace5ULL;
+/** Timed lookup passes per point; the median one is reported. */
+constexpr std::size_t kLookupTrials = 5;
 
 struct Point
 {
     std::size_t zooSize = 0;
     double trainMicros = 0.0;
-    double lookupMicros = 0.0; ///< mean embed + shortlist + re-rank
+    /** Median over trials of the mean embed + shortlist + re-rank. */
+    double lookupMicros = 0.0;
+    double lookupIqrMicros = 0.0; ///< q3 - q1 over the trials
     double meanShortlist = 0.0;
     double fallbackRate = 0.0;
     double accuracyIndexed = 0.0;
@@ -76,7 +85,7 @@ main()
 
     obs::MetricsRegistry bench_reg;
     util::Table table({"zoo size", "hash bits", "train ms",
-                       "lookup us", "lookups/sec", "shortlist",
+                       "lookup us", "iqr us", "lookups/sec", "shortlist",
                        "fallback", "acc(index)", "acc(exhaust)"});
 
     bool ok = true;
@@ -121,25 +130,31 @@ main()
             truth.push_back(c);
         }
 
-        // Timed pass: the full per-victim lookup (embedding +
+        // Timed passes: the full per-victim lookup (embedding +
         // shortlist + exact re-rank + argmax), wall-clocked through
-        // the obs shim.
-        std::size_t correct_indexed = 0, probes = 0, shortlists = 0;
-        std::size_t fallbacks = 0;
-        const std::uint64_t l0 = obs::clock().nowMicros();
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-            fingerprint::IndexLookupStats stats;
-            const std::vector<float> emb =
-                fingerprint::traceEmbedding(queries[q]);
-            if (idx->classify(emb, &stats) == truth[q])
-                ++correct_indexed;
-            shortlists += stats.shortlistClasses;
-            probes += stats.bucketProbes;
-            fallbacks += stats.exhaustiveFallback ? 1 : 0;
-        }
-        const std::uint64_t l1 = obs::clock().nowMicros();
+        // the obs shim. Every pass computes the same verdicts and
+        // counts; only its time differs.
         const double n = static_cast<double>(queries.size());
-        point.lookupMicros = static_cast<double>(l1 - l0) / n;
+        std::size_t correct_indexed = 0, shortlists = 0, fallbacks = 0;
+        std::vector<double> trial_micros;
+        for (std::size_t trial = 0; trial < kLookupTrials; ++trial) {
+            correct_indexed = shortlists = fallbacks = 0;
+            const std::uint64_t l0 = obs::clock().nowMicros();
+            for (std::size_t q = 0; q < queries.size(); ++q) {
+                fingerprint::IndexLookupStats stats;
+                const std::vector<float> emb =
+                    fingerprint::traceEmbedding(queries[q]);
+                if (idx->classify(emb, &stats) == truth[q])
+                    ++correct_indexed;
+                shortlists += stats.shortlistClasses;
+                fallbacks += stats.exhaustiveFallback ? 1 : 0;
+            }
+            const std::uint64_t l1 = obs::clock().nowMicros();
+            trial_micros.push_back(static_cast<double>(l1 - l0) / n);
+        }
+        point.lookupMicros = util::percentile(trial_micros, 50.0);
+        point.lookupIqrMicros = util::percentile(trial_micros, 75.0) -
+                                util::percentile(trial_micros, 25.0);
         point.meanShortlist = static_cast<double>(shortlists) / n;
         point.fallbackRate = static_cast<double>(fallbacks) / n;
         point.accuracyIndexed = static_cast<double>(correct_indexed) / n;
@@ -168,6 +183,7 @@ main()
             .cell(point.hashBits)
             .cell(point.trainMicros / 1000.0, 1)
             .cell(point.lookupMicros, 2)
+            .cell(point.lookupIqrMicros, 2)
             .cell(lookups_per_sec, 0)
             .cell(point.meanShortlist, 1)
             .cell(point.fallbackRate, 3)
@@ -178,6 +194,9 @@ main()
             "zooindex.zoo" + std::to_string(zoo_size);
         bench_reg.setGauge(prefix + ".lookups_per_sec",
                            lookups_per_sec);
+        bench_reg.setGauge(prefix + ".lookup_us", point.lookupMicros);
+        bench_reg.setGauge(prefix + ".lookup_us_iqr",
+                           point.lookupIqrMicros);
         bench_reg.setGauge(prefix + ".mean_shortlist_classes",
                            point.meanShortlist);
         bench_reg.setGauge(prefix + ".fallback_rate",
@@ -260,7 +279,9 @@ main()
 
     util::printBanner(std::cout,
                       "Indexed identification vs zoo size (512 "
-                      "fresh-seed queries per point)");
+                      "fresh-seed queries per point, median of " +
+                          std::to_string(kLookupTrials) +
+                          " timed passes)");
     table.printAscii(std::cout);
 
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 
 #include "fingerprint/index/embedding.hh"
@@ -32,6 +33,51 @@ constexpr double kFusionMinConfidence = 0.35;
 constexpr std::size_t kMinSeriesSamples = 8;
 
 } // anonymous namespace
+
+std::vector<int>
+topKClasses(const std::vector<double> &probs, std::size_t k)
+{
+    // a ranks before b: higher probability, then lower index; NaN
+    // ranks below every number.
+    const auto before = [&](int a, int b) {
+        const double pa = probs[static_cast<std::size_t>(a)];
+        const double pb = probs[static_cast<std::size_t>(b)];
+        if (std::isnan(pa) || std::isnan(pb))
+            return std::isnan(pa) == std::isnan(pb) ? a < b
+                                                    : std::isnan(pb);
+        return pa > pb || (pa == pb && a < b);
+    };
+    std::vector<int> top;
+    top.reserve(std::min(k, probs.size()));
+    // Move the last entry up to its place in the sorted prefix.
+    const auto sift_last = [&] {
+        for (std::size_t j = top.size() - 1;
+             j > 0 && before(top[j], top[j - 1]); --j)
+            std::swap(top[j], top[j - 1]);
+    };
+    const int n = static_cast<int>(probs.size());
+    int i = 0;
+    for (; i < n && top.size() < k; ++i) {
+        top.push_back(i);
+        sift_last();
+    }
+    if (top.empty())
+        return top;
+    // Every later i is past every kept index, so only a strictly
+    // better probability (or a number over a NaN) takes the last slot.
+    double last = probs[static_cast<std::size_t>(top.back())];
+    bool last_nan = std::isnan(last);
+    for (; i < n; ++i) {
+        const double p = probs[static_cast<std::size_t>(i)];
+        if (p > last || (last_nan && !std::isnan(p))) {
+            top.back() = i;
+            sift_last();
+            last = probs[static_cast<std::size_t>(top.back())];
+            last_nan = std::isnan(last);
+        }
+    }
+    return top;
+}
 
 Decepticon::Decepticon(const DecepticonOptions &opts)
     : opts_(opts), probes_(zoo::standardProbeSet())
@@ -305,26 +351,10 @@ Decepticon::resolveFromProbabilities(
     // Top-k by probability, descending, index-stable on ties — the
     // same ordering FingerprintCnn::topK produces, derived from the
     // already-computed probability vector so batch callers pay one
-    // forward pass per victim. partial_sort under the total order
-    // (prob desc, index asc) selects exactly the prefix a stable full
-    // sort would, at O(N log k) — the decision tail must not become
-    // the linear term the index just removed (a 4096-class sort per
-    // lookup would).
-    std::vector<int> top(probs.size());
-    std::iota(top.begin(), top.end(), 0);
-    const std::size_t k = std::min(kTopK, top.size());
-    std::partial_sort(top.begin(),
-                      top.begin() + static_cast<std::ptrdiff_t>(k),
-                      top.end(), [&](int a, int b) {
-                          const double pa =
-                              probs[static_cast<std::size_t>(a)];
-                          const double pb =
-                              probs[static_cast<std::size_t>(b)];
-                          if (pa != pb)
-                              return pa > pb;
-                          return a < b;
-                      });
-    top.resize(k);
+    // forward pass per victim. One linear scan with a k-slot prefix
+    // and no N-sized index vector: on the index path N is 4,096, and
+    // the tail runs once per victim.
+    const std::vector<int> top = topKClasses(probs, kTopK);
     assert(!top.empty());
 
     for (int c : top)

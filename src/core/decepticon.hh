@@ -247,6 +247,16 @@ class Decepticon
 };
 
 /**
+ * The decision tail's top-k: the indices of the min(k, probs.size())
+ * largest entries of @p probs, best first, under the total order
+ * (probability descending, index ascending), with NaN ranked below
+ * every number. One linear scan over a k-slot sorted prefix — the
+ * same prefix a stable full sort would give, at O(N k).
+ */
+std::vector<int> topKClasses(const std::vector<double> &probs,
+                             std::size_t k);
+
+/**
  * Convenience black-box query hook for a victim whose vocabulary
  * profile is known to the simulation (not to the attacker).
  */

@@ -77,17 +77,4 @@ traceEmbedding(const gpusim::KernelTrace &trace)
     return e;
 }
 
-double
-embeddingDistance(const std::vector<float> &a, const std::vector<float> &b)
-{
-    assert(a.size() == b.size());
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d =
-            static_cast<double>(a[i]) - static_cast<double>(b[i]);
-        s += d * d;
-    }
-    return s;
-}
-
 } // namespace decepticon::fingerprint

@@ -37,10 +37,6 @@ inline constexpr std::size_t kTraceEmbeddingDim = 24;
  */
 std::vector<float> traceEmbedding(const gpusim::KernelTrace &trace);
 
-/** Squared L2 distance between two embeddings of equal length. */
-double embeddingDistance(const std::vector<float> &a,
-                         const std::vector<float> &b);
-
 } // namespace decepticon::fingerprint
 
 #endif // DECEPTICON_FINGERPRINT_INDEX_EMBEDDING_HH

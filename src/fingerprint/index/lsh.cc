@@ -1,6 +1,7 @@
 #include "fingerprint/index/lsh.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -22,6 +23,8 @@ constexpr double kSoftmaxSharpness = 48.0;
 /** Root seed of the per-table projection streams. */
 constexpr std::uint64_t kProjectionSeed = 0x1d5eedULL;
 
+constexpr std::size_t kDim = kTraceEmbeddingDim;
+
 std::size_t
 autoHashBits(std::size_t refs)
 {
@@ -32,6 +35,58 @@ autoHashBits(std::size_t refs)
         capacity <<= 1;
     }
     return bits;
+}
+
+/** emb - center in double: the coordinates every table hashes. */
+void
+centre(const float *emb, const std::vector<float> &center, double *out)
+{
+    for (std::size_t d = 0; d < kDim; ++d)
+        out[d] = static_cast<double>(emb[d]) -
+                 static_cast<double>(center[d]);
+}
+
+/**
+ * Squared L2 distance from @p query to each listed reference row.
+ * Every distance sums its dimensions 0..23 in order, in double, as a
+ * scalar loop would; four rows run side by side so their independent
+ * chains overlap, which changes no bit of any one of them.
+ */
+void
+rowDistances(const double *query, const float *matrix,
+             const std::vector<std::uint32_t> &rows, double *out)
+{
+    std::size_t r = 0;
+    for (; r + 4 <= rows.size(); r += 4) {
+        const float *a = matrix + std::size_t{rows[r]} * kDim;
+        const float *b = matrix + std::size_t{rows[r + 1]} * kDim;
+        const float *c = matrix + std::size_t{rows[r + 2]} * kDim;
+        const float *e = matrix + std::size_t{rows[r + 3]} * kDim;
+        double sa = 0.0, sb = 0.0, sc = 0.0, se = 0.0;
+        for (std::size_t d = 0; d < kDim; ++d) {
+            const double da = query[d] - static_cast<double>(a[d]);
+            const double db = query[d] - static_cast<double>(b[d]);
+            const double dc = query[d] - static_cast<double>(c[d]);
+            const double de = query[d] - static_cast<double>(e[d]);
+            sa += da * da;
+            sb += db * db;
+            sc += dc * dc;
+            se += de * de;
+        }
+        out[r] = sa;
+        out[r + 1] = sb;
+        out[r + 2] = sc;
+        out[r + 3] = se;
+    }
+    for (; r < rows.size(); ++r) {
+        const float *a = matrix + std::size_t{rows[r]} * kDim;
+        double s = 0.0;
+        for (std::size_t d = 0; d < kDim; ++d) {
+            const double da = query[d] - static_cast<double>(a[d]);
+            s += da * da;
+        }
+        out[r] = s;
+    }
 }
 
 } // anonymous namespace
@@ -50,11 +105,10 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
     assert(!ref_embeddings.empty());
     assert(ref_embeddings.size() == ref_class.size());
     numClasses_ = num_classes;
-    dim_ = ref_embeddings.front().size();
 
     // Store references grouped by class (stable within a class) so the
-    // re-rank loop touches exactly [offset[c], offset[c+1]) — O(refs
-    // per class), never O(zoo).
+    // re-rank of class c reads the rows [offset[c], offset[c+1]) —
+    // O(refs per class), never O(zoo).
     std::vector<std::size_t> order(ref_embeddings.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -62,31 +116,35 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
                      [&](std::size_t a, std::size_t b) {
                          return ref_class[a] < ref_class[b];
                      });
-    refs_.clear();
+    refRows_.clear();
     refClass_.clear();
-    refs_.reserve(order.size());
+    refRows_.reserve(order.size() * kDim);
     refClass_.reserve(order.size());
     for (std::size_t i : order) {
-        refs_.push_back(std::move(ref_embeddings[i]));
+        assert(ref_embeddings[i].size() == kDim);
+        refRows_.insert(refRows_.end(), ref_embeddings[i].begin(),
+                        ref_embeddings[i].end());
         refClass_.push_back(ref_class[i]);
     }
+    const std::size_t refs = refClass_.size();
     classOffset_.assign(numClasses_ + 1, 0);
     for (std::size_t c : refClass_)
         ++classOffset_[c + 1];
     for (std::size_t c = 0; c < numClasses_; ++c)
         classOffset_[c + 1] += classOffset_[c];
-    bits_ = autoHashBits(refs_.size());
+    bits_ = autoHashBits(refs);
 
     // Center of the reference cloud (see center_ in the header):
     // hashing emb - center_ turns the one-orthant embedding cone into
     // sign-balanced coordinates. Accumulated in reference order, so
     // the center is as deterministic as the references themselves.
-    center_.assign(dim_, 0.0f);
-    for (const auto &r : refs_) {
-        for (std::size_t d = 0; d < dim_; ++d)
-            center_[d] += r[d];
+    center_.assign(kDim, 0.0f);
+    for (std::size_t i = 0; i < refs; ++i) {
+        const float *row = refRows_.data() + i * kDim;
+        for (std::size_t d = 0; d < kDim; ++d)
+            center_[d] += row[d];
     }
-    const float inv = 1.0f / static_cast<float>(refs_.size());
+    const float inv = 1.0f / static_cast<float>(refs);
     for (auto &v : center_)
         v *= inv;
 
@@ -98,38 +156,35 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
     for (std::size_t t = 0; t < kTables; ++t) {
         util::Rng rng = root.split(t);
         auto &proj = projections_[t];
-        proj.resize(bits_ * dim_);
+        proj.resize(bits_ * kDim);
         for (auto &v : proj)
             v = static_cast<float>(rng.gaussian());
     }
 
     buckets_.assign(kTables, {});
-    for (std::size_t t = 0; t < kTables; ++t) {
-        auto &table = buckets_[t];
-        table.reserve(refs_.size());
-        for (std::size_t i = 0; i < refs_.size(); ++i) {
-            assert(refs_[i].size() == dim_);
-            table.emplace_back(hashOf(t, refs_[i]),
-                               static_cast<std::uint32_t>(i));
-        }
-        std::sort(table.begin(), table.end());
+    for (auto &table : buckets_)
+        table.reserve(refs);
+    double centred[kDim];
+    for (std::size_t i = 0; i < refs; ++i) {
+        centre(refRows_.data() + i * kDim, center_, centred);
+        for (std::size_t t = 0; t < kTables; ++t)
+            buckets_[t].emplace_back(hashOf(t, centred),
+                                     static_cast<std::uint32_t>(i));
     }
+    for (auto &table : buckets_)
+        std::sort(table.begin(), table.end());
 }
 
 std::uint64_t
-FingerprintIndex::hashOf(std::size_t table,
-                         const std::vector<float> &embedding) const
+FingerprintIndex::hashOf(std::size_t table, const double *centred) const
 {
-    assert(embedding.size() == dim_);
     const float *proj = projections_[table].data();
     std::uint64_t h = 0;
     for (std::size_t b = 0; b < bits_; ++b) {
+        const float *row = proj + b * kDim;
         double dot = 0.0;
-        const float *row = proj + b * dim_;
-        for (std::size_t d = 0; d < dim_; ++d)
-            dot += static_cast<double>(row[d]) *
-                   (static_cast<double>(embedding[d]) -
-                    static_cast<double>(center_[d]));
+        for (std::size_t d = 0; d < kDim; ++d)
+            dot += static_cast<double>(row[d]) * centred[d];
         h = (h << 1) | (dot >= 0.0 ? 1u : 0u);
     }
     return h;
@@ -139,23 +194,38 @@ std::vector<std::size_t>
 FingerprintIndex::shortlist(const std::vector<float> &embedding,
                             IndexLookupStats *stats) const
 {
-    assert(!refs_.empty() && "build() must run first");
-    std::vector<std::size_t> classes;
+    assert(!refClass_.empty() && "build() must run first");
+    assert(embedding.size() == kDim);
+    double centred[kDim];
+    centre(embedding.data(), center_, centred);
+
+    // Bucket union deduped in a per-call class bitmap; reading the
+    // words out in order yields the classes ascending.
+    std::vector<std::uint64_t> seen((numClasses_ + 63) / 64, 0);
     std::size_t probes = 0;
+    std::size_t distinct = 0;
     for (std::size_t t = 0; t < kTables; ++t) {
-        const std::uint64_t h = hashOf(t, embedding);
+        const std::uint64_t h = hashOf(t, centred);
         const auto &table = buckets_[t];
         const auto lo = std::lower_bound(
             table.begin(), table.end(),
             std::make_pair(h, std::uint32_t{0}));
         for (auto it = lo; it != table.end() && it->first == h; ++it) {
-            classes.push_back(refClass_[it->second]);
+            const std::size_t c = refClass_[it->second];
+            const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+            distinct += (seen[c / 64] & bit) == 0 ? 1 : 0;
+            seen[c / 64] |= bit;
             ++probes;
         }
     }
-    std::sort(classes.begin(), classes.end());
-    classes.erase(std::unique(classes.begin(), classes.end()),
-                  classes.end());
+    std::vector<std::size_t> classes;
+    classes.reserve(distinct);
+    for (std::size_t w = 0; w < seen.size(); ++w) {
+        for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1)
+            classes.push_back(w * 64 +
+                              static_cast<std::size_t>(
+                                  std::countr_zero(bits)));
+    }
 
     bool fallback = false;
     if (classes.empty()) {
@@ -187,17 +257,33 @@ FingerprintIndex::scores(const std::vector<float> &embedding,
                          const std::vector<std::size_t> &candidates) const
 {
     assert(!candidates.empty());
-    // Min reference distance per candidate class. References are
-    // grouped by class, so each candidate costs O(refs per class) —
-    // the re-rank stays independent of total zoo size.
+    assert(embedding.size() == kDim);
+    double query[kDim];
+    for (std::size_t d = 0; d < kDim; ++d)
+        query[d] = static_cast<double>(embedding[d]);
+
+    // The candidates' reference rows, in candidate order. References
+    // are grouped by class, so each candidate costs O(refs per class)
+    // — the re-rank stays independent of total zoo size.
+    std::vector<std::uint32_t> rows;
+    rows.reserve(candidates.size() * kIndexProfilesPerLineage);
+    for (std::size_t c : candidates) {
+        assert(c < numClasses_);
+        for (std::size_t i = classOffset_[c]; i < classOffset_[c + 1]; ++i)
+            rows.push_back(static_cast<std::uint32_t>(i));
+    }
+    std::vector<double> row_dist(rows.size());
+    rowDistances(query, refRows_.data(), rows, row_dist.data());
+
+    // Min reference distance per candidate class.
     std::vector<double> dist(candidates.size());
+    std::size_t r = 0;
     for (std::size_t k = 0; k < candidates.size(); ++k) {
         const std::size_t c = candidates[k];
-        assert(c < numClasses_);
         double best = -1.0;
         for (std::size_t i = classOffset_[c]; i < classOffset_[c + 1];
-             ++i) {
-            const double d = embeddingDistance(embedding, refs_[i]);
+             ++i, ++r) {
+            const double d = row_dist[r];
             if (best < 0.0 || d < best)
                 best = d;
         }
@@ -205,18 +291,18 @@ FingerprintIndex::scores(const std::vector<float> &embedding,
     }
     // Shortlist softmax in candidate (ascending class) order — a
     // fixed summation order keeps the probabilities bit-reproducible.
+    // dist[k] becomes its exponential in place.
     double min_d = dist[0];
     for (double d : dist)
         min_d = std::min(min_d, d);
     double z = 0.0;
-    std::vector<double> expd(candidates.size());
-    for (std::size_t k = 0; k < candidates.size(); ++k) {
-        expd[k] = std::exp(-kSoftmaxSharpness * (dist[k] - min_d));
-        z += expd[k];
+    for (double &d : dist) {
+        d = std::exp(-kSoftmaxSharpness * (d - min_d));
+        z += d;
     }
     std::vector<double> probs(numClasses_, 0.0);
     for (std::size_t k = 0; k < candidates.size(); ++k)
-        probs[candidates[k]] = expd[k] / z;
+        probs[candidates[k]] = dist[k] / z;
     return probs;
 }
 

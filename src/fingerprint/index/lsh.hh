@@ -10,8 +10,16 @@
  * util::Rng::split(table), bucket tables are sorted vectors probed by
  * binary search, and the shortlist is returned as a sorted, deduped
  * class-id list — a pure function of (reference embeddings, query).
- * All lookup methods are const and touch no global state, so campaign
- * batches score shortlists from parallel sched workers.
+ * All lookup methods are const and touch no shared mutable state
+ * (their scratch is local to the call), so campaign batches score
+ * shortlists from parallel sched workers.
+ *
+ * Reference layout: one row-major float matrix of referenceCount()
+ * rows by kTraceEmbeddingDim columns, grouped by class, so the re-rank
+ * of class c reads one contiguous block of rows. Each reference's
+ * distance is summed in double over dimensions 0..23 in order; only
+ * independent references are interleaved, never the dimensions of
+ * one, so every distance is bit-identical to a plain scalar loop.
  */
 
 #ifndef DECEPTICON_FINGERPRINT_INDEX_LSH_HH
@@ -46,15 +54,16 @@ class FingerprintIndex
 {
   public:
     /**
-     * Build from reference embeddings. ref_class[i] labels
-     * ref_embeddings[i]; classes must cover [0, num_classes).
+     * Build from reference embeddings of kTraceEmbeddingDim floats
+     * each. ref_class[i] labels ref_embeddings[i]; classes must cover
+     * [0, num_classes).
      */
     void build(std::vector<std::vector<float>> ref_embeddings,
                std::vector<std::size_t> ref_class,
                std::size_t num_classes);
 
     std::size_t numClasses() const { return numClasses_; }
-    std::size_t referenceCount() const { return refs_.size(); }
+    std::size_t referenceCount() const { return refClass_.size(); }
     std::size_t tableCount() const;
     std::size_t hashBits() const { return bits_; }
 
@@ -87,14 +96,13 @@ class FingerprintIndex
                          IndexLookupStats *stats = nullptr) const;
 
   private:
-    std::uint64_t hashOf(std::size_t table,
-                         const std::vector<float> &embedding) const;
+    /** Hash of an already centred embedding (emb - center_). */
+    std::uint64_t hashOf(std::size_t table, const double *centred) const;
 
     std::size_t numClasses_ = 0;
     std::size_t bits_ = 0;
-    std::size_t dim_ = 0;
-    /** Reference embeddings, grouped by class. */
-    std::vector<std::vector<float>> refs_;
+    /** Reference embeddings, class-grouped rows of kTraceEmbeddingDim. */
+    std::vector<float> refRows_;
     /**
      * Mean reference embedding, subtracted before hashing. Trace
      * embeddings are all-nonnegative (count/duration fractions), so
@@ -104,9 +112,9 @@ class FingerprintIndex
      */
     std::vector<float> center_;
     std::vector<std::size_t> refClass_;
-    /** refs_ of class c live in [classOffset_[c], classOffset_[c+1]). */
+    /** Rows of class c are [classOffset_[c], classOffset_[c+1]). */
     std::vector<std::size_t> classOffset_;
-    /** Per table: bits_ stacked projection rows of length dim_. */
+    /** Per table: bits_ stacked projection rows of kTraceEmbeddingDim. */
     std::vector<std::vector<float>> projections_;
     /** Per table: (hash, reference index), sorted for binary search.
      *  Sorted vectors instead of a hash map keep iteration order a

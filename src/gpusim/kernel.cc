@@ -26,6 +26,27 @@ KernelTrace::durations() const
 std::size_t
 KernelTrace::uniqueKernelCount() const
 {
+    // Ids index the shared name table, so a bitmap of its size counts
+    // them in one pass. A trace without a table, or with an id outside
+    // it (victim-side input is not trusted), takes the sort instead.
+    if (kernelNames != nullptr) {
+        std::vector<bool> seen(kernelNames->size(), false);
+        std::size_t distinct = 0;
+        bool in_range = true;
+        for (const auto &r : records) {
+            const auto id = static_cast<std::size_t>(r.kernelId);
+            if (r.kernelId < 0 || id >= seen.size()) {
+                in_range = false;
+                break;
+            }
+            if (!seen[id]) {
+                seen[id] = true;
+                ++distinct;
+            }
+        }
+        if (in_range)
+            return distinct;
+    }
     std::vector<int> ids = kernelIdSequence();
     std::sort(ids.begin(), ids.end());
     return static_cast<std::size_t>(

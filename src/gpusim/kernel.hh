@@ -72,7 +72,11 @@ struct KernelTrace
     /** Durations of all records, in invocation order. */
     std::vector<double> durations() const;
 
-    /** Number of distinct kernel ids actually invoked. */
+    /**
+     * Number of distinct kernel ids actually invoked: one pass over a
+     * bitmap sized by kernelNames, or a sort when the table is null or
+     * an id falls outside it.
+     */
     std::size_t uniqueKernelCount() const;
 
     /** Maximum single-kernel duration. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -450,6 +451,91 @@ TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
     EXPECT_EQ(decepticon::fingerprint::cropToEncoderRegion(repaired)
                   .kernelNames.get(),
               table);
+}
+
+namespace {
+
+/** The plain definition the bitmap count must reproduce. */
+std::size_t
+sortUniqueCount(const dg::KernelTrace &t)
+{
+    std::vector<int> ids = t.kernelIdSequence();
+    std::sort(ids.begin(), ids.end());
+    return static_cast<std::size_t>(
+        std::unique(ids.begin(), ids.end()) - ids.begin());
+}
+
+} // anonymous namespace
+
+TEST(KernelTrace, UniqueKernelCountMatchesSortUniqueOnEveryFramework)
+{
+    dg::SoftwareSignature mxnet;
+    mxnet.framework = dg::Framework::Mxnet;
+    mxnet.developer = dg::Developer::Amazon;
+    mxnet.kernelDialect = 2;
+    for (const auto &sig : {pytorchSig(), tfSig(), mxnet, tfSig(true)}) {
+        const dg::TraceGenerator gen(sig);
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            const dg::KernelTrace t =
+                gen.generate(seed % 2 == 0 ? bertBase() : bertLarge(),
+                             seed);
+            ASSERT_NE(t.kernelNames, nullptr);
+            EXPECT_GT(t.uniqueKernelCount(), 1u);
+            EXPECT_EQ(t.uniqueKernelCount(), sortUniqueCount(t))
+                << sig.toString() << " seed " << seed;
+        }
+    }
+}
+
+TEST(KernelTrace, UniqueKernelCountMatchesSortUniqueOnRepairedAndCropped)
+{
+    const dg::TraceGenerator gen(tfSig(true));
+    const dg::KernelTrace truth = gen.generate(bertBase(), 21);
+    decepticon::fault::FaultSpec fs;
+    fs.recordDropRate = 0.3;
+    fs.recordDuplicateRate = 0.2;
+    fs.truncateProbability = 0.5;
+    fs.seed = 9;
+    decepticon::fault::FaultInjector injector(fs);
+    std::vector<dg::KernelTrace> captures;
+    for (std::uint64_t c = 0; c < 3; ++c) {
+        captures.push_back(injector.corruptTrace(truth, 200 + c));
+        EXPECT_EQ(captures.back().uniqueKernelCount(),
+                  sortUniqueCount(captures.back()));
+    }
+    const dg::KernelTrace repaired =
+        decepticon::trace::repairTraces(captures);
+    EXPECT_EQ(repaired.uniqueKernelCount(), sortUniqueCount(repaired));
+    const dg::KernelTrace cropped = decepticon::trace::cropRecords(
+        repaired, repaired.records.size() / 4,
+        repaired.records.size() / 2);
+    EXPECT_EQ(cropped.uniqueKernelCount(), sortUniqueCount(cropped));
+    const dg::KernelTrace encoder =
+        decepticon::fingerprint::cropToEncoderRegion(repaired);
+    EXPECT_EQ(encoder.uniqueKernelCount(), sortUniqueCount(encoder));
+}
+
+TEST(KernelTrace, UniqueKernelCountFallsBackWithoutAUsableTable)
+{
+    const dg::KernelTrace generated =
+        dg::TraceGenerator(pytorchSig()).generate(bertBase(), 5);
+    const std::size_t expected = sortUniqueCount(generated);
+
+    dg::KernelTrace no_table = generated;
+    no_table.kernelNames.reset();
+    EXPECT_EQ(no_table.uniqueKernelCount(), expected);
+
+    // An id past the table's end, or a negative one, takes the sort and
+    // counts it as one more distinct id — no assert, no out-of-bounds
+    // write.
+    const int table = static_cast<int>(generated.kernelNames->size());
+    for (int bad : {table, table + 1000, -1, -7}) {
+        dg::KernelTrace t = generated;
+        t.records.push_back(t.records.back());
+        t.records.back().kernelId = bad;
+        EXPECT_EQ(t.uniqueKernelCount(), expected + 1) << "id " << bad;
+        EXPECT_EQ(t.uniqueKernelCount(), sortUniqueCount(t));
+    }
 }
 
 TEST(Noise, PerturbsRequestedKernelCount)

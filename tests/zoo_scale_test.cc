@@ -245,6 +245,59 @@ TEST(ZooIndex, ShortlistsAreAPureFunctionOfTheQuery)
     EXPECT_EQ(idx->scores(emb, short1), idx->scores(emb, short1));
 }
 
+namespace {
+
+/** FNV-1a over raw bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * FNV-1a digest of the index layer on the 256-lineage harness: for 16
+ * fixed fresh-seed queries, the shortlist ids, the bucket-probe count
+ * and the raw bytes of scores(emb, shortlist(emb)). Pinned across
+ * commits: a lookup rewrite must reproduce every shortlist and every
+ * probability bit for bit.
+ */
+constexpr std::uint64_t kIndexLayerDigest = 0x420a84e9c8f3ba7dULL;
+
+} // anonymous namespace
+
+TEST(ZooIndex, LookupDigestPinnedAcrossCommits)
+{
+    const IndexHarness &h = indexHarness();
+    const df::FingerprintIndex *idx = h.level1->index();
+    ASSERT_NE(idx, nullptr);
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (std::size_t q = 0; q < 16; ++q) {
+        const dz::ModelIdentity &m = h.zoo.models()[q * 16 + q % 7];
+        const std::vector<float> emb = df::traceEmbedding(
+            dg::TraceGenerator(m.signature).generate(m.arch, 0x1de0 + q));
+        df::IndexLookupStats stats;
+        const std::vector<std::size_t> shortlist =
+            idx->shortlist(emb, &stats);
+        for (std::size_t c : shortlist) {
+            const auto id = static_cast<std::uint64_t>(c);
+            digest = fnv1a(digest, &id, sizeof id);
+        }
+        const auto probes = static_cast<std::uint64_t>(stats.bucketProbes);
+        digest = fnv1a(digest, &probes, sizeof probes);
+        const std::vector<double> probs = idx->scores(emb, shortlist);
+        digest = fnv1a(digest, probs.data(),
+                       probs.size() * sizeof(double));
+    }
+    EXPECT_EQ(digest, kIndexLayerDigest)
+        << "0x" << std::hex << digest;
+}
+
 TEST(ZooIndex, IdentifyBatchBitIdenticalAcrossLanes)
 {
     PoolGuard guard;
