@@ -6,10 +6,17 @@
  * cache economics (the EXPERIMENTS.md campaign table reads from
  * exactly these rows).
  *
+ * Each point runs kTimedRuns fresh drivers over the same queue. Their
+ * outcomes and counts are identical; only wall time differs, so the
+ * point reports the median victims/sec, time-to-clone p50 and p99
+ * over the runs, plus the interquartile range of victims/sec
+ * (``campaign.zoo<N>.victims_per_sec_iqr``).
+ *
  * The mid-size point is the gated one: its CampaignReport is folded
  * into the snapshot as the campaign.* gauges bench_compare.py judges
  * (campaign.victims_per_sec is higher-is-better; the time-to-clone
- * p99 rides the usual latency gate).
+ * p99 rides the usual latency gate), with the medians in place of
+ * the single-run timings.
  *
  * Shape checks (exit non-zero on failure):
  *  - every queue drains: sessions processed == sessions queued, with
@@ -36,6 +43,7 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "transformer/classifier.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
 #include "zoo/session.hh"
 #include "zoo/zoo.hh"
@@ -46,6 +54,8 @@ namespace {
 
 constexpr std::size_t kSessionsPerPoint = 240;
 constexpr std::size_t kGatedZooSize = 6;
+/** Timed driver runs per point; the medians are reported. */
+constexpr std::size_t kTimedRuns = 5;
 
 transformer::TransformerConfig
 victimConfig()
@@ -64,7 +74,11 @@ victimConfig()
 struct Point
 {
     std::size_t zooSize = 0;
-    core::CampaignReport report;
+    core::CampaignReport report; ///< the last timed run
+    double victimsPerSec = 0.0;  ///< median over the timed runs
+    double victimsPerSecIqr = 0.0;
+    double p50Micros = 0.0; ///< median time-to-clone p50
+    double p99Micros = 0.0; ///< median time-to-clone p99
 };
 
 } // anonymous namespace
@@ -78,8 +92,8 @@ main()
     const transformer::TransformerConfig cfg = victimConfig();
 
     util::Table table({"zoo size", "sessions", "victims/sec",
-                       "hit rate", "accuracy", "p50 us", "p99 us",
-                       "clones", "reuses"});
+                       "iqr", "hit rate", "accuracy", "p50 us",
+                       "p99 us", "clones", "reuses"});
 
     bool ok = true;
     std::vector<Point> points;
@@ -113,41 +127,61 @@ main()
         copts.victimConfig = cfg;
         copts.seed = 7;
 
-        // Arm the global registry so the driver's watchdog ticks at
-        // every batch boundary and the per-stage timers accumulate.
-        obs::ObsConfig ocfg;
-        ocfg.metricsEnabled = true;
-        obs::configure(ocfg);
-        campaign::CampaignDriver driver(attack, copts);
         Point point;
         point.zooSize = zoo_size;
-        point.report = driver.run(sessions);
-        obs::shutdown();
+        std::vector<double> vps, p50, p99;
+        for (std::size_t run = 0; run < kTimedRuns; ++run) {
+            // Arm the global registry so the driver's watchdog ticks
+            // at every batch boundary and the per-stage timers
+            // accumulate.
+            obs::ObsConfig ocfg;
+            ocfg.metricsEnabled = true;
+            obs::configure(ocfg);
+            campaign::CampaignDriver driver(attack, copts);
+            point.report = driver.run(sessions);
+            obs::shutdown();
+            vps.push_back(point.report.victimsPerSec());
+            p50.push_back(point.report.timeToClone.quantile(0.50));
+            p99.push_back(point.report.timeToClone.quantile(0.99));
+        }
+        point.victimsPerSec = util::percentile(vps, 50.0);
+        point.victimsPerSecIqr =
+            util::percentile(vps, 75.0) - util::percentile(vps, 25.0);
+        point.p50Micros = util::percentile(p50, 50.0);
+        point.p99Micros = util::percentile(p99, 50.0);
 
         const core::CampaignReport &r = point.report;
         table.row()
             .cell(zoo_size)
             .cell(r.sessions)
-            .cell(r.victimsPerSec(), 1)
+            .cell(point.victimsPerSec, 1)
+            .cell(point.victimsPerSecIqr, 1)
             .cell(r.cacheHitRate(), 3)
             .cell(r.identificationAccuracy(), 3)
-            .cell(r.timeToClone.quantile(0.50), 0)
-            .cell(r.timeToClone.quantile(0.99), 0)
+            .cell(point.p50Micros, 0)
+            .cell(point.p99Micros, 0)
             .cell(r.clonesBuilt)
             .cell(r.cloneReuses);
 
+        // The timing gauges, under the point's prefix and (for the
+        // gated point) the canonical campaign.* one.
+        const auto set_timings = [&](const std::string &prefix) {
+            bench_reg.setGauge(prefix + ".victims_per_sec",
+                               point.victimsPerSec);
+            bench_reg.setGauge(prefix + ".victims_per_sec_iqr",
+                               point.victimsPerSecIqr);
+            bench_reg.setGauge(prefix + ".time_to_clone.p50_micros",
+                               point.p50Micros);
+            bench_reg.setGauge(prefix + ".time_to_clone.p99_micros",
+                               point.p99Micros);
+        };
         const std::string prefix =
             "campaign.zoo" + std::to_string(zoo_size);
-        bench_reg.setGauge(prefix + ".victims_per_sec",
-                           r.victimsPerSec());
+        set_timings(prefix);
         bench_reg.setGauge(prefix + ".cache.hit_rate",
                            r.cacheHitRate());
         bench_reg.setGauge(prefix + ".accuracy",
                            r.identificationAccuracy());
-        bench_reg.setGauge(prefix + ".time_to_clone.p50_micros",
-                           r.timeToClone.quantile(0.50));
-        bench_reg.setGauge(prefix + ".time_to_clone.p99_micros",
-                           r.timeToClone.quantile(0.99));
         bench_reg.setGauge(prefix + ".clones_built",
                            static_cast<double>(r.clonesBuilt));
         bench_reg.setGauge(prefix + ".clone_reuses",
@@ -156,8 +190,9 @@ main()
         if (zoo_size == kGatedZooSize) {
             // The gated point publishes the canonical campaign.*
             // gauges (victims_per_sec, cache.hit_rate, time_to_clone
-            // percentiles, watchdog verdict).
+            // percentiles, watchdog verdict), timings as medians.
             r.toMetrics(bench_reg);
+            set_timings("campaign");
 
             // Determinism: two fresh drivers, same queue, pinned
             // clock, byte-identical reports at the configured lanes.
@@ -201,7 +236,7 @@ main()
                       << r.clonesBuilt << ", reused " << r.cloneReuses
                       << ")\n";
         }
-        if (r.victimsPerSec() <= 0.0) {
+        if (point.victimsPerSec <= 0.0) {
             ok = false;
             std::cout << "FAIL: zoo " << zoo_size
                       << ": non-positive victims/sec\n";
@@ -221,7 +256,8 @@ main()
 
     util::printBanner(std::cout,
                       "Campaign rollups vs zoo size (240 sessions, "
-                      "popularity skew 0.7)");
+                      "popularity skew 0.7, timings: median of " +
+                          std::to_string(kTimedRuns) + " runs)");
     table.printAscii(std::cout);
     for (const Point &p : points)
         if (p.zooSize == kGatedZooSize)

@@ -242,27 +242,6 @@ FingerprintCnn::evaluate(const FingerprintDataset &data)
            static_cast<double>(data.samples.size());
 }
 
-std::vector<int>
-predictBatch(const FingerprintCnn &cnn,
-             const std::vector<const tensor::Tensor *> &images)
-{
-    std::vector<int> out(images.size());
-    sched::parallelForRange(
-        images.size(), 0, [&](std::size_t begin, std::size_t end) {
-            FingerprintCnn local(cnn); // private forward caches
-            const std::vector<const tensor::Tensor *> chunk(
-                images.begin() + static_cast<std::ptrdiff_t>(begin),
-                images.begin() + static_cast<std::ptrdiff_t>(end));
-            const auto rows = local.classProbabilitiesBatch(chunk);
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto &p = rows[i - begin];
-                out[i] = static_cast<int>(
-                    std::max_element(p.begin(), p.end()) - p.begin());
-            }
-        });
-    return out;
-}
-
 std::vector<std::vector<double>>
 probabilitiesBatch(const FingerprintCnn &cnn,
                    const std::vector<const tensor::Tensor *> &images)
@@ -278,6 +257,19 @@ probabilitiesBatch(const FingerprintCnn &cnn,
             for (std::size_t i = begin; i < end; ++i)
                 out[i] = std::move(rows[i - begin]);
         });
+    return out;
+}
+
+std::vector<int>
+predictBatch(const FingerprintCnn &cnn,
+             const std::vector<const tensor::Tensor *> &images)
+{
+    const auto rows = probabilitiesBatch(cnn, images);
+    std::vector<int> out(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out[i] = static_cast<int>(
+            std::max_element(rows[i].begin(), rows[i].end()) -
+            rows[i].begin());
     return out;
 }
 

@@ -98,26 +98,26 @@ class FingerprintCnn
 };
 
 /**
- * Argmax class for each image, computed in parallel on the sched
- * pool. Each worker chunk predicts on its own copy of the CNN (the
- * forward caches make predict() non-const, but the prediction itself
- * is a pure function of the weights), so the result vector is
- * identical to a serial predict() loop at any thread count.
- */
-std::vector<int>
-predictBatch(const FingerprintCnn &cnn,
-             const std::vector<const tensor::Tensor *> &images);
-
-/**
  * Full softmax probability vector for each image, computed in
- * parallel on the sched pool under the same per-chunk-copy contract
- * as predictBatch: out[i] equals a serial classProbabilities(images
- * [i]) call bit for bit at any thread count. This is the primitive
- * behind cross-victim batched level-1 classification in campaigns.
+ * parallel on the sched pool. Each chunk runs on its own copy of the
+ * CNN (the forward caches make classProbabilities() non-const, but
+ * the result is a pure function of the weights), so out[i] equals a
+ * serial classProbabilities(images[i]) call bit for bit at any thread
+ * count. This is the primitive behind cross-victim batched level-1
+ * classification in campaigns.
  */
 std::vector<std::vector<double>>
 probabilitiesBatch(const FingerprintCnn &cnn,
                    const std::vector<const tensor::Tensor *> &images);
+
+/**
+ * Argmax class of each probabilitiesBatch row (first maximum on a
+ * tie, as predict() picks it), so the result is identical to a serial
+ * predict() loop at any thread count.
+ */
+std::vector<int>
+predictBatch(const FingerprintCnn &cnn,
+             const std::vector<const tensor::Tensor *> &images);
 
 } // namespace decepticon::fingerprint
 

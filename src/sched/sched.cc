@@ -1,8 +1,8 @@
 #include "sched/sched.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "obs/obs.hh"
@@ -11,10 +11,35 @@ namespace decepticon::sched {
 
 namespace {
 
-/** Set while a thread is executing inside workerLoop. */
-thread_local bool tl_inWorker = false;
+/** Set while a thread is running a chunk of some pool's job. */
+thread_local bool tl_inChunk = false;
 
 } // anonymous namespace
+
+/**
+ * One parallelForRange call, on the caller's stack. Lanes claim
+ * chunks from `next`; the caller leaves once it has run out of chunks
+ * itself, taken the job off the queue and seen `holders` (workers
+ * still inside runChunks) reach zero. A fork-join call knows all its
+ * chunks up front and none spawns more, so one shared cursor
+ * balances the lanes and nothing is left to steal.
+ */
+struct ThreadPool::Job
+{
+    Job(const RangeFn &body, std::size_t count, std::size_t chunkSize)
+        : fn(body), n(count), grain(chunkSize),
+          chunks((count + chunkSize - 1) / chunkSize)
+    {
+    }
+
+    const RangeFn &fn;
+    std::size_t n;
+    std::size_t grain;
+    std::size_t chunks;
+    std::atomic<std::size_t> next{0};
+    std::size_t holders = 0; ///< guarded by ThreadPool::mu_
+    std::exception_ptr err;  ///< first chunk exception, under mu_
+};
 
 std::size_t
 hardwareThreads()
@@ -38,20 +63,17 @@ threadsFromSpec(const char *spec)
 ThreadPool::ThreadPool(std::size_t threads)
     : size_(std::max<std::size_t>(1, threads))
 {
-    if (size_ == 1)
-        return; // serial pool: the caller is the only lane
-    shards_.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-    workers_.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+    // The calling thread is one lane, so the serial pool has no
+    // workers at all.
+    workers_.reserve(size_ - 1);
+    for (std::size_t i = 1; i < size_; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(wakeMu_);
+        std::lock_guard<std::mutex> lock(mu_);
         stop_ = true;
     }
     wake_.notify_all();
@@ -62,75 +84,52 @@ ThreadPool::~ThreadPool()
 bool
 ThreadPool::inWorker()
 {
-    return tl_inWorker;
+    return tl_inChunk;
 }
 
 void
-ThreadPool::submit(Task task)
+ThreadPool::runChunks(Job &job)
 {
-    const std::size_t shard =
-        nextShard_.fetch_add(1, std::memory_order_relaxed) % size_;
-    {
-        std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-        shards_[shard]->q.push_back(std::move(task));
-    }
-    const std::size_t depth =
-        pending_.fetch_add(1, std::memory_order_release) + 1;
-    obs::gaugeSet("sched.queue_depth", static_cast<double>(depth));
-    // Distribution, not just last value: the p99 of queue depth is
-    // what tells a campaign its pool is undersized.
-    obs::observeLatency("sched.queue_depth", static_cast<double>(depth));
-    wake_.notify_one();
-}
-
-bool
-ThreadPool::popOrSteal(std::size_t self, Task &out)
-{
-    {
-        Shard &own = *shards_[self];
-        std::lock_guard<std::mutex> lock(own.mu);
-        if (!own.q.empty()) {
-            out = std::move(own.q.front());
-            own.q.pop_front();
-            pending_.fetch_sub(1, std::memory_order_acquire);
-            return true;
-        }
-    }
-    for (std::size_t k = 1; k < size_; ++k) {
-        Shard &victim = *shards_[(self + k) % size_];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.q.empty()) {
-            out = std::move(victim.q.back());
-            victim.q.pop_back();
-            pending_.fetch_sub(1, std::memory_order_acquire);
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            obs::count("sched.steals");
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    tl_inWorker = true;
+    tl_inChunk = true;
+    std::uint64_t ran = 0;
     for (;;) {
-        Task task;
-        if (popOrSteal(self, task)) {
-            task();
-            tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
-            obs::count("sched.tasks");
-            continue;
+        const std::size_t c = job.next.fetch_add(1);
+        if (c >= job.chunks)
+            break;
+        const std::size_t begin = c * job.grain;
+        try {
+            job.fn(begin, std::min(job.n, begin + job.grain));
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (!job.err)
+                job.err = std::current_exception();
         }
-        std::unique_lock<std::mutex> lock(wakeMu_);
+        ++ran;
+    }
+    tl_inChunk = false;
+    if (ran > 0) {
+        tasksExecuted_.fetch_add(ran, std::memory_order_relaxed);
+        obs::count("sched.tasks", ran);
+    }
+}
+
+void
+ThreadPool::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+        wake_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
         if (stop_)
             return;
-        wake_.wait(lock, [this] {
-            return stop_ || pending_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_)
-            return;
+        Job &job = *jobs_.front();
+        ++job.holders;
+        lock.unlock();
+        runChunks(job);
+        lock.lock();
+        // Its cursor ran out: no lane can find work in it any more.
+        std::erase(jobs_, &job);
+        if (--job.holders == 0)
+            done_.notify_all();
     }
 }
 
@@ -145,13 +144,13 @@ ThreadPool::parallelForRange(std::size_t n, std::size_t grain,
         grain = std::max<std::size_t>(1, n / (4 * size_));
 
     // Inline when parallelism cannot help (serial pool, one chunk) or
-    // must not be used (nested call from a pool worker — running
+    // must not be used (nested call from inside a chunk — running
     // inline keeps nesting deadlock-free and, per the determinism
     // contract, cannot change results). An explicit grain still gets
     // the exact (n, grain) partition so chunk-ordered reductions see
     // the same boundaries at every pool size; auto grain makes no
     // boundary promise and runs as one chunk.
-    if (size_ == 1 || n <= grain || tl_inWorker) {
+    if (size_ == 1 || n <= grain || tl_inChunk) {
         if (autoGrain || n <= grain) {
             fn(0, n);
         } else {
@@ -161,40 +160,24 @@ ThreadPool::parallelForRange(std::size_t n, std::size_t grain,
         return;
     }
 
-    const std::size_t chunks = (n + grain - 1) / grain;
-
-    /** Join state shared by the caller and this call's chunk tasks. */
-    struct ForJoin
+    Job job(fn, n, grain);
     {
-        std::mutex mu;
-        std::condition_variable done;
-        std::size_t remaining = 0;
-        std::exception_ptr err;
-    };
-    auto join = std::make_shared<ForJoin>();
-    join->remaining = chunks;
-
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * grain;
-        const std::size_t end = std::min(n, begin + grain);
-        submit([join, begin, end, &fn] {
-            try {
-                fn(begin, end);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(join->mu);
-                if (!join->err)
-                    join->err = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(join->mu);
-            if (--join->remaining == 0)
-                join->done.notify_all();
-        });
+        std::lock_guard<std::mutex> lock(mu_);
+        jobs_.push_back(&job);
     }
+    // The caller takes a chunk too, so at most chunks-1 workers help.
+    const std::size_t helpers = std::min(workers_.size(), job.chunks - 1);
+    for (std::size_t i = 0; i < helpers; ++i)
+        wake_.notify_one();
+    runChunks(job);
 
-    std::unique_lock<std::mutex> lock(join->mu);
-    join->done.wait(lock, [&] { return join->remaining == 0; });
-    if (join->err)
-        std::rethrow_exception(join->err);
+    std::unique_lock<std::mutex> lock(mu_);
+    std::erase(jobs_, &job);
+    done_.wait(lock, [&job] { return job.holders == 0; });
+    const std::exception_ptr err = job.err;
+    lock.unlock();
+    if (err)
+        std::rethrow_exception(err);
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic parallel execution engine. A fixed-size work-stealing
+ * Deterministic parallel execution engine. A fixed-size fork-join
  * ThreadPool with a blocking parallelFor primitive drives every
  * embarrassingly parallel stage of the attack pipeline (per-model
  * trace capture, fingerprint dataset generation, batch inference,
@@ -30,7 +30,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -55,16 +54,19 @@ std::size_t hardwareThreads();
 std::size_t threadsFromSpec(const char *spec);
 
 /**
- * Fixed-size work-stealing pool. Each worker owns a deque; tasks are
- * submitted round-robin; an idle worker pops its own deque from the
- * front and steals from the back of a victim's. Instrumented with the
- * obs layer: "sched.tasks" / "sched.steals" counters, a
- * "sched.queue_depth" gauge, and a per-task span when tracing is on.
+ * Fixed-size fork-join pool. Each parallelForRange call is one job on
+ * a mutex-guarded queue; the calling thread and the pool's workers
+ * claim its chunks from one shared cursor, so an N-lane pool spawns
+ * N-1 workers. Every chunk run this way counts toward the
+ * "sched.tasks" obs counter.
  */
 class ThreadPool
 {
   public:
-    /** @param threads total lanes; 1 = serial, no workers spawned. */
+    /**
+     * @param threads total lanes, the caller included; spawns
+     *        threads-1 workers (none for the serial pool).
+     */
     explicit ThreadPool(std::size_t threads);
 
     /** Joins all workers. @pre no parallelFor is in flight. */
@@ -73,7 +75,7 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of lanes (worker threads, or 1 for the serial pool). */
+    /** Number of lanes (workers plus the calling thread). */
     std::size_t size() const { return size_; }
 
     /**
@@ -88,9 +90,9 @@ class ThreadPool
      *        yields ~4 chunks per lane (boundaries then depend on the
      *        pool size, so grain 0 is only for bodies whose chunking
      *        is unobservable — each index filling its own slot). When
-     *        n <= grain, the pool is serial, or the caller is itself a
-     *        pool worker (nested parallelism), chunks run inline on
-     *        the caller.
+     *        n <= grain, the pool is serial, or the caller is itself
+     *        running a chunk (nested parallelism), chunks run inline
+     *        on the caller.
      *
      * The first exception thrown by any chunk is rethrown on the
      * caller after all chunks have completed.
@@ -101,47 +103,34 @@ class ThreadPool
     /** parallelForRange with a per-index body. */
     void parallelFor(std::size_t n, std::size_t grain, const IndexFn &fn);
 
-    /** Tasks executed by pool workers (lifetime total). */
+    /** Chunks run through the pool, not inline (lifetime total). */
     std::uint64_t taskCount() const
     {
         return tasksExecuted_.load(std::memory_order_relaxed);
     }
 
-    /** Tasks a worker obtained from another worker's deque. */
-    std::uint64_t stealCount() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-    /** Whether the calling thread is a worker of any ThreadPool. */
+    /** Whether the calling thread is running a chunk of any pool. */
     static bool inWorker();
 
   private:
-    using Task = std::function<void()>;
+    struct Job;
 
-    /** One worker's deque (own pops at front, thieves at back). */
-    struct Shard
-    {
-        std::mutex mu;
-        std::deque<Task> q;
-    };
-
-    void submit(Task task);
-    bool popOrSteal(std::size_t self, Task &out);
-    void workerLoop(std::size_t self);
+    void runChunks(Job &job);
+    void workerLoop();
 
     std::size_t size_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> workers_;
 
-    std::mutex wakeMu_;
-    std::condition_variable wake_;
+    /** Guards jobs_, stop_ and every Job's holders and error. */
+    std::mutex mu_;
+    std::condition_variable wake_; ///< workers: a job or stop arrived
+    std::condition_variable done_; ///< callers: a job lost its holders
+    std::vector<Job *> jobs_; ///< may have unclaimed chunks; oldest first
     bool stop_ = false;
 
-    std::atomic<std::size_t> nextShard_{0};
-    std::atomic<std::size_t> pending_{0};
     std::atomic<std::uint64_t> tasksExecuted_{0};
-    std::atomic<std::uint64_t> steals_{0};
+
+    /** Last: built after, and destroyed before, all a worker uses. */
+    std::vector<std::thread> workers_;
 };
 
 /**

@@ -1,12 +1,16 @@
 // Unit tests for the deterministic parallel execution engine: pool
 // lifecycle, chunking/edge cases, exception propagation, nested
-// parallelFor, seed splitting, and a contention stress test.
+// parallelFor, the caller as a lane, concurrent callers, seed
+// splitting, and a contention stress test.
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -184,9 +188,52 @@ TEST(ThreadPool, InWorkerFlagVisibleFromTasks)
         if (sched::ThreadPool::inWorker())
             in_worker.fetch_add(1);
     });
-    // With >1 lanes every chunk runs on a worker thread.
+    // With >1 lanes every chunk sees the flag: it is set inside a
+    // chunk, whichever lane runs it.
     EXPECT_EQ(in_worker.load(), 8);
     EXPECT_FALSE(sched::ThreadPool::inWorker());
+}
+
+TEST(ThreadPool, CallerIsOneOfTheLanes)
+{
+    // Two lanes are the caller and one worker: the two chunks can only
+    // both reach the barrier if the caller runs one of them.
+    sched::ThreadPool pool(2);
+    std::barrier meet(2);
+    std::thread::id ids[2];
+    pool.parallelFor(2, 1, [&](std::size_t i) {
+        ids[i] = std::this_thread::get_id();
+        meet.arrive_and_wait();
+    });
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(std::count(std::begin(ids), std::end(ids), caller), 1);
+    EXPECT_NE(ids[0], ids[1]);
+    EXPECT_EQ(pool.taskCount(), 2u);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirIndexSpace)
+{
+    sched::ThreadPool pool(3);
+    constexpr std::size_t kCallers = 4, kRounds = 20, kN = 257;
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto &h : hits)
+        h = std::vector<std::atomic<int>>(kN);
+    // lint: suppress(R4) several outside threads must share one pool,
+    // which no sched call can set up: parallelFor nests inline
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c)
+        callers.emplace_back([&, c] {
+            for (std::size_t round = 0; round < kRounds; ++round)
+                pool.parallelFor(kN, 3, [&](std::size_t i) {
+                    hits[c][i].fetch_add(1, std::memory_order_relaxed);
+                });
+        });
+    for (auto &t : callers)
+        t.join();
+    for (std::size_t c = 0; c < kCallers; ++c)
+        for (std::size_t i = 0; i < kN; ++i)
+            EXPECT_EQ(hits[c][i].load(), static_cast<int>(kRounds))
+                << "caller " << c << " index " << i;
 }
 
 TEST(ThreadPool, StressManyRoundsOfSmallTasks)
