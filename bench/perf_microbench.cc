@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths:
- * GEMM, transformer forward/backward, trace generation, rasterization,
- * CNN inference, and selective weight extraction throughput.
+ * GEMM, transformer forward/backward, trace generation and repair,
+ * rasterization, CNN inference, and selective weight extraction
+ * throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include "sched/sched.hh"
 #include "tensor/tensor.hh"
 #include "trace/image.hh"
+#include "trace/repair.hh"
 #include "transformer/classifier.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -128,6 +130,62 @@ BM_TraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGeneration)->Arg(0)->Arg(1);
+
+/** A TensorFlow release at the campaign zoo's BERT-base shape. */
+gpusim::SoftwareSignature
+tfRelease()
+{
+    gpusim::SoftwareSignature sig;
+    sig.framework = gpusim::Framework::TensorFlow;
+    sig.developer = gpusim::Developer::Google;
+    sig.kernelDialect = 3;
+    return sig;
+}
+
+/**
+ * S1's per-session generate cost: a campaign builds about one
+ * generator per session, so the build (catalog, name table,
+ * templates) is timed together with the one trace it emits.
+ */
+void
+BM_TraceGenerate(benchmark::State &state)
+{
+    const gpusim::SoftwareSignature sig = tfRelease();
+    const gpusim::ArchParams arch;
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        const gpusim::TraceGenerator gen(sig);
+        auto trace = gen.generate(arch, seed++);
+        benchmark::DoNotOptimize(trace.records.data());
+    }
+}
+BENCHMARK(BM_TraceGenerate);
+
+/**
+ * S1's repair cost: three captures of one TF trace at fault severity
+ * 0.5 (the campaign's drop, duplicate and truncation rates scaled by
+ * 0.5), rebuilt into one consensus per iteration.
+ */
+void
+BM_TraceRepair(benchmark::State &state)
+{
+    const gpusim::TraceGenerator gen(tfRelease());
+    const gpusim::KernelTrace truth = gen.generate(gpusim::ArchParams{}, 7);
+    fault::FaultSpec fs;
+    fs.recordDropRate = 0.35 * 0.5;
+    fs.recordDuplicateRate = 0.1 * 0.5;
+    fs.truncateProbability = 0.5 * 0.5;
+    fs.seed = 0xfa1ee7ULL;
+    fault::FaultInjector injector(fs);
+    std::vector<gpusim::KernelTrace> captures;
+    for (std::uint64_t c = 0; c < 3; ++c)
+        captures.push_back(injector.corruptTrace(truth, c));
+    for (auto _ : state) {
+        auto consensus = trace::repairTraces(captures);
+        benchmark::DoNotOptimize(consensus.records.data());
+    }
+}
+BENCHMARK(BM_TraceRepair);
 
 void
 BM_Rasterize(benchmark::State &state)
@@ -245,6 +303,9 @@ BM_TransformerForwardFlightOn(benchmark::State &state)
 }
 BENCHMARK(BM_TransformerForwardFlightOn);
 
+/** Minimum samples per gated stage, so a p99 is not one call. */
+constexpr std::size_t kStageSamples = 100;
+
 /**
  * Drive one compact end-to-end slice of the attack pipeline with the
  * global metrics registry enabled, so the snapshot carries per-stage
@@ -259,10 +320,6 @@ BENCHMARK(BM_TransformerForwardFlightOn);
 void
 runStageLatencyWorkload()
 {
-    obs::ObsConfig ocfg;
-    ocfg.metricsEnabled = true;
-    obs::configure(ocfg);
-
     zoo::ModelZoo pool = zoo::ModelZoo::buildDefault(9, 4, 8);
     core::DecepticonOptions dopts;
     dopts.datasetOptions.imagesPerModel = 2;
@@ -271,6 +328,13 @@ runStageLatencyWorkload()
     dopts.seed = 17;
     core::Decepticon pipeline(dopts);
     pipeline.trainExtractor(pool);
+
+    // The registry turns on after set-up: training synthesizes its
+    // dataset in parallel, and those trace_capture calls are not the
+    // pipeline slice the gauges describe.
+    obs::ObsConfig ocfg;
+    ocfg.metricsEnabled = true;
+    obs::configure(ocfg);
 
     fault::MultiChannelFaultSpec mspec;
     mspec.seed = 0xbe7a;
@@ -283,11 +347,13 @@ runStageLatencyWorkload()
     tspec.seed = 616;
     fault::FaultInjector tinj(tspec);
 
+    // The victims are reused round robin until every stage below has
+    // kStageSamples samples.
+    const std::vector<const zoo::ModelIdentity *> victims =
+        pool.finetuned();
     std::uint64_t cap_seed = 0;
-    std::size_t n = 0;
-    for (const auto *victim : pool.finetuned()) {
-        if (n >= 6)
-            break; // enough samples per stage; keep the bench brisk
+    for (std::size_t n = 0; n < kStageSamples; ++n) {
+        const zoo::ModelIdentity *victim = victims[n % victims.size()];
         const gpusim::TraceGenerator gen(victim->signature);
         const auto trace =
             gen.generate(victim->arch, 0x5ca1eULL + n); // trace_capture
@@ -308,11 +374,10 @@ runStageLatencyWorkload()
                 fault::Channel::Profiler, counters, cap_seed));
         }
         pipeline.identifyFused(mc); // fuse
-        ++n;
     }
 
     // extract: one small layer pulled through the retrying prober
-    // and the selective extractor.
+    // and the selective extractor, kStageSamples times.
     gpusim::ArchParams arch;
     arch.numLayers = 2;
     arch.hidden = 128;
@@ -324,10 +389,12 @@ runStageLatencyWorkload()
     extraction::RetryingProber prober(channel, nullptr);
     extraction::ExtractionPolicy policy;
     extraction::SelectiveWeightExtractor extractor(policy);
-    extraction::ExtractionStats stats;
-    auto clone =
-        extractor.extractLayer(pre.layers[0].w, prober, 0, stats);
-    benchmark::DoNotOptimize(clone.data());
+    for (std::size_t n = 0; n < kStageSamples; ++n) {
+        extraction::ExtractionStats stats;
+        auto clone =
+            extractor.extractLayer(pre.layers[0].w, prober, 0, stats);
+        benchmark::DoNotOptimize(clone.data());
+    }
 
     // Stop collecting but keep the registry contents: shutdown()
     // would wipe the gauges the reporter already folded in.

@@ -708,8 +708,11 @@ std::function<std::vector<bool>()>
 makeVictimQueryHook(const zoo::VocabularyProfile &victim_profile)
 {
     return [victim_profile]() {
-        return zoo::responseVector(victim_profile,
-                                   zoo::standardProbeSet());
+        // Built once per process: a campaign queries nearly every
+        // classified victim, and the set never changes.
+        static const std::vector<zoo::QueryProbe> probes =
+            zoo::standardProbeSet();
+        return zoo::responseVector(victim_profile, probes);
     };
 }
 

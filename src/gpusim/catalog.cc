@@ -57,8 +57,10 @@ KernelCatalog::KernelCatalog(const SoftwareSignature &sig)
 {
     util::Rng rng(sig.seed());
 
+    std::vector<std::string> names;
     auto add = [&](std::string name, KernelClass klass) {
-        entries_.push_back({std::move(name), klass});
+        names.push_back(std::move(name));
+        klasses_.push_back(klass);
     };
 
     // --- GEMM population -------------------------------------------------
@@ -201,8 +203,10 @@ KernelCatalog::KernelCatalog(const SoftwareSignature &sig)
             KernelClass::Elementwise);
     }
 
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        byClass_[static_cast<std::size_t>(entries_[i].klass)].push_back(
+    names_ = std::make_shared<const std::vector<std::string>>(
+        std::move(names));
+    for (std::size_t i = 0; i < klasses_.size(); ++i) {
+        byClass_[static_cast<std::size_t>(klasses_[i])].push_back(
             static_cast<int>(i));
     }
 }

@@ -11,6 +11,7 @@
 #define DECEPTICON_GPUSIM_CATALOG_HH
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,13 +19,6 @@
 #include "gpusim/signature.hh"
 
 namespace decepticon::gpusim {
-
-/** A kernel the catalog can launch: name plus functional class. */
-struct CatalogEntry
-{
-    std::string name;
-    KernelClass klass = KernelClass::Elementwise;
-};
 
 /**
  * The set of kernels available to one software signature. Built
@@ -37,7 +31,16 @@ class KernelCatalog
     /** Build the catalog implied by a software signature. */
     explicit KernelCatalog(const SoftwareSignature &sig);
 
-    const std::vector<CatalogEntry> &entries() const { return entries_; }
+    /**
+     * Name of every kernel, indexed by id. Immutable and shared: this
+     * is the KernelTrace::kernelNames table every trace of the
+     * release points at.
+     */
+    const std::shared_ptr<const std::vector<std::string>> &
+    names() const
+    {
+        return names_;
+    }
 
     /** Indices of entries of the given class, in catalog order. */
     const std::vector<int> &entriesOfClass(KernelClass klass) const
@@ -46,13 +49,14 @@ class KernelCatalog
     }
 
     /** Number of distinct kernels the release can launch. */
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return klasses_.size(); }
 
-    const std::string &name(int id) const { return entries_[id].name; }
-    KernelClass klass(int id) const { return entries_[id].klass; }
+    const std::string &name(int id) const { return (*names_)[id]; }
+    KernelClass klass(int id) const { return klasses_[id]; }
 
   private:
-    std::vector<CatalogEntry> entries_;
+    std::shared_ptr<const std::vector<std::string>> names_;
+    std::vector<KernelClass> klasses_;
     /** entriesOfClass() pools, one per KernelClass, built once. */
     std::array<std::vector<int>,
                static_cast<std::size_t>(KernelClass::Fusion) + 1>

@@ -36,12 +36,6 @@ constexpr std::size_t kXlaBurstSpread = 20;
 TraceGenerator::TraceGenerator(const SoftwareSignature &sig)
     : sig_(sig), seed_(sig.seed()), catalog_(sig)
 {
-    auto names = std::make_shared<std::vector<std::string>>();
-    names->reserve(catalog_.size());
-    for (const auto &e : catalog_.entries())
-        names->push_back(e.name);
-    kernelNames_ = std::move(names);
-
     util::Rng rng(seed_ ^ 0x7ace9e4e7a7e5eedULL);
 
     const auto &gemms = catalog_.entriesOfClass(KernelClass::Gemm);
@@ -243,14 +237,16 @@ TraceGenerator::generateDefended(const ArchParams &arch,
 
     util::Rng rng(run_seed ^ seed_);
     KernelTrace trace;
-    trace.kernelNames = kernelNames_;
+    trace.kernelNames = catalog_.names();
     trace.records.reserve(
         prologueTemplate_.size() + arch.numLayers * groupTemplate_.size() +
         epilogueTemplate_.size() +
         (sig_.useXla ? kXlaBurstMin + kXlaBurstSpread : 0));
 
     double t = 0.0;
-    auto emit = [&](const Slot &slot, Phase phase, int layer) {
+    // @p base is slotDuration(slot, arch), passed in so a template slot
+    // launched once per layer computes it once per trace.
+    auto emit = [&](const Slot &slot, double base, Phase phase, int layer) {
         Slot launched = slot;
         if (strength > 0.0 && rng.uniform() < strength) {
             // Defense: re-route this launch to a random same-class
@@ -262,9 +258,10 @@ TraceGenerator::generateDefended(const ArchParams &arch,
             launched.personality =
                 std::exp(rng.gaussian(0.0, 0.25)) *
                 (1.0 + strength * std::fabs(rng.gaussian(0.0, 0.3)));
+            base = slotDuration(launched, arch);
         }
         const double jitter = std::exp(rng.gaussian(0.0, 0.03));
-        const double dur = slotDuration(launched, arch) * jitter;
+        const double dur = base * jitter;
         KernelRecord rec;
         rec.kernelId = launched.kernelId;
         rec.tStart = t;
@@ -277,7 +274,11 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     };
 
     for (const auto &slot : prologueTemplate_)
-        emit(slot, Phase::Prologue, -1);
+        emit(slot, slotDuration(slot, arch), Phase::Prologue, -1);
+
+    std::vector<double> group_base(groupTemplate_.size());
+    for (std::size_t k = 0; k < groupTemplate_.size(); ++k)
+        group_base[k] = slotDuration(groupTemplate_[k], arch);
 
     // XLA releases run an irregular compiler/fusion burst between two
     // encoder regions (Fig. 12): encoders at the beginning and end.
@@ -296,15 +297,17 @@ TraceGenerator::generateDefended(const ArchParams &arch,
                 s.klass = KernelClass::Fusion;
                 // Irregular: heavy-tailed size factors.
                 s.sizeFactor = std::exp(rng.gaussian(0.0, 1.2));
-                emit(s, Phase::XlaRegion, -1);
+                emit(s, slotDuration(s, arch), Phase::XlaRegion, -1);
             }
         }
-        for (const auto &slot : groupTemplate_)
-            emit(slot, Phase::Encoder, static_cast<int>(layer));
+        for (std::size_t k = 0; k < groupTemplate_.size(); ++k) {
+            emit(groupTemplate_[k], group_base[k], Phase::Encoder,
+                 static_cast<int>(layer));
+        }
     }
 
     for (const auto &slot : epilogueTemplate_)
-        emit(slot, Phase::OutputLayer, -1);
+        emit(slot, slotDuration(slot, arch), Phase::OutputLayer, -1);
 
     obs::count("gpusim.traces_generated");
     obs::count("gpusim.kernels_emitted", trace.records.size());

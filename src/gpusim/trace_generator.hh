@@ -20,8 +20,6 @@
 #define DECEPTICON_GPUSIM_TRACE_GENERATOR_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "gpusim/catalog.hh"
@@ -129,9 +127,8 @@ class TraceGenerator
     SoftwareSignature sig_;
     /** sig_.seed(), cached: it hashes the signature's string form. */
     std::uint64_t seed_;
+    /** Its names() table is the one every generated trace points at. */
     KernelCatalog catalog_;
-    /** catalog_'s names; every generated trace points at this table. */
-    std::shared_ptr<const std::vector<std::string>> kernelNames_;
     std::vector<Slot> groupTemplate_;
     std::vector<Slot> prologueTemplate_;
     std::vector<Slot> epilogueTemplate_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 #include "obs/obs.hh"
 
@@ -28,26 +29,62 @@ median(std::vector<double> &values)
     return m;
 }
 
+/**
+ * One capture after dedupe, as positions into its records plus the
+ * kernel id at each position; the records themselves are not copied.
+ */
+struct DedupedCapture
+{
+    const std::vector<gpusim::KernelRecord> *records = nullptr;
+    std::vector<std::size_t> kept;
+    std::vector<int> ids;
+
+    const gpusim::KernelRecord &at(std::size_t m) const
+    {
+        return (*records)[kept[m]];
+    }
+};
+
+/**
+ * The one duplicate rule: a record identical to the last kept one
+ * (same kernel id and timestamps) is a capture artifact. Adds the
+ * number of records dropped to @p removed.
+ */
+DedupedCapture
+dedupe(const gpusim::KernelTrace &trace, std::size_t &removed)
+{
+    DedupedCapture out;
+    out.records = &trace.records;
+    out.kept.reserve(trace.records.size());
+    out.ids.reserve(trace.records.size());
+    for (std::size_t k = 0; k < trace.records.size(); ++k) {
+        const gpusim::KernelRecord &rec = trace.records[k];
+        if (!out.kept.empty()) {
+            const gpusim::KernelRecord &prev = trace.records[out.kept.back()];
+            if (prev.kernelId == rec.kernelId &&
+                prev.tStart == rec.tStart && prev.tEnd == rec.tEnd) {
+                ++removed;
+                continue;
+            }
+        }
+        out.kept.push_back(k);
+        out.ids.push_back(rec.kernelId);
+    }
+    return out;
+}
+
 } // namespace
 
 gpusim::KernelTrace
 dedupeRecords(const gpusim::KernelTrace &trace, std::size_t *removed)
 {
+    std::size_t dropped = 0;
+    const DedupedCapture clean = dedupe(trace, dropped);
     gpusim::KernelTrace out;
     out.kernelNames = trace.kernelNames;
-    out.records.reserve(trace.records.size());
-    std::size_t dropped = 0;
-    for (const auto &rec : trace.records) {
-        if (!out.records.empty()) {
-            const auto &prev = out.records.back();
-            if (prev.kernelId == rec.kernelId &&
-                prev.tStart == rec.tStart && prev.tEnd == rec.tEnd) {
-                ++dropped;
-                continue;
-            }
-        }
-        out.records.push_back(rec);
-    }
+    out.records.reserve(clean.kept.size());
+    for (std::size_t k : clean.kept)
+        out.records.push_back(trace.records[k]);
     if (removed != nullptr)
         *removed = dropped;
     return out;
@@ -107,71 +144,77 @@ gpusim::KernelTrace
 repairTraces(const std::vector<gpusim::KernelTrace> &captures,
              RepairReport *report)
 {
-    assert(!captures.empty());
-
     auto sp = obs::span("trace.repair");
 
     std::size_t duplicates_removed = 0;
-    std::vector<gpusim::KernelTrace> clean;
+    std::vector<DedupedCapture> clean;
     clean.reserve(captures.size());
-    for (const auto &cap : captures) {
-        std::size_t removed = 0;
-        clean.push_back(dedupeRecords(cap, &removed));
-        duplicates_removed += removed;
-    }
+    for (const auto &cap : captures)
+        clean.push_back(dedupe(cap, duplicates_removed));
 
     // The longest capture is the consensus skeleton: with independent
     // per-record drops it is the closest observable approximation of
     // the true schedule.
     std::size_t ref_idx = 0;
     for (std::size_t c = 1; c < clean.size(); ++c) {
-        if (clean[c].records.size() > clean[ref_idx].records.size())
+        if (clean[c].kept.size() > clean[ref_idx].kept.size())
             ref_idx = c;
     }
-    const gpusim::KernelTrace &ref = clean[ref_idx];
-    assert(!ref.records.empty());
+    if (clean.empty() || clean[ref_idx].kept.empty()) {
+        // Nothing was captured: an empty consensus, not an abort.
+        if (report != nullptr)
+            *report = RepairReport{};
+        return gpusim::KernelTrace{};
+    }
+    const DedupedCapture &ref = clean[ref_idx];
+    const std::size_t n = ref.kept.size();
 
-    const std::vector<int> ref_ids = ref.kernelIdSequence();
-    std::vector<std::vector<std::size_t>> matches;
-    matches.reserve(clean.size());
+    std::vector<std::vector<std::size_t>> matches(clean.size());
     double aligned_sum = 0.0;
-    for (const auto &cap : clean) {
-        matches.push_back(
-            alignToReference(ref_ids, cap.kernelIdSequence()));
+    for (std::size_t c = 0; c < clean.size(); ++c) {
+        if (c == ref_idx) {
+            // Aligning the reference to itself is the identity.
+            matches[c].resize(n);
+            std::iota(matches[c].begin(), matches[c].end(), std::size_t{0});
+        } else {
+            matches[c] = alignToReference(ref.ids, clean[c].ids);
+        }
         std::size_t hit = 0;
-        for (std::size_t m : matches.back())
+        for (std::size_t m : matches[c])
             hit += m != kNpos ? 1 : 0;
-        aligned_sum += static_cast<double>(hit) /
-                       static_cast<double>(ref_ids.size());
+        aligned_sum += static_cast<double>(hit) / static_cast<double>(n);
     }
 
     // Rebuild the timeline with median-filtered durations and gaps.
     gpusim::KernelTrace out;
-    out.kernelNames = ref.kernelNames;
-    out.records.reserve(ref.records.size());
+    out.kernelNames = captures[ref_idx].kernelNames;
+    out.records.reserve(n);
+    std::vector<double> durations;
+    std::vector<double> gaps;
+    durations.reserve(clean.size());
+    gaps.reserve(clean.size());
     double clock = 0.0;
-    for (std::size_t p = 0; p < ref.records.size(); ++p) {
-        std::vector<double> durations;
-        std::vector<double> gaps;
+    for (std::size_t p = 0; p < n; ++p) {
+        durations.clear();
+        gaps.clear();
         for (std::size_t c = 0; c < clean.size(); ++c) {
             const std::size_t m = matches[c][p];
             if (m == kNpos)
                 continue;
-            const auto &recs = clean[c].records;
-            durations.push_back(recs[m].duration());
+            const DedupedCapture &cap = clean[c];
+            durations.push_back(cap.at(m).duration());
             // A leading gap is only trustworthy when the previous
             // consensus record is this record's direct predecessor in
             // the same capture (no dropped records in between).
             if (p == 0) {
                 if (m == 0)
-                    gaps.push_back(recs[0].tStart);
+                    gaps.push_back(cap.at(0).tStart);
             } else if (matches[c][p - 1] != kNpos &&
                        matches[c][p - 1] + 1 == m) {
-                gaps.push_back(recs[m].tStart -
-                               recs[m - 1].tEnd);
+                gaps.push_back(cap.at(m).tStart - cap.at(m - 1).tEnd);
             }
         }
-        gpusim::KernelRecord rec = ref.records[p];
+        gpusim::KernelRecord rec = ref.at(p);
         const double dur =
             durations.empty() ? rec.duration() : median(durations);
         double gap;
@@ -180,7 +223,7 @@ repairTraces(const std::vector<gpusim::KernelTrace> &captures,
         } else if (p == 0) {
             gap = rec.tStart;
         } else {
-            gap = rec.tStart - ref.records[p - 1].tEnd;
+            gap = rec.tStart - ref.at(p - 1).tEnd;
         }
         rec.tStart = clock + std::max(0.0, gap);
         rec.tEnd = rec.tStart + std::max(0.0, dur);

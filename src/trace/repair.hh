@@ -8,6 +8,11 @@
  * and rebuild one consensus trace — duplicates collapsed, per-record
  * durations median-filtered, timeline re-accumulated — before the
  * fingerprint pipeline images it.
+ *
+ * Repair reads the captures in place: each is deduped into a list of
+ * kept record positions and their kernel ids, never copied, and the
+ * consensus is written straight from those positions. Captures are
+ * victim-side data, so no capture set aborts the repair.
  */
 
 #ifndef DECEPTICON_TRACE_REPAIR_HH
@@ -55,9 +60,12 @@ alignToReference(const std::vector<int> &reference,
  * skeleton, align the rest to it, and replace every record's duration
  * and leading gap with the median across the captures that observed
  * it. Timestamps are re-accumulated so the result is physically
- * consistent (monotone, non-overlapping).
+ * consistent (monotone, non-overlapping). The consensus shares the
+ * reference capture's kernel-name table.
  *
- * @pre !captures.empty(); at least one capture has a record
+ * An empty capture list, or captures that all have zero records,
+ * yields an empty trace (no records, no name table) and a zeroed
+ * report.
  */
 gpusim::KernelTrace
 repairTraces(const std::vector<gpusim::KernelTrace> &captures,

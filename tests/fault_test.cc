@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "extraction/ieee.hh"
@@ -338,4 +341,161 @@ TEST(TraceRepair, ConsensusRecoversDroppedAndDuplicatedRecords)
                   static_cast<double>(truth.records.size()),
               0.9);
     EXPECT_LT(max_dur_err, 1e-6); // medians reject the fault noise
+}
+
+TEST(TraceRepair, NoCapturedRecordsYieldsEmptyConsensus)
+{
+    dtc::RepairReport report;
+    report.captures = 9;
+    report.referenceRecords = 9;
+    report.duplicatesRemoved = 9;
+    report.meanAlignedFraction = 0.5;
+    const auto none = dtc::repairTraces({}, &report);
+    EXPECT_TRUE(none.records.empty());
+    EXPECT_EQ(none.kernelNames, nullptr);
+    EXPECT_EQ(report.captures, 0u);
+    EXPECT_EQ(report.referenceRecords, 0u);
+    EXPECT_EQ(report.duplicatesRemoved, 0u);
+    EXPECT_EQ(report.meanAlignedFraction, 0.0);
+
+    auto empty = syntheticTrace(0);
+    report.captures = 9;
+    const auto blank = dtc::repairTraces({empty, empty, empty}, &report);
+    EXPECT_TRUE(blank.records.empty());
+    EXPECT_EQ(report.captures, 0u);
+    EXPECT_EQ(report.referenceRecords, 0u);
+    EXPECT_EQ(report.meanAlignedFraction, 0.0);
+    EXPECT_TRUE(dtc::repairTraces({empty}).records.empty());
+}
+
+namespace {
+
+/** FNV-1a over raw bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** One name table shared by every jitteredTrace(). */
+const std::shared_ptr<const std::vector<std::string>> &
+sharedNames()
+{
+    static const auto table = syntheticTrace(1).kernelNames;
+    return table;
+}
+
+/** syntheticTrace() with per-capture timing jitter on every record. */
+dg::KernelTrace
+jitteredTrace(std::uint64_t seed, std::size_t records = 40)
+{
+    dg::KernelTrace t = syntheticTrace(records);
+    t.kernelNames = sharedNames();
+    decepticon::util::Rng rng(seed);
+    double clock = 0.0;
+    for (auto &r : t.records) {
+        const double gap = 0.5 + rng.uniform(0.0, 0.4);
+        const double dur = r.duration() * (1.0 + rng.gaussian(0.0, 0.05));
+        r.tStart = clock + gap;
+        r.tEnd = r.tStart + dur;
+        clock = r.tEnd;
+    }
+    return t;
+}
+
+/**
+ * FNV-1a digest of repairTraces() over R = 1, 2, 3, 4 and 7 faulty
+ * jittered captures (even R exercises the two-middle median), plus
+ * three edge sets: duplicates at index 0, a tail truncated to one
+ * record, and two captures that tie for longest after dedupe. Covers
+ * every consensus record field and every RepairReport field. Pinned
+ * across commits: a repair rewrite must reproduce every bit.
+ */
+constexpr std::uint64_t kRepairDigest = 0x06dd76bbf1a52f26ULL;
+
+} // anonymous namespace
+
+TEST(TraceRepair, ConsensusDigestPinnedAcrossCommits)
+{
+    dfa::FaultSpec spec;
+    spec.recordDropRate = 0.15;
+    spec.recordDuplicateRate = 0.1;
+    spec.truncateProbability = 0.3;
+    spec.seed = 61;
+
+    std::vector<std::vector<dg::KernelTrace>> sets;
+    for (std::size_t r : {1u, 2u, 3u, 4u, 7u}) {
+        dfa::FaultInjector injector(spec);
+        std::vector<dg::KernelTrace> captures;
+        for (std::uint64_t c = 0; c < r; ++c)
+            captures.push_back(
+                injector.corruptTrace(jitteredTrace(100 * r + c), c));
+        sets.push_back(std::move(captures));
+    }
+
+    // Duplicates at index 0: the first record delivered three times.
+    {
+        std::vector<dg::KernelTrace> captures;
+        for (std::uint64_t c = 0; c < 3; ++c)
+            captures.push_back(jitteredTrace(900 + c));
+        for (int k = 0; k < 2; ++k)
+            captures[1].records.insert(captures[1].records.begin(),
+                                       captures[1].records.front());
+        captures[2].records.insert(captures[2].records.begin(),
+                                   captures[2].records.front());
+        sets.push_back(std::move(captures));
+    }
+    // A tail truncated to a single record.
+    {
+        std::vector<dg::KernelTrace> captures;
+        for (std::uint64_t c = 0; c < 4; ++c)
+            captures.push_back(jitteredTrace(950 + c));
+        captures[2].records.resize(1);
+        captures[0].records.erase(captures[0].records.begin() + 7);
+        sets.push_back(std::move(captures));
+    }
+    // Two captures tie for longest after dedupe; the raw-longest one
+    // only wins by its duplicates.
+    {
+        std::vector<dg::KernelTrace> captures;
+        for (std::uint64_t c = 0; c < 4; ++c)
+            captures.push_back(jitteredTrace(980 + c));
+        captures[0].records.erase(captures[0].records.begin() + 30);
+        captures[0].records.erase(captures[0].records.begin() + 3);
+        captures[1].records.erase(captures[1].records.begin() + 11);
+        captures[2].records.erase(captures[2].records.begin() + 20);
+        captures[2].records.insert(captures[2].records.begin() + 5,
+                                   captures[2].records[5]);
+        captures[3].records.resize(30);
+        sets.push_back(std::move(captures));
+    }
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const auto &captures : sets) {
+        dtc::RepairReport report;
+        const dg::KernelTrace out = dtc::repairTraces(captures, &report);
+        EXPECT_EQ(out.kernelNames, sharedNames());
+        for (const dg::KernelRecord &rec : out.records) {
+            const auto phase = static_cast<int>(rec.phase);
+            const auto klass = static_cast<int>(rec.klass);
+            digest = fnv1a(digest, &rec.kernelId, sizeof rec.kernelId);
+            digest = fnv1a(digest, &rec.tStart, sizeof rec.tStart);
+            digest = fnv1a(digest, &rec.tEnd, sizeof rec.tEnd);
+            digest = fnv1a(digest, &phase, sizeof phase);
+            digest = fnv1a(digest, &klass, sizeof klass);
+            digest = fnv1a(digest, &rec.layerIndex, sizeof rec.layerIndex);
+        }
+        const std::uint64_t fields[] = {report.captures,
+                                        report.referenceRecords,
+                                        report.duplicatesRemoved};
+        digest = fnv1a(digest, fields, sizeof fields);
+        digest = fnv1a(digest, &report.meanAlignedFraction,
+                       sizeof report.meanAlignedFraction);
+    }
+    EXPECT_EQ(digest, kRepairDigest) << "0x" << std::hex << digest;
 }

@@ -143,10 +143,10 @@ TEST(Catalog, DialectsProduceDifferentCatalogs)
     const dg::KernelCatalog a(pytorchSig(1));
     const dg::KernelCatalog b(pytorchSig(2));
     std::set<std::string> na, nb;
-    for (const auto &e : a.entries())
-        na.insert(e.name);
-    for (const auto &e : b.entries())
-        nb.insert(e.name);
+    for (const auto &name : *a.names())
+        na.insert(name);
+    for (const auto &name : *b.names())
+        nb.insert(name);
     EXPECT_NE(na, nb);
 }
 
@@ -167,8 +167,8 @@ TEST(Catalog, NvidiaUsesTensorCoreKernels)
     sig.useTensorCores = true;
     const dg::KernelCatalog c(sig);
     bool has_fp16 = false;
-    for (const auto &e : c.entries())
-        has_fp16 |= e.name.find("fp16") != std::string::npos;
+    for (const auto &name : *c.names())
+        has_fp16 |= name.find("fp16") != std::string::npos;
     EXPECT_TRUE(has_fp16);
 }
 
@@ -424,6 +424,7 @@ TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
     const dg::KernelTrace truth = gen.generate(bertBase(), 11);
     ASSERT_NE(truth.kernelNames, nullptr);
     EXPECT_EQ(truth.kernelNames->size(), gen.catalog().size());
+    EXPECT_EQ(truth.kernelNames, gen.catalog().names()); // not a copy
     const std::vector<std::string> *table = truth.kernelNames.get();
     EXPECT_EQ(gen.generate(bertLarge(), 12).kernelNames.get(), table);
 
@@ -657,3 +658,70 @@ INSTANTIATE_TEST_SUITE_P(AllSources, SignatureSweep,
                          ::testing::Combine(::testing::Values(0, 1, 2),
                                             ::testing::Values(0, 1, 2, 3,
                                                               4, 5)));
+
+namespace {
+
+/** FNV-1a over raw bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * FNV-1a digest of TraceGenerator output: PyTorch, TF with XLA, MXNet
+ * and Meta releases, dense and head-pruned architectures, through
+ * generate() and generateDefended() at strengths 0, 0.3 and 1.0.
+ * Covers every record field and the kernel-name table. Pinned across
+ * commits: a generator rewrite must reproduce every bit.
+ */
+constexpr std::uint64_t kGeneratorDigest = 0x2ecb674774e51aadULL;
+
+} // anonymous namespace
+
+TEST(TraceGenerator, TraceDigestPinnedAcrossCommits)
+{
+    dg::SoftwareSignature mxnet;
+    mxnet.framework = dg::Framework::Mxnet;
+    mxnet.developer = dg::Developer::Amazon;
+    mxnet.kernelDialect = 2;
+    dg::SoftwareSignature meta;
+    meta.developer = dg::Developer::Meta;
+    meta.fusionLevel = 1;
+    meta.kernelDialect = 4;
+    dg::ArchParams pruned = bertBase();
+    pruned.prunedHeads = 4;
+    pruned.numLayers = 6;
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    auto absorb = [&](const dg::KernelTrace &t) {
+        ASSERT_NE(t.kernelNames, nullptr);
+        for (const std::string &name : *t.kernelNames)
+            digest = fnv1a(digest, name.data(), name.size() + 1);
+        for (const dg::KernelRecord &rec : t.records) {
+            const auto phase = static_cast<int>(rec.phase);
+            const auto klass = static_cast<int>(rec.klass);
+            digest = fnv1a(digest, &rec.kernelId, sizeof rec.kernelId);
+            digest = fnv1a(digest, &rec.tStart, sizeof rec.tStart);
+            digest = fnv1a(digest, &rec.tEnd, sizeof rec.tEnd);
+            digest = fnv1a(digest, &phase, sizeof phase);
+            digest = fnv1a(digest, &klass, sizeof klass);
+            digest = fnv1a(digest, &rec.layerIndex, sizeof rec.layerIndex);
+        }
+    };
+    for (const auto &sig : {pytorchSig(), tfSig(true), mxnet, meta}) {
+        const dg::TraceGenerator gen(sig);
+        std::uint64_t seed = 0x5eed;
+        for (const auto &arch : {bertBase(), bertLarge(), pruned}) {
+            absorb(gen.generate(arch, ++seed));
+            for (double strength : {0.0, 0.3, 1.0})
+                absorb(gen.generateDefended(arch, ++seed, strength));
+        }
+    }
+    EXPECT_EQ(digest, kGeneratorDigest) << "0x" << std::hex << digest;
+}
