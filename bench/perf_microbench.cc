@@ -486,8 +486,8 @@ main(int argc, char **argv)
     // slice, exported as plain gauges so bench_compare.py can gate
     // p99 regressions without reparsing histograms.
     runStageLatencyWorkload();
-    for (const char *stage : {"probe", "trace_capture", "classify",
-                              "fuse", "extract"}) {
+    for (const char *stage :
+         {"trace_capture", "classify", "fuse", "extract"}) {
         const auto hist =
             reg.latency(std::string("stage.") + stage + ".micros");
         if (!hist || hist->total() == 0)

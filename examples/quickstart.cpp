@@ -135,7 +135,7 @@ main()
               << (ident.pretrainedName == parent->name ? "YES" : "no")
               << "\n\n";
     end_phase("identify");
-    run.recordIdentification(ident);
+    run.identification = ident;
 
     // ------------------------------------------------------------------
     // Level 2: selective weight extraction -> clone.
@@ -171,10 +171,10 @@ main()
               << "    victim prediction-API queries used: "
               << clone_result.victimQueries << "\n\n";
     end_phase("extract");
-    run.recordExtraction(clone_result.probeStats,
-                         clone_result.extractionStats,
-                         clone_result.layersExtracted,
-                         clone_result.victimQueries);
+    run.probe = clone_result.probeStats;
+    run.extraction = clone_result.extractionStats;
+    run.layersExtracted = clone_result.layersExtracted;
+    run.victimQueries = clone_result.victimQueries;
 
     // ------------------------------------------------------------------
     // White-box attack with the clone.

@@ -11,7 +11,6 @@
 #include "obs/obs.hh"
 #include "sched/sched.hh"
 #include "trace/repair.hh"
-#include "transformer/task.hh"
 #include "util/rng.hh"
 
 namespace decepticon::campaign {
@@ -23,6 +22,24 @@ sessionCacheKey(const zoo::VictimSessionSpec &spec)
     return spec.lineage->signature.toString() + "/L" +
            std::to_string(spec.lineage->arch.numLayers) + "x" +
            std::to_string(spec.lineage->arch.hidden);
+}
+
+SessionVictim
+buildSessionVictim(const core::TwoLevelAttack &attack,
+                   const zoo::VictimSessionSpec &spec,
+                   const CampaignOptions &opts)
+{
+    const transformer::TransformerClassifier *truth =
+        attack.candidateWeights(spec.lineage->name);
+    assert(truth != nullptr && "queue lineages come from the pool");
+    const transformer::MarkovTask task(
+        opts.victimConfig.vocab, spec.numClasses,
+        opts.victimConfig.maxSeqLen, opts.seed ^ spec.seed, 4.0);
+    SessionVictim victim{
+        transformer::TransformerClassifier(*truth),
+        task.sample(opts.querySetSize, spec.seed ^ 0x9e5ULL)};
+    victim.model.resetHead(spec.numClasses, spec.seed ^ 0x4eadULL);
+    return victim;
 }
 
 namespace {
@@ -188,7 +205,9 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
             (t_classified - t_batch) / batch_n;
 
         // ---- S6: serial level-2 + rollup, queue order (the bit-probe
-        // channel is stateful; DESIGN §9 rule 3 keeps it serial).
+        // channel is stateful; DESIGN §9 rule 3 keeps it serial). Each
+        // victim comes from buildSessionVictim and is cloned through
+        // cloneVictim, the call execute() makes.
         for (std::size_t j = 0; j < batch_n; ++j) {
             const zoo::VictimSessionSpec &spec =
                 sessions[batch_start + j];
@@ -216,41 +235,27 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
                 out.identifiedParent == spec.lineage->pretrainedName;
 
             if (opts_.runLevel2 && !out.abstained) {
-                const transformer::TransformerClassifier *pretrained =
-                    attack_.candidateWeights(out.identifiedParent);
                 if (cache_hit && looked[j].cloneFresh &&
                     opts_.reuseCachedClones) {
                     out.cloneReused = true;
-                } else if (pretrained != nullptr) {
-                    // The victim: the true lineage's weights behind a
-                    // privately fine-tuned head, reachable only via
-                    // the probe channel and its query API.
-                    const transformer::TransformerClassifier *truth =
-                        attack_.candidateWeights(spec.lineage->name);
-                    assert(truth != nullptr &&
-                           "queue lineages come from the pool");
-                    transformer::TransformerClassifier victim(*truth);
-                    victim.resetHead(spec.numClasses,
-                                     spec.seed ^ 0x4eadULL);
-                    const transformer::MarkovTask task(
-                        opts_.victimConfig.vocab, spec.numClasses,
-                        opts_.victimConfig.maxSeqLen,
-                        opts_.seed ^ spec.seed, 4.0);
-                    const transformer::Dataset query_set = task.sample(
-                        opts_.querySetSize, spec.seed ^ 0x9e5ULL);
-                    extraction::CloneResult cloned =
-                        extraction::ModelCloner::extract(
-                            victim, *pretrained, query_set.examples,
-                            opts_.cloner);
-                    out.cloned = cloned.clone != nullptr;
-                    out.agreement =
-                        cloned.agreementTrajectory.empty()
-                            ? 0.0
-                            : cloned.agreementTrajectory.back();
-                    if (out.cloned && ingest[j].hasTrace)
-                        cache_.storeClone(ingest[j].cacheKey,
-                                          std::move(cloned.clone),
-                                          cacheClock_ + batch_start + j);
+                } else {
+                    SessionVictim victim =
+                        buildSessionVictim(attack_, spec, opts_);
+                    extraction::CloneResult cloned = attack_.cloneVictim(
+                        out.identifiedParent, victim.model,
+                        victim.querySet.examples, opts_.cloner);
+                    if (cloned.clone != nullptr) {
+                        out.cloned = true;
+                        out.agreement =
+                            cloned.agreementTrajectory.empty()
+                                ? 0.0
+                                : cloned.agreementTrajectory.back();
+                        if (ingest[j].hasTrace)
+                            cache_.storeClone(
+                                ingest[j].cacheKey,
+                                std::move(cloned.clone),
+                                cacheClock_ + batch_start + j);
+                    }
                 }
             }
 

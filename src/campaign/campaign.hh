@@ -16,8 +16,11 @@
  *      decision tail);
  *   S4 serial blackout verdicts (identifyFused abstains honestly);
  *   S5 serial cache update in queue order;
- *   S6 serial level-2 extraction (the bit-probe channel is stateful,
- *      DESIGN §9 rule 3) and rollup.
+ *   S6 serial level-2 (the bit-probe channel is stateful, DESIGN §9
+ *      rule 3; S6 is still serial): each session's victim comes from
+ *      buildSessionVictim and is cloned through
+ *      TwoLevelAttack::cloneVictim, the same call execute() makes;
+ *      then the rollup.
  * Every cross-session reduction happens in queue order, so the
  * resulting CampaignReport JSON is byte-identical at any lane count.
  */
@@ -32,6 +35,8 @@
 #include "campaign/cache.hh"
 #include "core/campaign_report.hh"
 #include "core/two_level.hh"
+#include "transformer/classifier.hh"
+#include "transformer/task.hh"
 #include "zoo/session.hh"
 
 namespace decepticon::campaign {
@@ -71,6 +76,27 @@ struct CampaignOptions
  * makes caching sound.
  */
 std::string sessionCacheKey(const zoo::VictimSessionSpec &spec);
+
+/** One campaign session's victim and its extraction query set. */
+struct SessionVictim
+{
+    /** The true lineage's weights behind a privately fine-tuned head,
+     *  reachable only via the probe channel and its query API. */
+    transformer::TransformerClassifier model;
+    /** Unlabeled inputs for the extraction stopping rule. */
+    transformer::Dataset querySet;
+};
+
+/**
+ * The campaign's victim recipe for one session: the registered
+ * weights of spec.lineage (copied once), a head reset to
+ * spec.numClasses classes, and opts.querySetSize query inputs drawn
+ * from the session's MarkovTask. S6 clones exactly this victim through
+ * TwoLevelAttack::cloneVictim.
+ */
+SessionVictim buildSessionVictim(const core::TwoLevelAttack &attack,
+                                 const zoo::VictimSessionSpec &spec,
+                                 const CampaignOptions &opts);
 
 /** Multi-victim campaign driver over one prepared TwoLevelAttack. */
 class CampaignDriver

@@ -7,40 +7,6 @@
 namespace decepticon::core {
 
 void
-AttackRunReport::recordIdentification(const IdentificationResult &ident)
-{
-    identifiedParent = ident.pretrainedName;
-    identifyConfidence = ident.topProbability;
-    usedQueryProbes = ident.usedQueryProbes;
-    capturesUsed = ident.capturesUsed;
-    quorumAgreement = ident.quorumAgreement;
-    usedChannelFusion = ident.usedChannelFusion;
-    insufficientEvidence = ident.insufficientEvidence;
-    fusedConfidence = ident.fusedConfidence;
-    channelsAvailable = ident.channelsAvailable;
-    channelsUsed = ident.channelsUsed;
-}
-
-void
-AttackRunReport::recordExtraction(const extraction::ProbeStats &probe,
-                                  const extraction::ExtractionStats &stats,
-                                  std::size_t layers_extracted,
-                                  std::size_t victim_queries)
-{
-    layersExtracted = layers_extracted;
-    bitsRead = probe.bitsRead;
-    hammerRounds = probe.hammerRounds;
-    totalWeights = stats.totalWeights;
-    weightsSkipped = stats.weightsSkipped;
-    probeRetries = stats.probeRetries;
-    voteReads = stats.voteReads;
-    probeFailures = stats.probeFailures;
-    fallbackBits = stats.fallbackBits;
-    exhaustedBits = stats.exhaustedBits;
-    victimQueries = victim_queries;
-}
-
-void
 AttackRunReport::recordPhase(std::string name, std::uint64_t micros)
 {
     phases.push_back(PhaseTiming{std::move(name), micros});
@@ -58,37 +24,38 @@ AttackRunReport::totalMicros() const
 std::string
 AttackRunReport::toJson() const
 {
+    const IdentificationResult &id = identification;
     std::ostringstream oss;
     oss << "{\"level1\":{"
-        << "\"parent\":" << obs::jsonQuote(identifiedParent)
-        << ",\"confidence\":" << obs::jsonNumber(identifyConfidence)
+        << "\"parent\":" << obs::jsonQuote(id.pretrainedName)
+        << ",\"confidence\":" << obs::jsonNumber(id.topProbability)
         << ",\"used_query_probes\":"
-        << (usedQueryProbes ? "true" : "false")
-        << ",\"captures_used\":" << capturesUsed
-        << ",\"quorum_agreement\":" << obs::jsonNumber(quorumAgreement)
+        << (id.usedQueryProbes ? "true" : "false")
+        << ",\"captures_used\":" << id.capturesUsed
+        << ",\"quorum_agreement\":" << obs::jsonNumber(id.quorumAgreement)
         << ",\"used_channel_fusion\":"
-        << (usedChannelFusion ? "true" : "false")
+        << (id.usedChannelFusion ? "true" : "false")
         << ",\"insufficient_evidence\":"
-        << (insufficientEvidence ? "true" : "false")
-        << ",\"fused_confidence\":" << obs::jsonNumber(fusedConfidence)
-        << ",\"channels_available\":" << channelsAvailable
+        << (id.insufficientEvidence ? "true" : "false")
+        << ",\"fused_confidence\":" << obs::jsonNumber(id.fusedConfidence)
+        << ",\"channels_available\":" << id.channelsAvailable
         << ",\"channels_used\":[";
-    for (std::size_t i = 0; i < channelsUsed.size(); ++i) {
+    for (std::size_t i = 0; i < id.channelsUsed.size(); ++i) {
         if (i > 0)
             oss << ",";
-        oss << obs::jsonQuote(channelsUsed[i]);
+        oss << obs::jsonQuote(id.channelsUsed[i]);
     }
     oss << "]},\"level2\":{"
         << "\"layers_extracted\":" << layersExtracted
-        << ",\"bits_read\":" << bitsRead
-        << ",\"hammer_rounds\":" << hammerRounds
-        << ",\"total_weights\":" << totalWeights
-        << ",\"weights_skipped\":" << weightsSkipped
-        << ",\"probe_retries\":" << probeRetries
-        << ",\"vote_reads\":" << voteReads
-        << ",\"probe_failures\":" << probeFailures
-        << ",\"fallback_bits\":" << fallbackBits
-        << ",\"exhausted_bits\":" << exhaustedBits
+        << ",\"bits_read\":" << probe.bitsRead
+        << ",\"hammer_rounds\":" << probe.hammerRounds
+        << ",\"total_weights\":" << extraction.totalWeights
+        << ",\"weights_skipped\":" << extraction.weightsSkipped
+        << ",\"probe_retries\":" << extraction.probeRetries
+        << ",\"vote_reads\":" << extraction.voteReads
+        << ",\"probe_failures\":" << extraction.probeFailures
+        << ",\"fallback_bits\":" << extraction.fallbackBits
+        << ",\"exhausted_bits\":" << extraction.exhaustedBits
         << ",\"victim_queries\":" << victimQueries
         << "},\"quality\":{"
         << "\"victim_accuracy\":" << obs::jsonNumber(victimAccuracy)
@@ -116,24 +83,29 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
     const auto gauge = [&](const char *name, double value) {
         registry.setGauge(std::string("run.") + name, value);
     };
-    gauge("identify_confidence", identifyConfidence);
-    gauge("quorum_agreement", quorumAgreement);
-    gauge("captures_used", static_cast<double>(capturesUsed));
-    gauge("used_query_probes", usedQueryProbes ? 1.0 : 0.0);
-    gauge("used_channel_fusion", usedChannelFusion ? 1.0 : 0.0);
-    gauge("insufficient_evidence", insufficientEvidence ? 1.0 : 0.0);
-    gauge("fused_confidence", fusedConfidence);
-    gauge("channels_available", static_cast<double>(channelsAvailable));
+    const IdentificationResult &id = identification;
+    gauge("identify_confidence", id.topProbability);
+    gauge("quorum_agreement", id.quorumAgreement);
+    gauge("captures_used", static_cast<double>(id.capturesUsed));
+    gauge("used_query_probes", id.usedQueryProbes ? 1.0 : 0.0);
+    gauge("used_channel_fusion", id.usedChannelFusion ? 1.0 : 0.0);
+    gauge("insufficient_evidence", id.insufficientEvidence ? 1.0 : 0.0);
+    gauge("fused_confidence", id.fusedConfidence);
+    gauge("channels_available",
+          static_cast<double>(id.channelsAvailable));
     gauge("layers_extracted", static_cast<double>(layersExtracted));
-    gauge("bits_read", static_cast<double>(bitsRead));
-    gauge("hammer_rounds", static_cast<double>(hammerRounds));
-    gauge("total_weights", static_cast<double>(totalWeights));
-    gauge("weights_skipped", static_cast<double>(weightsSkipped));
-    gauge("probe_retries", static_cast<double>(probeRetries));
-    gauge("vote_reads", static_cast<double>(voteReads));
-    gauge("probe_failures", static_cast<double>(probeFailures));
-    gauge("fallback_bits", static_cast<double>(fallbackBits));
-    gauge("exhausted_bits", static_cast<double>(exhaustedBits));
+    gauge("bits_read", static_cast<double>(probe.bitsRead));
+    gauge("hammer_rounds", static_cast<double>(probe.hammerRounds));
+    gauge("total_weights", static_cast<double>(extraction.totalWeights));
+    gauge("weights_skipped",
+          static_cast<double>(extraction.weightsSkipped));
+    gauge("probe_retries", static_cast<double>(extraction.probeRetries));
+    gauge("vote_reads", static_cast<double>(extraction.voteReads));
+    gauge("probe_failures",
+          static_cast<double>(extraction.probeFailures));
+    gauge("fallback_bits", static_cast<double>(extraction.fallbackBits));
+    gauge("exhausted_bits",
+          static_cast<double>(extraction.exhaustedBits));
     gauge("victim_queries", static_cast<double>(victimQueries));
     gauge("victim_accuracy", victimAccuracy);
     gauge("clone_accuracy", cloneAccuracy);
@@ -152,40 +124,42 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
 std::string
 AttackRunReport::summaryParagraph() const
 {
+    const IdentificationResult &id = identification;
+    const extraction::ExtractionStats &ex = extraction;
     std::ostringstream oss;
-    if (insufficientEvidence) {
+    if (id.insufficientEvidence) {
         oss << "Attack run: identification abstained — insufficient"
                " evidence across "
-            << channelsAvailable << " usable channel(s) from "
-            << capturesUsed << " capture(s)";
+            << id.channelsAvailable << " usable channel(s) from "
+            << id.capturesUsed << " capture(s)";
     } else {
         oss << "Attack run: identified parent \""
-            << (identifiedParent.empty() ? "<none>" : identifiedParent)
-            << "\" with confidence " << identifyConfidence;
+            << (id.pretrainedName.empty() ? "<none>" : id.pretrainedName)
+            << "\" with confidence " << id.topProbability;
     }
-    if (capturesUsed > 1 && !insufficientEvidence)
-        oss << " from " << capturesUsed
-            << " noisy captures (quorum agreement " << quorumAgreement
+    if (id.capturesUsed > 1 && !id.insufficientEvidence)
+        oss << " from " << id.capturesUsed
+            << " noisy captures (quorum agreement " << id.quorumAgreement
             << ")";
-    if (usedChannelFusion && !insufficientEvidence) {
+    if (id.usedChannelFusion && !id.insufficientEvidence) {
         oss << ", fusing ";
-        for (std::size_t i = 0; i < channelsUsed.size(); ++i) {
+        for (std::size_t i = 0; i < id.channelsUsed.size(); ++i) {
             if (i > 0)
                 oss << "+";
-            oss << channelsUsed[i];
+            oss << id.channelsUsed[i];
         }
-        oss << " (fused confidence " << fusedConfidence << ")";
+        oss << " (fused confidence " << id.fusedConfidence << ")";
     }
-    if (usedQueryProbes)
+    if (id.usedQueryProbes)
         oss << ", disambiguated via query probes";
     oss << ". Extracted " << layersExtracted << " layer(s) reading "
-        << bitsRead << " bits in " << hammerRounds
-        << " hammer rounds, skipping " << weightsSkipped << " of "
-        << totalWeights << " weights";
-    if (probeRetries + voteReads + fallbackBits > 0)
-        oss << " (" << probeRetries << " retries, " << voteReads
-            << " vote reads, " << fallbackBits << " baseline-fallback"
-            << " bits, " << exhaustedBits << " exhausted)";
+        << probe.bitsRead << " bits in " << probe.hammerRounds
+        << " hammer rounds, skipping " << ex.weightsSkipped << " of "
+        << ex.totalWeights << " weights";
+    if (ex.probeRetries + ex.voteReads + ex.fallbackBits > 0)
+        oss << " (" << ex.probeRetries << " retries, " << ex.voteReads
+            << " vote reads, " << ex.fallbackBits << " baseline-fallback"
+            << " bits, " << ex.exhaustedBits << " exhausted)";
     oss << ", using " << victimQueries << " victim queries. "
         << "Clone accuracy " << cloneAccuracy << " vs victim "
         << victimAccuracy << " (agreement " << cloneVictimAgreement

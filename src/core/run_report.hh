@@ -1,14 +1,13 @@
 /**
  * @file
- * Machine-readable summary of one end-to-end attack run. Where
- * AttackReport carries the attack's artifacts (the clone itself, raw
- * stat structs), AttackRunReport is the telemetry view: every phase's
- * wall time, the level-1 identification outcome and fallbacks, the
- * level-2 cost ledger (bits, rounds, retries, votes, fallbacks), and
- * the clone-quality numbers — serializable as JSON, foldable into a
- * MetricsRegistry, and printable as a one-paragraph summary. It can
- * be assembled piecewise, so examples that drive the pipeline stages
- * by hand (quickstart) produce the same report as TwoLevelAttack.
+ * The one record of an end-to-end attack run: the level-1
+ * identification, the level-2 cost ledger (probe and extraction
+ * stats), the clone-quality numbers and every phase's wall time —
+ * serializable as JSON, foldable into a MetricsRegistry, and printable
+ * as a one-paragraph summary. AttackReport adds only the artifacts
+ * (the clone, the adversarial transfer). The fields are filled
+ * piecewise, so examples that drive the pipeline stages by hand
+ * (quickstart) produce the same report as TwoLevelAttack.
  */
 
 #ifndef DECEPTICON_CORE_RUN_REPORT_HH
@@ -36,30 +35,12 @@ struct PhaseTiming
 struct AttackRunReport
 {
     // ---- level 1 ----
-    std::string identifiedParent;
-    double identifyConfidence = 0.0;
-    bool usedQueryProbes = false;
-    std::size_t capturesUsed = 0;
-    double quorumAgreement = 0.0;
-    bool usedChannelFusion = false;
-    /** Every identification stage abstained; no parent was named. */
-    bool insufficientEvidence = false;
-    double fusedConfidence = 0.0;
-    std::size_t channelsAvailable = 0;
-    /** Channels that delivered usable evidence ("timestamp", ...). */
-    std::vector<std::string> channelsUsed;
+    IdentificationResult identification;
 
-    // ---- level 2 ----
+    // ---- level 2 (zero when no clone was extracted) ----
+    extraction::ProbeStats probe;
+    extraction::ExtractionStats extraction;
     std::size_t layersExtracted = 0;
-    std::size_t bitsRead = 0;
-    std::size_t hammerRounds = 0;
-    std::size_t totalWeights = 0;
-    std::size_t weightsSkipped = 0;
-    std::size_t probeRetries = 0;
-    std::size_t voteReads = 0;
-    std::size_t probeFailures = 0;
-    std::size_t fallbackBits = 0;
-    std::size_t exhaustedBits = 0;
     std::size_t victimQueries = 0;
 
     // ---- outcome quality ----
@@ -74,15 +55,6 @@ struct AttackRunReport
 
     /** SLO verdict accumulated over the run (empty = never ticked). */
     obs::WatchdogReport watchdog;
-
-    /** Fold the level-1 outcome in. */
-    void recordIdentification(const IdentificationResult &ident);
-
-    /** Fold the level-2 cost ledger in. */
-    void recordExtraction(const extraction::ProbeStats &probe,
-                          const extraction::ExtractionStats &stats,
-                          std::size_t layers_extracted,
-                          std::size_t victim_queries);
 
     /** Append one phase's wall time. */
     void recordPhase(std::string name, std::uint64_t micros);

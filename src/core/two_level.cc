@@ -75,37 +75,29 @@ TwoLevelAttack::execute(
     // ------------------------------------------------------------------
     {
         auto sp = obs::span("attack.phase.identify");
-        report.identification =
+        report.run.identification =
             pipeline_->identify(victim_trace, query_victim);
     }
     end_phase("identify");
-    report.run.recordIdentification(report.identification);
-    const auto it = weightsByName_.find(
-        report.identification.pretrainedName);
-    if (it == weightsByName_.end()) {
+
+    // ------------------------------------------------------------------
+    // Level 2: clone via selective weight extraction from the
+    // "downloaded" pre-trained parent.
+    // ------------------------------------------------------------------
+    auto cloned = cloneVictim(report.run.identification.pretrainedName,
+                              victim, query_set, opts_.cloner);
+    if (cloned.clone == nullptr) {
         report.run.watchdog = watchdog.report();
         if (obs::metricsEnabled())
             report.run.toMetrics(obs::metrics());
         return report; // identified something outside the pool
     }
-
-    // The attacker now "downloads" the identified pre-trained model.
-    const transformer::TransformerClassifier &pretrained = *it->second;
-
-    // ------------------------------------------------------------------
-    // Level 2: clone via selective weight extraction.
-    // ------------------------------------------------------------------
-    auto clone_result = extraction::ModelCloner::extract(
-        victim, pretrained, query_set, opts_.cloner);
-    report.probeStats = clone_result.probeStats;
-    report.extractionStats = clone_result.extractionStats;
-    report.layersExtracted = clone_result.layersExtracted;
-    report.clone = std::move(clone_result.clone);
+    report.run.probe = cloned.probeStats;
+    report.run.extraction = cloned.extractionStats;
+    report.run.layersExtracted = cloned.layersExtracted;
+    report.run.victimQueries = cloned.victimQueries;
+    report.clone = std::move(cloned.clone);
     end_phase("extract");
-    report.run.recordExtraction(report.probeStats,
-                                report.extractionStats,
-                                report.layersExtracted,
-                                clone_result.victimQueries);
 
     // ------------------------------------------------------------------
     // Clone quality.
@@ -118,9 +110,9 @@ TwoLevelAttack::execute(
     victim_preds.reserve(eval_set.size());
     for (const auto &ex : eval_set.examples)
         victim_preds.push_back(victim.predict(ex.tokens));
-    report.victimAccuracy = victim_eval.accuracy;
-    report.cloneAccuracy = clone_eval.accuracy;
-    report.cloneVictimAgreement = transformer::Trainer::agreement(
+    report.run.victimAccuracy = victim_eval.accuracy;
+    report.run.cloneAccuracy = clone_eval.accuracy;
+    report.run.cloneVictimAgreement = transformer::Trainer::agreement(
         clone_eval.predictions, victim_preds);
     end_phase("evaluate");
 
@@ -134,10 +126,6 @@ TwoLevelAttack::execute(
     }
     end_phase("adversarial");
 
-    report.complete = true;
-    report.run.victimAccuracy = report.victimAccuracy;
-    report.run.cloneAccuracy = report.cloneAccuracy;
-    report.run.cloneVictimAgreement = report.cloneVictimAgreement;
     report.run.adversarialSuccess = report.adversarial.successRate();
     report.run.complete = true;
     report.run.watchdog = watchdog.report();
@@ -146,31 +134,44 @@ TwoLevelAttack::execute(
     return report;
 }
 
+extraction::CloneResult
+TwoLevelAttack::cloneVictim(
+    const std::string &parent, transformer::TransformerClassifier &victim,
+    const std::vector<transformer::Example> &query_set,
+    const extraction::ClonerOptions &opts) const
+{
+    const transformer::TransformerClassifier *pretrained =
+        candidateWeights(parent);
+    if (pretrained == nullptr)
+        return {};
+    return extraction::ModelCloner::extract(victim, *pretrained,
+                                            query_set, opts);
+}
+
 std::string
 formatReport(const AttackReport &report)
 {
+    const AttackRunReport &run = report.run;
     std::ostringstream oss;
-    oss << "identified parent: " << report.identification.pretrainedName
-        << (report.identification.usedQueryProbes
-                ? " (query probes used)"
-                : "")
+    oss << "identified parent: " << run.identification.pretrainedName
+        << (run.identification.usedQueryProbes ? " (query probes used)"
+                                               : "")
         << "\n";
-    if (!report.complete) {
+    if (!run.complete) {
         oss << "attack incomplete: identified model not in the "
                "candidate pool\n";
         return oss.str();
     }
-    oss << "layers extracted: " << report.layersExtracted
-        << "; bits read: " << report.probeStats.bitsRead
-        << " (hammer rounds: " << report.probeStats.hammerRounds
-        << ")\n"
+    oss << "layers extracted: " << run.layersExtracted
+        << "; bits read: " << run.probe.bitsRead
+        << " (hammer rounds: " << run.probe.hammerRounds << ")\n"
         << "weights skipped: "
-        << report.extractionStats.weightsSkippedFraction()
-        << "; bits excluded: "
-        << report.extractionStats.bitsExcludedFraction() << "\n"
-        << "victim accuracy " << report.victimAccuracy
-        << " | clone accuracy " << report.cloneAccuracy
-        << " | agreement " << report.cloneVictimAgreement << "\n"
+        << run.extraction.weightsSkippedFraction()
+        << "; bits excluded: " << run.extraction.bitsExcludedFraction()
+        << "\n"
+        << "victim accuracy " << run.victimAccuracy
+        << " | clone accuracy " << run.cloneAccuracy
+        << " | agreement " << run.cloneVictimAgreement << "\n"
         << "adversarial success: " << report.adversarial.successRate()
         << " (" << report.adversarial.fooled << "/"
         << report.adversarial.eligible << ")\n";

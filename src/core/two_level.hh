@@ -5,7 +5,9 @@
  * extractor, then execute against a black-box victim — identification
  * from the captured trace (+ query probes), level-2 selective weight
  * extraction from the identified parent, clone evaluation, and the
- * adversarial follow-up attack. Produces a structured AttackReport.
+ * adversarial follow-up attack. Produces an AttackReport whose run
+ * record holds every fact of the run. Level 2 has one entry point,
+ * cloneVictim(), shared by execute() and the campaign driver's S6.
  */
 
 #ifndef DECEPTICON_CORE_TWO_LEVEL_HH
@@ -28,32 +30,19 @@ namespace decepticon::core {
 /** Structured outcome of one full attack run. */
 struct AttackReport
 {
-    /** Level 1. */
-    IdentificationResult identification;
+    /**
+     * Every level-1 and level-2 fact of the run, clone quality and
+     * per-phase wall time (run.toJson() / run.toMetrics() /
+     * run.summaryParagraph()).
+     */
+    AttackRunReport run;
 
-    /** Level 2 (empty clone if identification had no weights). */
+    /** The level-2 clone (null if the identified parent has no
+     *  registered weights). */
     std::unique_ptr<transformer::TransformerClassifier> clone;
-    extraction::ProbeStats probeStats;
-    extraction::ExtractionStats extractionStats;
-    std::size_t layersExtracted = 0;
-
-    /** Clone quality on the evaluation set. */
-    double victimAccuracy = 0.0;
-    double cloneAccuracy = 0.0;
-    double cloneVictimAgreement = 0.0;
 
     /** Adversarial follow-up. */
     attack::TransferResult adversarial;
-
-    /** True when every stage produced a usable artifact. */
-    bool complete = false;
-
-    /**
-     * Machine-readable telemetry rollup of the same run: per-phase
-     * wall time plus every counter above in serializable form
-     * (run.toJson() / run.toMetrics() / run.summaryParagraph()).
-     */
-    AttackRunReport run;
 };
 
 /** Options for the full pipeline. */
@@ -110,14 +99,26 @@ class TwoLevelAttack
         const std::vector<transformer::Example> &query_set,
         const std::vector<transformer::Example> &adversarial_seeds);
 
+    /**
+     * Level 2 against one victim: fetch the registered weights of
+     * @p parent and run ModelCloner::extract with @p opts. The one
+     * level-2 entry point in src/ (execute() and the campaign driver
+     * both call it). Returns an empty result (null clone, zero stats)
+     * when @p parent is not a registered candidate.
+     */
+    extraction::CloneResult cloneVictim(
+        const std::string &parent,
+        transformer::TransformerClassifier &victim,
+        const std::vector<transformer::Example> &query_set,
+        const extraction::ClonerOptions &opts) const;
+
     /** The underlying level-1 pipeline (valid after prepare()). */
     Decepticon &level1() { return *pipeline_; }
 
     /**
      * Downloadable weights of a registered candidate, or nullptr for
-     * an unknown name. Campaign drivers use this to seed level-2
-     * extraction for an identity resolved outside execute() (e.g. a
-     * cached identification).
+     * an unknown name. The campaign driver builds its victims from
+     * these (campaign::buildSessionVictim).
      */
     const transformer::TransformerClassifier *
     candidateWeights(const std::string &name) const

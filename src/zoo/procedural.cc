@@ -112,59 +112,4 @@ buildProceduralZoo(const ProceduralZooOptions &opts)
     return zoo;
 }
 
-LazyWeightBank::LazyWeightBank() : LazyWeightBank(Options{}) {}
-
-LazyWeightBank::LazyWeightBank(Options opts) : opts_(opts)
-{
-    assert(opts_.weightsPerLayer > 0);
-    assert(opts_.deltaFraction >= 0.0 && opts_.deltaFraction <= 1.0);
-}
-
-const WeightStore &
-LazyWeightBank::ancestorFor(const ModelIdentity &identity)
-{
-    const auto it = ancestors_.find(identity.family);
-    if (it != ancestors_.end())
-        return it->second;
-    // The ancestor is seeded from the family name alone, so every
-    // identity of the family converges on the same shared store no
-    // matter which one is touched first.
-    WeightStore store = WeightStore::makePretrained(
-        identity.arch, util::hashString(identity.family.c_str()),
-        opts_.weightsPerLayer, opts_.weightSigma);
-    return ancestors_.emplace(identity.family, std::move(store))
-        .first->second;
-}
-
-const WeightStore &
-LazyWeightBank::weights(const ModelIdentity &identity)
-{
-    const auto it = identities_.find(identity.name);
-    if (it != identities_.end())
-        return it->second;
-
-    // Copy-on-write: clone the shared ancestor, then perturb a sparse
-    // seeded subset of each layer — the procedural analogue of
-    // continued pre-training drift between sibling releases.
-    WeightStore store = ancestorFor(identity);
-    const util::Rng root(identity.weightSeed);
-    for (std::size_t l = 0; l < store.layers.size(); ++l) {
-        auto &w = store.layers[l].w;
-        if (w.empty())
-            continue;
-        const auto k = static_cast<std::size_t>(
-            opts_.deltaFraction * static_cast<double>(w.size()));
-        if (k == 0)
-            continue;
-        util::Rng rng = root.split(l);
-        for (const std::size_t idx :
-             rng.sampleWithoutReplacement(w.size(), k)) {
-            w[idx] += static_cast<float>(
-                rng.gaussian(0.0, opts_.deltaSigma));
-        }
-    }
-    return identities_.emplace(identity.name, std::move(store))
-        .first->second;
-}
-
 } // namespace decepticon::zoo

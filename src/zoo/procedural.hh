@@ -2,24 +2,17 @@
  * @file
  * Procedural large-zoo generation: expand a (family table, seed) pair
  * into thousands of pre-trained identities without storing weights for
- * any of them up front. Identities within a family share a single
- * ancestor weight store; a concrete identity's weights are the
- * ancestor plus a sparse seeded delta, materialized lazily on first
- * touch (copy-on-write). This is what lets a 5,000+ identity zoo fit
- * in memory: the zoo itself is metadata, and weight storage scales
- * with the number of identities a campaign actually probes, not with
- * zoo size (DESIGN.md §15).
+ * any of them. The zoo is metadata only, which is what lets a 5,000+
+ * identity zoo fit in memory (DESIGN.md §15).
  */
 
 #ifndef DECEPTICON_ZOO_PROCEDURAL_HH
 #define DECEPTICON_ZOO_PROCEDURAL_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "zoo/weight_store.hh"
 #include "zoo/zoo.hh"
 
 namespace decepticon::zoo {
@@ -56,66 +49,9 @@ std::vector<ProceduralFamilySpec> proceduralFamilies(std::size_t count);
  * Identity i is a pure function of (family spec i % families,
  * Rng(seed).split(i)) — independent of build order — and carries a
  * unique kernelDialect so releases stay trace-separable. No weights
- * are materialized here; pair with LazyWeightBank for that.
+ * are materialized here.
  */
 ModelZoo buildProceduralZoo(const ProceduralZooOptions &opts);
-
-/**
- * Copy-on-write weight storage for procedural identities. One
- * ancestor WeightStore per family (seeded from the family name), built
- * on first touch of any identity in that family; each touched identity
- * gets the ancestor plus a sparse delta seeded from its weightSeed.
- * Results are cached, so repeated lookups are O(1) and pointer-stable.
- *
- * Not thread-safe: materialize from the serial phase of a run (the
- * campaign driver touches weights only on the queue-build path).
- */
-class LazyWeightBank
-{
-  public:
-    struct Options
-    {
-        /** Materialized weights per encoder layer. */
-        std::size_t weightsPerLayer = 2000;
-        /** Bulk scale of ancestor weight distribution. */
-        float weightSigma = 0.08f;
-        /** Fraction of each layer's weights perturbed per identity. */
-        double deltaFraction = 0.05;
-        /** Scale of the per-identity perturbation. */
-        float deltaSigma = 0.02f;
-    };
-
-    LazyWeightBank();
-    explicit LazyWeightBank(Options opts);
-
-    /**
-     * The identity's weight store, materializing it (and its family
-     * ancestor) on first touch. The returned reference is stable for
-     * the bank's lifetime.
-     */
-    const WeightStore &weights(const ModelIdentity &identity);
-
-    /** Identities materialized so far (lazy-touch accounting). */
-    std::size_t materializedIdentities() const
-    {
-        return identities_.size();
-    }
-
-    /** Family ancestors materialized so far. */
-    std::size_t materializedAncestors() const
-    {
-        return ancestors_.size();
-    }
-
-  private:
-    const WeightStore &ancestorFor(const ModelIdentity &identity);
-
-    Options opts_;
-    /** family name -> shared ancestor store. */
-    std::map<std::string, WeightStore> ancestors_;
-    /** identity name -> ancestor + sparse delta. */
-    std::map<std::string, WeightStore> identities_;
-};
 
 } // namespace decepticon::zoo
 

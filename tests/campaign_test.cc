@@ -7,6 +7,8 @@
  * ground truth.
  */
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -452,6 +454,44 @@ TEST(Campaign, ReportDigestPinnedAcrossCommits)
     EXPECT_EQ(decepticon::util::hashString(json.c_str()),
               kCnnReportDigest)
         << json;
+}
+
+TEST(Campaign, LevelTwoGoesThroughCloneVictim)
+{
+    // S6 clones each session's victim exactly as cloneVictim does on
+    // buildSessionVictim's victim: every row's clone flag and
+    // agreement match the direct call bit for bit.
+    PoolGuard guard;
+    Harness &h = harness();
+    sched::setThreads(1);
+    dcp::CampaignOptions opts = campaignOptions();
+    opts.reuseCachedClones = false; // every identified row extracts
+    const auto sessions =
+        dz::sampleSessions(h.zoo, samplerOptions(4), 77);
+    dcp::CampaignDriver driver(*h.attack, opts);
+    const auto report = driver.run(sessions);
+    ASSERT_EQ(report.victims.size(), sessions.size());
+
+    std::size_t cloned = 0;
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+        const dc::VictimOutcome &row = report.victims[i];
+        ASSERT_FALSE(row.abstained);
+        dcp::SessionVictim victim =
+            dcp::buildSessionVictim(*h.attack, sessions[i], opts);
+        const auto direct = h.attack->cloneVictim(
+            row.identifiedParent, victim.model,
+            victim.querySet.examples, opts.cloner);
+        const double agreement =
+            direct.agreementTrajectory.empty()
+                ? 0.0
+                : direct.agreementTrajectory.back();
+        EXPECT_EQ(row.cloned, direct.clone != nullptr) << "row " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row.agreement),
+                  std::bit_cast<std::uint64_t>(agreement))
+            << "row " << i;
+        cloned += row.cloned ? 1 : 0;
+    }
+    EXPECT_EQ(cloned, sessions.size());
 }
 
 TEST(Campaign, BlackoutVictimsAbstainWithoutStallingQueue)

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -16,12 +18,16 @@
 #include "core/two_level.hh"
 #include "gpusim/noise.hh"
 #include "gpusim/trace_generator.hh"
+#include "obs/clock.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "util/rng.hh"
 
 namespace dc = decepticon::core;
 namespace dz = decepticon::zoo;
 namespace dg = decepticon::gpusim;
 namespace dtr = decepticon::transformer;
+namespace obs = decepticon::obs;
 
 namespace {
 
@@ -268,19 +274,20 @@ TEST(QueryHook, ReflectsProfile)
     EXPECT_EQ(resp, expected);
 }
 
-TEST(TwoLevelAttack, IncompleteWhenIdentifiedModelHasNoWeights)
+namespace {
+
+/**
+ * FNV-1a digest (util::hashString) of one TwoLevelAttack::execute run
+ * under FakeClock: formatReport, run.toJson(), summaryParagraph() and
+ * the run.* / phase.* gauges of run.toMetrics(), pinned across
+ * commits. A change that alters the attack's outcome on purpose
+ * updates it and says so in CHANGES.md.
+ */
+constexpr std::uint64_t kExecuteReportDigest = 0x56384f6df0349876ULL;
+
+dtr::TransformerConfig
+tinyVictimConfig()
 {
-    // A pool where the level-1 extractor identifies a lineage whose
-    // weights the attacker never registered: the report is marked
-    // incomplete and carries no clone.
-    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(51, 3, 0);
-
-    dc::TwoLevelOptions opts;
-    opts.level1.datasetOptions.imagesPerModel = 3;
-    opts.level1.datasetOptions.resolution = 32;
-    opts.level1.cnnOptions.epochs = 15;
-    opts.level1.seed = 2;
-
     dtr::TransformerConfig cfg;
     cfg.vocab = 16;
     cfg.maxSeqLen = 8;
@@ -289,31 +296,85 @@ TEST(TwoLevelAttack, IncompleteWhenIdentifiedModelHasNoWeights)
     cfg.numHeads = 2;
     cfg.ffnDim = 16;
     cfg.numClasses = 2;
+    return cfg;
+}
 
-    dc::TwoLevelAttack attack(opts);
+/** A prepared attack over every pre-trained release in @p zoo, each
+ *  registered with tiny weights seeded from its identity. */
+std::unique_ptr<dc::TwoLevelAttack>
+preparedAttack(const dz::ModelZoo &zoo)
+{
+    dc::TwoLevelOptions opts;
+    opts.level1.datasetOptions.imagesPerModel = 3;
+    opts.level1.datasetOptions.resolution = 32;
+    opts.level1.cnnOptions.epochs = 15;
+    opts.level1.seed = 2;
+
+    auto attack = std::make_unique<dc::TwoLevelAttack>(opts);
     for (const auto *candidate : zoo.pretrained()) {
-        attack.addCandidate(
+        attack->addCandidate(
             *candidate, std::make_shared<dtr::TransformerClassifier>(
-                            cfg, candidate->weightSeed));
+                            tinyVictimConfig(), candidate->weightSeed));
     }
-    EXPECT_GT(attack.prepare(), 0.0);
+    EXPECT_GT(attack->prepare(), 0.0);
+    return attack;
+}
 
-    // Execute normally: the identified name is always registered, so
-    // the report completes.
+} // anonymous namespace
+
+TEST(TwoLevelAttack, ReportDigestPinnedAcrossCommits)
+{
+    obs::FakeClock clock;
+    obs::setClockForTest(&clock);
+    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(51, 3, 0);
+    auto attack = preparedAttack(zoo);
+    // The determinism test's scenario: a random-weight victim served
+    // behind the first pre-trained release's trace.
     const auto *parent = zoo.pretrained()[0];
-    dtr::TransformerClassifier victim(cfg, 9);
+    dtr::TransformerClassifier victim(tinyVictimConfig(), 9);
     dtr::MarkovTask task(16, 2, 8, 5100, 4.0);
-    const auto trace = dg::TraceGenerator(parent->signature)
-                           .generate(parent->arch, 0xfee1);
-    const auto report = attack.execute(
-        victim, trace, dc::makeVictimQueryHook(parent->vocabProfile),
+    const auto report = attack->execute(
+        victim, traceOf(*parent, 0xfee1),
+        dc::makeVictimQueryHook(parent->vocabProfile),
         task.sample(20, 1), task.sample(10, 2).examples,
         task.sample(10, 3).examples);
-    EXPECT_TRUE(report.complete);
+    obs::setClockForTest(nullptr);
+    EXPECT_TRUE(report.run.complete);
 
-    // Incomplete path: format a hand-built report without a clone.
+    std::string text = dc::formatReport(report) + "\n" +
+                       report.run.toJson() + "\n" +
+                       report.run.summaryParagraph() + "\n";
+    obs::MetricsRegistry registry;
+    report.run.toMetrics(registry);
+    for (const auto &[name, value] : registry.gaugeSnapshot()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        text += name + "=" + buf + "\n";
+    }
+    EXPECT_EQ(decepticon::util::hashString(text.c_str()),
+              kExecuteReportDigest)
+        << text;
+}
+
+TEST(TwoLevelAttack, IncompleteWhenIdentifiedModelHasNoWeights)
+{
+    // Level 2 for a parent whose weights the attacker never
+    // registered: cloneVictim hands back no clone, reads no bits and
+    // spends no victim queries, and a report without a clone formats
+    // as incomplete.
+    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(51, 3, 0);
+    auto attack = preparedAttack(zoo);
+    dtr::TransformerClassifier victim(tinyVictimConfig(), 9);
+    dtr::MarkovTask task(16, 2, 8, 5100, 4.0);
+    const auto cloned =
+        attack->cloneVictim("unknown/lineage", victim,
+                            task.sample(10, 2).examples, {});
+    EXPECT_EQ(cloned.clone, nullptr);
+    EXPECT_EQ(cloned.probeStats.bitsRead, 0u);
+    EXPECT_EQ(cloned.victimQueries, 0u);
+
     dc::AttackReport empty;
-    empty.identification.pretrainedName = "unknown/lineage";
+    empty.run.identification.pretrainedName = "unknown/lineage";
     const std::string text = dc::formatReport(empty);
     EXPECT_NE(text.find("incomplete"), std::string::npos);
 }

@@ -686,8 +686,8 @@ TEST(Fusion, InsufficientEvidenceInsteadOfSilentGuess)
 
     // The verdict survives into the run report.
     dc::AttackRunReport report;
-    report.recordIdentification(res);
-    EXPECT_TRUE(report.insufficientEvidence);
+    report.identification = res;
+    EXPECT_TRUE(report.identification.insufficientEvidence);
     EXPECT_NE(report.toJson().find("\"insufficient_evidence\":true"),
               std::string::npos);
     EXPECT_NE(report.summaryParagraph().find("abstained"),

@@ -1,11 +1,10 @@
 /**
  * @file
- * Production-scale zoo suite: procedural identity generation and the
- * copy-on-write weight bank, O(queue) session sampling over huge
- * zoos, and the sublinear fingerprint index — determinism across lane
- * counts, recall against exhaustive re-ranking, fallback equivalence
- * below the zoo-size threshold, and campaign report byte-identity on
- * the indexed path.
+ * Production-scale zoo suite: procedural identity generation, O(queue)
+ * session sampling over huge zoos, and the sublinear fingerprint
+ * index — determinism across lane counts, recall against exhaustive
+ * re-ranking, fallback equivalence below the zoo-size threshold, and
+ * campaign report byte-identity on the indexed path.
  */
 
 #include <algorithm>
@@ -117,56 +116,6 @@ TEST(ProceduralZoo, FiveThousandIdentitiesDeterministicAndUnique)
     // O(1) indexed accessors agree with the flat list.
     EXPECT_EQ(&a.pretrainedAt(17), &a.models()[17]);
     EXPECT_EQ(a.byName(a.models()[4321].name), &a.models()[4321]);
-}
-
-TEST(ProceduralZoo, LazyWeightBankMaterializesOnlyTouchedIdentities)
-{
-    dz::ProceduralZooOptions zopts;
-    zopts.identities = 64;
-    zopts.families = 8;
-    zopts.seed = 3;
-    const dz::ModelZoo zoo = dz::buildProceduralZoo(zopts);
-
-    dz::LazyWeightBank bank;
-    EXPECT_EQ(bank.materializedIdentities(), 0u);
-    EXPECT_EQ(bank.materializedAncestors(), 0u);
-
-    // models 0 and 8 share family 0 (i % families); model 1 is family 1.
-    const dz::WeightStore &w0 = bank.weights(zoo.models()[0]);
-    const dz::WeightStore &w0_again = bank.weights(zoo.models()[0]);
-    EXPECT_EQ(&w0, &w0_again) << "repeat touches reuse the cached store";
-    const dz::WeightStore &w8 = bank.weights(zoo.models()[8]);
-    bank.weights(zoo.models()[1]);
-
-    EXPECT_EQ(bank.materializedIdentities(), 3u)
-        << "only touched identities materialize";
-    EXPECT_EQ(bank.materializedAncestors(), 2u)
-        << "one shared ancestor per touched family";
-
-    // Copy-on-write: same-family siblings differ in a sparse subset
-    // and agree everywhere else.
-    ASSERT_EQ(w0.layers.size(), w8.layers.size());
-    ASSERT_FALSE(w0.layers.empty());
-    std::size_t differing = 0, total = 0;
-    for (std::size_t l = 0; l < w0.layers.size(); ++l) {
-        ASSERT_EQ(w0.layers[l].w.size(), w8.layers[l].w.size());
-        for (std::size_t i = 0; i < w0.layers[l].w.size(); ++i) {
-            ++total;
-            if (w0.layers[l].w[i] != w8.layers[l].w[i])
-                ++differing;
-        }
-    }
-    EXPECT_GT(differing, 0u) << "siblings are not byte-identical";
-    EXPECT_LT(differing, total / 4)
-        << "the delta is sparse — most weights are shared ancestry";
-
-    // Pure in (identity, options): a fresh bank reproduces the exact
-    // same weights.
-    dz::LazyWeightBank bank2;
-    const dz::WeightStore &r0 = bank2.weights(zoo.models()[0]);
-    ASSERT_EQ(r0.layers.size(), w0.layers.size());
-    for (std::size_t l = 0; l < w0.layers.size(); ++l)
-        EXPECT_EQ(r0.layers[l].w, w0.layers[l].w);
 }
 
 // ---------------------------------------------------------------------
