@@ -193,6 +193,8 @@ main()
                     matched > 0.9 && transfer.successRate() > 0.4;
 
     // The same run, as the machine-readable report (one paragraph).
+    // It carries wall times, so it goes to stderr: stdout stays
+    // byte-identical across runs (the paper gate digests it).
     run.victimAccuracy = victim_eval.accuracy;
     run.cloneAccuracy = clone_eval.accuracy;
     run.cloneVictimAgreement = matched;
@@ -200,7 +202,7 @@ main()
     run.complete = ok;
     if (obs::metricsEnabled())
         run.toMetrics(obs::metrics());
-    std::cout << "[report] " << run.summaryParagraph() << "\n\n";
+    std::cerr << "[report] " << run.summaryParagraph() << "\n\n";
 
     std::cout << (ok ? "Quickstart attack succeeded."
                      : "Quickstart attack underperformed — see output.")
