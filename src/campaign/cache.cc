@@ -96,15 +96,4 @@ FingerprintCache::storeClone(
     it->second.cloneTick = tick;
 }
 
-void
-FingerprintCache::invalidate(const std::string &key)
-{
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return;
-    lru_.erase(it->second.lruIt);
-    entries_.erase(it);
-    ++stats_.invalidations;
-}
-
 } // namespace decepticon::campaign

@@ -100,9 +100,6 @@ class FingerprintCache
         std::shared_ptr<const transformer::TransformerClassifier> clone,
         std::size_t tick);
 
-    /** Drop one signature outright (counts an invalidation). */
-    void invalidate(const std::string &key);
-
     const CacheStats &stats() const { return stats_; }
     std::size_t size() const { return entries_.size(); }
     const CacheOptions &options() const { return opts_; }

@@ -300,8 +300,8 @@ Decepticon::scoreTraces(
         });
         for (const auto &st : stats) {
             obs::count("zooindex.lookups");
-            obs::observe("zooindex.shortlist_hist",
-                         static_cast<double>(st.shortlistClasses));
+            obs::observeLatency("zooindex.shortlist_hist",
+                                static_cast<double>(st.shortlistClasses));
             obs::gaugeSet("zooindex.shortlist_classes",
                           static_cast<double>(st.shortlistClasses));
             obs::gaugeSet("zooindex.bucket_probes",
@@ -395,7 +395,8 @@ Decepticon::resolveFromProbabilities(
         result.pretrainedName = classNames_[static_cast<std::size_t>(top[0])];
     }
     obs::gaugeSet("level1.confidence", result.topProbability);
-    obs::observe("level1.confidence_hist", result.topProbability);
+    obs::observeLatency("level1.confidence_pct",
+                        100.0 * result.topProbability);
     return result;
 }
 

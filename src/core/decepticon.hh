@@ -194,13 +194,6 @@ class Decepticon
         return index_.get();
     }
 
-    /** The fusion engine, or nullptr on the indexed path. Exposes the
-     *  learned reliability priors. */
-    const sidechan::FusionEngine *fusionEngine() const
-    {
-        return fusion_.get();
-    }
-
     /** Lineage names in label order. */
     const std::vector<std::string> &classNames() const
     {

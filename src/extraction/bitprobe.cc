@@ -94,16 +94,6 @@ BitProbeChannel::tryReadBit(std::size_t layer, std::size_t index,
     return attemptBit(layer, index, word_bit);
 }
 
-void
-BitProbeChannel::resetStats()
-{
-    stats_ = ProbeStats{};
-    // Keep the registry honest: a reset must be visible downstream,
-    // not leave the last session's totals frozen in the gauges.
-    if (obs::metricsEnabled())
-        stats_.toMetrics(obs::metrics());
-}
-
 float
 BitProbeChannel::readFullWeight(std::size_t layer, std::size_t index)
 {

@@ -197,8 +197,6 @@ class BitProbeChannel
         injector_ = injector;
     }
 
-    fault::FaultInjector *faultInjector() const { return injector_; }
-
     /**
      * Account extra hammer rounds that read no new bit (e.g. the
      * exponential-backoff penalty a resilient prober pays after
@@ -207,13 +205,6 @@ class BitProbeChannel
     void accrueRounds(std::size_t rounds) { stats_.hammerRounds += rounds; }
 
     const ProbeStats &stats() const { return stats_; }
-
-    /**
-     * Zero the session ledger. The cleared snapshot is re-published to
-     * the global metrics registry (when metrics are on), so the
-     * "probe.*" gauges never go stale across a reset.
-     */
-    void resetStats();
 
     const VictimWeightOracle &oracle() const { return oracle_; }
 

@@ -165,8 +165,8 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
         setGroupWeights(clone_groups[l], extracted);
         ++result.layersExtracted;
         result.agreementTrajectory.push_back(agreement_now());
-        obs::observe("level2.layer_agreement",
-                     result.agreementTrajectory.back());
+        obs::observeLatency("level2.layer_agreement_pct",
+                            100.0 * result.agreementTrajectory.back());
     }
 
     // Step 3: embeddings, only if agreement is still short.

@@ -21,13 +21,14 @@ DramWeightLayout::DramWeightLayout(const VictimWeightOracle &oracle,
         layerByteBase_.push_back(offset);
         offset += 4 * oracle.layerSize(l);
     }
-    totalRows_ = (offset + geometry.rowBytes - 1) / geometry.rowBytes;
+    const std::size_t rows =
+        (offset + geometry.rowBytes - 1) / geometry.rowBytes;
 
     // Which rows have usable aggressor neighbours is a property of
     // the surrounding allocation; model it as a seeded Bernoulli mask.
     util::Rng rng(seed);
-    rowHammerable_.resize(totalRows_);
-    for (std::size_t r = 0; r < totalRows_; ++r)
+    rowHammerable_.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r)
         rowHammerable_[r] =
             rng.uniform() < geometry.hammerableRowFraction;
 }
@@ -59,15 +60,6 @@ DramWeightLayout::hammerable(std::size_t layer, std::size_t index) const
         flatByteOffset(layer, index) / geometry_.rowBytes;
     assert(row < rowHammerable_.size());
     return rowHammerable_[row];
-}
-
-std::size_t
-DramWeightLayout::hammerableRowCount() const
-{
-    std::size_t n = 0;
-    for (bool h : rowHammerable_)
-        n += h ? 1 : 0;
-    return n;
 }
 
 DramBitProbeChannel::DramBitProbeChannel(const VictimWeightOracle &oracle,

@@ -70,12 +70,6 @@ class DramWeightLayout
     /** Whether the row holding this weight can be hammered. */
     bool hammerable(std::size_t layer, std::size_t index) const;
 
-    /** Total rows occupied by the victim's weights. */
-    std::size_t rowCount() const { return totalRows_; }
-
-    /** Number of those rows that are hammerable. */
-    std::size_t hammerableRowCount() const;
-
     const DramGeometry &geometry() const { return geometry_; }
 
   private:
@@ -84,7 +78,6 @@ class DramWeightLayout
 
     DramGeometry geometry_;
     std::vector<std::size_t> layerByteBase_; ///< per-layer start offset
-    std::size_t totalRows_ = 0;
     std::vector<bool> rowHammerable_;
 };
 

@@ -41,30 +41,11 @@ unbiasedExponent(float v)
     return exponentField(v) - kFloat32.bias();
 }
 
-std::uint32_t
-fractionField(float v)
-{
-    return floatToBits(v) & 0x7fffffu;
-}
-
 bool
 fractionBit(float v, int k)
 {
     assert(k >= 1 && k <= 23);
     return (floatToBits(v) >> (23 - k)) & 1u;
-}
-
-float
-withFractionBit(float v, int k, bool bit)
-{
-    assert(k >= 1 && k <= 23);
-    std::uint32_t bits = floatToBits(v);
-    const std::uint32_t mask = 1u << (23 - k);
-    if (bit)
-        bits |= mask;
-    else
-        bits &= ~mask;
-    return bitsFromFloat(bits);
 }
 
 double

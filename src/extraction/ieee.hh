@@ -22,7 +22,6 @@ struct FloatFormat
     int fractionBits;
 
     int bias() const { return (1 << (exponentBits - 1)) - 1; }
-    int totalBits() const { return 1 + exponentBits + fractionBits; }
 };
 
 /** float32: 8-bit exponent, 23-bit fraction. */
@@ -47,17 +46,11 @@ int exponentField(float v);
 /** Unbiased exponent (exponentField - 127). */
 int unbiasedExponent(float v);
 
-/** 23-bit fraction field of a float32. */
-std::uint32_t fractionField(float v);
-
 /**
  * Bit (0/1) of v at fraction position k (1-based from the fraction
  * MSB). @pre 1 <= k <= 23
  */
 bool fractionBit(float v, int k);
-
-/** Set fraction position k of v to the given bit value. */
-float withFractionBit(float v, int k, bool bit);
 
 /**
  * Place value of fraction position k for a value with v's exponent:

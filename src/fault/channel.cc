@@ -171,8 +171,7 @@ void
 ChannelFaultModel::resetCounters()
 {
     counters_ = ChannelFaultCounters{};
-    // Keep the registry honest across a reset, exactly like
-    // BitProbeChannel::resetStats.
+    // Keep the registry honest across a reset.
     publishCounters();
 }
 

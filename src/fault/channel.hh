@@ -118,7 +118,7 @@ class ChannelFaultModel
     /**
      * Zero the ledger and re-publish the zeroed gauges, so a reset is
      * visible downstream instead of freezing the last session's
-     * totals (the bitprobe resetStats pattern).
+     * totals.
      */
     void resetCounters();
 

@@ -41,13 +41,6 @@ validRate(double r)
 } // namespace
 
 bool
-FaultSpec::probeFaultsEnabled() const
-{
-    return probeFlipRate > 0.0 || stuckBitRate > 0.0 ||
-           transientFailureRate > 0.0 || burstRowFraction > 0.0;
-}
-
-bool
 FaultSpec::traceFaultsEnabled() const
 {
     return recordDropRate > 0.0 || recordDuplicateRate > 0.0 ||

@@ -63,9 +63,6 @@ struct FaultSpec
     /** Root seed of every fault stream. */
     std::uint64_t seed = 0;
 
-    /** Whether any bit-probe fault process is active. */
-    bool probeFaultsEnabled() const;
-
     /** Whether any trace-capture fault process is active. */
     bool traceFaultsEnabled() const;
 };

@@ -14,9 +14,9 @@
  * (their scratch is local to the call), so campaign batches score
  * shortlists from parallel sched workers.
  *
- * Reference layout: one row-major float matrix of referenceCount()
- * rows by kTraceEmbeddingDim columns, grouped by class, so the re-rank
- * of class c reads one contiguous block of rows. Each reference's
+ * Reference layout: one row-major float matrix, one row per
+ * reference and kTraceEmbeddingDim columns, grouped by class, so the
+ * re-rank of class c reads one contiguous block of rows. Each reference's
  * distance is summed in double over dimensions 0..23 in order; only
  * independent references are interleaved, never the dimensions of
  * one, so every distance is bit-identical to a plain scalar loop.
@@ -63,7 +63,6 @@ class FingerprintIndex
                std::size_t num_classes);
 
     std::size_t numClasses() const { return numClasses_; }
-    std::size_t referenceCount() const { return refClass_.size(); }
     std::size_t tableCount() const;
     std::size_t hashBits() const { return bits_; }
 

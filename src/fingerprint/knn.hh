@@ -32,8 +32,6 @@ class NearestNeighborClassifier
     /** Classification accuracy over a dataset. */
     double evaluate(const FingerprintDataset &data) const;
 
-    std::size_t templateCount() const { return templates_.size(); }
-
   private:
     std::size_t k_;
     std::size_t numClasses_ = 0;

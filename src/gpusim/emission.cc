@@ -162,37 +162,6 @@ emitThermalTrace(const KernelTrace &trace, std::uint64_t run_seed)
     return out;
 }
 
-std::string
-profilerCounterName(std::size_t index)
-{
-    static const char *const kClassNames[kProfilerClassCount] = {
-        "gemm",       "attn_gemm", "softmax", "layernorm",
-        "elementwise", "reduction", "memory",  "fusion"};
-    if (index < kCtrClassDurationBase)
-        return std::string("count.") + kClassNames[index];
-    if (index < kCtrTotalRecords)
-        return std::string("duration_us.") +
-               kClassNames[index - kCtrClassDurationBase];
-    switch (index) {
-    case kCtrTotalRecords:
-        return "total_records";
-    case kCtrUniqueKernels:
-        return "unique_kernels";
-    case kCtrTotalTimeUs:
-        return "total_time_us";
-    case kCtrPeakDurationUs:
-        return "peak_duration_us";
-    case kCtrMeanDurationUs:
-        return "mean_duration_us";
-    case kCtrEncoderRecords:
-        return "encoder_records";
-    case kCtrEncoderTimeFraction:
-        return "encoder_time_fraction";
-    default:
-        return "unknown";
-    }
-}
-
 std::vector<double>
 emitProfilerCounters(const KernelTrace &trace, std::uint64_t run_seed)
 {

@@ -62,17 +62,6 @@ KernelTrace::peakDuration() const
     return mx;
 }
 
-std::vector<KernelRecord>
-KernelTrace::encoderRecords() const
-{
-    std::vector<KernelRecord> out;
-    for (const auto &r : records) {
-        if (r.phase == Phase::Encoder)
-            out.push_back(r);
-    }
-    return out;
-}
-
 std::vector<int>
 KernelTrace::kernelIdSequence() const
 {

@@ -82,9 +82,6 @@ struct KernelTrace
     /** Maximum single-kernel duration. */
     double peakDuration() const;
 
-    /** Records whose phase is Encoder. */
-    std::vector<KernelRecord> encoderRecords() const;
-
     /** Kernel-id sequence in invocation order (for LER baselines). */
     std::vector<int> kernelIdSequence() const;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/obs.hh"
-#include "sched/sched.hh"
 #include "util/rng.hh"
 
 namespace decepticon::gpusim {
@@ -209,18 +208,6 @@ TraceGenerator::generate(const ArchParams &arch,
                          std::uint64_t run_seed) const
 {
     return generateDefended(arch, run_seed, 0.0);
-}
-
-std::vector<KernelTrace>
-TraceGenerator::generateMany(
-    const ArchParams &arch,
-    const std::vector<std::uint64_t> &run_seeds) const
-{
-    std::vector<KernelTrace> out(run_seeds.size());
-    sched::parallelFor(run_seeds.size(), 1, [&](std::size_t i) {
-        out[i] = generate(arch, run_seeds[i]);
-    });
-    return out;
 }
 
 KernelTrace

@@ -49,8 +49,6 @@ class Conv2d
 
     ParamRefs params() { return {&weight, &bias}; }
 
-    std::size_t inChannels() const { return inChannels_; }
-    std::size_t outChannels() const { return outChannels_; }
     std::size_t kernel() const { return kernel_; }
 
     Parameter weight; // (C_out, C_in, k, k)

@@ -4,42 +4,6 @@
 
 namespace decepticon::nn {
 
-Sgd::Sgd(ParamRefs params, float lr, float momentum, float weight_decay)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum),
-      weightDecay_(weight_decay)
-{
-    if (momentum_ != 0.0f) {
-        velocity_.reserve(params_.size());
-        for (auto *p : params_)
-            velocity_.emplace_back(p->value.shape());
-    }
-}
-
-void
-Sgd::step()
-{
-    for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-        Parameter &p = *params_[pi];
-        for (std::size_t i = 0; i < p.value.size(); ++i) {
-            float g = p.grad[i];
-            if (weightDecay_ != 0.0f)
-                g += weightDecay_ * p.value[i];
-            if (momentum_ != 0.0f) {
-                float &v = velocity_[pi][i];
-                v = momentum_ * v + g;
-                g = v;
-            }
-            p.value[i] -= lr_ * g;
-        }
-    }
-}
-
-void
-Sgd::zeroGrad()
-{
-    zeroGrads(params_);
-}
-
 Adam::Adam(ParamRefs params, float lr, float beta1, float beta2, float eps,
            float weight_decay)
     : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),

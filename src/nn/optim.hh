@@ -1,43 +1,18 @@
 /**
  * @file
- * SGD (with momentum + weight decay) and Adam optimizers over flat
- * parameter lists. Fine-tuning in the paper uses small learning rates,
- * weight decay, and few epochs; both knobs are explicit here.
+ * The Adam optimizer over flat parameter lists. Fine-tuning in the
+ * paper uses small learning rates, weight decay, and few epochs; both
+ * knobs are explicit here.
  */
 
 #ifndef DECEPTICON_NN_OPTIM_HH
 #define DECEPTICON_NN_OPTIM_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "nn/param.hh"
 
 namespace decepticon::nn {
-
-/** Plain SGD with optional momentum and decoupled weight decay. */
-class Sgd
-{
-  public:
-    Sgd(ParamRefs params, float lr, float momentum = 0.0f,
-        float weight_decay = 0.0f);
-
-    /** Apply one update using the currently accumulated gradients. */
-    void step();
-
-    /** Zero all parameter gradients. */
-    void zeroGrad();
-
-    float lr() const { return lr_; }
-    void setLr(float lr) { lr_ = lr; }
-
-  private:
-    ParamRefs params_;
-    float lr_;
-    float momentum_;
-    float weightDecay_;
-    std::vector<tensor::Tensor> velocity_;
-};
 
 /** Adam with decoupled weight decay (AdamW-style). */
 class Adam
@@ -51,7 +26,6 @@ class Adam
     void zeroGrad();
 
     float lr() const { return lr_; }
-    void setLr(float lr) { lr_ = lr; }
 
   private:
     ParamRefs params_;

@@ -55,6 +55,8 @@ class FakeClock : public Clock
 
     std::uint64_t nowMicros() override { return now_; }
 
+    // lint: suppress(R11) the test clock's one knob: tests move time
+    // through it to pin timings
     void advance(std::uint64_t micros) { now_ += micros; }
 
   private:

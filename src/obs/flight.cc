@@ -9,6 +9,9 @@ namespace decepticon::obs {
 
 namespace {
 
+/** Seed of the sequence-id derivation: seq = splitmix64(seed + rank). */
+constexpr std::uint64_t kSeqSeed = 0xDECE;
+
 std::uint64_t
 nextRecorderId()
 {
@@ -57,18 +60,6 @@ splitmix64(std::uint64_t x)
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity), id_(nextRecorderId())
 {
-}
-
-void
-FlightRecorder::setSeed(std::uint64_t seed)
-{
-    seed_.store(seed, std::memory_order_relaxed);
-}
-
-std::uint64_t
-FlightRecorder::seed() const
-{
-    return seed_.load(std::memory_order_relaxed);
 }
 
 FlightRecorder::Ring &
@@ -132,13 +123,6 @@ FlightRecorder::dropped() const
     return n;
 }
 
-std::size_t
-FlightRecorder::ringCount() const
-{
-    std::lock_guard<std::mutex> lock(ringsMu_);
-    return rings_.size();
-}
-
 std::vector<FlightEvent>
 FlightRecorder::canonicalEvents() const
 {
@@ -159,7 +143,7 @@ void
 FlightRecorder::dumpJsonl(std::ostream &out) const
 {
     const std::vector<FlightEvent> events = canonicalEvents();
-    const std::uint64_t base = seed();
+    const std::uint64_t base = kSeqSeed;
     std::uint64_t rank = 0;
     for (const FlightEvent &ev : events) {
         ++rank;

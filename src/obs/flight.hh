@@ -75,10 +75,6 @@ class FlightRecorder
     /** Per-thread ring capacity (events). */
     std::size_t capacity() const { return capacity_; }
 
-    /** Seed for sequence-id derivation (default 0xDECE). */
-    void setSeed(std::uint64_t seed);
-    std::uint64_t seed() const;
-
     /** Append one event to the calling thread's ring. */
     void record(FlightEvent event);
 
@@ -88,9 +84,6 @@ class FlightRecorder
 
     /** Total events overwritten across all rings. */
     std::uint64_t dropped() const;
-
-    /** Rings registered so far (== threads that recorded). */
-    std::size_t ringCount() const;
 
     /** Merged events in canonical order (ts, kind, stage, detail,
      *  value). Rank in this vector is the dump rank. */
@@ -138,7 +131,6 @@ class FlightRecorder
     const std::size_t capacity_;
     const std::uint64_t id_; // monotonic; keys thread-local caches
     std::atomic<bool> error_{false};
-    std::atomic<std::uint64_t> seed_{0xDECE};
     mutable std::mutex ringsMu_;
     std::vector<std::unique_ptr<Ring>> rings_;
 };

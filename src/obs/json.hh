@@ -37,7 +37,6 @@ struct Value
     std::vector<Value> array;
     std::map<std::string, Value> object;
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }
     bool isArray() const { return kind == Kind::Array; }

@@ -20,17 +20,6 @@ MetricsRegistry::setGauge(const std::string &name, double value)
 }
 
 void
-MetricsRegistry::observe(const std::string &name, double value, double lo,
-                         double hi, std::size_t bins)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, util::Histogram(lo, hi, bins)).first;
-    it->second.add(value);
-}
-
-void
 MetricsRegistry::observeLatency(const std::string &name, double value)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -51,30 +40,6 @@ MetricsRegistry::gauge(const std::string &name) const
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = gauges_.find(name);
     return it == gauges_.end() ? 0.0 : it->second;
-}
-
-bool
-MetricsRegistry::hasCounter(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_.count(name) != 0;
-}
-
-bool
-MetricsRegistry::hasGauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return gauges_.count(name) != 0;
-}
-
-std::optional<util::Histogram>
-MetricsRegistry::histogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        return std::nullopt;
-    return it->second;
 }
 
 std::optional<LogHistogram>
@@ -101,20 +66,12 @@ MetricsRegistry::gaugeSnapshot() const
     return gauges_;
 }
 
-std::map<std::string, LogHistogram>
-MetricsRegistry::latencySnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return latencies_;
-}
-
 void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
     counters_.clear();
     gauges_.clear();
-    histograms_.clear();
     latencies_.clear();
 }
 
@@ -166,17 +123,6 @@ jsonNumber(double v)
 namespace {
 
 void
-writeHistogram(std::ostream &out, const util::Histogram &h)
-{
-    out << "\"lo\":" << jsonNumber(h.lo) << ",\"hi\":" << jsonNumber(h.hi)
-        << ",\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-        out << (i ? "," : "") << h.counts[i];
-    out << "],\"total\":" << h.total() << ",\"underflow\":" << h.underflow
-        << ",\"overflow\":" << h.overflow;
-}
-
-void
 writeLatency(std::ostream &out, const LogHistogram &h)
 {
     out << "\"p50\":" << jsonNumber(h.quantile(0.50))
@@ -210,12 +156,6 @@ MetricsRegistry::exportJsonl(std::ostream &out) const
     for (const auto &[name, value] : gauges_)
         out << "{\"type\":\"gauge\",\"name\":" << jsonQuote(name)
             << ",\"value\":" << jsonNumber(value) << "}\n";
-    for (const auto &[name, h] : histograms_) {
-        out << "{\"type\":\"histogram\",\"name\":" << jsonQuote(name)
-            << ",";
-        writeHistogram(out, h);
-        out << "}\n";
-    }
     for (const auto &[name, h] : latencies_) {
         out << "{\"type\":\"latency\",\"name\":" << jsonQuote(name) << ",";
         writeLatency(out, h);
@@ -238,14 +178,6 @@ MetricsRegistry::exportJson(std::ostream &out) const
     for (const auto &[name, value] : gauges_) {
         out << (first ? "" : ",") << jsonQuote(name) << ":"
             << jsonNumber(value);
-        first = false;
-    }
-    out << "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : histograms_) {
-        out << (first ? "" : ",") << jsonQuote(name) << ":{";
-        writeHistogram(out, h);
-        out << "}";
         first = false;
     }
     out << "}";

@@ -1,10 +1,11 @@
 /**
  * @file
- * Thread-safe registry of named counters, gauges, and histograms —
- * the quantitative half of the telemetry layer. Counters accumulate
- * monotonically (bits hammered, kernels emitted), gauges hold the
- * latest value of a measurement (CNN confidence, phase wall time),
- * and histograms (util::Histogram underneath) capture distributions.
+ * Thread-safe registry of named counters, gauges, and latency
+ * histograms — the quantitative half of the telemetry layer. Counters
+ * accumulate monotonically (bits hammered, kernels emitted), gauges
+ * hold the latest value of a measurement (CNN confidence, phase wall
+ * time), and log-bucketed histograms (LogHistogram) capture
+ * distributions.
  * The whole registry exports as JSONL (one metric per line) or as a
  * single JSON object for BENCH_*.json perf snapshots.
  */
@@ -20,7 +21,6 @@
 #include <string>
 
 #include "obs/quantile.hh"
-#include "util/stats.hh"
 
 namespace decepticon::obs {
 
@@ -35,19 +35,13 @@ class MetricsRegistry
     void setGauge(const std::string &name, double value);
 
     /**
-     * Record one sample into a named histogram. The histogram is
-     * created with [lo, hi] x bins on first use; later calls ignore
-     * the shape parameters (first writer wins).
-     */
-    void observe(const std::string &name, double value, double lo = 0.0,
-                 double hi = 1.0, std::size_t bins = 16);
-
-    /**
      * Record one sample into a named log-bucketed latency histogram
      * (LogHistogram: fixed geometry, so every registry agrees on
      * bucket boundaries and snapshots can be diffed/merged). Use for
      * anything spanning orders of magnitude — stage latencies in
-     * microseconds, queue depths, retry counts.
+     * microseconds, queue depths, retry counts. A quantity below 1
+     * (a probability) is recorded in a unit the name carries, e.g.
+     * `level1.confidence_pct`.
      */
     void observeLatency(const std::string &name, double value);
 
@@ -57,12 +51,6 @@ class MetricsRegistry
     /** Current gauge value (0.0 if absent). */
     double gauge(const std::string &name) const;
 
-    bool hasCounter(const std::string &name) const;
-    bool hasGauge(const std::string &name) const;
-
-    /** Copy of a histogram (nullopt if absent). */
-    std::optional<util::Histogram> histogram(const std::string &name) const;
-
     /** Copy of a latency histogram (nullopt if absent). */
     std::optional<LogHistogram> latency(const std::string &name) const;
 
@@ -70,10 +58,9 @@ class MetricsRegistry
     std::map<std::string, std::uint64_t> counterSnapshot() const;
 
     /** Consistent copy of all gauges. */
+    // lint: suppress(R11) the read side of gauges, as counterSnapshot
+    // is of counters; the TwoLevelAttack report pin hashes every gauge
     std::map<std::string, double> gaugeSnapshot() const;
-
-    /** Consistent copy of all latency histograms (delta rollups). */
-    std::map<std::string, LogHistogram> latencySnapshot() const;
 
     /** Drop every metric. */
     void reset();
@@ -82,8 +69,6 @@ class MetricsRegistry
      * One metric per line:
      *   {"type":"counter","name":"...","value":N}
      *   {"type":"gauge","name":"...","value":X}
-     *   {"type":"histogram","name":"...","lo":..,"hi":..,
-     *    "counts":[..],"total":N,"underflow":N,"overflow":N}
      *   {"type":"latency","name":"...","p50":..,"p90":..,"p99":..,
      *    "mean":..,"count":N,"underflow":N,"overflow":N,"sum":..,
      *    "counts":[..]}
@@ -92,11 +77,11 @@ class MetricsRegistry
 
     /**
      * Single JSON object:
-     *   {"counters":{...},"gauges":{...},"histograms":{...},
-     *    "latencies":{...}}
+     *   {"counters":{...},"gauges":{...},"latencies":{...}}
      * The shape BENCH_*.json snapshots use so follow-up PRs can diff.
-     * The "latencies" section is omitted when empty so pre-obs-v2
-     * snapshots and new ones stay byte-comparable.
+     * The "latencies" section is omitted when empty. Exports written
+     * before the fixed-width histograms went carry a "histograms"
+     * section too; its readers (obsview, bench_compare.py) skip it.
      */
     void exportJson(std::ostream &out) const;
 
@@ -104,7 +89,6 @@ class MetricsRegistry
     mutable std::mutex mu_;
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
-    std::map<std::string, util::Histogram> histograms_;
     std::map<std::string, LogHistogram> latencies_;
 };
 

@@ -240,14 +240,6 @@ gaugeSet(const char *name, double value)
 }
 
 void
-observe(const char *name, double value, double lo, double hi,
-        std::size_t bins)
-{
-    if (metricsEnabled())
-        registrySingleton().observe(name, value, lo, hi, bins);
-}
-
-void
 observeLatency(const char *name, double value)
 {
     if (metricsEnabled())

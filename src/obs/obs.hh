@@ -1,10 +1,10 @@
 /**
  * @file
  * Process-wide telemetry facade. Instrumentation sites call the free
- * functions here (span / count / gaugeSet / observe); when telemetry
- * is off — the default — every call is a relaxed atomic load and an
- * early return, so the attack pipeline pays nothing for being
- * observable. Enable programmatically with configure(), or from the
+ * functions here (span / count / gaugeSet / observeLatency); when
+ * telemetry is off — the default — every call is a relaxed atomic
+ * load and an early return, so the attack pipeline pays nothing for
+ * being observable. Enable programmatically with configure(), or from the
  * environment:
  *
  *   DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/run.jsonl
@@ -124,10 +124,6 @@ void count(const char *name, std::uint64_t delta = 1);
 
 /** Gauge store; no-op when metrics are off. */
 void gaugeSet(const char *name, double value);
-
-/** Histogram sample; no-op when metrics are off. */
-void observe(const char *name, double value, double lo = 0.0,
-             double hi = 1.0, std::size_t bins = 16);
 
 /** Log-bucketed latency sample; no-op when metrics are off. */
 void observeLatency(const char *name, double value);

@@ -83,36 +83,4 @@ LogHistogram::mean() const
     return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
 }
 
-LogHistogram
-LogHistogram::delta(const LogHistogram &prev) const
-{
-    LogHistogram out;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        const std::uint64_t d =
-            counts_[i] >= prev.counts_[i] ? counts_[i] - prev.counts_[i]
-                                          : 0;
-        out.counts_[i] = d;
-        out.total_ += d;
-    }
-    out.underflow_ = underflow_ >= prev.underflow_
-                         ? underflow_ - prev.underflow_
-                         : 0;
-    out.overflow_ =
-        overflow_ >= prev.overflow_ ? overflow_ - prev.overflow_ : 0;
-    out.total_ += out.underflow_ + out.overflow_;
-    out.sum_ = sum_ - prev.sum_;
-    return out;
-}
-
-void
-LogHistogram::merge(const LogHistogram &other)
-{
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    sum_ += other.sum_;
-}
-
 } // namespace decepticon::obs

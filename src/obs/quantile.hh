@@ -3,16 +3,16 @@
  * Log-bucketed quantile histogram (HDR-style) — the distribution half
  * of obs v2. A LogHistogram covers [1, 2^40) (microseconds: 1 µs to
  * ~12.7 days) with a fixed geometry of 8 buckets per octave, so any
- * two histograms are mergeable and delta-able bucket by bucket and a
+ * two histograms are comparable bucket by bucket and a
  * reported quantile is within a factor of 2^(1/8) ≈ 1.0905 (≤ 4.5%
  * at the geometric bucket midpoint) of the true value. Values outside
  * the range are clamped to the edge AND counted in underflow/overflow
  * ledgers, so a clipped distribution is visible, never silent.
  *
  * The geometry is deliberately compile-time fixed rather than
- * configurable: campaign rollups diff and merge snapshots taken by
- * different binaries at different times, which only works when every
- * histogram of a given name shares bucket boundaries.
+ * configurable: obsview compares exports written by different
+ * binaries at different times, which only works when every histogram
+ * of a given name shares bucket boundaries.
  */
 
 #ifndef DECEPTICON_OBS_QUANTILE_HH
@@ -79,13 +79,6 @@ class LogHistogram
 
     /** Arithmetic mean of raw samples (0 when empty). */
     double mean() const;
-
-    /** Bucketwise this - prev (for periodic delta rollups).
-     *  @pre prev's counts are <= this's (monotone snapshots). */
-    LogHistogram delta(const LogHistogram &prev) const;
-
-    /** Bucketwise accumulate (campaign rollups across shards). */
-    void merge(const LogHistogram &other);
 
   private:
     std::vector<std::uint64_t> counts_;

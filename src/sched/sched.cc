@@ -1,6 +1,7 @@
 #include "sched/sched.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -81,12 +82,6 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
-bool
-ThreadPool::inWorker()
-{
-    return tl_inChunk;
-}
-
 void
 ThreadPool::runChunks(Job &job)
 {
@@ -107,10 +102,8 @@ ThreadPool::runChunks(Job &job)
         ++ran;
     }
     tl_inChunk = false;
-    if (ran > 0) {
-        tasksExecuted_.fetch_add(ran, std::memory_order_relaxed);
+    if (ran > 0)
         obs::count("sched.tasks", ran);
-    }
 }
 
 void

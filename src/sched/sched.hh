@@ -27,7 +27,6 @@
 #ifndef DECEPTICON_SCHED_SCHED_HH
 #define DECEPTICON_SCHED_SCHED_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -103,15 +102,6 @@ class ThreadPool
     /** parallelForRange with a per-index body. */
     void parallelFor(std::size_t n, std::size_t grain, const IndexFn &fn);
 
-    /** Chunks run through the pool, not inline (lifetime total). */
-    std::uint64_t taskCount() const
-    {
-        return tasksExecuted_.load(std::memory_order_relaxed);
-    }
-
-    /** Whether the calling thread is running a chunk of any pool. */
-    static bool inWorker();
-
   private:
     struct Job;
 
@@ -126,8 +116,6 @@ class ThreadPool
     std::condition_variable done_; ///< callers: a job lost its holders
     std::vector<Job *> jobs_; ///< may have unclaimed chunks; oldest first
     bool stop_ = false;
-
-    std::atomic<std::uint64_t> tasksExecuted_{0};
 
     /** Last: built after, and destroyed before, all a worker uses. */
     std::vector<std::thread> workers_;

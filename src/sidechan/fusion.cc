@@ -38,12 +38,6 @@ FusionEngine::setReliabilityPrior(fault::Channel channel,
 }
 
 double
-FusionEngine::reliabilityPrior(fault::Channel channel) const
-{
-    return priors_[static_cast<std::size_t>(channel)];
-}
-
-double
 FusionEngine::channelWeight(fault::Channel channel) const
 {
     const auto c = static_cast<std::size_t>(channel);

@@ -79,8 +79,6 @@ class FusionEngine
     void setReliabilityPrior(fault::Channel channel,
                              double heldout_accuracy);
 
-    double reliabilityPrior(fault::Channel channel) const;
-
     /**
      * Effective fusion weight of a channel at quality 1: its prior's
      * excess accuracy over chance, floored for registered channels.

@@ -162,9 +162,6 @@ class ActivationCache
         std::memcpy(prepare(n), src, n * sizeof(float));
     }
 
-    /** Drop the stamp (storage is kept for reuse). */
-    void invalidate() { epoch_ = 0; }
-
     /** True while no recycleActivations() happened since the stamp. */
     bool valid() const { return epoch_ != 0 && epoch_ == activationEpoch(); }
 

@@ -88,6 +88,8 @@ void gemmNaive(Trans t, const GemmCall &call);
 bool naiveEnabled();
 
 /** Test hook: force naive (true) or optimized (false) kernels. */
+// lint: suppress(R11) the differential suite flips to the naive
+// reference kernels through it to compare them with the optimized ones
 void setNaive(bool naive);
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "tensor/kernels/kernels.hh"
 
@@ -76,31 +75,6 @@ Tensor::sum() const
     return std::accumulate(data_.begin(), data_.end(), 0.0);
 }
 
-double
-Tensor::meanAbs() const
-{
-    if (data_.empty())
-        return 0.0;
-    double s = 0.0;
-    for (float v : data_)
-        s += std::fabs(v);
-    return s / static_cast<double>(data_.size());
-}
-
-std::string
-Tensor::shapeString() const
-{
-    std::ostringstream oss;
-    oss << "[";
-    for (std::size_t i = 0; i < shape_.size(); ++i) {
-        if (i)
-            oss << ", ";
-        oss << shape_[i];
-    }
-    oss << "]";
-    return oss.str();
-}
-
 Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
@@ -117,54 +91,6 @@ matmul(const Tensor &a, const Tensor &b)
     call.c = c.data();
     kernels::gemm(kernels::Trans::NN, call);
     return c;
-}
-
-Tensor
-matmulTransposeB(const Tensor &a, const Tensor &b)
-{
-    assert(a.rank() == 2 && b.rank() == 2);
-    assert(a.dim(1) == b.dim(1));
-    const std::size_t n = a.dim(0), k = a.dim(1), m = b.dim(0);
-    Tensor c({n, m});
-    kernels::GemmCall call;
-    call.n = n;
-    call.m = m;
-    call.k = k;
-    call.a = a.data();
-    call.b = b.data();
-    call.c = c.data();
-    kernels::gemm(kernels::Trans::NT, call);
-    return c;
-}
-
-Tensor
-matmulTransposeA(const Tensor &a, const Tensor &b)
-{
-    assert(a.rank() == 2 && b.rank() == 2);
-    assert(a.dim(0) == b.dim(0));
-    const std::size_t k = a.dim(0), n = a.dim(1), m = b.dim(1);
-    Tensor c({n, m});
-    kernels::GemmCall call;
-    call.n = n;
-    call.m = m;
-    call.k = k;
-    call.a = a.data();
-    call.b = b.data();
-    call.c = c.data();
-    kernels::gemm(kernels::Trans::TN, call);
-    return c;
-}
-
-Tensor
-transpose(const Tensor &a)
-{
-    assert(a.rank() == 2);
-    const std::size_t n = a.dim(0), m = a.dim(1);
-    Tensor t({m, n});
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < m; ++j)
-            t.at(j, i) = a.at(i, j);
-    return t;
 }
 
 Tensor
@@ -185,14 +111,6 @@ sub(const Tensor &a, const Tensor &b)
     for (std::size_t i = 0; i < c.size(); ++i)
         c[i] -= b[i];
     return c;
-}
-
-void
-axpy(Tensor &a, const Tensor &b, float scale)
-{
-    assert(a.size() == b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] += scale * b[i];
 }
 
 void
@@ -230,19 +148,6 @@ softmaxRows(const Tensor &a)
             orow[j] *= inv;
     }
     return out;
-}
-
-void
-addRowVector(Tensor &a, const Tensor &row)
-{
-    assert(a.rank() == 2);
-    assert(row.size() == a.dim(1));
-    const std::size_t n = a.dim(0), m = a.dim(1);
-    for (std::size_t i = 0; i < n; ++i) {
-        float *arow = a.data() + i * m;
-        for (std::size_t j = 0; j < m; ++j)
-            arow[j] += row[j];
-    }
 }
 
 } // namespace decepticon::tensor

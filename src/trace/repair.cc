@@ -75,21 +75,6 @@ dedupe(const gpusim::KernelTrace &trace, std::size_t &removed)
 
 } // namespace
 
-gpusim::KernelTrace
-dedupeRecords(const gpusim::KernelTrace &trace, std::size_t *removed)
-{
-    std::size_t dropped = 0;
-    const DedupedCapture clean = dedupe(trace, dropped);
-    gpusim::KernelTrace out;
-    out.kernelNames = trace.kernelNames;
-    out.records.reserve(clean.kept.size());
-    for (std::size_t k : clean.kept)
-        out.records.push_back(trace.records[k]);
-    if (removed != nullptr)
-        *removed = dropped;
-    return out;
-}
-
 std::vector<std::size_t>
 alignToReference(const std::vector<int> &reference,
                  const std::vector<int> &capture, std::size_t lookahead)

@@ -36,14 +36,6 @@ struct RepairReport
 };
 
 /**
- * Collapse CUPTI-style duplicated records: a record identical to its
- * predecessor (same kernel id and timestamps) is a capture artifact,
- * not a second invocation.
- */
-gpusim::KernelTrace dedupeRecords(const gpusim::KernelTrace &trace,
-                                  std::size_t *removed = nullptr);
-
-/**
  * Greedy alignment of a capture against a reference kernel-id
  * sequence with a bounded lookahead window. Returns, for each
  * reference position, the matched capture index or npos. Assumes both
@@ -56,7 +48,9 @@ alignToReference(const std::vector<int> &reference,
 
 /**
  * Build one consensus trace from R noisy captures of the same
- * inference: dedupe each capture, take the longest as the reference
+ * inference: dedupe each capture (a record identical to its
+ * predecessor, same kernel id and timestamps, is a CUPTI-style capture
+ * artifact, not a second invocation), take the longest as the reference
  * skeleton, align the rest to it, and replace every record's duration
  * and leading gap with the median across the captures that observed
  * it. Timestamps are re-accumulated so the result is physically

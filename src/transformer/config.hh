@@ -47,57 +47,6 @@ struct TransformerConfig
     }
 };
 
-/** Scaled-down analog of BERT-tiny (2 layers). */
-TransformerConfig inline
-makeTinyConfig()
-{
-    TransformerConfig c;
-    c.vocab = 64;
-    c.maxSeqLen = 16;
-    c.hidden = 16;
-    c.numLayers = 2;
-    c.numHeads = 2;
-    c.ffnDim = 32;
-    return c;
-}
-
-/** Scaled-down analog of BERT-mini (4 layers). */
-TransformerConfig inline
-makeMiniConfig()
-{
-    TransformerConfig c;
-    c.vocab = 64;
-    c.maxSeqLen = 16;
-    c.hidden = 32;
-    c.numLayers = 4;
-    c.numHeads = 2;
-    c.ffnDim = 64;
-    return c;
-}
-
-/** Scaled-down analog of BERT-base (12 layers, 12:16 hidden ratio). */
-TransformerConfig inline
-makeBaseConfig()
-{
-    TransformerConfig c;
-    c.vocab = 64;
-    c.maxSeqLen = 16;
-    c.hidden = 48;
-    c.numLayers = 6;
-    c.numHeads = 4;
-    c.ffnDim = 96;
-    return c;
-}
-
-/** Scaled-down decoder-only analog of GPT-2. */
-TransformerConfig inline
-makeGpt2Config()
-{
-    TransformerConfig c = makeMiniConfig();
-    c.causal = true;
-    return c;
-}
-
 } // namespace decepticon::transformer
 
 #endif // DECEPTICON_TRANSFORMER_CONFIG_HH

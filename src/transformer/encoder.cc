@@ -8,37 +8,6 @@ namespace decepticon::transformer {
 
 namespace kernels = tensor::kernels;
 
-tensor::Tensor
-sliceHead(const tensor::Tensor &x, std::size_t h, std::size_t head_dim)
-{
-    assert(x.rank() == 2);
-    const std::size_t t = x.dim(0), d = x.dim(1);
-    assert((h + 1) * head_dim <= d);
-    tensor::Tensor out({t, head_dim});
-    for (std::size_t i = 0; i < t; ++i) {
-        const float *src = x.data() + i * d + h * head_dim;
-        float *dst = out.data() + i * head_dim;
-        for (std::size_t j = 0; j < head_dim; ++j)
-            dst[j] = src[j];
-    }
-    return out;
-}
-
-void
-scatterHead(tensor::Tensor &dst, const tensor::Tensor &block, std::size_t h,
-            std::size_t head_dim)
-{
-    assert(dst.rank() == 2 && block.rank() == 2);
-    const std::size_t t = dst.dim(0), d = dst.dim(1);
-    assert(block.dim(0) == t && block.dim(1) == head_dim);
-    for (std::size_t i = 0; i < t; ++i) {
-        float *out = dst.data() + i * d + h * head_dim;
-        const float *src = block.data() + i * head_dim;
-        for (std::size_t j = 0; j < head_dim; ++j)
-            out[j] += src[j];
-    }
-}
-
 EncoderLayer::EncoderLayer(const std::string &name,
                            const TransformerConfig &cfg, util::Rng &rng)
     : hidden_(cfg.hidden),

@@ -74,14 +74,6 @@ class EncoderLayer
     std::vector<tensor::Tensor> cachedProbs_; // per head, (T, T)
 };
 
-/** Copy head columns [h*dh, (h+1)*dh) of a (T, D) tensor into (T, dh). */
-tensor::Tensor sliceHead(const tensor::Tensor &x, std::size_t h,
-                         std::size_t head_dim);
-
-/** Add a (T, dh) block back into head h's columns of a (T, D) tensor. */
-void scatterHead(tensor::Tensor &dst, const tensor::Tensor &block,
-                 std::size_t h, std::size_t head_dim);
-
 } // namespace decepticon::transformer
 
 #endif // DECEPTICON_TRANSFORMER_ENCODER_HH

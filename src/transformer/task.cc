@@ -106,35 +106,4 @@ MarkovTask::sample(std::size_t n, std::uint64_t seed) const
     return ds;
 }
 
-MaskedTokenTask::MaskedTokenTask(std::size_t vocab, std::size_t seq_len,
-                                 std::uint64_t seed, bool mask_front,
-                                 double sharpness)
-    : vocab_(vocab),
-      seqLen_(seq_len),
-      maskFront_(mask_front),
-      // A two-chain corpus gives the token stream some diversity; the
-      // chain label is discarded.
-      corpus_(vocab, 2, seq_len, seed, sharpness)
-{
-    assert(vocab > 1 && seq_len > 1);
-}
-
-Dataset
-MaskedTokenTask::sample(std::size_t n, std::uint64_t seed) const
-{
-    Dataset corpus_ds = corpus_.sample(n, seed);
-    Dataset out;
-    out.numClasses = vocab_;
-    out.examples.reserve(n);
-    for (auto &ex : corpus_ds.examples) {
-        const std::size_t pos = maskFront_ ? 0 : seqLen_ - 1;
-        Example masked;
-        masked.tokens = std::move(ex.tokens);
-        masked.label = masked.tokens[pos];
-        masked.tokens[pos] = maskToken();
-        out.examples.push_back(std::move(masked));
-    }
-    return out;
-}
-
 } // namespace decepticon::transformer

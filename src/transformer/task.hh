@@ -74,50 +74,6 @@ class MarkovTask
     std::vector<std::vector<double>> initial_;
 };
 
-/**
- * Masked-token pre-training task: the scaled-down analog of BERT's
- * masked-language-model objective. Sequences are drawn from a Markov
- * corpus; the token at the pooling position is replaced with a
- * reserved [MASK] id and becomes the label, so the backbone must
- * learn the corpus' token statistics to solve it — exactly the kind
- * of task-agnostic representation transfer learning reuses.
- *
- * Models trained on this task need `modelVocab()` embeddings (the
- * corpus vocabulary plus the mask id) and `numClasses()` outputs.
- */
-class MaskedTokenTask
-{
-  public:
-    /**
-     * @param vocab corpus vocabulary size (mask id is vocab)
-     * @param seq_len sequence length of every example
-     * @param seed corpus identity
-     * @param mask_front mask the first token (encoder/CLS pooling) or
-     *        the last token (decoder/last-token pooling)
-     */
-    MaskedTokenTask(std::size_t vocab, std::size_t seq_len,
-                    std::uint64_t seed, bool mask_front = true,
-                    double sharpness = 3.0);
-
-    /** The reserved [MASK] token id. */
-    int maskToken() const { return static_cast<int>(vocab_); }
-
-    /** Embedding-table size a model needs: corpus vocab + [MASK]. */
-    std::size_t modelVocab() const { return vocab_ + 1; }
-
-    /** Output classes: the corpus vocabulary. */
-    std::size_t numClasses() const { return vocab_; }
-
-    /** Sample n masked examples. */
-    Dataset sample(std::size_t n, std::uint64_t seed) const;
-
-  private:
-    std::size_t vocab_;
-    std::size_t seqLen_;
-    bool maskFront_;
-    MarkovTask corpus_;
-};
-
 } // namespace decepticon::transformer
 
 #endif // DECEPTICON_TRANSFORMER_TASK_HH

@@ -127,14 +127,6 @@ Rng::split(std::uint64_t tag) const
     return Rng(sm.next());
 }
 
-Rng
-Rng::fork(std::uint64_t tag)
-{
-    // Mix the tag into a fresh seed drawn from this stream.
-    SplitMix64 sm(nextU64() ^ (tag * 0x9e3779b97f4a7c15ULL));
-    return Rng(sm.next());
-}
-
 std::uint64_t
 hashString(const char *s)
 {

@@ -82,10 +82,6 @@ class Rng
         }
     }
 
-    /** Derive a child generator; children of distinct tags differ.
-     *  Advances this generator's state. */
-    Rng fork(std::uint64_t tag);
-
     /**
      * Derive an independent child generator keyed by tag WITHOUT
      * advancing this generator's state: split(t) is a pure function

@@ -130,25 +130,4 @@ Histogram::fractionWithinAbs(const std::vector<double> &xs, double bound)
     return static_cast<double>(n) / static_cast<double>(xs.size());
 }
 
-LinearFit
-fitLine(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    assert(xs.size() == ys.size());
-    LinearFit fit;
-    if (xs.size() < 2)
-        return fit;
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        sxy += (xs[i] - mx) * (ys[i] - my);
-        sxx += (xs[i] - mx) * (xs[i] - mx);
-    }
-    if (sxx <= 0.0)
-        return fit;
-    fit.slope = sxy / sxx;
-    fit.intercept = my - fit.slope * mx;
-    return fit;
-}
-
 } // namespace decepticon::util

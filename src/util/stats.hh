@@ -71,19 +71,6 @@ struct Histogram
                                     double bound);
 };
 
-/**
- * Simple ordinary-least-squares fit y = a + b*x.
- * Returns {intercept, slope}; slope is 0 for constant x.
- */
-struct LinearFit
-{
-    double intercept = 0.0;
-    double slope = 0.0;
-};
-
-LinearFit fitLine(const std::vector<double> &xs,
-                  const std::vector<double> &ys);
-
 } // namespace decepticon::util
 
 #endif // DECEPTICON_UTIL_STATS_HH

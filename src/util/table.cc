@@ -82,22 +82,6 @@ Table::printAscii(std::ostream &os) const
 }
 
 void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ",";
-            os << cells[c];
-        }
-        os << "\n";
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
-void
 printBanner(std::ostream &os, const std::string &title)
 {
     os << "\n=== " << title << " ===\n";

@@ -43,9 +43,6 @@ class Table
     /** Render as an aligned ASCII table. */
     void printAscii(std::ostream &os) const;
 
-    /** Render as CSV (headers + rows). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

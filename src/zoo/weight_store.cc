@@ -66,15 +66,6 @@ WeightStore::headWeightFraction() const
                             static_cast<double>(total);
 }
 
-std::size_t
-WeightStore::materializedCount() const
-{
-    std::size_t n = head.w.size();
-    for (const auto &l : layers)
-        n += l.w.size();
-    return n;
-}
-
 std::vector<double>
 WeightStore::perLayerMeanAbsDiff(const WeightStore &other) const
 {

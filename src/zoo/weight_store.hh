@@ -66,9 +66,6 @@ class WeightStore
     /** Fraction of analytic weights contributed by the task head. */
     double headWeightFraction() const;
 
-    /** Materialized weights across all layers + head. */
-    std::size_t materializedCount() const;
-
     /**
      * Per-layer mean absolute weight difference against another store
      * of identical shape (head included last if both have heads).

@@ -228,19 +228,6 @@ TEST(FingerprintCache, CloneExpiresIndependentlyOfIdentity)
     EXPECT_EQ(expired.clone, nullptr);
 }
 
-TEST(FingerprintCache, ExplicitInvalidateRemovesEntry)
-{
-    dcp::FingerprintCache cache;
-    cache.storeIdentity("sig-a", "l1", 0);
-    cache.invalidate("sig-a");
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-    EXPECT_EQ(cache.lookup("sig-a", 1).outcome, dcp::CacheOutcome::Miss);
-    // Invalidating an absent key is a harmless no-op.
-    cache.invalidate("sig-zzz");
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
 // ---------------------------------------------------------------------
 // Session sampler.
 // ---------------------------------------------------------------------

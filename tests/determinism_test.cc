@@ -77,40 +77,6 @@ sameStats(const de::ExtractionStats &a, const de::ExtractionStats &b)
 
 } // anonymous namespace
 
-TEST(Determinism, TraceBatchMatchesSerialLoop)
-{
-    PoolGuard guard;
-    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(11, 2, 4);
-    const dz::ModelIdentity &model = *zoo.pretrained().front();
-    const dg::TraceGenerator gen(model.signature);
-
-    std::vector<std::uint64_t> seeds;
-    for (std::uint64_t s = 0; s < 12; ++s)
-        seeds.push_back(0xbeef00 + s);
-
-    sched::setThreads(1);
-    std::vector<dg::KernelTrace> serial;
-    for (std::uint64_t s : seeds)
-        serial.push_back(gen.generate(model.arch, s));
-
-    for (std::size_t threads : kThreadCounts) {
-        sched::setThreads(threads);
-        const auto batch = gen.generateMany(model.arch, seeds);
-        ASSERT_EQ(batch.size(), serial.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            ASSERT_EQ(batch[i].records.size(), serial[i].records.size());
-            for (std::size_t r = 0; r < batch[i].records.size(); ++r) {
-                EXPECT_EQ(batch[i].records[r].tStart,
-                          serial[i].records[r].tStart);
-                EXPECT_EQ(batch[i].records[r].tEnd,
-                          serial[i].records[r].tEnd);
-                EXPECT_EQ(batch[i].records[r].kernelId,
-                          serial[i].records[r].kernelId);
-            }
-        }
-    }
-}
-
 TEST(Determinism, DatasetGenerationBitIdentical)
 {
     PoolGuard guard;

@@ -47,15 +47,12 @@ TEST(Ieee, ExponentFields)
     EXPECT_EQ(de::unbiasedExponent(0.018f), -6);
 }
 
-TEST(Ieee, FractionBitReadWrite)
+TEST(Ieee, FractionBitRead)
 {
     const float v = 1.5f; // fraction = 0b100...0, bit 1 set
     EXPECT_TRUE(de::fractionBit(v, 1));
     EXPECT_FALSE(de::fractionBit(v, 2));
-    const float cleared = de::withFractionBit(v, 1, false);
-    EXPECT_EQ(cleared, 1.0f);
-    const float set2 = de::withFractionBit(v, 2, true);
-    EXPECT_EQ(set2, 1.75f);
+    EXPECT_TRUE(de::fractionBit(1.75f, 2));
 }
 
 TEST(Ieee, PlaceValues)
@@ -138,8 +135,6 @@ TEST(BitProbe, CountsReads)
     chan.readBit(0, 1, 22);
     EXPECT_EQ(chan.stats().bitsRead, 2u);
     EXPECT_EQ(chan.stats().hammerRounds, 6u);
-    chan.resetStats();
-    EXPECT_EQ(chan.stats().bitsRead, 0u);
 }
 
 TEST(BitProbe, FullWeightReadIsExact)

@@ -284,10 +284,10 @@ TEST(TraceRepair, DedupeCollapsesExactDuplicates)
         doubled.records.push_back(r);
         doubled.records.push_back(r); // capture artifact
     }
-    std::size_t removed = 0;
-    const auto clean = dtc::dedupeRecords(doubled, &removed);
+    dtc::RepairReport report;
+    const auto clean = dtc::repairTraces({doubled}, &report);
     EXPECT_EQ(clean.records.size(), trace.records.size());
-    EXPECT_EQ(removed, trace.records.size());
+    EXPECT_EQ(report.duplicatesRemoved, trace.records.size());
 }
 
 TEST(TraceRepair, AlignmentMarksDroppedRecords)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fingerprint/boundary.hh"
 #include "fingerprint/cnn.hh"
 #include "fingerprint/dataset.hh"
@@ -111,8 +113,13 @@ TEST(Boundary, CropKeepsOnlyPeriodicRegion)
     const auto trace = gen.generate(arch(8, 512), 6);
     const auto cropped = df::cropToEncoderRegion(trace);
     EXPECT_LE(cropped.records.size(), trace.records.size());
+    const auto encoder = std::count_if(
+        trace.records.begin(), trace.records.end(),
+        [](const dg::KernelRecord &r) {
+            return r.phase == dg::Phase::Encoder;
+        });
     EXPECT_GT(cropped.records.size(),
-              trace.encoderRecords().size() * 8 / 10);
+              static_cast<std::size_t>(encoder) * 8 / 10);
     EXPECT_DOUBLE_EQ(cropped.records.front().tStart, 0.0);
 }
 
@@ -526,7 +533,6 @@ TEST(Knn, PerfectOnTrainingTemplates)
     const auto ds = df::buildDataset(zoo, opts);
     df::NearestNeighborClassifier knn(1);
     knn.train(ds);
-    EXPECT_EQ(knn.templateCount(), ds.samples.size());
     EXPECT_DOUBLE_EQ(knn.evaluate(ds), 1.0);
 }
 

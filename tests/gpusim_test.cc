@@ -30,6 +30,17 @@ namespace dg = decepticon::gpusim;
 
 namespace {
 
+/** The trace's Encoder-phase records (the generator's ground truth). */
+std::vector<dg::KernelRecord>
+encoderRecords(const dg::KernelTrace &t)
+{
+    std::vector<dg::KernelRecord> out;
+    for (const auto &r : t.records)
+        if (r.phase == dg::Phase::Encoder)
+            out.push_back(r);
+    return out;
+}
+
 dg::SoftwareSignature
 pytorchSig(int dialect = 0)
 {
@@ -188,7 +199,7 @@ TEST(TraceGenerator, EncoderRepetitionMatchesLayerCount)
     const dg::KernelTrace trace = gen.generate(bertBase(), 1);
     // Encoder records should form exactly numLayers groups of the
     // template size.
-    const auto enc = trace.encoderRecords();
+    const auto enc = encoderRecords(trace);
     EXPECT_EQ(enc.size(), 12 * gen.groupSize());
     std::set<int> layer_ids;
     for (const auto &r : enc)
@@ -348,7 +359,7 @@ TEST(KernelTrace, HelperAccessors)
     EXPECT_DOUBLE_EQ(t.totalTime(), 9.0);
     EXPECT_DOUBLE_EQ(t.peakDuration(), 4.0);
     EXPECT_EQ(t.uniqueKernelCount(), 2u);
-    EXPECT_EQ(t.encoderRecords().size(), 2u);
+    EXPECT_EQ(encoderRecords(t).size(), 2u);
     EXPECT_EQ(t.kernelIdSequence(), (std::vector<int>{0, 1, 0}));
     EXPECT_EQ(t.durations(), (std::vector<double>{2.0, 1.0, 4.0}));
 }
@@ -423,8 +434,6 @@ TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
     const dg::TraceGenerator gen(tfSig());
     const dg::KernelTrace truth = gen.generate(bertBase(), 11);
     ASSERT_NE(truth.kernelNames, nullptr);
-    EXPECT_EQ(truth.kernelNames->size(), gen.catalog().size());
-    EXPECT_EQ(truth.kernelNames, gen.catalog().names()); // not a copy
     const std::vector<std::string> *table = truth.kernelNames.get();
     EXPECT_EQ(gen.generate(bertLarge(), 12).kernelNames.get(), table);
 
@@ -439,9 +448,6 @@ TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
         captures.push_back(injector.corruptTrace(truth, 100 + c));
         EXPECT_EQ(captures.back().kernelNames.get(), table);
     }
-    EXPECT_EQ(decepticon::trace::dedupeRecords(captures[0])
-                  .kernelNames.get(),
-              table);
     const dg::KernelTrace repaired =
         decepticon::trace::repairTraces(captures);
     EXPECT_EQ(repaired.kernelNames.get(), table);
@@ -650,7 +656,7 @@ TEST_P(SignatureSweep, GeneratesStructuredTrace)
     dg::ArchParams arch = bertBase();
     arch.numLayers = 4;
     const auto trace = gen.generate(arch, 1);
-    EXPECT_EQ(trace.encoderRecords().size(), 4 * gen.groupSize());
+    EXPECT_EQ(encoderRecords(trace).size(), 4 * gen.groupSize());
     EXPECT_GT(trace.totalTime(), 0.0);
 }
 

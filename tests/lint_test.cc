@@ -5,7 +5,8 @@
  * honored (and justification-free ones are not), and the JSON report
  * is byte-identical across runs. The fixture corpus lives
  * in tools/lint/fixtures/{good_repo,bad_repo} and shares one layers
- * config (modules a=0, b=1).
+ * config (modules a=0, b=1); R11 (reachability) has its own repo and
+ * config, fixtures/reach_repo and fixtures/reach.toml.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "lint.hh"
 
@@ -234,6 +236,47 @@ TEST(Lint, CrossTuRulesConsumeJustifiedSuppressions)
               "legacy upward edge kept on purpose");
 }
 
+TEST(Lint, ReachFlagsOnlySymbolsNoCallerUses)
+{
+    // R11 over reach_repo: callers are src/, bench/, examples/ and the
+    // read-only tools/obsview/ and campaignbench/; tests/ is none.
+    lint::Config cfg;
+    std::string err;
+    ASSERT_TRUE(lint::loadConfig(fixtures() + "/reach.toml", cfg, &err))
+        << err;
+    const lint::Report r = lint::runLint(fixtures() + "/reach_repo", cfg);
+
+    // The read-only roots are not scanned: no R1 for the raw clock
+    // read in campaignbench/, and they are not counted.
+    EXPECT_EQ(r.filesScanned, 6u);
+    std::vector<std::string> flagged;
+    for (const lint::Violation &v : r.violations)
+        if (v.rule == "R11")
+            flagged.push_back(v.message.substr(0, v.message.find(' ')));
+    // Test-only symbols are flagged; reach from bench/, examples/,
+    // campaignbench/ or tools/obsview/, a use inside the symbol's own
+    // .cc (helper) and a name shared with a reached symbol (shared)
+    // all keep a symbol.
+    EXPECT_EQ(flagged,
+              (std::vector<std::string>{"`testOnly`", "`TestOnlyType`"}))
+        << lint::renderText(r);
+
+    // A justified suppression is honoured; the one on a reached symbol
+    // is stale (R5), and those are the only other findings.
+    ASSERT_EQ(r.suppressed.size(), 1u);
+    EXPECT_EQ(r.suppressed[0].rule, "R11");
+    EXPECT_EQ(r.suppressed[0].message.rfind("`reference`", 0), 0u);
+    EXPECT_EQ(r.suppressed[0].justification,
+              "the reference implementation tests compare to");
+    EXPECT_EQ(countRuleInFile(r, "R5", "src/a/lib.hh"), 1);
+    EXPECT_EQ(r.violations.size(), 3u) << lint::renderText(r);
+
+    // The report is byte-identical across runs.
+    EXPECT_EQ(lint::renderJson(r),
+              lint::renderJson(
+                  lint::runLint(fixtures() + "/reach_repo", cfg)));
+}
+
 TEST(Lint, RepoConfigParsesAndDeclaresEveryModule)
 {
     lint::Config cfg;
@@ -251,6 +294,7 @@ TEST(Lint, RepoConfigParsesAndDeclaresEveryModule)
     // The v2 rule scopes are wired in.
     EXPECT_FALSE(cfg.dataflowPaths.empty());
     EXPECT_FALSE(cfg.r9Paths.empty());
+    EXPECT_FALSE(cfg.reachCallers.empty());
 }
 
 TEST(Lint, MalformedConfigIsRejected)

@@ -443,36 +443,6 @@ TEST(ArgmaxRows, PicksMaxIndex)
     EXPECT_EQ(preds[1], 2);
 }
 
-TEST(Sgd, StepMovesAgainstGradient)
-{
-    dn::Parameter p("p", {1});
-    p.value[0] = 1.0f;
-    p.grad[0] = 2.0f;
-    dn::Sgd sgd({&p}, 0.1f);
-    sgd.step();
-    EXPECT_NEAR(p.value[0], 0.8f, 1e-6f);
-}
-
-TEST(Sgd, WeightDecayShrinksWeights)
-{
-    dn::Parameter p("p", {1});
-    p.value[0] = 1.0f;
-    p.grad[0] = 0.0f;
-    dn::Sgd sgd({&p}, 0.1f, 0.0f, 0.5f);
-    sgd.step();
-    EXPECT_NEAR(p.value[0], 0.95f, 1e-6f);
-}
-
-TEST(Sgd, MomentumAccumulates)
-{
-    dn::Parameter p("p", {1});
-    p.grad[0] = 1.0f;
-    dn::Sgd sgd({&p}, 0.1f, 0.9f);
-    sgd.step(); // v=1, w=-0.1
-    sgd.step(); // v=1.9, w=-0.29
-    EXPECT_NEAR(p.value[0], -0.29f, 1e-5f);
-}
-
 TEST(Adam, ConvergesOnQuadratic)
 {
     // Minimize (w - 3)^2 by gradient descent with Adam.
@@ -522,68 +492,3 @@ TEST_P(ConvShapeSweep, ForwardBackwardShapesConsistent)
 INSTANTIATE_TEST_SUITE_P(Sizes, ConvShapeSweep,
                          ::testing::Combine(::testing::Values(5, 8, 12),
                                             ::testing::Values(2, 3, 5)));
-
-#include <sstream>
-
-#include "nn/serialize.hh"
-
-TEST(Serialize, RoundTripExact)
-{
-    du::Rng rng(41);
-    dn::Linear a("lin", 4, 3, rng);
-    dn::Parameter extra("extra", {2, 2});
-    extra.value.fillGaussian(rng, 1.0f);
-
-    std::stringstream buf;
-    dn::ParamRefs src{&a.weight, &a.bias, &extra};
-    ASSERT_TRUE(dn::saveParams(buf, src));
-
-    dn::Linear b("lin", 4, 3, rng); // different random init
-    dn::Parameter extra2("extra", {2, 2});
-    dn::ParamRefs dst{&b.weight, &b.bias, &extra2};
-    ASSERT_TRUE(dn::loadParams(buf, dst));
-
-    for (std::size_t i = 0; i < a.weight.size(); ++i)
-        EXPECT_EQ(b.weight.value[i], a.weight.value[i]);
-    for (std::size_t i = 0; i < extra.size(); ++i)
-        EXPECT_EQ(extra2.value[i], extra.value[i]);
-}
-
-TEST(Serialize, RejectsNameMismatch)
-{
-    du::Rng rng(42);
-    dn::Parameter a("alpha", {3});
-    a.value.fillGaussian(rng, 1.0f);
-    std::stringstream buf;
-    ASSERT_TRUE(dn::saveParams(buf, {&a}));
-    dn::Parameter b("beta", {3});
-    EXPECT_FALSE(dn::loadParams(buf, {&b}));
-}
-
-TEST(Serialize, RejectsShapeMismatch)
-{
-    du::Rng rng(43);
-    dn::Parameter a("p", {3});
-    std::stringstream buf;
-    ASSERT_TRUE(dn::saveParams(buf, {&a}));
-    dn::Parameter b("p", {4});
-    EXPECT_FALSE(dn::loadParams(buf, {&b}));
-}
-
-TEST(Serialize, RejectsGarbageStream)
-{
-    std::stringstream buf;
-    buf << "not a checkpoint";
-    dn::Parameter p("p", {1});
-    EXPECT_FALSE(dn::loadParams(buf, {&p}));
-}
-
-TEST(Serialize, RejectsCountMismatch)
-{
-    du::Rng rng(44);
-    dn::Parameter a("a", {2});
-    dn::Parameter b("b", {2});
-    std::stringstream buf;
-    ASSERT_TRUE(dn::saveParams(buf, {&a, &b}));
-    EXPECT_FALSE(dn::loadParams(buf, {&a}));
-}

@@ -4,9 +4,7 @@
  * round-trips, spans as flight events under a deterministic fake
  * clock, the Chrome trace rendered from the flight stream (parsed
  * back with the bundled JSON reader, lanes checked for nesting), the
- * near-zero-cost disabled path, DECEPTICON_OBS spec parsing, and the
- * BitProbeChannel::resetStats() regression (a reset
- * must re-publish zeroed gauges, never leave stale ones).
+ * near-zero-cost disabled path, and DECEPTICON_OBS spec parsing.
  */
 
 #include <gtest/gtest.h>
@@ -36,51 +34,34 @@ namespace dex = decepticon::extraction;
 
 namespace {
 
-dex::SnapshotOracle
-makeOracle(std::uint64_t seed)
-{
-    decepticon::util::Rng rng(seed);
-    std::vector<std::vector<float>> groups(2);
-    for (std::size_t i = 0; i < 16; ++i)
-        groups[0].push_back(static_cast<float>(rng.gaussian(0.0, 0.2)));
-    for (std::size_t i = 0; i < 4; ++i)
-        groups[1].push_back(static_cast<float>(rng.gaussian(0.0, 0.5)));
-    return dex::SnapshotOracle(std::move(groups));
-}
-
 // ---------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
-TEST(MetricsRegistry, CountersGaugesHistograms)
+TEST(MetricsRegistry, CountersGaugesLatencies)
 {
     dob::MetricsRegistry reg;
-    EXPECT_FALSE(reg.hasCounter("c"));
+    EXPECT_EQ(reg.counterSnapshot().count("c"), 0u);
     EXPECT_EQ(reg.counter("c"), 0u);
 
     reg.add("c");
     reg.add("c", 4);
-    EXPECT_TRUE(reg.hasCounter("c"));
     EXPECT_EQ(reg.counter("c"), 5u);
 
     reg.setGauge("g", 1.5);
     reg.setGauge("g", 2.5); // latest value wins
-    EXPECT_TRUE(reg.hasGauge("g"));
     EXPECT_DOUBLE_EQ(reg.gauge("g"), 2.5);
 
-    reg.observe("h", 0.25, 0.0, 1.0, 4);
-    reg.observe("h", 0.30, 0.0, 2.0, 99); // shape: first writer wins
-    reg.observe("h", 0.90);
-    const auto h = reg.histogram("h");
+    reg.observeLatency("h", 25.0);
+    reg.observeLatency("h", 90.0);
+    const auto h = reg.latency("h");
     ASSERT_TRUE(h.has_value());
-    EXPECT_EQ(h->counts.size(), 4u);
-    EXPECT_EQ(h->total(), 3u);
-    EXPECT_DOUBLE_EQ(h->hi, 1.0);
+    EXPECT_EQ(h->total(), 2u);
 
     reg.reset();
-    EXPECT_FALSE(reg.hasCounter("c"));
-    EXPECT_FALSE(reg.hasGauge("g"));
-    EXPECT_FALSE(reg.histogram("h").has_value());
+    EXPECT_TRUE(reg.counterSnapshot().empty());
+    EXPECT_TRUE(reg.gaugeSnapshot().empty());
+    EXPECT_FALSE(reg.latency("h").has_value());
 }
 
 TEST(MetricsRegistry, ConcurrentCountersSumExactly)
@@ -107,15 +88,15 @@ TEST(MetricsRegistry, JsonlExportRoundTrips)
     dob::MetricsRegistry reg;
     reg.add("bits", 42);
     reg.setGauge("conf\"idence", 0.875); // quote must be escaped
-    reg.observe("lat", 0.5, 0.0, 1.0, 2);
-    reg.observe("lat", 0.9);
+    reg.observeLatency("lat", 5.0);
+    reg.observeLatency("lat", 9.0);
 
     std::ostringstream oss;
     reg.exportJsonl(oss);
 
     std::istringstream lines(oss.str());
     std::string line;
-    int counters = 0, gauges = 0, histograms = 0;
+    int counters = 0, gauges = 0, latencies = 0;
     while (std::getline(lines, line)) {
         dob::json::Value v;
         std::string err;
@@ -131,19 +112,20 @@ TEST(MetricsRegistry, JsonlExportRoundTrips)
             ++gauges;
             EXPECT_EQ(v.find("name")->string, "conf\"idence");
             EXPECT_DOUBLE_EQ(v.find("value")->number, 0.875);
-        } else if (type->string == "histogram") {
-            ++histograms;
+        } else if (type->string == "latency") {
+            ++latencies;
             EXPECT_EQ(v.find("name")->string, "lat");
             const auto *counts = v.find("counts");
             ASSERT_NE(counts, nullptr);
             ASSERT_TRUE(counts->isArray());
-            EXPECT_EQ(counts->array.size(), 2u);
-            EXPECT_DOUBLE_EQ(v.find("total")->number, 2.0);
+            EXPECT_DOUBLE_EQ(v.find("count")->number, 2.0);
+        } else {
+            ADD_FAILURE() << "unexpected metric type: " << line;
         }
     }
     EXPECT_EQ(counters, 1);
     EXPECT_EQ(gauges, 1);
-    EXPECT_EQ(histograms, 1);
+    EXPECT_EQ(latencies, 1);
 }
 
 TEST(MetricsRegistry, JsonObjectExportParses)
@@ -163,6 +145,7 @@ TEST(MetricsRegistry, JsonObjectExportParses)
     const auto *gauges = v.find("gauges");
     ASSERT_NE(gauges, nullptr);
     EXPECT_DOUBLE_EQ(gauges->find("speed")->number, 123.5);
+    EXPECT_EQ(v.find("histograms"), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -178,15 +161,15 @@ TEST(ObsFacade, DisabledPathIsInert)
     // Free functions must not materialize anything while disabled.
     dob::count("ghost.counter", 9);
     dob::gaugeSet("ghost.gauge", 1.0);
-    dob::observe("ghost.hist", 0.5);
+    dob::observeLatency("ghost.latency", 5.0);
     {
         auto sp = dob::span("ghost.span");
         EXPECT_FALSE(sp.active());
         sp.end(); // must be a no-op, not a crash
     }
-    EXPECT_FALSE(dob::metrics().hasCounter("ghost.counter"));
-    EXPECT_FALSE(dob::metrics().hasGauge("ghost.gauge"));
-    EXPECT_FALSE(dob::metrics().histogram("ghost.hist").has_value());
+    EXPECT_TRUE(dob::metrics().counterSnapshot().empty());
+    EXPECT_TRUE(dob::metrics().gaugeSnapshot().empty());
+    EXPECT_FALSE(dob::metrics().latency("ghost.latency").has_value());
     EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
 
     // The compile-time contract of the no-op path (mirrors the
@@ -228,7 +211,7 @@ TEST(ObsFacade, EnabledFacadeCollectsAndShutdownClears)
     dob::shutdown();
     EXPECT_FALSE(dob::metricsEnabled());
     EXPECT_FALSE(dob::flightEnabled());
-    EXPECT_FALSE(dob::metrics().hasCounter("live.counter"));
+    EXPECT_TRUE(dob::metrics().counterSnapshot().empty());
     EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
 }
 
@@ -397,37 +380,6 @@ TEST(ObsFacade, ParseObsSpec)
     EXPECT_TRUE(off.tracePath.empty());
 }
 
-// ---------------------------------------------------------------------
-// Satellite regression: resetStats() must re-publish zeroed gauges
-// ---------------------------------------------------------------------
-
-TEST(BitProbeChannel, ResetStatsRepublishesZeroedGauges)
-{
-    dob::ObsConfig cfg;
-    cfg.metricsEnabled = true;
-    dob::configure(cfg);
-
-    const auto oracle = makeOracle(7);
-    dex::BitProbeChannel channel(oracle);
-    for (int bit = 22; bit < 31; ++bit)
-        channel.readBit(0, 1, bit);
-    ASSERT_GT(channel.stats().bitsRead, 0u);
-
-    channel.stats().toMetrics(dob::metrics());
-    EXPECT_GT(dob::metrics().gauge("probe.bits_read"), 0.0);
-    EXPECT_GT(dob::metrics().gauge("probe.hammer_rounds"), 0.0);
-
-    // The regression: resetting the channel ledger must push the
-    // zeroed snapshot through the registry, not leave stale values.
-    channel.resetStats();
-    EXPECT_EQ(channel.stats().bitsRead, 0u);
-    EXPECT_TRUE(dob::metrics().hasGauge("probe.bits_read"));
-    EXPECT_DOUBLE_EQ(dob::metrics().gauge("probe.bits_read"), 0.0);
-    EXPECT_DOUBLE_EQ(dob::metrics().gauge("probe.hammer_rounds"), 0.0);
-
-    dob::shutdown();
-}
-
 TEST(StatStructs, ToMetricsPublishesGauges)
 {
     dob::MetricsRegistry reg;
@@ -485,7 +437,7 @@ TEST(LogHistogram, QuantileAccuracyVsExactSort)
     }
 }
 
-TEST(LogHistogram, ClipLedgersDeltaAndFromCounts)
+TEST(LogHistogram, ClipLedgersAndFromCounts)
 {
     dob::LogHistogram hist;
     hist.add(0.25); // below kLo: clamped up, underflow ledger
@@ -495,16 +447,9 @@ TEST(LogHistogram, ClipLedgersDeltaAndFromCounts)
     EXPECT_EQ(hist.underflow(), 1u);
     EXPECT_EQ(hist.overflow(), 1u);
 
-    // Snapshot-delta: only the new samples remain.
     dob::LogHistogram later = hist;
     later.add(100.0);
     later.add(100.0);
-    const dob::LogHistogram d = later.delta(hist);
-    EXPECT_EQ(d.total(), 2u);
-    EXPECT_EQ(d.underflow(), 0u);
-    const double mid = d.quantile(0.5);
-    EXPECT_GT(mid, 100.0 / 1.10);
-    EXPECT_LT(mid, 100.0 * 1.10);
 
     // fromCounts round-trip reproduces quantiles exactly (the
     // geometry is compile-time fixed, so counts are sufficient).
@@ -521,12 +466,6 @@ TEST(MetricsRegistry, LatencyExportCarriesQuantilesAndClipCounts)
     for (int i = 0; i < 99; ++i)
         reg.observeLatency("stage.classify.micros", 100.0);
     reg.observeLatency("stage.classify.micros", 0.25); // underflow
-
-    // util::Histogram ledgers ride along: out-of-range samples into
-    // the linear histogram must be counted, not silently clipped.
-    reg.observe("score", -0.5, 0.0, 1.0, 4);
-    reg.observe("score", 2.0, 0.0, 1.0, 4);
-    reg.observe("score", 0.5, 0.0, 1.0, 4);
 
     std::ostringstream oss;
     reg.exportJson(oss);
@@ -545,14 +484,6 @@ TEST(MetricsRegistry, LatencyExportCarriesQuantilesAndClipCounts)
     EXPECT_GT(p50, 100.0 / 1.10);
     EXPECT_LT(p50, 100.0 * 1.10);
     ASSERT_NE(h->find("counts"), nullptr);
-
-    const auto *hist = v.find("histograms");
-    ASSERT_NE(hist, nullptr);
-    const auto *score = hist->find("score");
-    ASSERT_NE(score, nullptr);
-    EXPECT_DOUBLE_EQ(score->find("underflow")->number, 1.0);
-    EXPECT_DOUBLE_EQ(score->find("overflow")->number, 1.0);
-    EXPECT_DOUBLE_EQ(score->find("total")->number, 3.0);
 
     // JSONL export carries the same latency line.
     std::ostringstream jl;
@@ -864,8 +795,8 @@ TEST(MetricsRegistry, ResetRepublishUnderConcurrentObserve)
         }
         for (int round = 0; round < 50; ++round) {
             reg.add("level1.identifies");
-            reg.observe("campaign.time_to_clone",
-                        static_cast<double>(i * round), 0.0, 1e6, 8);
+            reg.observeLatency("campaign.time_to_clone",
+                               static_cast<double>(i * round));
             reg.observeLatency("stage.classify.micros",
                                static_cast<double>(round));
             reg.setGauge("level1.confidence", 0.5);
@@ -877,10 +808,10 @@ TEST(MetricsRegistry, ResetRepublishUnderConcurrentObserve)
     reg.reset();
     reg.add("campaign.sessions", 3);
     reg.setGauge("campaign.cache.hit_rate", 0.75);
-    reg.observe("campaign.time_to_clone", 10.0, 0.0, 100.0, 4);
+    reg.observeLatency("campaign.time_to_clone", 10.0);
     EXPECT_EQ(reg.counter("campaign.sessions"), 3u);
     EXPECT_DOUBLE_EQ(reg.gauge("campaign.cache.hit_rate"), 0.75);
-    const auto h = reg.histogram("campaign.time_to_clone");
+    const auto h = reg.latency("campaign.time_to_clone");
     ASSERT_TRUE(h.has_value());
     EXPECT_EQ(h->total(), 1u);
 

@@ -59,7 +59,12 @@ TEST(Robustness, SingleLayerModelStillTraces)
     dg::SoftwareSignature sig;
     const dg::TraceGenerator gen(sig);
     const auto trace = gen.generate(smallArch(1), 1);
-    EXPECT_EQ(trace.encoderRecords().size(), gen.groupSize());
+    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                  trace.records.begin(), trace.records.end(),
+                  [](const dg::KernelRecord &r) {
+                      return r.phase == dg::Phase::Encoder;
+                  })),
+              gen.groupSize());
     // With a single encoder there is no *layer* period; detection may
     // still surface intra-group motifs (e.g. the FFN block reusing the
     // output-projection kernels), which is genuine ambiguity. The
@@ -471,7 +476,6 @@ runCell(FusionFixture &fx, bool power_on, bool thermal_on,
 TEST(Fusion, ChannelDropoutMatrix)
 {
     auto &fx = fusionFixture();
-    ASSERT_NE(fx.pipeline.fusionEngine(), nullptr);
 
     const double severities[] = {0.0, 1.0};
     for (double severity : severities) {

@@ -120,9 +120,6 @@ TEST(Emission, ProfilerCountsAreExactAndDeterministic)
     const auto replay = dg::emitProfilerCounters(trace, 11);
     for (std::size_t i = 0; i < ctr.size(); ++i)
         EXPECT_DOUBLE_EQ(ctr[i], replay[i]);
-    // Every slot has a printable name.
-    for (std::size_t i = 0; i < dg::kProfilerCounterCount; ++i)
-        EXPECT_FALSE(dg::profilerCounterName(i).empty());
 }
 
 // ---------------------------------------------------------------
@@ -281,7 +278,7 @@ TEST(ChannelFault, ResetRepublishesZeroedGauges)
     (void)model.corruptSeries(rampSeries(100), 0);
     model.publishCounters();
     auto &reg = dob::metrics();
-    ASSERT_TRUE(reg.hasGauge("fault.channel.power.captures"));
+    ASSERT_EQ(reg.gaugeSnapshot().count("fault.channel.power.captures"), 1u);
     EXPECT_GT(reg.gauge("fault.channel.power.captures"), 0.0);
     EXPECT_GT(reg.gauge("fault.channel.power.samples_dropped"), 0.0);
 

@@ -81,12 +81,15 @@ TEST(Tensor, FillGaussianStats)
     du::Rng rng(2);
     dt::Tensor t({20000});
     t.fillGaussian(rng, 0.1f);
-    double mean = 0.0;
-    for (std::size_t i = 0; i < t.size(); ++i)
+    double mean = 0.0, meanAbs = 0.0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
         mean += t[i];
+        meanAbs += std::fabs(t[i]);
+    }
     mean /= static_cast<double>(t.size());
+    meanAbs /= static_cast<double>(t.size());
     EXPECT_NEAR(mean, 0.0, 0.01);
-    EXPECT_NEAR(t.meanAbs(), 0.1 * std::sqrt(2.0 / M_PI), 0.01);
+    EXPECT_NEAR(meanAbs, 0.1 * std::sqrt(2.0 / M_PI), 0.01);
 }
 
 TEST(Tensor, XavierBound)
@@ -99,20 +102,13 @@ TEST(Tensor, XavierBound)
         EXPECT_LE(std::fabs(t[i]), bound + 1e-6f);
 }
 
-TEST(Tensor, SumAndMeanAbs)
+TEST(Tensor, Sum)
 {
     dt::Tensor t({3});
     t[0] = 1.0f;
     t[1] = -2.0f;
     t[2] = 3.0f;
     EXPECT_DOUBLE_EQ(t.sum(), 2.0);
-    EXPECT_DOUBLE_EQ(t.meanAbs(), 2.0);
-}
-
-TEST(Tensor, ShapeString)
-{
-    dt::Tensor t({2, 3});
-    EXPECT_EQ(t.shapeString(), "[2, 3]");
 }
 
 TEST(TensorOps, MatmulKnownValues)
@@ -132,45 +128,7 @@ TEST(TensorOps, MatmulKnownValues)
     EXPECT_FLOAT_EQ(c.at(1, 1), 64.0f);
 }
 
-TEST(TensorOps, MatmulTransposeBMatchesExplicit)
-{
-    du::Rng rng(4);
-    dt::Tensor a({3, 5});
-    dt::Tensor b({4, 5});
-    a.fillGaussian(rng, 1.0f);
-    b.fillGaussian(rng, 1.0f);
-    dt::Tensor direct = dt::matmulTransposeB(a, b);
-    dt::Tensor expected = dt::matmul(a, dt::transpose(b));
-    ASSERT_EQ(direct.size(), expected.size());
-    for (std::size_t i = 0; i < direct.size(); ++i)
-        EXPECT_NEAR(direct[i], expected[i], 1e-5f);
-}
-
-TEST(TensorOps, MatmulTransposeAMatchesExplicit)
-{
-    du::Rng rng(5);
-    dt::Tensor a({5, 3});
-    dt::Tensor b({5, 4});
-    a.fillGaussian(rng, 1.0f);
-    b.fillGaussian(rng, 1.0f);
-    dt::Tensor direct = dt::matmulTransposeA(a, b);
-    dt::Tensor expected = dt::matmul(dt::transpose(a), b);
-    ASSERT_EQ(direct.size(), expected.size());
-    for (std::size_t i = 0; i < direct.size(); ++i)
-        EXPECT_NEAR(direct[i], expected[i], 1e-5f);
-}
-
-TEST(TensorOps, TransposeInvolution)
-{
-    du::Rng rng(6);
-    dt::Tensor a({3, 7});
-    a.fillGaussian(rng, 1.0f);
-    dt::Tensor tt = dt::transpose(dt::transpose(a));
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(tt[i], a[i]);
-}
-
-TEST(TensorOps, AddSubAxpy)
+TEST(TensorOps, AddSub)
 {
     dt::Tensor a({3}, 1.0f);
     dt::Tensor b({3}, 2.0f);
@@ -178,8 +136,6 @@ TEST(TensorOps, AddSubAxpy)
     EXPECT_FLOAT_EQ(s[0], 3.0f);
     dt::Tensor d = dt::sub(a, b);
     EXPECT_FLOAT_EQ(d[0], -1.0f);
-    dt::axpy(a, b, 0.5f);
-    EXPECT_FLOAT_EQ(a[0], 2.0f);
 }
 
 TEST(TensorOps, ScaleInPlace)
@@ -229,18 +185,6 @@ TEST(TensorOps, SoftmaxHandlesLargeMagnitudes)
     EXPECT_NEAR(p[0], 1.0f, 1e-6f);
     EXPECT_NEAR(p[1], 0.0f, 1e-6f);
     EXPECT_FALSE(std::isnan(p[0]));
-}
-
-TEST(TensorOps, AddRowVector)
-{
-    dt::Tensor a({2, 3}, 1.0f);
-    dt::Tensor row({3});
-    row[0] = 1.0f;
-    row[1] = 2.0f;
-    row[2] = 3.0f;
-    dt::addRowVector(a, row);
-    EXPECT_FLOAT_EQ(a.at(0, 0), 2.0f);
-    EXPECT_FLOAT_EQ(a.at(1, 2), 4.0f);
 }
 
 /** Matmul associativity/identity properties over random shapes. */

@@ -37,22 +37,6 @@ namespace decepticon::lint {
 
 namespace {
 
-bool
-hasPrefix(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-underAny(const std::string &path, const std::vector<std::string> &dirs)
-{
-    for (const std::string &d : dirs)
-        if (hasPrefix(path, d + "/") || path == d)
-            return true;
-    return false;
-}
-
 std::string
 dirOf(const std::string &path)
 {

@@ -31,6 +31,22 @@ trim(const std::string &s)
 } // namespace
 
 bool
+hasPrefix(const std::string &s, const std::string &prefix)
+{
+    return s.size() >= prefix.size() &&
+           s.compare(0, prefix.size(), prefix) == 0;
+}
+
+bool
+underAny(const std::string &path, const std::vector<std::string> &dirs)
+{
+    for (const std::string &d : dirs)
+        if (hasPrefix(path, d + "/") || path == d)
+            return true;
+    return false;
+}
+
+bool
 loadConfig(const std::string &path, Config &out, std::string *error)
 {
     std::ifstream in(path, std::ios::binary);
@@ -97,6 +113,8 @@ loadConfig(const std::string &path, Config &out, std::string *error)
             out.dataflowPaths.push_back(key);
         } else if (section == "r9.paths") {
             out.r9Paths.push_back(key);
+        } else if (section == "reach.callers") {
+            out.reachCallers.push_back(key);
         } else if (section == "scan.roots") {
             out.scanRoots.push_back(key);
         } else {

@@ -27,29 +27,6 @@ namespace decepticon::lint {
 
 namespace {
 
-bool
-hasPrefix(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-underAny(const std::string &path, const std::vector<std::string> &dirs)
-{
-    for (const std::string &d : dirs)
-        if (hasPrefix(path, d + "/") || path == d)
-            return true;
-    return false;
-}
-
-const std::string &
-tokText(const std::vector<Token> &t, std::size_t i)
-{
-    static const std::string empty;
-    return i < t.size() ? t[i].text : empty;
-}
-
 /** Is t[k] a use of `name` as an object (not a member of something
  *  else, not a direct call of a function with that name)? */
 bool

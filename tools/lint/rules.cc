@@ -20,30 +20,6 @@ namespace decepticon::lint {
 
 namespace {
 
-bool
-hasPrefix(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-/** True if `path` lies under any of the directory prefixes. */
-bool
-underAny(const std::string &path, const std::vector<std::string> &dirs)
-{
-    for (const std::string &d : dirs)
-        if (hasPrefix(path, d + "/") || path == d)
-            return true;
-    return false;
-}
-
-const std::string &
-tokText(const std::vector<Token> &t, std::size_t i)
-{
-    static const std::string empty;
-    return i < t.size() ? t[i].text : empty;
-}
-
 /** Is token i qualified as std::X (directly or via nested ::)? Bare
  *  (unqualified) uses also count — `using namespace std` exists — but
  *  `foo::X` / `obj.X` / `obj->X` do not. */
@@ -322,7 +298,7 @@ checkR5(const SourceFile &f, const std::vector<Token> &t,
     for (const auto &[line, badRule] : f.badSuppressions) {
         emitLocal(s, line, "R5",
                   "suppression names unknown rule id '" + badRule +
-                      "' (valid ids are R1..R9) — fix the id or "
+                      "' (valid ids are R1..R9, R11) — fix the id or "
                       "remove the comment");
     }
 }

@@ -70,7 +70,7 @@ enum class ParseResult
 };
 
 /** Parse the payload after "lint:" / "lint-file:" into (rule,
- *  justification). Accepts `suppress(Rn) why` for R1..R9 and the R3
+ *  justification). Accepts `suppress(Rn) why` for R1..R9, R11 and the R3
  *  alias `ordered-ok why`. A `suppress(...)` with any other id is an
  *  error (UnknownRule), never silently inert. */
 ParseResult
@@ -96,7 +96,7 @@ parseSuppression(const std::string &payload, Suppression &out,
             else
                 n = n * 10 + (rule[k] - '0');
         }
-        if (!valid || n < 1 || n > 9) {
+        if (!valid || n < 1 || n > 11 || n == 10) { // R10 is retired
             if (badRule)
                 *badRule = rule;
             return ParseResult::UnknownRule;
@@ -111,14 +111,20 @@ parseSuppression(const std::string &payload, Suppression &out,
 } // namespace
 
 bool
-SourceFile::isHeader() const
+isHeaderPath(const std::string &path)
 {
-    auto ends = [this](const char *suf) {
+    auto ends = [&path](const char *suf) {
         std::string s(suf);
         return path.size() >= s.size() &&
                path.compare(path.size() - s.size(), s.size(), s) == 0;
     };
     return ends(".hh") || ends(".h") || ends(".hpp");
+}
+
+bool
+SourceFile::isHeader() const
+{
+    return isHeaderPath(path);
 }
 
 bool

@@ -147,7 +147,8 @@ loadJsonlLine(const json::Value &obj, RunData &run)
     } else if (type == "latency") {
         run.latencies[name] = parseLatency(obj);
     } else if (type == "histogram") {
-        // Fixed-width histograms carry no quantiles; skip.
+        // Exports from before the one-histogram registry carry
+        // fixed-width histograms; they have no quantiles, so skip.
     } else if (type == "flight") {
         run.isFlight = true;
         FlightRow row;
