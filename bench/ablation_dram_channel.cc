@@ -79,13 +79,8 @@ main()
               << "note: sequential extraction keeps most reads in warm "
                  "rows, so rounds/bit sits near the warm cost.\n";
 
-    const extraction::DramGeometry geom;
-    const double warm = static_cast<double>(geom.roundsPerBitWarm);
-    const double cold = static_cast<double>(geom.roundsPerBitCold);
-    // Shape: graceful decay and warm-dominated cost.
+    // Shape: graceful decay.
     const bool shape_ok = correct_half > correct_full - 0.1 &&
                           correct_full > 0.85;
-    (void)warm;
-    (void)cold;
     return shape_ok ? 0 : 1;
 }

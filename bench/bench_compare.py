@@ -6,11 +6,13 @@ Usage:
     bench_compare.py --lint-report BASELINE.json CANDIDATE.json
 
 Benchmark mode: every gauge named ``bench.*.real_time`` present in
-BOTH snapshots is compared, and so is every per-stage latency gauge
-ending ``.p99_micros`` (exported by the obs v2 StageTimer
-histograms); a candidate more than ``threshold`` (default 15%)
-slower than the baseline is a regression and the script exits 1 —
-the verify pipeline gates on that. Throughput gauges ending
+BOTH snapshots is compared; a candidate more than ``threshold``
+(default 15%) slower than the baseline is a regression and the script
+exits 1 — the verify pipeline gates on that. Latency gauges ending
+``.p99_micros`` are quantiles of an ``obs::LogHistogram`` (a bucket
+midpoint; 8 buckets per octave, each ~9% wide), so they are judged
+by bucket distance instead of a ratio: a p99 that rises 3 or more
+buckets (~30%) fails, a 1-2 bucket move passes. Throughput gauges ending
 ``.victims_per_sec`` (the campaign engine) or ``.lookups_per_sec``
 (the fingerprint index) gate in the opposite direction: a candidate
 more than ``threshold`` *below* the baseline fails. Wall-clock gauges only: cpu_time
@@ -30,7 +32,12 @@ suppressions are reported as cleanups and pass.
 
 import argparse
 import json
+import math
 import sys
+
+# A p99 that rises this many LogHistogram buckets (~30%) regressed;
+# obsview --check applies the same rule.
+P99_REGRESSION_BUCKETS = 3
 
 
 def lint_suppression_key(entry):
@@ -89,18 +96,22 @@ def compare_lint_reports(baseline_path, candidate_path):
     return 0
 
 
+def log_bucket(micros):
+    """LogHistogram bucket index of a latency in µs: floor(8·log2 v)."""
+    return math.floor(8 * math.log2(micros))
+
+
 def gauge_direction(name):
     """Gating direction of a gauge, or None if not gated.
 
-    "lower": benchmark wall clocks plus per-stage p99 latencies (one
-    log-histogram bucket is ~9%, so a >15% p99 move is at least two
-    buckets — real, not quantization noise). "higher": throughput
-    gauges (campaign victims/sec, fingerprint-index lookups/sec),
-    where a drop below the threshold is the regression."""
+    "lower": benchmark wall clocks. "buckets": p99 latencies, judged
+    by LogHistogram bucket distance. "higher": throughput gauges
+    (campaign victims/sec, fingerprint-index lookups/sec), where a
+    drop below the threshold is the regression."""
     if name.startswith("bench.") and name.endswith(".real_time"):
         return "lower"
     if name.endswith(".p99_micros"):
-        return "lower"
+        return "buckets"
     if name.endswith(".victims_per_sec"):
         return "higher"
     if name.endswith(".lookups_per_sec"):
@@ -153,12 +164,19 @@ def main():
     for name in shared:
         ratio = cand[name] / base[name]
         flag = ""
-        if gauge_direction(name) == "higher":
+        direction = gauge_direction(name)
+        if direction == "buckets":
+            moved = log_bucket(cand[name]) - log_bucket(base[name])
+            regressed = moved >= P99_REGRESSION_BUCKETS
+            verdict = f"{moved:+d} log buckets"
+        elif direction == "higher":
             regressed = ratio < 1.0 - args.threshold
+            verdict = f"{ratio:.2f}x baseline"
         else:
             regressed = ratio > 1.0 + args.threshold
+            verdict = f"{ratio:.2f}x baseline"
         if regressed:
-            regressions.append((name, ratio))
+            regressions.append((name, verdict))
             flag = "  REGRESSION"
         print(f"{name:<{width}}  {base[name]:>12.0f}  {cand[name]:>12.0f}"
               f"  {ratio:>6.2f}x{flag}")
@@ -169,13 +187,15 @@ def main():
         print(f"{name}: missing from candidate (not compared)")
 
     if regressions:
-        print(f"\nFAIL: {len(regressions)} real_time regression(s) "
-              f"worse than {args.threshold:.0%}:")
-        for name, ratio in regressions:
-            print(f"  {name}: {ratio:.2f}x baseline")
+        print(f"\nFAIL: {len(regressions)} regression(s) (gauges worse "
+              f"than {args.threshold:.0%}, p99 latencies "
+              f"{P99_REGRESSION_BUCKETS}+ log buckets):")
+        for name, verdict in regressions:
+            print(f"  {name}: {verdict}")
         return 1
     print(f"\nOK: {len(shared)} gauge(s) within {args.threshold:.0%} "
-          f"of baseline")
+          f"(p99 latencies within {P99_REGRESSION_BUCKETS - 1} log "
+          f"buckets) of baseline")
     return 0
 
 

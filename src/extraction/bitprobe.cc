@@ -42,26 +42,10 @@ ParamGroupOracle::weightValue(std::size_t layer, std::size_t index) const
 }
 
 BitProbeChannel::BitProbeChannel(const VictimWeightOracle &oracle,
-                                 std::size_t rounds_per_bit,
-                                 double bit_error_rate, std::uint64_t seed)
-    : oracle_(oracle),
-      roundsPerBit_(rounds_per_bit),
-      bitErrorRate_(bit_error_rate),
-      rng_(seed)
+                                 std::size_t rounds_per_bit)
+    : oracle_(oracle), roundsPerBit_(rounds_per_bit)
 {
     assert(rounds_per_bit >= 1);
-    assert(bit_error_rate >= 0.0 && bit_error_rate < 1.0);
-}
-
-bool
-BitProbeChannel::rawBit(std::size_t layer, std::size_t index, int word_bit)
-{
-    assert(word_bit >= 0 && word_bit <= 31);
-    const float v = oracle_.weightValue(layer, index);
-    bool bit = (floatToBits(v) >> word_bit) & 1u;
-    if (bitErrorRate_ > 0.0 && rng_.bernoulli(bitErrorRate_))
-        bit = !bit;
-    return bit;
 }
 
 void
@@ -75,8 +59,10 @@ ProbeAttempt
 BitProbeChannel::attemptBit(std::size_t layer, std::size_t index,
                             int word_bit)
 {
+    assert(word_bit >= 0 && word_bit <= 31);
     ProbeAttempt attempt;
-    attempt.bit = rawBit(layer, index, word_bit);
+    attempt.bit =
+        (floatToBits(oracle_.weightValue(layer, index)) >> word_bit) & 1u;
     if (injector_ != nullptr) {
         const fault::ProbeFaultOutcome faulty =
             injector_->perturbProbe(layer, index, word_bit, attempt.bit);

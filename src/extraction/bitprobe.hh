@@ -6,19 +6,17 @@
  * extraction wins by reading orders of magnitude fewer bits than a
  * full-weight attack. The victim's weights are reachable only through
  * this interface, never by value, mirroring the black-box threat
- * model.
+ * model. A channel reads exactly; transient flips and every other
+ * read fault come from one model, an attached fault::FaultInjector.
  */
 
 #ifndef DECEPTICON_EXTRACTION_BITPROBE_HH
 #define DECEPTICON_EXTRACTION_BITPROBE_HH
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "nn/param.hh"
-#include "util/rng.hh"
 #include "zoo/weight_store.hh"
 
 namespace decepticon::fault {
@@ -135,19 +133,18 @@ struct ProbeAttempt
 
 /**
  * The bit-read side channel. Each read costs roundsPerBit rowhammer
- * rounds and can flip with bitErrorRate probability (hammering is not
- * perfectly reliable). Subclasses override tryReadBit() to model
- * physical constraints (DRAM rows without aggressors, warm-row cost
- * amortization — see dram.hh); an attached fault::FaultInjector adds
- * the unreliable-channel processes (stuck cells, burst rows,
- * transient probe failures).
+ * rounds and, on its own, returns the stored bit exactly. Subclasses
+ * override tryReadBit() to model physical constraints (DRAM rows
+ * without aggressors, warm-row cost amortization — see dram.hh). All
+ * read noise comes from an attached fault::FaultInjector: transient
+ * flips (FaultSpec::probeFlipRate, DeepSteal's noisy hammer read),
+ * stuck cells, burst rows and transient probe failures.
  */
 class BitProbeChannel
 {
   public:
-    BitProbeChannel(const VictimWeightOracle &oracle,
-                    std::size_t rounds_per_bit = 1,
-                    double bit_error_rate = 0.0, std::uint64_t seed = 0);
+    explicit BitProbeChannel(const VictimWeightOracle &oracle,
+                             std::size_t rounds_per_bit = 1);
 
     virtual ~BitProbeChannel() = default;
 
@@ -188,9 +185,8 @@ class BitProbeChannel
     float readFullWeight(std::size_t layer, std::size_t index);
 
     /**
-     * Attach an unreliable-channel fault process. The injector is
-     * applied on top of the channel's own bitErrorRate; pass nullptr
-     * to detach. Not owned.
+     * Attach an unreliable-channel fault process, the only source of
+     * read noise; pass nullptr to detach. Not owned.
      */
     void attachFaultInjector(fault::FaultInjector *injector)
     {
@@ -209,12 +205,10 @@ class BitProbeChannel
     const VictimWeightOracle &oracle() const { return oracle_; }
 
   protected:
-    /** Fetch the (possibly error-flipped) bit without cost charging. */
-    bool rawBit(std::size_t layer, std::size_t index, int word_bit);
-
     /**
-     * rawBit passed through the attached fault process (identity when
-     * no injector is attached). Cost is NOT charged here.
+     * The stored bit passed through the attached fault process
+     * (identity when no injector is attached). Cost is NOT charged
+     * here.
      */
     ProbeAttempt attemptBit(std::size_t layer, std::size_t index,
                             int word_bit);
@@ -225,8 +219,6 @@ class BitProbeChannel
   private:
     const VictimWeightOracle &oracle_;
     std::size_t roundsPerBit_;
-    double bitErrorRate_;
-    util::Rng rng_;
     ProbeStats stats_;
     fault::FaultInjector *injector_ = nullptr;
 };

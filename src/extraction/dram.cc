@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/rng.hh"
+
 namespace decepticon::extraction {
 
 DramWeightLayout::DramWeightLayout(const VictimWeightOracle &oracle,
@@ -48,7 +50,7 @@ DramWeightLayout::addressOf(std::size_t layer, std::size_t index) const
     DramAddress addr;
     const std::size_t global_row = byte / geometry_.rowBytes;
     addr.row = global_row;
-    addr.bank = global_row % geometry_.banks;
+    addr.bank = global_row % kDramBanks;
     addr.column = byte % geometry_.rowBytes;
     return addr;
 }
@@ -63,12 +65,8 @@ DramWeightLayout::hammerable(std::size_t layer, std::size_t index) const
 }
 
 DramBitProbeChannel::DramBitProbeChannel(const VictimWeightOracle &oracle,
-                                         const DramWeightLayout &layout,
-                                         double bit_error_rate,
-                                         std::uint64_t seed)
-    : BitProbeChannel(oracle, layout.geometry().roundsPerBitCold,
-                      bit_error_rate, seed),
-      layout_(layout)
+                                         const DramWeightLayout &layout)
+    : BitProbeChannel(oracle, kRoundsPerBitCold), layout_(layout)
 {
 }
 
@@ -86,8 +84,7 @@ DramBitProbeChannel::tryReadBit(std::size_t layer, std::size_t index,
     const DramAddress addr = layout_.addressOf(layer, index);
     const bool warm =
         hasLastRow_ && addr.bank == lastBank_ && addr.row == lastRow_;
-    charge(warm ? layout_.geometry().roundsPerBitWarm
-                : layout_.geometry().roundsPerBitCold);
+    charge(warm ? kRoundsPerBitWarm : kRoundsPerBitCold);
     hasLastRow_ = true;
     lastBank_ = addr.bank;
     lastRow_ = addr.row;

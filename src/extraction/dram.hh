@@ -12,8 +12,10 @@
  *    hammerable, and consecutive reads within one row are cheaper
  *    than row-to-row jumps (aggressor setup is amortized).
  *
+ * Row size and the hammerable share are per-experiment geometry; the
+ * bank count and the cold/warm per-bit costs are fixed constants.
  * The layout is deterministic per victim, so experiments are
- * reproducible.
+ * reproducible. The channel adds no noise of its own (bitprobe.hh).
  */
 
 #ifndef DECEPTICON_EXTRACTION_DRAM_HH
@@ -25,18 +27,20 @@
 
 namespace decepticon::extraction {
 
+/** DDR4 banks that consecutive rows interleave over. */
+constexpr std::size_t kDramBanks = 16;
+/** Hammer rounds to read a bit in a freshly targeted row. */
+constexpr std::size_t kRoundsPerBitCold = 64;
+/** Rounds per bit when the previous read hit the same row. */
+constexpr std::size_t kRoundsPerBitWarm = 16;
+
 /** DDR4-style geometry parameters. */
 struct DramGeometry
 {
     /** Bytes per DRAM row (a typical 8 KB row). */
     std::size_t rowBytes = 8192;
-    std::size_t banks = 16;
     /** Fraction of rows with usable aggressor neighbours. */
     double hammerableRowFraction = 1.0;
-    /** Hammer rounds to read a bit in a freshly targeted row. */
-    std::size_t roundsPerBitCold = 64;
-    /** Rounds per bit when the previous read hit the same row. */
-    std::size_t roundsPerBitWarm = 16;
 };
 
 /** Physical location of one weight. */
@@ -84,16 +88,16 @@ class DramWeightLayout
 /**
  * A bit-probe channel that respects DRAM physics: reads on
  * non-hammerable rows fail (canRead() is false), and costs follow the
- * cold/warm row model. Drop-in replacement for BitProbeChannel in the
+ * cold/warm row model (kRoundsPerBitCold, kRoundsPerBitWarm). Read
+ * noise comes only from an attached fault::FaultInjector, as on the
+ * base channel. Drop-in replacement for BitProbeChannel in the
  * selective extractor.
  */
 class DramBitProbeChannel : public BitProbeChannel
 {
   public:
     DramBitProbeChannel(const VictimWeightOracle &oracle,
-                        const DramWeightLayout &layout,
-                        double bit_error_rate = 0.0,
-                        std::uint64_t seed = 0);
+                        const DramWeightLayout &layout);
 
     bool canRead(std::size_t layer, std::size_t index) const override;
 

@@ -56,7 +56,7 @@ ReliabilityStats::toMetrics(obs::MetricsRegistry &registry,
 
 RetryingProber::RetryingProber(BitProbeChannel &inner,
                                const VictimWeightOracle *fallback)
-    : BitProbeChannel(inner.oracle(), 1, 0.0, 0),
+    : BitProbeChannel(inner.oracle()),
       inner_(inner),
       fallback_(fallback)
 {

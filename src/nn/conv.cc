@@ -1,6 +1,5 @@
 #include "nn/conv.hh"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -27,10 +26,6 @@ Conv2d::forward(const tensor::Tensor &x)
     assert(x.dim(1) == inChannels_);
     const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     assert(h >= kernel_ && w >= kernel_);
-
-    naiveForward_ = kernels::naiveEnabled();
-    if (naiveForward_)
-        return forwardNaive(x);
 
     const std::size_t oh = h - kernel_ + 1;
     const std::size_t ow = w - kernel_ + 1;
@@ -85,8 +80,6 @@ tensor::Tensor
 Conv2d::backward(const tensor::Tensor &dy)
 {
     assert(dy.rank() == 4 && dy.dim(1) == outChannels_);
-    if (naiveForward_)
-        return backwardNaive(dy);
     assert(colCache_.valid() &&
            "Conv2d::backward after recycleActivations()");
 
@@ -157,119 +150,6 @@ Conv2d::backward(const tensor::Tensor &dy)
                         const float *src = crow + r * ow;
                         for (std::size_t c = 0; c < ow; ++c)
                             dxrow[c] += src[c];
-                    }
-                }
-            }
-        }
-    }
-    return dx;
-}
-
-tensor::Tensor
-Conv2d::forwardNaive(const tensor::Tensor &x)
-{
-    const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-    const std::size_t oh = h - kernel_ + 1;
-    const std::size_t ow = w - kernel_ + 1;
-    cachedInput_ = x;
-    inShape_ = x.shape();
-
-    tensor::Tensor y({n, outChannels_, oh, ow});
-    const std::size_t in_plane = h * w;
-    const std::size_t out_plane = oh * ow;
-    const std::size_t wplane = kernel_ * kernel_;
-
-    for (std::size_t b = 0; b < n; ++b) {
-        const float *xb = x.data() + b * inChannels_ * in_plane;
-        float *yb = y.data() + b * outChannels_ * out_plane;
-        for (std::size_t co = 0; co < outChannels_; ++co) {
-            float *yplane = yb + co * out_plane;
-            const float bval = bias.value[co];
-            for (std::size_t i = 0; i < out_plane; ++i)
-                yplane[i] = bval;
-            for (std::size_t ci = 0; ci < inChannels_; ++ci) {
-                const float *xplane = xb + ci * in_plane;
-                const float *wk = weight.value.data() +
-                    (co * inChannels_ + ci) * wplane;
-                for (std::size_t r = 0; r < oh; ++r) {
-                    for (std::size_t c = 0; c < ow; ++c) {
-                        float s = 0.0f;
-                        for (std::size_t kr = 0; kr < kernel_; ++kr) {
-                            const float *xrow =
-                                xplane + (r + kr) * w + c;
-                            const float *wrow = wk + kr * kernel_;
-                            for (std::size_t kc = 0; kc < kernel_; ++kc)
-                                s += xrow[kc] * wrow[kc];
-                        }
-                        yplane[r * ow + c] += s;
-                    }
-                }
-            }
-        }
-    }
-    if (act_ != kernels::Act::None) {
-        preactCache_.store(y.data(), y.size());
-        for (std::size_t i = 0; i < y.size(); ++i)
-            y[i] = kernels::actForward(act_, y[i]);
-    }
-    return y;
-}
-
-tensor::Tensor
-Conv2d::backwardNaive(const tensor::Tensor &dy)
-{
-    const tensor::Tensor &x = cachedInput_;
-    const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-    const std::size_t oh = dy.dim(2), ow = dy.dim(3);
-    assert(oh == h - kernel_ + 1 && ow == w - kernel_ + 1);
-
-    const float *g_all = dy.data();
-    tensor::Tensor dpre;
-    if (act_ != kernels::Act::None) {
-        assert(preactCache_.valid());
-        dpre = dy;
-        const float *pre = preactCache_.data();
-        for (std::size_t i = 0; i < dpre.size(); ++i)
-            dpre[i] *= kernels::actBackward(act_, pre[i]);
-        g_all = dpre.data();
-    }
-
-    tensor::Tensor dx({n, inChannels_, h, w});
-    const std::size_t in_plane = h * w;
-    const std::size_t out_plane = oh * ow;
-    const std::size_t wplane = kernel_ * kernel_;
-
-    for (std::size_t b = 0; b < n; ++b) {
-        const float *xb = x.data() + b * inChannels_ * in_plane;
-        float *dxb = dx.data() + b * inChannels_ * in_plane;
-        const float *dyb = g_all + b * outChannels_ * out_plane;
-        for (std::size_t co = 0; co < outChannels_; ++co) {
-            const float *dyplane = dyb + co * out_plane;
-            for (std::size_t i = 0; i < out_plane; ++i)
-                bias.grad[co] += dyplane[i];
-            for (std::size_t ci = 0; ci < inChannels_; ++ci) {
-                const float *xplane = xb + ci * in_plane;
-                float *dxplane = dxb + ci * in_plane;
-                const float *wk = weight.value.data() +
-                    (co * inChannels_ + ci) * wplane;
-                float *dwk = weight.grad.data() +
-                    (co * inChannels_ + ci) * wplane;
-                for (std::size_t r = 0; r < oh; ++r) {
-                    for (std::size_t c = 0; c < ow; ++c) {
-                        const float g = dyplane[r * ow + c];
-                        if (g == 0.0f)
-                            continue;
-                        for (std::size_t kr = 0; kr < kernel_; ++kr) {
-                            const float *xrow =
-                                xplane + (r + kr) * w + c;
-                            float *dxrow = dxplane + (r + kr) * w + c;
-                            const float *wrow = wk + kr * kernel_;
-                            float *dwrow = dwk + kr * kernel_;
-                            for (std::size_t kc = 0; kc < kernel_; ++kc) {
-                                dwrow[kc] += g * xrow[kc];
-                                dxrow[kc] += g * wrow[kc];
-                            }
-                        }
                     }
                 }
             }

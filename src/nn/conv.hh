@@ -24,14 +24,13 @@ namespace decepticon::nn {
  * Valid (no padding), stride-1 2-D convolution over a rank-4
  * (N, C_in, H, W) input producing (N, C_out, H-k+1, W-k+1).
  *
- * The optimized path lowers each example to an im2col patch matrix
+ * Forward lowers each example to an im2col patch matrix
  * (C_in·k², oh·ow) and runs the shared packed GEMM with the bias (and
  * any activation set via setActivation()) fused into the epilogue.
  * The patch panel — which backward needs for dW anyway — lives in an
  * ActivationCache slot, so forward keeps no copy of the raw input at
- * all; backward after recycleActivations() asserts. Under naive
- * kernels the legacy direct loop nest runs instead (then the raw
- * input is cached, as before).
+ * all; backward after recycleActivations() asserts. kernels_test
+ * checks both passes against a direct loop nest.
  */
 class Conv2d
 {
@@ -55,18 +54,13 @@ class Conv2d
     Parameter bias;   // (C_out)
 
   private:
-    tensor::Tensor forwardNaive(const tensor::Tensor &x);
-    tensor::Tensor backwardNaive(const tensor::Tensor &dy);
-
     std::size_t inChannels_;
     std::size_t outChannels_;
     std::size_t kernel_;
     tensor::kernels::Act act_ = tensor::kernels::Act::None;
-    bool naiveForward_ = false; ///< which path the last forward took
     std::vector<std::size_t> inShape_;
     tensor::kernels::ActivationCache colCache_;
     tensor::kernels::ActivationCache preactCache_;
-    tensor::Tensor cachedInput_; ///< naive path only
 };
 
 /**

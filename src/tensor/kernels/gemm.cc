@@ -22,8 +22,6 @@
 #include "tensor/kernels/kernels.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "sched/sched.hh"
@@ -54,18 +52,6 @@ constexpr std::size_t NC = 512;
 // costs more than it saves. Pure function of shape, so thread-count
 // invariance is unaffected.
 constexpr std::size_t kParallelFlopFloor = 1u << 20;
-
-std::atomic<int> g_naive_state{-1};
-
-bool
-envNaiveDefault()
-{
-    const char *e = std::getenv("DECEPTICON_NAIVE_KERNELS");
-    if (e == nullptr || e[0] == '\0')
-        return false;
-    return !(e[0] == '0' || e[0] == 'n' || e[0] == 'N' ||
-             e[0] == 'f' || e[0] == 'F');
-}
 
 /** Row stride of the stored operand when the caller passed 0. */
 std::size_t
@@ -294,9 +280,15 @@ applyEpilogue(const GemmCall &g, std::size_t ldc, std::size_t jc,
     }
 }
 
+} // anonymous namespace
+
 void
-gemmOptimized(Trans t, const GemmCall &g)
+gemm(Trans t, const GemmCall &g)
 {
+    // Accumulation composes with the epilogue only in the reference
+    // definition (gemmNaive); the blocked path stages partial sums in
+    // C, so forbid the combination (no caller needs it).
+    assert(!(g.accumulate && hasEpilogue(g)));
     const std::size_t lda = resolveLda(t, g);
     const std::size_t ldb = resolveLdb(t, g);
     const std::size_t ldc = g.ldc != 0 ? g.ldc : g.m;
@@ -359,8 +351,6 @@ gemmOptimized(Trans t, const GemmCall &g)
     }
 }
 
-} // anonymous namespace
-
 void
 gemmNaive(Trans t, const GemmCall &g)
 {
@@ -393,36 +383,6 @@ gemmNaive(Trans t, const GemmCall &g)
             crow[j] = g.accumulate ? crow[j] + r : r;
         }
     }
-}
-
-void
-gemm(Trans t, const GemmCall &g)
-{
-    // Accumulation composes with the epilogue only in the naive
-    // definition above; the blocked path stages partial sums in C, so
-    // forbid the combination (no caller needs it).
-    assert(!(g.accumulate && hasEpilogue(g)));
-    if (naiveEnabled())
-        gemmNaive(t, g);
-    else
-        gemmOptimized(t, g);
-}
-
-bool
-naiveEnabled()
-{
-    int s = g_naive_state.load(std::memory_order_relaxed);
-    if (s < 0) {
-        s = envNaiveDefault() ? 1 : 0;
-        g_naive_state.store(s, std::memory_order_relaxed);
-    }
-    return s == 1;
-}
-
-void
-setNaive(bool naive)
-{
-    g_naive_state.store(naive ? 1 : 0, std::memory_order_relaxed);
 }
 
 } // namespace decepticon::tensor::kernels

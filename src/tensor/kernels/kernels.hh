@@ -13,11 +13,10 @@
  * output element is produced in full by exactly one task — never of
  * DECEPTICON_THREADS or scheduling order. Optimized results therefore
  * match themselves bit-for-bit at any lane count (§9), while they may
- * differ from the naive reference loops by rounding (the differential
- * kernel tests allow 1e-5 relative).
- *
- * The DECEPTICON_NAIVE_KERNELS=1 environment variable routes every
- * call through the legacy reference loops for differential testing.
+ * differ from the reference loops (gemmNaive) by rounding (the
+ * differential kernel tests allow 1e-5 relative). There is one
+ * implementation per operation at run time: the reference loops are
+ * test oracles only.
  */
 
 #ifndef DECEPTICON_TENSOR_KERNELS_KERNELS_HH
@@ -71,31 +70,18 @@ struct GemmCall
     float *preact = nullptr; ///< optional (n, m) pre-activation copy
 };
 
-/**
- * C = act(op(A)·op(B) + bias), blocked/packed/parallel unless naive
- * mode is enabled (then the reference loops run; same semantics).
- */
+/** C = act(op(A)·op(B) + bias): blocked, packed and parallel. */
 void gemm(Trans t, const GemmCall &call);
 
-/** The reference implementation (always the legacy loop nest). */
+/** The reference loop nest gemm() is tested against (same semantics). */
+// lint: suppress(R11) the differential suite's oracle: kernels_test
+// compares gemm() and the layers built on it with these loops
 void gemmNaive(Trans t, const GemmCall &call);
 
 /**
- * Whether naive (reference) kernels are in force: the
- * DECEPTICON_NAIVE_KERNELS environment variable (read once; unset or
- * empty means optimized), overridable via setNaive().
- */
-bool naiveEnabled();
-
-/** Test hook: force naive (true) or optimized (false) kernels. */
-// lint: suppress(R11) the differential suite flips to the naive
-// reference kernels through it to compare them with the optimized ones
-void setNaive(bool naive);
-
-/**
  * Row softmax of an (rows, cols) matrix using a vectorizable
- * range-reduced polynomial exp (~4e-8 relative). The optimized
- * backend of tensor::softmaxRows; the naive path keeps libm expf.
+ * range-reduced polynomial exp (~4e-8 relative). The backend of
+ * tensor::softmaxRows; kernels_test checks it against libm expf.
  */
 void softmaxRowsFast(const float *x, float *y, std::size_t rows,
                      std::size_t cols);

@@ -4,14 +4,15 @@
  * (DESIGN.md §10): a Cody–Waite range-reduced degree-6 polynomial
  * expf (~3e-7 relative error) and a tanh/GELU built on it, in scalar
  * form and — under GCC/Clang — as 8-lane vector-extension variants.
- * Inputs below the expf underflow cutoff flush to exactly zero, which
- * the causal-attention mask contract depends on. All results are pure
+ * Inputs below the expf underflow cutoff flush to exactly zero, so a
+ * masked (-1e30) softmax entry is exactly 0, as under libm underflow;
+ * the paper digests depend on this flush. All results are pure
  * functions of the input values; nothing here depends on thread count
  * or scheduling order.
  *
- * The naive reference kernels do NOT use these: they keep libm
- * (std::exp / std::tanh), so the differential kernel tests also bound
- * the polynomial approximation error.
+ * The reference kernels (gemmNaive, the test's softmax) do NOT use
+ * these: they keep libm (std::exp / std::tanh), so the differential
+ * kernel tests also bound the polynomial approximation error.
  */
 
 #ifndef DECEPTICON_TENSOR_KERNELS_VECMATH_HH

@@ -128,25 +128,7 @@ softmaxRows(const Tensor &a)
     Tensor out({n, m});
     if (n == 0 || m == 0)
         return out;
-    if (!kernels::naiveEnabled()) {
-        kernels::softmaxRowsFast(a.data(), out.data(), n, m);
-        return out;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const float *row = a.data() + i * m;
-        float *orow = out.data() + i * m;
-        float mx = row[0];
-        for (std::size_t j = 1; j < m; ++j)
-            mx = std::max(mx, row[j]);
-        float s = 0.0f;
-        for (std::size_t j = 0; j < m; ++j) {
-            orow[j] = std::exp(row[j] - mx);
-            s += orow[j];
-        }
-        const float inv = 1.0f / s;
-        for (std::size_t j = 0; j < m; ++j)
-            orow[j] *= inv;
-    }
+    kernels::softmaxRowsFast(a.data(), out.data(), n, m);
     return out;
 }
 

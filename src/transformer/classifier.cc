@@ -54,13 +54,10 @@ tensor::Tensor
 TransformerClassifier::logits(const std::vector<int> &tokens)
 {
     tensor::Tensor x = forwardBackbone(tokens);
-    // Encoder models pool the first ([CLS]-style) token; decoder
-    // (causal) models pool the last token, whose state has seen the
-    // whole sequence.
-    const std::size_t pool = cfg_.causal ? tokens.size() - 1 : 0;
+    // Pool the first ([CLS]-style) token.
     tensor::Tensor pooled({1, cfg_.hidden});
     for (std::size_t j = 0; j < cfg_.hidden; ++j)
-        pooled[j] = x.at(pool, j);
+        pooled[j] = x.at(0, j);
     return head_->forward(pooled);
 }
 
@@ -76,9 +73,8 @@ TransformerClassifier::backwardFromLogits(const tensor::Tensor &dlogits,
 {
     tensor::Tensor dpooled = head_->backward(dlogits);
     tensor::Tensor dx({seq_len, cfg_.hidden});
-    const std::size_t pool = cfg_.causal ? seq_len - 1 : 0;
     for (std::size_t j = 0; j < cfg_.hidden; ++j)
-        dx.at(pool, j) = dpooled[j];
+        dx.at(0, j) = dpooled[j];
     for (auto it = encoders_.rbegin(); it != encoders_.rend(); ++it)
         dx = (*it)->backward(dx);
 

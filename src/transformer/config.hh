@@ -26,13 +26,6 @@ struct TransformerConfig
     std::size_t numHeads = 2;
     std::size_t ffnDim = 64;
     std::size_t numClasses = 2;
-    /**
-     * Decoder-style (GPT-2-like) masked self-attention: position i
-     * attends only to positions <= i, and the classifier pools the
-     * last token instead of the first (paper Sec. 2.2: "decoders are
-     * similar to encoders, except the masked self-attention").
-     */
-    bool causal = false;
 
     /** Hidden size per attention head. */
     std::size_t headDim() const { return hidden / numHeads; }

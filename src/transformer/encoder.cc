@@ -13,7 +13,6 @@ EncoderLayer::EncoderLayer(const std::string &name,
     : hidden_(cfg.hidden),
       numHeads_(cfg.numHeads),
       headDim_(cfg.headDim()),
-      causal_(cfg.causal),
       wq_(name + ".attn.q", cfg.hidden, cfg.hidden, rng),
       wk_(name + ".attn.k", cfg.hidden, cfg.hidden, rng),
       wv_(name + ".attn.v", cfg.hidden, cfg.hidden, rng),
@@ -61,16 +60,6 @@ EncoderLayer::forward(const tensor::Tensor &x)
         sc.c = scores.data();
         kernels::gemm(kernels::Trans::NT, sc);
         tensor::scaleInPlace(scores, scale);
-        if (causal_) {
-            // Masked self-attention (decoder block): position i may
-            // not attend to the future. Masked probabilities are
-            // exactly zero, so the softmax backward needs no change.
-            for (std::size_t i = 0; i < t; ++i) {
-                float *row = scores.data() + i * t;
-                for (std::size_t j = i + 1; j < t; ++j)
-                    row[j] = -1e30f;
-            }
-        }
         cachedProbs_[h] = tensor::softmaxRows(scores);
         kernels::GemmCall ctx;
         ctx.n = t;

@@ -61,7 +61,6 @@ class EncoderLayer
     std::size_t hidden_;
     std::size_t numHeads_;
     std::size_t headDim_;
-    bool causal_;
 
     nn::Linear wq_, wk_, wv_, wo_;
     nn::LayerNorm ln1_, ln2_;

@@ -18,8 +18,10 @@
 #include "core/decepticon.hh"
 #include "core/two_level.hh"
 #include "extraction/bitprobe.hh"
+#include "extraction/dram.hh"
 #include "extraction/resilient.hh"
 #include "extraction/selective.hh"
+#include "fault/fault.hh"
 #include "obs/flight.hh"
 #include "fingerprint/dataset.hh"
 #include "gpusim/trace_generator.hh"
@@ -34,6 +36,7 @@
 namespace dc = decepticon::core;
 namespace de = decepticon::extraction;
 namespace df = decepticon::fingerprint;
+namespace dfa = decepticon::fault;
 namespace dg = decepticon::gpusim;
 namespace dz = decepticon::zoo;
 namespace dtr = decepticon::transformer;
@@ -123,31 +126,51 @@ TEST(Determinism, SelectiveExtractionBitIdentical)
     const de::ExtractionPolicy policy;
     const de::SelectiveWeightExtractor extractor(policy);
 
-    // A noisy channel: its error rng is stateful, which is exactly
-    // what the serial probe phase must keep scheduling-independent.
+    // A stateful, noisy channel: the DRAM channel's warm-row cost
+    // depends on the previous read (256-byte rows make that bite
+    // often), and transient flips come from a fault injector. The
+    // serial probe phase must keep both scheduling-independent.
     auto run = [&](std::size_t threads, std::vector<float> &out,
-                   de::ExtractionStats &stats) {
+                   de::ExtractionStats &stats, de::ProbeStats &probe) {
         sched::setThreads(threads);
         de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle, 1, 0.02, 99);
+        de::DramGeometry geom;
+        geom.rowBytes = 256;
+        const de::DramWeightLayout layout(oracle, geom, 99);
+        de::DramBitProbeChannel channel(oracle, layout);
+        dfa::FaultSpec spec;
+        spec.probeFlipRate = 0.02;
+        spec.seed = 99;
+        dfa::FaultInjector injector(spec);
+        channel.attachFaultInjector(&injector);
         out = extractor.extractLayer(pre.layers[1].w, channel, 1, stats);
         extractor.auditAccuracy(out, victim.layers[1].w, pre.layers[1].w,
                                 stats);
+        probe = channel.stats();
     };
 
     std::vector<float> reference;
     de::ExtractionStats reference_stats;
-    run(1, reference, reference_stats);
+    de::ProbeStats reference_probe;
+    run(1, reference, reference_stats, reference_probe);
     ASSERT_GT(reference_stats.totalWeights, 0u);
+    // Reads hop between rows, so the cost ledger is order-sensitive.
+    ASSERT_GT(reference_probe.hammerRounds,
+              de::kRoundsPerBitWarm * reference_probe.bitsRead);
 
     for (std::size_t threads : kThreadCounts) {
         std::vector<float> out;
         de::ExtractionStats stats;
-        run(threads, out, stats);
+        de::ProbeStats probe;
+        run(threads, out, stats, probe);
         EXPECT_TRUE(sameBits(out, reference))
             << "extracted layer differs at " << threads << " threads";
         EXPECT_TRUE(sameStats(stats, reference_stats))
             << "stats differ at " << threads << " threads";
+        EXPECT_EQ(probe.bitsRead, reference_probe.bitsRead)
+            << "bits read differ at " << threads << " threads";
+        EXPECT_EQ(probe.hammerRounds, reference_probe.hammerRounds)
+            << "hammer rounds differ at " << threads << " threads";
     }
 }
 
@@ -187,9 +210,14 @@ TEST(Determinism, FlightDumpBitIdenticalAcrossLanes)
         });
 
         // A real pipeline slice on top: stage timers + retry events
-        // through the resilient prober (noisy channel, stateful rng).
+        // through the resilient prober (transient flips injected).
         de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle, 1, 0.02, 13);
+        de::BitProbeChannel channel(oracle);
+        dfa::FaultSpec spec;
+        spec.probeFlipRate = 0.02;
+        spec.seed = 13;
+        dfa::FaultInjector injector(spec);
+        channel.attachFaultInjector(&injector);
         de::RetryingProber prober(channel, nullptr);
         const de::ExtractionPolicy policy;
         const de::SelectiveWeightExtractor extractor(policy);

@@ -121,14 +121,14 @@ TEST(DramChannel, WarmRowsAreCheaper)
     chan.readBit(0, 1, 22);
     const std::size_t warm_cost =
         chan.stats().hammerRounds - after_cold;
-    EXPECT_EQ(after_cold, geom.roundsPerBitCold);
-    EXPECT_EQ(warm_cost, geom.roundsPerBitWarm);
+    EXPECT_EQ(after_cold, de::kRoundsPerBitCold);
+    EXPECT_EQ(warm_cost, de::kRoundsPerBitWarm);
 
     // Jumping to a far row is cold again.
     const std::size_t far = geom.rowBytes; // definitely another row
     chan.readBit(0, far / 4, 22);
     EXPECT_EQ(chan.stats().hammerRounds,
-              after_cold + warm_cost + geom.roundsPerBitCold);
+              after_cold + warm_cost + de::kRoundsPerBitCold);
 }
 
 TEST(DramChannel, ReadsMatchPlainChannel)

@@ -14,12 +14,14 @@
 #include "extraction/cloner.hh"
 #include "extraction/ieee.hh"
 #include "extraction/selective.hh"
+#include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "transformer/trainer.hh"
 #include "util/rng.hh"
 #include "zoo/finetune_sim.hh"
 
 namespace de = decepticon::extraction;
+namespace dfa = decepticon::fault;
 namespace dz = decepticon::zoo;
 namespace dtr = decepticon::transformer;
 namespace dob = decepticon::obs;
@@ -162,7 +164,12 @@ TEST(BitProbe, ErrorRateFlipsSomeBits)
 {
     StoreFixture fx;
     de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel noisy(oracle, 1, 0.5, 7);
+    de::BitProbeChannel noisy(oracle);
+    dfa::FaultSpec spec;
+    spec.probeFlipRate = 0.5;
+    spec.seed = 7;
+    dfa::FaultInjector injector(spec);
+    noisy.attachFaultInjector(&injector);
     std::size_t flips = 0;
     for (std::size_t i = 0; i < 200; ++i) {
         const bool truth = std::signbit(fx.victim.layers[0].w[i]);
@@ -529,7 +536,7 @@ TEST(Cloner, DramConstrainedChannel)
     ASSERT_NE(result.clone, nullptr);
     // DRAM cold/warm pricing shows in the hammer-round accounting.
     EXPECT_GE(result.probeStats.hammerRounds,
-              geom.roundsPerBitWarm * result.probeStats.bitsRead);
+              de::kRoundsPerBitWarm * result.probeStats.bitsRead);
     EXPECT_GT(result.extractionStats.unreadableWeights, 0u);
     // The clone is still produced and evaluated; quality depends on
     // which rows (possibly including the baseline-less head) were

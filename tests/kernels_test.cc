@@ -1,13 +1,14 @@
 /**
  * @file
- * Differential and determinism tests for the optimized kernel layer
- * (DESIGN.md §10). The optimized GEMM/softmax paths are checked
- * against the naive reference loops over a sweep of adversarial
- * shapes (1x1, primes, k > n, empty operands, strided views, fused
+ * Differential and determinism tests for the kernel layer (DESIGN.md
+ * §10). The GEMM and softmax are checked against reference loops
+ * (gemmNaive, a libm-expf softmax) over a sweep of adversarial shapes
+ * (1x1, primes, k > n, empty operands, strided views, fused
  * epilogues) within a scaled 1e-5 relative tolerance, and checked
  * against themselves for BIT-identical output at 1 / 2 / 8 scheduler
- * lanes (§9). The nn layers' naive/optimized branches are compared
- * end to end, and the activation-epoch guard (backward after
+ * lanes (§9). Linear and Conv2d forward/backward are compared end to
+ * end with the same layer written on the reference GEMM and as a
+ * direct loop nest, and the activation-epoch guard (backward after
  * recycleActivations) is exercised as a death test.
  */
 
@@ -33,19 +34,165 @@ namespace sched = decepticon::sched;
 
 namespace {
 
-/** Force a kernel mode for one scope, restoring the previous one. */
-class NaiveGuard
+/** Row softmax with libm expf: the reference for softmaxRows. */
+dt::Tensor
+softmaxReference(const dt::Tensor &a)
 {
-  public:
-    explicit NaiveGuard(bool naive) : prev_(dk::naiveEnabled())
-    {
-        dk::setNaive(naive);
+    const std::size_t n = a.dim(0), m = a.dim(1);
+    dt::Tensor out({n, m});
+    for (std::size_t i = 0; i < n && m > 0; ++i) {
+        const float *row = a.data() + i * m;
+        float *orow = out.data() + i * m;
+        float mx = row[0];
+        for (std::size_t j = 1; j < m; ++j)
+            mx = std::max(mx, row[j]);
+        float s = 0.0f;
+        for (std::size_t j = 0; j < m; ++j) {
+            orow[j] = std::exp(row[j] - mx);
+            s += orow[j];
+        }
+        const float inv = 1.0f / s;
+        for (std::size_t j = 0; j < m; ++j)
+            orow[j] *= inv;
     }
-    ~NaiveGuard() { dk::setNaive(prev_); }
+    return out;
+}
 
-  private:
-    bool prev_;
+/** Outputs and gradients of one forward + backward pass of a layer. */
+struct LayerPass
+{
+    dt::Tensor y, dx, dw, db;
 };
+
+/**
+ * Linear's forward and backward written on the reference GEMM:
+ * y = act(x W^T + b), g = dy * act'(pre), dW = g^T x, db = colsum(g),
+ * dx = g W.
+ */
+LayerPass
+linearReference(const dn::Linear &lin, dk::Act act, const dt::Tensor &x,
+                const dt::Tensor &dy)
+{
+    const std::size_t n = x.dim(0), in = lin.inFeatures(),
+                      out = lin.outFeatures();
+    LayerPass r{dt::Tensor({n, out}), dt::Tensor({n, in}),
+                dt::Tensor({out, in}), dt::Tensor({out})};
+    dt::Tensor pre({n, out});
+    dk::GemmCall fwd;
+    fwd.n = n;
+    fwd.m = out;
+    fwd.k = in;
+    fwd.a = x.data();
+    fwd.b = lin.weight.value.data();
+    fwd.c = r.y.data();
+    fwd.colBias = lin.bias.value.data();
+    fwd.act = act;
+    fwd.preact = pre.data();
+    dk::gemmNaive(dk::Trans::NT, fwd);
+
+    dt::Tensor g = dy;
+    for (std::size_t i = 0; i < g.size(); ++i)
+        g[i] *= dk::actBackward(act, pre[i]);
+    dk::GemmCall dw;
+    dw.n = out;
+    dw.m = in;
+    dw.k = n;
+    dw.a = g.data();
+    dw.b = x.data();
+    dw.c = r.dw.data();
+    dk::gemmNaive(dk::Trans::TN, dw);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < out; ++j)
+            r.db[j] += g[i * out + j];
+    dk::GemmCall dxc;
+    dxc.n = n;
+    dxc.m = in;
+    dxc.k = out;
+    dxc.a = g.data();
+    dxc.b = lin.weight.value.data();
+    dxc.c = r.dx.data();
+    dk::gemmNaive(dk::Trans::NN, dxc);
+    return r;
+}
+
+/**
+ * Conv2d's forward and backward as the direct loop nest (valid,
+ * stride 1, NCHW): the reference for the im2col + GEMM layer.
+ */
+LayerPass
+convReference(const dn::Conv2d &conv, dk::Act act, const dt::Tensor &x,
+              const dt::Tensor &dy)
+{
+    const dt::Tensor &wt = conv.weight.value;
+    const std::size_t n = x.dim(0), cin = x.dim(1), h = x.dim(2),
+                      w = x.dim(3), cout = wt.dim(0), k = conv.kernel();
+    const std::size_t oh = h - k + 1, ow = w - k + 1;
+    const std::size_t in_plane = h * w, out_plane = oh * ow,
+                      wplane = k * k;
+    LayerPass r{dt::Tensor({n, cout, oh, ow}), dt::Tensor(x.shape()),
+                dt::Tensor(wt.shape()), dt::Tensor({cout})};
+
+    dt::Tensor pre({n, cout, oh, ow});
+    for (std::size_t b = 0; b < n; ++b) {
+        const float *xb = x.data() + b * cin * in_plane;
+        float *yb = pre.data() + b * cout * out_plane;
+        for (std::size_t co = 0; co < cout; ++co) {
+            float *yplane = yb + co * out_plane;
+            for (std::size_t i = 0; i < out_plane; ++i)
+                yplane[i] = conv.bias.value[co];
+            for (std::size_t ci = 0; ci < cin; ++ci) {
+                const float *xplane = xb + ci * in_plane;
+                const float *wk = wt.data() + (co * cin + ci) * wplane;
+                for (std::size_t row = 0; row < oh; ++row) {
+                    for (std::size_t col = 0; col < ow; ++col) {
+                        float s = 0.0f;
+                        for (std::size_t kr = 0; kr < k; ++kr)
+                            for (std::size_t kc = 0; kc < k; ++kc)
+                                s += xplane[(row + kr) * w + col + kc] *
+                                     wk[kr * k + kc];
+                        yplane[row * ow + col] += s;
+                    }
+                }
+            }
+        }
+    }
+    for (std::size_t i = 0; i < pre.size(); ++i)
+        r.y[i] = dk::actForward(act, pre[i]);
+
+    dt::Tensor g = dy;
+    for (std::size_t i = 0; i < g.size(); ++i)
+        g[i] *= dk::actBackward(act, pre[i]);
+    for (std::size_t b = 0; b < n; ++b) {
+        const float *xb = x.data() + b * cin * in_plane;
+        float *dxb = r.dx.data() + b * cin * in_plane;
+        const float *gb = g.data() + b * cout * out_plane;
+        for (std::size_t co = 0; co < cout; ++co) {
+            const float *gplane = gb + co * out_plane;
+            for (std::size_t i = 0; i < out_plane; ++i)
+                r.db[co] += gplane[i];
+            for (std::size_t ci = 0; ci < cin; ++ci) {
+                const float *xplane = xb + ci * in_plane;
+                float *dxplane = dxb + ci * in_plane;
+                const float *wk = wt.data() + (co * cin + ci) * wplane;
+                float *dwk = r.dw.data() + (co * cin + ci) * wplane;
+                for (std::size_t row = 0; row < oh; ++row) {
+                    for (std::size_t col = 0; col < ow; ++col) {
+                        const float gv = gplane[row * ow + col];
+                        for (std::size_t kr = 0; kr < k; ++kr) {
+                            for (std::size_t kc = 0; kc < k; ++kc) {
+                                const std::size_t at =
+                                    (row + kr) * w + col + kc;
+                                dwk[kr * k + kc] += gv * xplane[at];
+                                dxplane[at] += gv * wk[kr * k + kc];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return r;
+}
 
 /** |a-b| <= tol * max(1, max|b|), the scaled agreement criterion. */
 void
@@ -239,18 +386,12 @@ TEST(KernelsSoftmax, MatchesNaiveAndZerosMaskedEntries)
         const std::size_t rows = 5;
         dt::Tensor x({rows, cols});
         x.fillGaussian(rng, 3.0f);
-        // Causal-style mask on the last row.
+        // Masked entries (-1e30) on the last row.
         for (std::size_t j = cols / 2; j < cols; ++j)
             x.at(rows - 1, j) = -1e30f;
 
-        dt::Tensor fast({rows, cols});
-        dk::softmaxRowsFast(x.data(), fast.data(), rows, cols);
-
-        dt::Tensor ref;
-        {
-            NaiveGuard guard(true);
-            ref = dt::softmaxRows(x);
-        }
+        const dt::Tensor fast = dt::softmaxRows(x);
+        const dt::Tensor ref = softmaxReference(x);
         for (std::size_t i = 0; i < fast.size(); ++i)
             ASSERT_NEAR(fast[i], ref[i], 1e-5f) << "cols=" << cols;
         // Masked probabilities are exactly zero, like libm underflow.
@@ -266,38 +407,26 @@ TEST(KernelsLinear, NaiveAndOptimizedAgree)
 {
     du::Rng rng(23);
     for (dk::Act act : {dk::Act::None, dk::Act::Relu, dk::Act::Gelu}) {
-        du::Rng rngOpt(23), rngRef(23); // identical init
-        dn::Linear optLin("l", 13, 7, rngOpt);
-        optLin.setActivation(act);
-        dn::Linear refLin("l", 13, 7, rngRef);
-        refLin.setActivation(act);
+        du::Rng init(23);
+        dn::Linear lin("l", 13, 7, init);
+        lin.setActivation(act);
 
         dt::Tensor x({5, 13});
         x.fillGaussian(rng, 1.0f);
         dt::Tensor dy({5, 7});
         dy.fillGaussian(rng, 1.0f);
 
-        dt::Tensor yOpt, dxOpt, yRef, dxRef;
-        {
-            NaiveGuard guard(false);
-            yOpt = optLin.forward(x);
-            dxOpt = optLin.backward(dy);
-        }
-        {
-            NaiveGuard guard(true);
-            yRef = refLin.forward(x);
-            dxRef = refLin.backward(dy);
-        }
-        for (std::size_t i = 0; i < yOpt.size(); ++i)
-            ASSERT_NEAR(yOpt[i], yRef[i], 1e-5f);
-        for (std::size_t i = 0; i < dxOpt.size(); ++i)
-            ASSERT_NEAR(dxOpt[i], dxRef[i], 1e-5f);
-        for (std::size_t i = 0; i < optLin.weight.grad.size(); ++i)
-            ASSERT_NEAR(optLin.weight.grad[i], refLin.weight.grad[i],
-                        1e-4f);
-        for (std::size_t i = 0; i < optLin.bias.grad.size(); ++i)
-            ASSERT_NEAR(optLin.bias.grad[i], refLin.bias.grad[i],
-                        1e-4f);
+        const dt::Tensor y = lin.forward(x);
+        const dt::Tensor dx = lin.backward(dy);
+        const LayerPass ref = linearReference(lin, act, x, dy);
+        for (std::size_t i = 0; i < y.size(); ++i)
+            ASSERT_NEAR(y[i], ref.y[i], 1e-5f);
+        for (std::size_t i = 0; i < dx.size(); ++i)
+            ASSERT_NEAR(dx[i], ref.dx[i], 1e-5f);
+        for (std::size_t i = 0; i < lin.weight.grad.size(); ++i)
+            ASSERT_NEAR(lin.weight.grad[i], ref.dw[i], 1e-4f);
+        for (std::size_t i = 0; i < lin.bias.grad.size(); ++i)
+            ASSERT_NEAR(lin.bias.grad[i], ref.db[i], 1e-4f);
     }
 }
 
@@ -305,39 +434,27 @@ TEST(KernelsConv, Im2colAndDirectAgree)
 {
     du::Rng rng(29);
     for (dk::Act act : {dk::Act::None, dk::Act::Relu}) {
-        du::Rng rngOpt(29), rngRef(29); // identical init
-        dn::Conv2d optConv("c", 3, 4, 3, rngOpt);
-        optConv.setActivation(act);
-        dn::Conv2d refConv("c", 3, 4, 3, rngRef);
-        refConv.setActivation(act);
+        du::Rng init(29);
+        dn::Conv2d conv("c", 3, 4, 3, init);
+        conv.setActivation(act);
 
         dt::Tensor x({2, 3, 9, 8});
         x.fillGaussian(rng, 1.0f);
         dt::Tensor dy({2, 4, 7, 6});
         dy.fillGaussian(rng, 1.0f);
 
-        dt::Tensor yOpt, dxOpt, yRef, dxRef;
-        {
-            NaiveGuard guard(false);
-            yOpt = optConv.forward(x);
-            dxOpt = optConv.backward(dy);
-        }
-        {
-            NaiveGuard guard(true);
-            yRef = refConv.forward(x);
-            dxRef = refConv.backward(dy);
-        }
-        ASSERT_EQ(yOpt.shape(), yRef.shape());
-        for (std::size_t i = 0; i < yOpt.size(); ++i)
-            ASSERT_NEAR(yOpt[i], yRef[i], 1e-5f);
-        for (std::size_t i = 0; i < dxOpt.size(); ++i)
-            ASSERT_NEAR(dxOpt[i], dxRef[i], 1e-4f);
-        for (std::size_t i = 0; i < optConv.weight.grad.size(); ++i)
-            ASSERT_NEAR(optConv.weight.grad[i], refConv.weight.grad[i],
-                        1e-4f);
-        for (std::size_t i = 0; i < optConv.bias.grad.size(); ++i)
-            ASSERT_NEAR(optConv.bias.grad[i], refConv.bias.grad[i],
-                        1e-4f);
+        const dt::Tensor y = conv.forward(x);
+        const dt::Tensor dx = conv.backward(dy);
+        const LayerPass ref = convReference(conv, act, x, dy);
+        ASSERT_EQ(y.shape(), ref.y.shape());
+        for (std::size_t i = 0; i < y.size(); ++i)
+            ASSERT_NEAR(y[i], ref.y[i], 1e-5f);
+        for (std::size_t i = 0; i < dx.size(); ++i)
+            ASSERT_NEAR(dx[i], ref.dx[i], 1e-4f);
+        for (std::size_t i = 0; i < conv.weight.grad.size(); ++i)
+            ASSERT_NEAR(conv.weight.grad[i], ref.dw[i], 1e-4f);
+        for (std::size_t i = 0; i < conv.bias.grad.size(); ++i)
+            ASSERT_NEAR(conv.bias.grad[i], ref.db[i], 1e-4f);
     }
 }
 
@@ -396,7 +513,6 @@ TEST(KernelsDeathTest, LinearBackwardAfterRecycleAsserts)
 TEST(KernelsDeathTest, ConvBackwardAfterRecycleAsserts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    NaiveGuard guard(false); // epoch guard lives on the im2col path
     du::Rng rng(37);
     dn::Conv2d conv("c", 1, 2, 3, rng);
     dt::Tensor x({1, 1, 6, 6});

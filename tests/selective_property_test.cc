@@ -14,11 +14,13 @@
 #include "extraction/bitprobe.hh"
 #include "extraction/ieee.hh"
 #include "extraction/selective.hh"
+#include "fault/fault.hh"
 #include "util/rng.hh"
 #include "zoo/finetune_sim.hh"
 #include "zoo/weight_store.hh"
 
 namespace de = decepticon::extraction;
+namespace dfa = decepticon::fault;
 namespace dz = decepticon::zoo;
 namespace du = decepticon::util;
 
@@ -245,7 +247,7 @@ TEST(SelectiveProperty, QuantizeStoreAppliesFormat)
 }
 
 /** Bit-error injection: extraction error rises smoothly with the
- *  channel's bit error rate, not catastrophically. */
+ *  injected transient flip rate, not catastrophically. */
 class NoisyChannelSweep : public ::testing::TestWithParam<int>
 {
 };
@@ -263,9 +265,12 @@ TEST_P(NoisyChannelSweep, ErrorRateDegradesGracefully)
 
     auto correct_at = [&](double ber) {
         de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle, 1, ber,
-                                    static_cast<std::uint64_t>(
-                                        GetParam()));
+        de::BitProbeChannel channel(oracle);
+        dfa::FaultSpec spec;
+        spec.probeFlipRate = ber;
+        spec.seed = static_cast<std::uint64_t>(GetParam());
+        dfa::FaultInjector injector(spec);
+        channel.attachFaultInjector(&injector);
         de::ExtractionPolicy policy;
         de::SelectiveWeightExtractor ex(policy);
         de::ExtractionStats stats;

@@ -477,92 +477,3 @@ TEST_P(SeqLenSweep, ForwardBackwardRun)
 INSTANTIATE_TEST_SUITE_P(Lengths, SeqLenSweep,
                          ::testing::Values(1, 2, 4, 7, 8));
 
-TEST(CausalDecoder, MaskZerosFutureAttention)
-{
-    dtr::TransformerConfig cfg = microConfig();
-    cfg.causal = true;
-    du::Rng rng(31);
-    dtr::EncoderLayer dec("d", cfg, rng);
-    dt::Tensor x({5, 8});
-    x.fillGaussian(rng, 0.5f);
-    dec.forward(x);
-    for (std::size_t h = 0; h < dec.numHeads(); ++h) {
-        const dt::Tensor &p = dec.attentionProbs(h);
-        for (std::size_t i = 0; i < 5; ++i) {
-            float row_sum = 0.0f;
-            for (std::size_t j = 0; j < 5; ++j) {
-                if (j > i) {
-                    EXPECT_EQ(p.at(i, j), 0.0f);
-                }
-                row_sum += p.at(i, j);
-            }
-            EXPECT_NEAR(row_sum, 1.0f, 1e-5f);
-        }
-    }
-}
-
-TEST(CausalDecoder, PrefixInvariance)
-{
-    // A causal model's pooled state at position i depends only on the
-    // prefix; position-0 attention output is identical regardless of
-    // the suffix.
-    dtr::TransformerConfig cfg = microConfig();
-    cfg.causal = true;
-    dtr::TransformerClassifier model(cfg, 32);
-    // Two sequences sharing a 3-token prefix.
-    dt::Tensor a = model.logits({1, 2, 3});
-    dtr::TransformerConfig cfg2 = cfg;
-    (void)cfg2;
-    // Pooling is on the last token, so compare via a fresh 3-token
-    // query after running a longer one (caches must not leak).
-    model.logits({1, 2, 3, 4, 5, 6});
-    dt::Tensor b = model.logits({1, 2, 3});
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(CausalDecoder, GradientMatchesFiniteDifference)
-{
-    dtr::TransformerConfig cfg = microConfig();
-    cfg.causal = true;
-    dtr::TransformerClassifier model(cfg, 33);
-    const std::vector<int> tokens{3, 1, 4, 1};
-    const int label = 1;
-
-    dn::zeroGrads(model.params());
-    model.lossAndBackward(tokens, label);
-
-    auto params = model.params();
-    du::Rng rng(34);
-    dn::SoftmaxCrossEntropy ref_loss;
-    const float eps = 1e-2f;
-    for (int check = 0; check < 16; ++check) {
-        auto *p = params[rng.uniformInt(params.size())];
-        const std::size_t i = rng.uniformInt(p->size());
-        const float orig = p->value[i];
-        p->value[i] = orig + eps;
-        const float fp = ref_loss.forward(model.logits(tokens), {label});
-        p->value[i] = orig - eps;
-        const float fm = ref_loss.forward(model.logits(tokens), {label});
-        p->value[i] = orig;
-        const double fd = (fp - fm) / (2.0 * eps);
-        EXPECT_NEAR(p->grad[i], fd, 0.05 * std::max(0.5, std::fabs(fd)))
-            << p->name << "[" << i << "]";
-    }
-}
-
-TEST(CausalDecoder, LearnsMarkovTask)
-{
-    dtr::TransformerConfig cfg = microConfig();
-    cfg.vocab = 16;
-    cfg.numClasses = 2;
-    cfg.causal = true;
-    dtr::TransformerClassifier model(cfg, 35);
-    dtr::MarkovTask task(16, 2, 8, 300, 4.0);
-    dtr::TrainOptions opts;
-    opts.epochs = 6;
-    opts.lr = 3e-3f;
-    dtr::Trainer::train(model, task.sample(160, 1), opts);
-    const auto eval = dtr::Trainer::evaluate(model, task.sample(60, 2));
-    EXPECT_GT(eval.accuracy, 0.8);
-}

@@ -5,8 +5,9 @@
  * metric streams, or flight-recorder JSONL dumps), renders per-stage
  * latency tables, top-N slowest spans, and watchdog findings, and —
  * given two metrics files — an A/B diff that highlights latency/
- * real-time regressions beyond a tolerance (the same >15% band
- * bench_compare.py gates on).
+ * real-time regressions with the rule bench_compare.py gates on: a
+ * real-time gauge fails beyond a 15% band, a p99 latency when it
+ * rises 3 or more log buckets (~30%).
  *
  * Exit codes: 0 ok, 1 regression found (with --check), 2 bad input.
  *
@@ -306,20 +307,42 @@ renderFlight(const RunData &run, std::size_t top_n)
 }
 
 bool
+endsWith(const std::string &name, const char *suffix)
+{
+    const std::string s(suffix);
+    return name.size() >= s.size() &&
+           name.compare(name.size() - s.size(), s.size(), s) == 0;
+}
+
+bool
 isGatedGauge(const std::string &name)
 {
     // Mirror of bench_compare.py's gate filter: wall-clock gauges and
     // the per-stage p99 latency rollups.
-    const auto ends = [&](const char *suffix) {
-        const std::string s(suffix);
-        return name.size() >= s.size() &&
-               name.compare(name.size() - s.size(), s.size(), s) == 0;
-    };
-    return (name.rfind("bench.", 0) == 0 && ends(".real_time")) ||
-           ends(".p99_micros");
+    return (name.rfind("bench.", 0) == 0 && endsWith(name, ".real_time")) ||
+           endsWith(name, ".p99_micros");
 }
 
-/** Returns the number of regressions beyond `threshold` percent. */
+/**
+ * A p99 is a LogHistogram bucket midpoint, and a bucket is 1/8 octave
+ * (~9%) wide: a rise of this many buckets (~30%) is a regression,
+ * 1-2 buckets are the quantization of a top-sample move.
+ */
+constexpr double kP99RegressionBuckets = 3.0;
+
+/** LogHistogram bucket index of a latency in µs: ⌊8·log2 v⌋. */
+double
+logBucket(double micros)
+{
+    return std::floor(
+        std::log2(micros / LogHistogram::kLo) *
+        static_cast<double>(LogHistogram::kBucketsPerOctave));
+}
+
+/**
+ * Returns the number of regressions: real-time gauges beyond
+ * `threshold` percent, p99 latencies by bucket distance.
+ */
 int
 diffRuns(const RunData &a, const RunData &b, double threshold)
 {
@@ -328,18 +351,25 @@ diffRuns(const RunData &a, const RunData &b, double threshold)
     int regressions = 0;
     decepticon::util::Table table(
         {"metric", "A", "B", "delta_pct", "verdict"});
-    const auto judge = [&](const std::string &name, double va,
-                           double vb) {
+    const auto judge = [&](const std::string &name, double va, double vb,
+                           bool p99) {
         double pct = 0.0;
         if (va > 0.0)
             pct = (vb - va) / va * 100.0;
         else if (vb > 0.0)
             pct = 100.0;
+        bool worse = pct > threshold;
+        bool better = pct < -threshold;
+        if (p99 && va > 0.0 && vb > 0.0) {
+            const double moved = logBucket(vb) - logBucket(va);
+            worse = moved >= kP99RegressionBuckets;
+            better = moved <= -kP99RegressionBuckets;
+        }
         std::string verdict = "ok";
-        if (pct > threshold) {
+        if (worse) {
             verdict = "REGRESSION";
             ++regressions;
-        } else if (pct < -threshold) {
+        } else if (better) {
             verdict = "improved";
         }
         table.row().cell(name).cell(va, 1).cell(vb, 1).cell(pct, 1).cell(
@@ -348,14 +378,14 @@ diffRuns(const RunData &a, const RunData &b, double threshold)
     for (const auto &[name, sa] : a.latencies) {
         const auto it = b.latencies.find(name);
         if (it != b.latencies.end())
-            judge(name + " p99", sa.p99, it->second.p99);
+            judge(name + " p99", sa.p99, it->second.p99, true);
     }
     for (const auto &[name, va] : a.gauges) {
         if (!isGatedGauge(name))
             continue;
         const auto it = b.gauges.find(name);
         if (it != b.gauges.end())
-            judge(name, va, it->second);
+            judge(name, va, it->second, endsWith(name, ".p99_micros"));
     }
     if (table.numRows() == 0) {
         std::cout << "(no shared latency/gauge metrics to compare)\n";
@@ -373,8 +403,9 @@ diffRuns(const RunData &a, const RunData &b, double threshold)
     if (only_a + only_b > 0)
         std::cout << "unshared latency metrics: " << only_a
                   << " only in A, " << only_b << " only in B\n";
-    std::cout << regressions << " regression(s) beyond " << threshold
-              << "%\n";
+    std::cout << regressions << " regression(s): gauges beyond "
+              << threshold << "%, p99 latencies "
+              << kP99RegressionBuckets << "+ log buckets\n";
     return regressions;
 }
 
@@ -421,7 +452,8 @@ usage()
            "JSONL dump\n"
            "  --check      exit 1 when the A/B diff finds a regression\n"
            "               (or flight streams differ)\n"
-           "  --threshold  regression band in percent (default 15)\n"
+           "  --threshold  gauge regression band in percent (default 15;\n"
+           "               p99 latencies fail at 3+ log buckets)\n"
            "  --top        slowest-span rows to show (default 5)\n";
 }
 
