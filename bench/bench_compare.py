@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_perf_microbench.json snapshots for regressions.
+"""Compare two metrics exports (BENCH_*.json snapshots) for regressions.
 
 Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.15]
     bench_compare.py --lint-report BASELINE.json CANDIDATE.json
 
-Benchmark mode: every gauge named ``bench.*.real_time`` present in
-BOTH snapshots is compared; a candidate more than ``threshold``
-(default 15%) slower than the baseline is a regression and the script
-exits 1 — the verify pipeline gates on that. Latency gauges ending
-``.p99_micros`` are quantiles of an ``obs::LogHistogram`` (a bucket
-midpoint; 8 buckets per octave, each ~9% wide), so they are judged
-by bucket distance instead of a ratio: a p99 that rises 3 or more
-buckets (~30%) fails, a 1-2 bucket move passes. Throughput gauges ending
-``.victims_per_sec`` (the campaign engine) or ``.lookups_per_sec``
-(the fingerprint index) gate in the opposite direction: a candidate
-more than ``threshold`` *below* the baseline fails. Wall-clock gauges only: cpu_time
-aggregates scheduler lanes and misreports threaded benchmarks.
-Gauges present in only one snapshot (new or retired benchmarks) are
-reported but never fail the run, so adding a benchmark does not
-require regenerating the baseline in the same change.
+This is the repo's one A/B judge: every export it reads is the single
+JSON object ``obs::MetricsRegistry::exportJson`` writes, and only the
+``gauges`` section is judged. Exit codes: 0 no regression, 1 at least
+one regression, 2 no gated gauge in an input.
+
+Benchmark mode: every gated gauge present in BOTH snapshots is
+compared. A ``bench.*.real_time`` gauge more than ``threshold``
+(default 15%) slower than the baseline is a regression. Wall-clock
+gauges only: cpu_time aggregates scheduler lanes and misreports
+threaded benchmarks. Latency gauges ending ``.p99_micros`` are
+quantiles of an ``obs::LogHistogram`` (a bucket midpoint; 8 buckets
+per octave, each ~9% wide), so they are judged by bucket distance
+instead of a ratio: a p99 that rises 3 or more buckets (~30%) fails,
+a 1-2 bucket move passes. Throughput gauges ending
+``.lookups_per_sec`` (the fingerprint index) gate in the opposite
+direction: a candidate more than ``threshold`` *below* the baseline
+fails. Gauges present in only one snapshot (new or retired
+benchmarks) are reported but never fail the run, so adding a
+benchmark does not require regenerating the baseline in the same
+change.
 
 Lint mode (``--lint-report``): diff two decepticon-lint JSON reports
 (the committed ``tools/lint/lint_baseline.json`` vs a fresh
@@ -35,8 +40,7 @@ import json
 import math
 import sys
 
-# A p99 that rises this many LogHistogram buckets (~30%) regressed;
-# obsview --check applies the same rule.
+# A p99 that rises this many LogHistogram buckets (~30%) regressed.
 P99_REGRESSION_BUCKETS = 3
 
 
@@ -105,21 +109,18 @@ def gauge_direction(name):
     """Gating direction of a gauge, or None if not gated.
 
     "lower": benchmark wall clocks. "buckets": p99 latencies, judged
-    by LogHistogram bucket distance. "higher": throughput gauges
-    (campaign victims/sec, fingerprint-index lookups/sec), where a
-    drop below the threshold is the regression."""
+    by LogHistogram bucket distance. "higher": fingerprint-index
+    lookups/sec, where a drop below the threshold is the regression."""
     if name.startswith("bench.") and name.endswith(".real_time"):
         return "lower"
     if name.endswith(".p99_micros"):
         return "buckets"
-    if name.endswith(".victims_per_sec"):
-        return "higher"
     if name.endswith(".lookups_per_sec"):
         return "higher"
     return None
 
 
-def real_time_gauges(path):
+def gated_gauges(path):
     with open(path, "r", encoding="utf-8") as f:
         snapshot = json.load(f)
     gauges = snapshot.get("gauges", {})
@@ -147,14 +148,13 @@ def main():
     if args.lint_report:
         return compare_lint_reports(args.baseline, args.candidate)
 
-    base = real_time_gauges(args.baseline)
-    cand = real_time_gauges(args.candidate)
-    if not base:
-        print(f"error: no bench.*.real_time gauges in {args.baseline}")
-        return 2
-    if not cand:
-        print(f"error: no bench.*.real_time gauges in {args.candidate}")
-        return 2
+    base = gated_gauges(args.baseline)
+    cand = gated_gauges(args.candidate)
+    for gauges, path in ((base, args.baseline), (cand, args.candidate)):
+        if not gauges:
+            print(f"error: no gated gauge (bench.*.real_time, "
+                  f"*.p99_micros, *.lookups_per_sec) in {path}")
+            return 2
 
     shared = sorted(set(base) & set(cand))
     regressions = []

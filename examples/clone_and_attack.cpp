@@ -27,10 +27,10 @@ using namespace decepticon;
 int
 main()
 {
-    // Telemetry: DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/run.jsonl
+    // Telemetry: DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/metrics.json
     // exports a Chrome trace spanning both attack levels (rendered from
     // the flight recorder's event stream, retries as instants) plus a
-    // JSONL dump of every probe/retry/fallback counter below;
+    // JSON object of every probe/retry/fallback counter below;
     // DECEPTICON_OBS_FLIGHT=on:/tmp/f.jsonl also dumps that stream.
     obs::initFromEnv();
     std::uint64_t phase_start = obs::clock().nowMicros();

@@ -67,7 +67,7 @@ struct AttackRunReport
 
     /**
      * Publish as "run.*" gauges plus "phase.<name>.micros" per phase
-     * — the registry view a JSONL dump or BENCH snapshot exports.
+     * — the registry view a metrics dump or BENCH snapshot exports.
      */
     void toMetrics(obs::MetricsRegistry &registry) const;
 

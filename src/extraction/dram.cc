@@ -36,30 +36,16 @@ DramWeightLayout::DramWeightLayout(const VictimWeightOracle &oracle,
 }
 
 std::size_t
-DramWeightLayout::flatByteOffset(std::size_t layer,
-                                 std::size_t index) const
+DramWeightLayout::rowOf(std::size_t layer, std::size_t index) const
 {
     assert(layer < layerByteBase_.size());
-    return layerByteBase_[layer] + 4 * index;
-}
-
-DramAddress
-DramWeightLayout::addressOf(std::size_t layer, std::size_t index) const
-{
-    const std::size_t byte = flatByteOffset(layer, index);
-    DramAddress addr;
-    const std::size_t global_row = byte / geometry_.rowBytes;
-    addr.row = global_row;
-    addr.bank = global_row % kDramBanks;
-    addr.column = byte % geometry_.rowBytes;
-    return addr;
+    return (layerByteBase_[layer] + 4 * index) / geometry_.rowBytes;
 }
 
 bool
 DramWeightLayout::hammerable(std::size_t layer, std::size_t index) const
 {
-    const std::size_t row =
-        flatByteOffset(layer, index) / geometry_.rowBytes;
+    const std::size_t row = rowOf(layer, index);
     assert(row < rowHammerable_.size());
     return rowHammerable_[row];
 }
@@ -81,13 +67,11 @@ DramBitProbeChannel::tryReadBit(std::size_t layer, std::size_t index,
                                 int word_bit)
 {
     assert(canRead(layer, index));
-    const DramAddress addr = layout_.addressOf(layer, index);
-    const bool warm =
-        hasLastRow_ && addr.bank == lastBank_ && addr.row == lastRow_;
-    charge(warm ? kRoundsPerBitWarm : kRoundsPerBitCold);
+    const std::size_t row = layout_.rowOf(layer, index);
+    charge(hasLastRow_ && row == lastRow_ ? kRoundsPerBitWarm
+                                           : kRoundsPerBitCold);
     hasLastRow_ = true;
-    lastBank_ = addr.bank;
-    lastRow_ = addr.row;
+    lastRow_ = row;
     return attemptBit(layer, index, word_bit);
 }
 

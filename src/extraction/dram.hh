@@ -5,15 +5,15 @@
  * aggressor rows adjacent to the victim row holding a weight. Two
  * physical facts shape the attack's cost and coverage:
  *
- *  - a weight's bits live at a (bank, row, column) address determined
- *    by the tensor's layout in memory — the attacker learns addresses
- *    from the memory-probing side channel of the threat model;
+ *  - a weight's bits live in a DRAM row determined by the tensor's
+ *    layout in memory — the attacker learns addresses from the
+ *    memory-probing side channel of the threat model;
  *  - only rows whose neighbours the attacker can occupy are
  *    hammerable, and consecutive reads within one row are cheaper
  *    than row-to-row jumps (aggressor setup is amortized).
  *
  * Row size and the hammerable share are per-experiment geometry; the
- * bank count and the cold/warm per-bit costs are fixed constants.
+ * cold/warm per-bit costs are fixed constants.
  * The layout is deterministic per victim, so experiments are
  * reproducible. The channel adds no noise of its own (bitprobe.hh).
  */
@@ -27,8 +27,6 @@
 
 namespace decepticon::extraction {
 
-/** DDR4 banks that consecutive rows interleave over. */
-constexpr std::size_t kDramBanks = 16;
 /** Hammer rounds to read a bit in a freshly targeted row. */
 constexpr std::size_t kRoundsPerBitCold = 64;
 /** Rounds per bit when the previous read hit the same row. */
@@ -43,16 +41,8 @@ struct DramGeometry
     double hammerableRowFraction = 1.0;
 };
 
-/** Physical location of one weight. */
-struct DramAddress
-{
-    std::size_t bank = 0;
-    std::size_t row = 0;
-    std::size_t column = 0; ///< byte offset inside the row
-};
-
 /**
- * Maps (layer, index) weight coordinates to DRAM addresses for a
+ * Maps (layer, index) weight coordinates to DRAM rows for a
  * victim whose tensors are stored contiguously layer by layer, and
  * answers hammerability queries.
  */
@@ -68,8 +58,8 @@ class DramWeightLayout
     DramWeightLayout(const VictimWeightOracle &oracle,
                      const DramGeometry &geometry, std::uint64_t seed);
 
-    /** Address of a weight (float32 = 4 bytes each). */
-    DramAddress addressOf(std::size_t layer, std::size_t index) const;
+    /** Row holding a weight (float32 = 4 bytes each). */
+    std::size_t rowOf(std::size_t layer, std::size_t index) const;
 
     /** Whether the row holding this weight can be hammered. */
     bool hammerable(std::size_t layer, std::size_t index) const;
@@ -77,9 +67,6 @@ class DramWeightLayout
     const DramGeometry &geometry() const { return geometry_; }
 
   private:
-    std::size_t flatByteOffset(std::size_t layer,
-                               std::size_t index) const;
-
     DramGeometry geometry_;
     std::vector<std::size_t> layerByteBase_; ///< per-layer start offset
     std::vector<bool> rowHammerable_;
@@ -107,7 +94,6 @@ class DramBitProbeChannel : public BitProbeChannel
   private:
     const DramWeightLayout &layout_;
     bool hasLastRow_ = false;
-    std::size_t lastBank_ = 0;
     std::size_t lastRow_ = 0;
 };
 

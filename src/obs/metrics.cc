@@ -147,23 +147,6 @@ writeLatency(std::ostream &out, const LogHistogram &h)
 } // anonymous namespace
 
 void
-MetricsRegistry::exportJsonl(std::ostream &out) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[name, value] : counters_)
-        out << "{\"type\":\"counter\",\"name\":" << jsonQuote(name)
-            << ",\"value\":" << value << "}\n";
-    for (const auto &[name, value] : gauges_)
-        out << "{\"type\":\"gauge\",\"name\":" << jsonQuote(name)
-            << ",\"value\":" << jsonNumber(value) << "}\n";
-    for (const auto &[name, h] : latencies_) {
-        out << "{\"type\":\"latency\",\"name\":" << jsonQuote(name) << ",";
-        writeLatency(out, h);
-        out << "}\n";
-    }
-}
-
-void
 MetricsRegistry::exportJson(std::ostream &out) const
 {
     std::lock_guard<std::mutex> lock(mu_);

@@ -6,8 +6,8 @@
  * hold the latest value of a measurement (CNN confidence, phase wall
  * time), and log-bucketed histograms (LogHistogram) capture
  * distributions.
- * The whole registry exports as JSONL (one metric per line) or as a
- * single JSON object for BENCH_*.json perf snapshots.
+ * The whole registry exports as one JSON object: the shape of every
+ * metrics file, DECEPTICON_OBS dumps and BENCH_*.json snapshots alike.
  */
 
 #ifndef DECEPTICON_OBS_METRICS_HH
@@ -66,19 +66,10 @@ class MetricsRegistry
     void reset();
 
     /**
-     * One metric per line:
-     *   {"type":"counter","name":"...","value":N}
-     *   {"type":"gauge","name":"...","value":X}
-     *   {"type":"latency","name":"...","p50":..,"p90":..,"p99":..,
-     *    "mean":..,"count":N,"underflow":N,"overflow":N,"sum":..,
-     *    "counts":[..]}
-     */
-    void exportJsonl(std::ostream &out) const;
-
-    /**
      * Single JSON object:
      *   {"counters":{...},"gauges":{...},"latencies":{...}}
-     * The shape BENCH_*.json snapshots use so follow-up PRs can diff.
+     * where each latency is {"p50":..,"p90":..,"p99":..,"mean":..,
+     * "count":N,"underflow":N,"overflow":N,"sum":..,"counts":[..]}.
      * The "latencies" section is omitted when empty. Exports written
      * before the fixed-width histograms went carry a "histograms"
      * section too; its readers (obsview, bench_compare.py) skip it.

@@ -159,7 +159,7 @@ flush()
     if (config.metricsEnabled && !config.metricsPath.empty()) {
         std::ofstream out(config.metricsPath);
         if (out)
-            registrySingleton().exportJsonl(out);
+            registrySingleton().exportJson(out);
     }
     if (!config.tracePath.empty()) {
         std::ofstream out(config.tracePath);
@@ -290,10 +290,8 @@ Span::close() noexcept
 StageTimer::StageTimer(const char *stage)
     : span_(stage), stage_(stage), metrics_(metricsEnabled())
 {
-    if (!metrics_)
-        return;
-    t0_ = clock().nowMicros();
-    registrySingleton().add(std::string("stage.") + stage_ + ".enter");
+    if (metrics_)
+        t0_ = clock().nowMicros();
 }
 
 StageTimer::~StageTimer()
@@ -302,7 +300,6 @@ StageTimer::~StageTimer()
     if (!metrics_ || !metricsEnabled())
         return;
     const double micros = static_cast<double>(clock().nowMicros() - t0_);
-    registrySingleton().add(std::string("stage.") + stage_ + ".exit");
     registrySingleton().observeLatency(
         std::string("stage.") + stage_ + ".micros", micros);
 }

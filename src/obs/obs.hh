@@ -7,12 +7,13 @@
  * being observable. Enable programmatically with configure(), or from the
  * environment:
  *
- *   DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/run.jsonl
+ *   DECEPTICON_OBS=trace:/tmp/run.json,metrics:/tmp/metrics.json
  *
- * comma-separated sinks; "metrics:<path>" writes a JSONL metrics dump
- * at exit, "trace:<path>" a Chrome trace-event file rendered from the
- * flight recorder's canonical event stream (a trace path turns flight
- * recording on when its mode is Off). Bare "metrics" (or "on")
+ * comma-separated sinks; "metrics:<path>" writes the registry as one
+ * JSON object (MetricsRegistry::exportJson) at exit, "trace:<path>" a
+ * Chrome trace-event file rendered from the flight recorder's
+ * canonical event stream (a trace path turns flight recording on when
+ * its mode is Off). Bare "metrics" (or "on")
  * enables in-memory metrics without a file sink, which is what tests
  * use.
  *
@@ -55,7 +56,7 @@ enum class FlightMode : int
 struct ObsConfig
 {
     bool metricsEnabled = false;
-    /** JSONL metrics dump path; empty = in-memory only. */
+    /** JSON metrics dump path; empty = in-memory only. */
     std::string metricsPath;
     /** Chrome trace-event path, rendered from the flight stream at
      *  flush; empty = no trace. Non-empty records even when
@@ -211,12 +212,10 @@ span(const char *name)
 }
 
 /**
- * RAII pipeline-stage scope: a Span named @p stage plus three
- * metrics. On entry bumps stage.<s>.enter; on exit bumps
- * stage.<s>.exit and feeds stage.<s>.micros into the latency
- * histogram. The enter/exit counter pair is what the Watchdog's stall
- * detector watches. Near-free when both metrics and flight recording
- * are off.
+ * RAII pipeline-stage scope: a Span named @p stage plus, on exit, one
+ * stage.<s>.micros sample in the latency histogram (its count is the
+ * number of times the stage ran). Near-free when both metrics and
+ * flight recording are off.
  */
 class StageTimer
 {

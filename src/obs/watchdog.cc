@@ -6,12 +6,6 @@ namespace decepticon::obs {
 
 namespace {
 
-constexpr const char *kStagePrefix = "stage.";
-constexpr const char *kEnterSuffix = ".enter";
-constexpr const char *kExitSuffix = ".exit";
-
-/** Consecutive no-progress ticks (with open spans) = stall. */
-constexpr int kStallTicks = 2;
 /** Max corrupted/attempts delta rate before a fault spike. */
 constexpr double kFaultRateMax = 0.75;
 /** Max insufficient-evidence/identify delta rate before an abstain
@@ -26,13 +20,6 @@ lookup(const std::map<std::string, std::uint64_t> &counters,
 {
     const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 void
@@ -86,42 +73,6 @@ Watchdog::tick(MetricsRegistry &registry)
     std::vector<WatchdogFinding> fresh;
 
     if (havePrev_) {
-        // ---- stalls: open spans with a frozen exit counter -------
-        for (const auto &[name, enter] : now) {
-            if (name.compare(0, 6, kStagePrefix) != 0 ||
-                !endsWith(name, kEnterSuffix))
-                continue;
-            const std::string stage =
-                name.substr(6, name.size() - 6 - 6); // strip pre/suffix
-            const std::string exit_name =
-                std::string(kStagePrefix) + stage + kExitSuffix;
-            const std::uint64_t exit_now = lookup(now, exit_name);
-            const std::uint64_t exit_prev = lookup(prev_, exit_name);
-            StageState &st = stages_[stage];
-            const bool open = enter > exit_now;
-            const bool progressed = exit_now > exit_prev;
-            if (open && !progressed) {
-                ++st.stalledTicks;
-                if (st.stalledTicks >= kStallTicks && !st.flagged) {
-                    st.flagged = true;
-                    std::ostringstream msg;
-                    msg << "stage '" << stage << "' has "
-                        << (enter - exit_now)
-                        << " open span(s) and no exit progress for "
-                        << st.stalledTicks << " tick(s)";
-                    fresh.push_back(WatchdogFinding{
-                        "stall", stage,
-                        static_cast<double>(st.stalledTicks),
-                        static_cast<double>(kStallTicks),
-                        msg.str()});
-                    registry.add("obs.watchdog.stalls");
-                }
-            } else {
-                st.stalledTicks = 0;
-                st.flagged = false; // recovered; re-arm
-            }
-        }
-
         // ---- fault spikes: corrupted/attempts delta rate ---------
         for (FaultBand &band : bands_) {
             const std::uint64_t att =

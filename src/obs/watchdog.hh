@@ -1,13 +1,10 @@
 /**
  * @file
- * Pipeline watchdog — the SLO half of obs v2. A Watchdog is ticked
- * periodically (phase boundaries in a single run, a timer thread in a
+ * Pipeline watchdog — the SLO half of obs v2. A Watchdog is ticked on
+ * the driver thread (phase ends in a single run, batch ends in a
  * campaign); each tick snapshots the registry's counters and compares
  * them with the previous snapshot:
  *
- *  - **stall**: a stage with open spans (stage.<s>.enter >
- *    stage.<s>.exit) whose exit counter has made no progress for
- *    2 consecutive ticks;
  *  - **fault_spike**: a corrupted/attempts counter-pair delta rate
  *    above 0.75;
  *  - **abstain_anomaly**: the fusion insufficient-evidence rate over
@@ -39,11 +36,11 @@ namespace decepticon::obs {
 /** One SLO violation. */
 struct WatchdogFinding
 {
-    /** "stall" | "fault_spike" | "abstain_anomaly". */
+    /** "fault_spike" | "abstain_anomaly". */
     std::string kind;
     /** Stage or counter-pair the finding is about. */
     std::string subject;
-    /** Observed value (stalled ticks or rate). */
+    /** Observed rate. */
     double value = 0.0;
     /** The band it crossed. */
     double threshold = 0.0;
@@ -72,7 +69,7 @@ class Watchdog
 
     /**
      * Snapshot `registry`, diff against the previous tick, flag
-     * violations. Publishes obs.watchdog.{ticks,stalls,fault_spikes,
+     * violations. Publishes obs.watchdog.{ticks,fault_spikes,
      * abstain_anomalies,findings} counters back onto `registry`.
      * Returns findings new in THIS tick.
      */
@@ -94,15 +91,8 @@ class Watchdog
         bool flagged = false;
     };
 
-    struct StageState
-    {
-        int stalledTicks = 0;
-        bool flagged = false;
-    };
-
     WatchdogReport report_;
     std::vector<FaultBand> bands_;
-    std::map<std::string, StageState> stages_;
     std::map<std::string, std::uint64_t> prev_;
     bool havePrev_ = false;
     bool abstainFlagged_ = false;

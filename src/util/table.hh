@@ -37,9 +37,6 @@ class Table
     Table &cell(std::size_t value);
     Table &cell(int value);
 
-    /** Number of data rows. */
-    std::size_t numRows() const { return rows_.size(); }
-
     /** Render as an aligned ASCII table. */
     void printAscii(std::ostream &os) const;
 

@@ -601,3 +601,32 @@ TEST(Campaign, CachePersistsAcrossRuns)
     EXPECT_GT(second.cacheHitRate(), first.cacheHitRate());
     EXPECT_EQ(second.cacheHits + second.cacheStale, second.sessions);
 }
+
+// A skewed 240-session queue (popularity skew 0.7, two captures per
+// victim, batches of 32) has deterministic outcomes, so the report's
+// counts are pinned exactly; its timings are campaignbench's to judge.
+TEST(Campaign, SkewedQueueOutcomesPinned)
+{
+    PoolGuard guard;
+    Harness &h = harness();
+
+    obs::ObsConfig cfg;
+    cfg.metricsEnabled = true;
+    obs::configure(cfg);
+    const auto sessions =
+        dz::sampleSessions(h.zoo, samplerOptions(240), 4246);
+    dcp::CampaignOptions opts = campaignOptions();
+    opts.batchSize = 32;
+    dcp::CampaignDriver driver(*h.attack, opts);
+    const auto report = driver.run(sessions);
+    obs::shutdown();
+
+    EXPECT_EQ(report.sessions, 240u);
+    EXPECT_EQ(report.abstained, 0u);
+    EXPECT_EQ(report.cacheHits, 208u);
+    EXPECT_EQ(report.cacheMisses, 32u);
+    EXPECT_EQ(report.clonesBuilt, 32u);
+    EXPECT_EQ(report.cloneReuses, 208u);
+    EXPECT_EQ(report.correct, 240u);
+    EXPECT_TRUE(report.watchdog.healthy());
+}

@@ -45,16 +45,13 @@ TEST(DramLayout, AddressesAreSequential)
     de::DramGeometry geom;
     de::DramWeightLayout layout(oracle, geom, 1);
 
-    const auto a0 = layout.addressOf(0, 0);
-    const auto a1 = layout.addressOf(0, 1);
-    EXPECT_EQ(a0.row, a1.row);
-    EXPECT_EQ(a1.column, a0.column + 4);
-
-    // Crossing a row boundary increments the row.
+    // A row holds exactly rowBytes / 4 consecutive float32 weights.
     const std::size_t per_row = geom.rowBytes / 4;
-    const auto b = layout.addressOf(0, per_row);
-    EXPECT_EQ(b.row, a0.row + 1);
-    EXPECT_EQ(b.column, a0.column);
+    const std::size_t r0 = layout.rowOf(0, 0);
+    EXPECT_EQ(layout.rowOf(0, 1), r0);
+    EXPECT_EQ(layout.rowOf(0, per_row - 1), r0);
+    EXPECT_EQ(layout.rowOf(0, per_row), r0 + 1);
+    EXPECT_EQ(layout.rowOf(0, 2 * per_row), r0 + 2);
 }
 
 TEST(DramLayout, LayersDoNotOverlap)
@@ -64,14 +61,17 @@ TEST(DramLayout, LayersDoNotOverlap)
     de::DramGeometry geom;
     de::DramWeightLayout layout(oracle, geom, 2);
 
-    const auto last_l0 =
-        layout.addressOf(0, fx.victim.layers[0].w.size() - 1);
-    const auto first_l1 = layout.addressOf(1, 0);
-    const std::size_t flat_last =
-        last_l0.row * geom.rowBytes + last_l0.column;
-    const std::size_t flat_first =
-        first_l1.row * geom.rowBytes + first_l1.column;
-    EXPECT_EQ(flat_first, flat_last + 4);
+    // Layer 1 starts right after layer 0's last weight: it shares that
+    // row and crosses into the next one exactly where a gapless layout
+    // puts the row boundary.
+    const std::size_t n0 = fx.victim.layers[0].w.size();
+    const std::size_t last_row = layout.rowOf(0, n0 - 1);
+    const std::size_t used = (4 * n0) % geom.rowBytes;
+    ASSERT_NE(used, 0u) << "fixture must end layer 0 mid-row";
+    const std::size_t crossing = (geom.rowBytes - used) / 4;
+    EXPECT_EQ(layout.rowOf(1, 0), last_row);
+    EXPECT_EQ(layout.rowOf(1, crossing - 1), last_row);
+    EXPECT_EQ(layout.rowOf(1, crossing), last_row + 1);
 }
 
 TEST(DramLayout, FullHammerabilityByDefault)

@@ -461,14 +461,14 @@ TEST(Cloner, ExtractStageCountsOneSamplePerLayer)
     dob::configure(on);
     const auto result = de::ModelCloner::extract(
         victim, pre, task.sample(12, 3).examples, copts);
-    const std::uint64_t enters =
-        dob::metrics().counter("stage.extract.enter");
+    const auto extracts = dob::metrics().latency("stage.extract.micros");
     dob::shutdown();
 
     // The trajectory holds one point for the head plus one per
     // extractLayer call (encoders, then embeddings).
     ASSERT_EQ(result.agreementTrajectory.size(), cfg.numLayers + 2);
-    EXPECT_EQ(enters, result.agreementTrajectory.size() - 1);
+    ASSERT_TRUE(extracts.has_value());
+    EXPECT_EQ(extracts->total(), result.agreementTrajectory.size() - 1);
 }
 
 /** Quantization formats preserve selective extraction's key bits. */

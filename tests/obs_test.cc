@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the telemetry layer: metrics registry semantics and JSONL
- * round-trips, spans as flight events under a deterministic fake
- * clock, the Chrome trace rendered from the flight stream (parsed
- * back with the bundled JSON reader, lanes checked for nesting), the
- * near-zero-cost disabled path, and DECEPTICON_OBS spec parsing.
+ * Tests for the telemetry layer: metrics registry semantics and JSON
+ * export, the three file sinks flush() writes, spans as flight events
+ * under a deterministic fake clock, the Chrome trace rendered from the
+ * flight stream (parsed back with the bundled JSON reader, lanes
+ * checked for nesting), the near-zero-cost disabled path, and
+ * DECEPTICON_OBS spec parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -19,6 +22,7 @@
 
 #include "extraction/resilient.hh"
 #include "extraction/selective.hh"
+#include "fault/fault.hh"
 #include "obs/clock.hh"
 #include "obs/flight.hh"
 #include "obs/json.hh"
@@ -28,9 +32,13 @@
 #include "obs/watchdog.hh"
 #include "sched/sched.hh"
 #include "util/rng.hh"
+#include "zoo/finetune_sim.hh"
+#include "zoo/weight_store.hh"
 
 namespace dob = decepticon::obs;
 namespace dex = decepticon::extraction;
+namespace dfa = decepticon::fault;
+namespace dz = decepticon::zoo;
 
 namespace {
 
@@ -83,56 +91,12 @@ TEST(MetricsRegistry, ConcurrentCountersSumExactly)
               static_cast<std::uint64_t>(kThreads * kIncrements));
 }
 
-TEST(MetricsRegistry, JsonlExportRoundTrips)
-{
-    dob::MetricsRegistry reg;
-    reg.add("bits", 42);
-    reg.setGauge("conf\"idence", 0.875); // quote must be escaped
-    reg.observeLatency("lat", 5.0);
-    reg.observeLatency("lat", 9.0);
-
-    std::ostringstream oss;
-    reg.exportJsonl(oss);
-
-    std::istringstream lines(oss.str());
-    std::string line;
-    int counters = 0, gauges = 0, latencies = 0;
-    while (std::getline(lines, line)) {
-        dob::json::Value v;
-        std::string err;
-        ASSERT_TRUE(dob::json::parse(line, v, &err)) << err << ": "
-                                                     << line;
-        const auto *type = v.find("type");
-        ASSERT_NE(type, nullptr);
-        if (type->string == "counter") {
-            ++counters;
-            EXPECT_EQ(v.find("name")->string, "bits");
-            EXPECT_DOUBLE_EQ(v.find("value")->number, 42.0);
-        } else if (type->string == "gauge") {
-            ++gauges;
-            EXPECT_EQ(v.find("name")->string, "conf\"idence");
-            EXPECT_DOUBLE_EQ(v.find("value")->number, 0.875);
-        } else if (type->string == "latency") {
-            ++latencies;
-            EXPECT_EQ(v.find("name")->string, "lat");
-            const auto *counts = v.find("counts");
-            ASSERT_NE(counts, nullptr);
-            ASSERT_TRUE(counts->isArray());
-            EXPECT_DOUBLE_EQ(v.find("count")->number, 2.0);
-        } else {
-            ADD_FAILURE() << "unexpected metric type: " << line;
-        }
-    }
-    EXPECT_EQ(counters, 1);
-    EXPECT_EQ(gauges, 1);
-    EXPECT_EQ(latencies, 1);
-}
-
 TEST(MetricsRegistry, JsonObjectExportParses)
 {
     dob::MetricsRegistry reg;
     reg.add("runs", 3);
     reg.setGauge("speed", 123.5);
+    reg.setGauge("conf\"idence", 0.875); // quote must be escaped
     std::ostringstream oss;
     reg.exportJson(oss);
 
@@ -145,6 +109,8 @@ TEST(MetricsRegistry, JsonObjectExportParses)
     const auto *gauges = v.find("gauges");
     ASSERT_NE(gauges, nullptr);
     EXPECT_DOUBLE_EQ(gauges->find("speed")->number, 123.5);
+    ASSERT_NE(gauges->find("conf\"idence"), nullptr);
+    EXPECT_DOUBLE_EQ(gauges->find("conf\"idence")->number, 0.875);
     EXPECT_EQ(v.find("histograms"), nullptr);
 }
 
@@ -258,6 +224,103 @@ TEST(ObsFacade, TracePathTurnsFlightRecordingOn)
     EXPECT_FALSE(dob::flightEnabled());
 }
 
+// The three file sinks end to end: configure a metrics, a trace and a
+// flight path, run a pipeline slice (a stage timer, retry events and
+// counters through the resilient prober), flush(), and parse back
+// what landed on disk.
+TEST(ObsFacade, FlushWritesMetricsTraceAndFlightFiles)
+{
+    const std::string dir = testing::TempDir();
+    dob::ObsConfig cfg;
+    cfg.metricsEnabled = true;
+    cfg.metricsPath = dir + "obs_test_metrics.json";
+    cfg.tracePath = dir + "obs_test_trace.json";
+    cfg.flightMode = dob::FlightMode::On;
+    cfg.flightPath = dir + "obs_test_flight.jsonl";
+    dob::configure(cfg);
+
+    decepticon::gpusim::ArchParams arch;
+    arch.numLayers = 2;
+    arch.hidden = 64;
+    const dz::WeightStore pre = dz::WeightStore::makePretrained(arch, 7, 800);
+    const dz::WeightStore victim =
+        dz::FineTuneSimulator::fineTune(pre, dz::FineTuneOptions{}, 8);
+    dex::WeightStoreOracle oracle(victim);
+    dex::BitProbeChannel channel(oracle);
+    dfa::FaultSpec spec;
+    spec.probeFlipRate = 0.02;
+    spec.seed = 13;
+    dfa::FaultInjector injector(spec);
+    channel.attachFaultInjector(&injector);
+    dex::RetryingProber prober(channel, nullptr);
+    const dex::SelectiveWeightExtractor extractor{dex::ExtractionPolicy{}};
+    dex::ExtractionStats stats;
+    extractor.extractLayer(pre.layers[0].w, prober, 0, stats);
+    dob::flush();
+    dob::shutdown();
+
+    const auto slurp = [](const std::string &path) {
+        std::ifstream in(path);
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        return buffer.str();
+    };
+    std::string err;
+
+    // Metrics: one JSON object with all three sections.
+    dob::json::Value metrics;
+    ASSERT_TRUE(dob::json::parse(slurp(cfg.metricsPath), metrics, &err))
+        << err;
+    ASSERT_TRUE(metrics.isObject());
+    ASSERT_NE(metrics.find("gauges"), nullptr);
+    const auto *counters = metrics.find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(counters->find("resilient.vote_rounds"), nullptr);
+    const auto *latencies = metrics.find("latencies");
+    ASSERT_NE(latencies, nullptr);
+    const auto *extract = latencies->find("stage.extract.micros");
+    ASSERT_NE(extract, nullptr);
+    EXPECT_DOUBLE_EQ(extract->find("count")->number, 1.0);
+
+    // Trace: Chrome trace JSON with the stage as a complete event.
+    dob::json::Value trace;
+    ASSERT_TRUE(dob::json::parse(slurp(cfg.tracePath), trace, &err)) << err;
+    const auto *events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_TRUE(events->isArray());
+    std::size_t extract_spans = 0;
+    for (const auto &ev : events->array)
+        if (ev.find("ph")->string == "X" &&
+            ev.find("name")->string == "extract")
+            ++extract_spans;
+    EXPECT_EQ(extract_spans, 1u);
+    EXPECT_DOUBLE_EQ(trace.find("otherData")->find("dropped")->number, 0.0);
+
+    // Flight dump: one JSON object per line, retry events, then the
+    // summary trailer.
+    std::istringstream lines(slurp(cfg.flightPath));
+    std::string line;
+    std::size_t retries = 0;
+    std::string last_type;
+    double dropped = -1.0;
+    while (std::getline(lines, line)) {
+        dob::json::Value row;
+        ASSERT_TRUE(dob::json::parse(line, row, &err)) << err << ": "
+                                                       << line;
+        last_type = row.find("type")->string;
+        if (last_type == "flight" && row.find("kind")->string == "retry")
+            ++retries;
+        if (last_type == "flight_summary")
+            dropped = row.find("dropped")->number;
+    }
+    EXPECT_GT(retries, 0u);
+    EXPECT_EQ(last_type, "flight_summary");
+    EXPECT_DOUBLE_EQ(dropped, 0.0);
+
+    for (const auto &path : {cfg.metricsPath, cfg.tracePath, cfg.flightPath})
+        std::remove(path.c_str());
+}
+
 TEST(FlightRecorder, ChromeTraceNestsSpansPerLane)
 {
     // Hand-built stream: two nested spans, a sibling that starts as
@@ -361,10 +424,10 @@ TEST(FlightRecorder, ChromeTraceNestsSpansPerLane)
 TEST(ObsFacade, ParseObsSpec)
 {
     const auto both =
-        dob::parseObsSpec("trace:/tmp/a.json,metrics:/tmp/b.jsonl");
+        dob::parseObsSpec("trace:/tmp/a.json,metrics:/tmp/b.json");
     EXPECT_TRUE(both.metricsEnabled);
     EXPECT_EQ(both.tracePath, "/tmp/a.json");
-    EXPECT_EQ(both.metricsPath, "/tmp/b.jsonl");
+    EXPECT_EQ(both.metricsPath, "/tmp/b.json");
 
     const auto bare = dob::parseObsSpec("metrics");
     EXPECT_TRUE(bare.metricsEnabled);
@@ -484,50 +547,17 @@ TEST(MetricsRegistry, LatencyExportCarriesQuantilesAndClipCounts)
     EXPECT_GT(p50, 100.0 / 1.10);
     EXPECT_LT(p50, 100.0 * 1.10);
     ASSERT_NE(h->find("counts"), nullptr);
-
-    // JSONL export carries the same latency line.
-    std::ostringstream jl;
-    reg.exportJsonl(jl);
-    EXPECT_NE(jl.str().find("\"type\":\"latency\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
 // Watchdog
 // ---------------------------------------------------------------------
 
-TEST(Watchdog, StallFiresOnceOnFrozenStageAndRearmsAfterRecovery)
-{
-    dob::MetricsRegistry reg;
-    dob::Watchdog dog;
-    reg.add("stage.probe.enter", 4);
-    reg.add("stage.probe.exit", 1);
-    dog.tick(reg); // baseline
-    EXPECT_TRUE(dog.tick(reg).empty()) << "1 frozen tick < stallTicks";
-    const auto findings = dog.tick(reg); // 2 frozen ticks = stall
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].kind, "stall");
-    EXPECT_EQ(findings[0].subject, "probe");
-    EXPECT_TRUE(dog.tick(reg).empty()) << "flagged once, not per tick";
-    EXPECT_EQ(reg.counter("obs.watchdog.stalls"), 1u);
-
-    // Recovery (exit catches up), then a fresh stall re-flags.
-    reg.add("stage.probe.exit", 1);
-    EXPECT_TRUE(dog.tick(reg).empty());
-    EXPECT_TRUE(dog.tick(reg).empty());
-    const auto again = dog.tick(reg);
-    ASSERT_EQ(again.size(), 1u);
-    EXPECT_EQ(again[0].kind, "stall");
-    EXPECT_EQ(dog.report().findings.size(), 2u);
-    EXPECT_FALSE(dog.report().healthy());
-}
-
 TEST(Watchdog, QuietOnHealthyRun)
 {
     dob::MetricsRegistry reg;
     dob::Watchdog dog;
     for (int t = 0; t < 6; ++t) {
-        reg.add("stage.classify.enter", 8);
-        reg.add("stage.classify.exit", 8);
         reg.add("fault.capture_attempts", 10);
         reg.add("fault.captures_corrupted", 2); // 20% << 75% band
         reg.add("level1.identifies", 10);
@@ -635,7 +665,7 @@ TEST(ObsFacade, ParseFlightSpecAndModeGate)
     EXPECT_FALSE(dob::flightEnabled());
 }
 
-TEST(ObsFacade, StageTimerFeedsCountersLatencyAndFlightEvents)
+TEST(ObsFacade, StageTimerFeedsLatencyAndFlightEvents)
 {
     dob::FakeClock clock(1000);
     dob::setClockForTest(&clock);
@@ -648,12 +678,11 @@ TEST(ObsFacade, StageTimerFeedsCountersLatencyAndFlightEvents)
         dob::StageTimer timer("classify");
         clock.advance(250);
     }
-    EXPECT_EQ(dob::metrics().counter("stage.classify.enter"), 1u);
-    EXPECT_EQ(dob::metrics().counter("stage.classify.exit"), 1u);
     const auto hist =
         dob::metrics().latency("stage.classify.micros");
     ASSERT_TRUE(hist.has_value());
     EXPECT_EQ(hist->total(), 1u);
+    EXPECT_DOUBLE_EQ(hist->sum(), 250.0);
 
     const auto events = dob::flightRecorder().canonicalEvents();
     ASSERT_EQ(events.size(), 2u);
@@ -687,42 +716,32 @@ TEST(ObsFacade, StageTimerFeedsCountersLatencyAndFlightEvents)
 // A long-lived process (campaign driver, REPL) runs many attacks back
 // to back against one persistent registry, arming a fresh Watchdog
 // per run. The contract across runs: RATE history (fault, abstain
-// totals) is absorbed by the baseline tick and never re-judged;
-// stages that recovered between runs stay quiet; a stage left
-// permanently open keeps being visible — each fresh dog re-flags it
-// exactly once, never per tick.
+// totals) is absorbed by the baseline tick and never re-judged, and a
+// spike during a later run is still flagged, once.
 TEST(Watchdog, RearmsCleanlyAcrossSequentialRuns)
 {
     dob::MetricsRegistry reg;
 
-    // Run 1 ends badly: a stage left open, a fault storm recorded.
+    // Run 1 ends badly: a fault storm and an abstain spike recorded.
     {
         dob::Watchdog dog;
         dog.tick(reg); // baseline
-        reg.add("stage.probe.enter", 4);
-        reg.add("stage.probe.exit", 1);
         reg.add("fault.capture_attempts", 8);
         reg.add("fault.captures_corrupted", 8);
         reg.add("level1.identifies", 4);
         reg.add("level1.insufficient_evidence", 3);
         dog.tick(reg);
-        dog.tick(reg);
         EXPECT_FALSE(dog.report().healthy());
     }
 
-    // The probe spans drain between runs (the stage recovered).
-    reg.add("stage.probe.exit", 3);
-
     // Run 2: a fresh dog over the same (dirty) registry. The 100%
     // historical fault rate and the abstain spike are pre-baseline —
-    // zero deltas — and the recovered stage has no open spans, so a
-    // healthy run stays verdict-clean despite run 1's residue.
+    // zero deltas — so a healthy run stays verdict-clean despite run
+    // 1's residue.
     {
         dob::Watchdog dog;
         dog.tick(reg); // baseline absorbs run 1's totals
         for (int t = 0; t < 4; ++t) {
-            reg.add("stage.classify.enter", 4);
-            reg.add("stage.classify.exit", 4);
             reg.add("fault.capture_attempts", 10);
             reg.add("fault.captures_corrupted", 1);
             reg.add("level1.identifies", 10);
@@ -733,32 +752,19 @@ TEST(Watchdog, RearmsCleanlyAcrossSequentialRuns)
             << "run 1's residue must not leak into run 2's verdict";
     }
 
-    // Run 3: the re-armed detector still has teeth — a stage frozen
-    // during THIS run is flagged exactly once.
+    // Run 3: the re-armed detector still has teeth — a spike during
+    // THIS run is flagged exactly once, not per tick.
     {
         dob::Watchdog dog;
         dog.tick(reg);
-        reg.add("stage.rasterize.enter", 2);
-        dog.tick(reg);
-        const auto findings = dog.tick(reg);
-        ASSERT_EQ(findings.size(), 1u);
-        EXPECT_EQ(findings[0].kind, "stall");
-        EXPECT_EQ(findings[0].subject, "rasterize");
-        EXPECT_TRUE(dog.tick(reg).empty()) << "flag once, not per tick";
-    }
-
-    // Run 4: the rasterize spans never closed. A persistent stall is
-    // not silently forgiven — the next run's dog re-flags it, once.
-    {
-        dob::Watchdog dog;
-        dog.tick(reg);
-        dog.tick(reg);
-        const auto findings = dog.tick(reg);
-        ASSERT_EQ(findings.size(), 1u);
-        EXPECT_EQ(findings[0].kind, "stall");
-        EXPECT_EQ(findings[0].subject, "rasterize");
-        EXPECT_TRUE(dog.tick(reg).empty());
-        EXPECT_TRUE(dog.tick(reg).empty());
+        for (int t = 0; t < 3; ++t) {
+            reg.add("fault.capture_attempts", 8);
+            reg.add("fault.captures_corrupted", 7);
+            EXPECT_EQ(dog.tick(reg).size(), t == 0 ? 1u : 0u)
+                << "tick " << t;
+        }
+        ASSERT_EQ(dog.report().findings.size(), 1u);
+        EXPECT_EQ(dog.report().findings[0].kind, "fault_spike");
     }
 }
 

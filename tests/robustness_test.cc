@@ -642,11 +642,15 @@ TEST(Fusion, FusedIdentificationCountsOnce)
     cfg.metricsEnabled = true;
     dob::configure(cfg);
     auto &reg = dob::metrics();
+    const auto classifies = [&reg] {
+        const auto h = reg.latency("stage.classify.micros");
+        return h ? h->total() : 0;
+    };
     const std::uint64_t identifies = reg.counter("level1.identifies");
-    const std::uint64_t enters = reg.counter("stage.classify.enter");
+    const std::uint64_t classified = classifies();
     const auto res = fx.pipeline.identifyFused(mc);
     EXPECT_EQ(reg.counter("level1.identifies") - identifies, 1u);
-    EXPECT_EQ(reg.counter("stage.classify.enter") - enters, 1u);
+    EXPECT_EQ(classifies() - classified, 1u);
     dob::shutdown();
     EXPECT_FALSE(res.insufficientEvidence);
 }

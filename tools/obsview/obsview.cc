@@ -1,25 +1,21 @@
 /**
  * @file
- * obsview — run inspector for obs v2 exports. Loads one or two
- * telemetry files (BENCH_*.json / exportJson objects, exportJsonl
- * metric streams, or flight-recorder JSONL dumps), renders per-stage
- * latency tables, top-N slowest spans, and watchdog findings, and —
- * given two metrics files — an A/B diff that highlights latency/
- * real-time regressions with the rule bench_compare.py gates on: a
- * real-time gauge fails beyond a 15% band, a p99 latency when it
- * rises 3 or more log buckets (~30%).
+ * obsview — run inspector for obs v2 exports. Loads one telemetry file
+ * (a metrics JSON object: a DECEPTICON_OBS metrics dump or a
+ * BENCH_*.json snapshot; or a flight-recorder JSONL dump) and renders
+ * per-stage latency tables, watchdog counters, or the flight stream's
+ * event census and top-N slowest spans. Comparing two exports is
+ * bench/bench_compare.py's job.
  *
- * Exit codes: 0 ok, 1 regression found (with --check), 2 bad input.
+ * Exit codes: 0 ok, 2 bad input.
  *
  *   obsview run.json                     inspect one run
  *   obsview flight.jsonl                 inspect a flight dump
- *   obsview --check a.json b.json        diff, fail on regression
- *   obsview --threshold 10 --top 8 ...   tune bands
+ *   obsview --top 8 flight.jsonl         show 8 slowest spans
  */
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -69,7 +65,6 @@ struct RunData
     std::vector<FlightRow> flight;
     std::uint64_t flightDropped = 0;
     bool flightError = false;
-    std::string rawText; // for bit-identity comparison of flight dumps
 };
 
 double
@@ -118,7 +113,7 @@ parseLatency(const json::Value &obj)
     return s;
 }
 
-bool
+void
 loadMetricsObject(const json::Value &root, RunData &run)
 {
     const json::Value *counters = root.find("counters");
@@ -133,24 +128,13 @@ loadMetricsObject(const json::Value &root, RunData &run)
     if (lats != nullptr && lats->isObject())
         for (const auto &[name, v] : lats->object)
             run.latencies[name] = parseLatency(v);
-    return counters != nullptr || gauges != nullptr || lats != nullptr;
 }
 
 bool
-loadJsonlLine(const json::Value &obj, RunData &run)
+loadFlightLine(const json::Value &obj, RunData &run)
 {
     const std::string type = stringOr(obj, "type");
-    const std::string name = stringOr(obj, "name");
-    if (type == "counter") {
-        run.counters[name] = numberOr(obj, "value", 0.0);
-    } else if (type == "gauge") {
-        run.gauges[name] = numberOr(obj, "value", 0.0);
-    } else if (type == "latency") {
-        run.latencies[name] = parseLatency(obj);
-    } else if (type == "histogram") {
-        // Exports from before the one-histogram registry carry
-        // fixed-width histograms; they have no quantiles, so skip.
-    } else if (type == "flight") {
+    if (type == "flight") {
         run.isFlight = true;
         FlightRow row;
         row.kind = stringOr(obj, "kind");
@@ -182,16 +166,18 @@ loadFile(const std::string &path, RunData &run)
     std::stringstream buffer;
     buffer << in.rdbuf();
     run.path = path;
-    run.rawText = buffer.str();
+    const std::string text = buffer.str();
 
-    // A single JSON object (exportJson / BENCH_*.json) parses whole.
+    // A metrics file is a single JSON object and parses whole.
     json::Value root;
-    if (json::parse(run.rawText, root, nullptr) && root.isObject() &&
-        root.find("counters") != nullptr)
-        return loadMetricsObject(root, run);
+    if (json::parse(text, root, nullptr) && root.isObject() &&
+        root.find("counters") != nullptr) {
+        loadMetricsObject(root, run);
+        return true;
+    }
 
-    // Otherwise treat it as JSONL (metrics stream or flight dump).
-    std::istringstream lines(run.rawText);
+    // Otherwise treat it as a flight JSONL dump.
+    std::istringstream lines(text);
     std::string line;
     bool any = false;
     while (std::getline(lines, line)) {
@@ -204,7 +190,7 @@ loadFile(const std::string &path, RunData &run)
                       << err << "\n";
             return false;
         }
-        if (loadJsonlLine(obj, run))
+        if (loadFlightLine(obj, run))
             any = true;
     }
     if (!any)
@@ -243,9 +229,8 @@ renderWatchdog(const RunData &run)
 {
     decepticon::util::printBanner(std::cout, "watchdog");
     static const char *kCounters[] = {
-        "obs.watchdog.ticks", "obs.watchdog.stalls",
-        "obs.watchdog.fault_spikes", "obs.watchdog.abstain_anomalies",
-        "obs.watchdog.findings"};
+        "obs.watchdog.ticks", "obs.watchdog.fault_spikes",
+        "obs.watchdog.abstain_anomalies", "obs.watchdog.findings"};
     bool any = false;
     decepticon::util::Table table({"counter", "value"});
     for (const char *name : kCounters) {
@@ -306,132 +291,6 @@ renderFlight(const RunData &run, std::size_t top_n)
     slow.printAscii(std::cout);
 }
 
-bool
-endsWith(const std::string &name, const char *suffix)
-{
-    const std::string s(suffix);
-    return name.size() >= s.size() &&
-           name.compare(name.size() - s.size(), s.size(), s) == 0;
-}
-
-bool
-isGatedGauge(const std::string &name)
-{
-    // Mirror of bench_compare.py's gate filter: wall-clock gauges and
-    // the per-stage p99 latency rollups.
-    return (name.rfind("bench.", 0) == 0 && endsWith(name, ".real_time")) ||
-           endsWith(name, ".p99_micros");
-}
-
-/**
- * A p99 is a LogHistogram bucket midpoint, and a bucket is 1/8 octave
- * (~9%) wide: a rise of this many buckets (~30%) is a regression,
- * 1-2 buckets are the quantization of a top-sample move.
- */
-constexpr double kP99RegressionBuckets = 3.0;
-
-/** LogHistogram bucket index of a latency in µs: ⌊8·log2 v⌋. */
-double
-logBucket(double micros)
-{
-    return std::floor(
-        std::log2(micros / LogHistogram::kLo) *
-        static_cast<double>(LogHistogram::kBucketsPerOctave));
-}
-
-/**
- * Returns the number of regressions: real-time gauges beyond
- * `threshold` percent, p99 latencies by bucket distance.
- */
-int
-diffRuns(const RunData &a, const RunData &b, double threshold)
-{
-    decepticon::util::printBanner(std::cout, "A/B diff: A=" + a.path +
-                                                 "  B=" + b.path);
-    int regressions = 0;
-    decepticon::util::Table table(
-        {"metric", "A", "B", "delta_pct", "verdict"});
-    const auto judge = [&](const std::string &name, double va, double vb,
-                           bool p99) {
-        double pct = 0.0;
-        if (va > 0.0)
-            pct = (vb - va) / va * 100.0;
-        else if (vb > 0.0)
-            pct = 100.0;
-        bool worse = pct > threshold;
-        bool better = pct < -threshold;
-        if (p99 && va > 0.0 && vb > 0.0) {
-            const double moved = logBucket(vb) - logBucket(va);
-            worse = moved >= kP99RegressionBuckets;
-            better = moved <= -kP99RegressionBuckets;
-        }
-        std::string verdict = "ok";
-        if (worse) {
-            verdict = "REGRESSION";
-            ++regressions;
-        } else if (better) {
-            verdict = "improved";
-        }
-        table.row().cell(name).cell(va, 1).cell(vb, 1).cell(pct, 1).cell(
-            verdict);
-    };
-    for (const auto &[name, sa] : a.latencies) {
-        const auto it = b.latencies.find(name);
-        if (it != b.latencies.end())
-            judge(name + " p99", sa.p99, it->second.p99, true);
-    }
-    for (const auto &[name, va] : a.gauges) {
-        if (!isGatedGauge(name))
-            continue;
-        const auto it = b.gauges.find(name);
-        if (it != b.gauges.end())
-            judge(name, va, it->second, endsWith(name, ".p99_micros"));
-    }
-    if (table.numRows() == 0) {
-        std::cout << "(no shared latency/gauge metrics to compare)\n";
-        return 0;
-    }
-    table.printAscii(std::cout);
-
-    std::size_t only_a = 0, only_b = 0;
-    for (const auto &[name, s] : a.latencies)
-        if (b.latencies.find(name) == b.latencies.end())
-            ++only_a;
-    for (const auto &[name, s] : b.latencies)
-        if (a.latencies.find(name) == a.latencies.end())
-            ++only_b;
-    if (only_a + only_b > 0)
-        std::cout << "unshared latency metrics: " << only_a
-                  << " only in A, " << only_b << " only in B\n";
-    std::cout << regressions << " regression(s): gauges beyond "
-              << threshold << "%, p99 latencies "
-              << kP99RegressionBuckets << "+ log buckets\n";
-    return regressions;
-}
-
-int
-diffFlights(const RunData &a, const RunData &b)
-{
-    decepticon::util::printBanner(std::cout, "flight diff: A=" + a.path +
-                                                 "  B=" + b.path);
-    const bool identical = a.rawText == b.rawText;
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kinds;
-    for (const auto &row : a.flight)
-        ++kinds[row.kind + "/" + row.stage].first;
-    for (const auto &row : b.flight)
-        ++kinds[row.kind + "/" + row.stage].second;
-    decepticon::util::Table table({"kind/stage", "A", "B"});
-    for (const auto &[key, n] : kinds)
-        table.row()
-            .cell(key)
-            .cell(static_cast<long long>(n.first))
-            .cell(static_cast<long long>(n.second));
-    table.printAscii(std::cout);
-    std::cout << "streams byte-identical: " << (identical ? "yes" : "no")
-              << "\n";
-    return identical ? 0 : 1;
-}
-
 /** Parse all of @p text as a number; false on junk or overflow. */
 template <typename T>
 bool
@@ -446,15 +305,10 @@ void
 usage()
 {
     std::cerr
-        << "usage: obsview [--check] [--threshold PCT] [--top N] "
-           "FILE [FILE_B]\n"
-           "  FILE: exportJson object, exportJsonl stream, or flight "
-           "JSONL dump\n"
-           "  --check      exit 1 when the A/B diff finds a regression\n"
-           "               (or flight streams differ)\n"
-           "  --threshold  gauge regression band in percent (default 15;\n"
-           "               p99 latencies fail at 3+ log buckets)\n"
-           "  --top        slowest-span rows to show (default 5)\n";
+        << "usage: obsview [--top N] FILE\n"
+           "  FILE: metrics JSON object (DECEPTICON_OBS metrics dump or\n"
+           "        BENCH_*.json) or flight JSONL dump\n"
+           "  --top  slowest-span rows to show (default 5)\n";
 }
 
 } // anonymous namespace
@@ -462,23 +316,12 @@ usage()
 int
 main(int argc, char **argv)
 {
-    bool check = false;
-    double threshold = 15.0;
     std::size_t top_n = 5;
     std::vector<std::string> files;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--check") {
-            check = true;
-        } else if (arg == "--threshold" && i + 1 < argc) {
-            if (!parseWhole(argv[++i], threshold) ||
-                !std::isfinite(threshold)) {
-                std::cerr << "obsview: --threshold needs a number, got '"
-                          << argv[i] << "'\n";
-                return 2;
-            }
-        } else if (arg == "--top" && i + 1 < argc) {
+        if (arg == "--top" && i + 1 < argc) {
             if (!parseWhole(argv[++i], top_n)) {
                 std::cerr << "obsview: --top needs a non-negative "
                              "integer, got '"
@@ -496,42 +339,19 @@ main(int argc, char **argv)
             files.push_back(arg);
         }
     }
-    if (files.empty() || files.size() > 2) {
+    if (files.size() != 1) {
         usage();
         return 2;
     }
 
-    RunData a;
-    if (!loadFile(files[0], a))
+    RunData run;
+    if (!loadFile(files[0], run))
         return 2;
-
-    if (files.size() == 1) {
-        if (a.isFlight) {
-            renderFlight(a, top_n);
-        } else {
-            renderLatencies(a);
-            renderWatchdog(a);
-        }
-        return 0;
-    }
-
-    RunData b;
-    if (!loadFile(files[1], b))
-        return 2;
-    if (a.isFlight != b.isFlight) {
-        std::cerr << "obsview: cannot diff a flight dump against a "
-                     "metrics export\n";
-        return 2;
-    }
-    int regressions = 0;
-    if (a.isFlight) {
-        renderFlight(a, top_n);
-        renderFlight(b, top_n);
-        regressions = diffFlights(a, b);
+    if (run.isFlight) {
+        renderFlight(run, top_n);
     } else {
-        renderLatencies(a);
-        renderLatencies(b);
-        regressions = diffRuns(a, b, threshold);
+        renderLatencies(run);
+        renderWatchdog(run);
     }
-    return check && regressions > 0 ? 1 : 0;
+    return 0;
 }
