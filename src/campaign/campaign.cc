@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "fault/fault.hh"
@@ -77,9 +78,6 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
     const CacheStats stats_at_start = cache_.stats();
 
     auto campaign_span = obs::span("campaign.run");
-    obs::Watchdog watchdog;
-    if (obs::metricsEnabled())
-        watchdog.tick(obs::metrics()); // baseline snapshot
 
     for (std::size_t batch_start = 0; batch_start < sessions.size();
          batch_start += opts_.batchSize) {
@@ -275,8 +273,10 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
         }
 
         report.totalMicros += obs::clock().nowMicros() - t_batch;
-        if (obs::metricsEnabled())
-            watchdog.tick(obs::metrics());
+        core::judgeBatch(
+            std::span<const core::VictimOutcome>(report.victims)
+                .subspan(batch_start),
+            report.watchdog);
     }
     cacheClock_ += sessions.size();
 
@@ -288,7 +288,6 @@ CampaignDriver::run(const std::vector<zoo::VictimSessionSpec> &sessions)
         stats_now.evictions - stats_at_start.evictions;
     report.cacheInvalidations =
         stats_now.invalidations - stats_at_start.invalidations;
-    report.watchdog = watchdog.report();
     if (obs::metricsEnabled())
         report.toMetrics(obs::metrics());
     return report;

@@ -6,6 +6,45 @@
 
 namespace decepticon::core {
 
+namespace {
+
+/** Max abstained/level-1 row rate before an abstain anomaly. */
+constexpr double kAbstainRateMax = 0.5;
+/** Minimum level-1 rows in a batch before its rate is judged. */
+constexpr std::size_t kMinSamples = 4;
+
+} // anonymous namespace
+
+void
+judgeBatch(std::span<const VictimOutcome> rows, WatchdogReport &watchdog)
+{
+    ++watchdog.batches;
+    std::size_t ids = 0;
+    std::size_t abst = 0;
+    for (const VictimOutcome &row : rows) {
+        ids += row.cacheHit ? 0 : 1;
+        abst += row.abstained ? 1 : 0;
+    }
+    if (ids < kMinSamples)
+        return;
+    const double rate =
+        static_cast<double>(abst) / static_cast<double>(ids);
+    if (rate <= kAbstainRateMax) {
+        watchdog.abstainFlagged = false;
+        return;
+    }
+    if (watchdog.abstainFlagged)
+        return;
+    watchdog.abstainFlagged = true;
+    std::ostringstream msg;
+    msg << "fusion abstained on " << abst << " of " << ids
+        << " identification(s) (rate " << rate << " > "
+        << kAbstainRateMax << ")";
+    watchdog.findings.push_back(WatchdogFinding{
+        "abstain_anomaly", "level1.fusion", rate, kAbstainRateMax,
+        msg.str()});
+}
+
 void
 CampaignReport::recordVictim(VictimOutcome outcome)
 {
@@ -100,9 +139,20 @@ CampaignReport::toJson() const
             << ",\"time_to_clone_micros\":" << v.timeToCloneMicros
             << "}";
     }
-    oss << "],\"watchdog\":";
-    watchdog.toJson(oss);
-    oss << "}";
+    oss << "],\"watchdog\":{\"batches\":" << watchdog.batches
+        << ",\"healthy\":" << (watchdog.healthy() ? "true" : "false")
+        << ",\"findings\":[";
+    for (std::size_t i = 0; i < watchdog.findings.size(); ++i) {
+        const WatchdogFinding &f = watchdog.findings[i];
+        if (i > 0)
+            oss << ",";
+        oss << "{\"kind\":" << obs::jsonQuote(f.kind)
+            << ",\"subject\":" << obs::jsonQuote(f.subject)
+            << ",\"value\":" << obs::jsonNumber(f.value)
+            << ",\"threshold\":" << obs::jsonNumber(f.threshold)
+            << ",\"message\":" << obs::jsonQuote(f.message) << "}";
+    }
+    oss << "]}}";
     return oss.str();
 }
 
@@ -131,7 +181,7 @@ CampaignReport::toMetrics(obs::MetricsRegistry &registry) const
     gauge("victims_per_sec", victimsPerSec());
     gauge("time_to_clone.p50_micros", timeToClone.quantile(0.5));
     gauge("time_to_clone.p99_micros", timeToClone.quantile(0.99));
-    gauge("watchdog_ticks", static_cast<double>(watchdog.ticks));
+    gauge("watchdog_batches", static_cast<double>(watchdog.batches));
     gauge("watchdog_findings",
           static_cast<double>(watchdog.findings.size()));
 }
@@ -155,14 +205,14 @@ CampaignReport::summaryParagraph() const
             << timeToClone.quantile(0.5) << " us, p99 "
             << timeToClone.quantile(0.99) << " us). ";
     }
-    if (watchdog.ticks > 0) {
+    if (watchdog.batches > 0) {
         if (watchdog.healthy())
-            oss << "Watchdog healthy over " << watchdog.ticks
-                << " tick(s).";
+            oss << "Watchdog healthy over " << watchdog.batches
+                << " batch(es).";
         else
             oss << "Watchdog flagged " << watchdog.findings.size()
-                << " SLO violation(s) over " << watchdog.ticks
-                << " tick(s).";
+                << " SLO violation(s) over " << watchdog.batches
+                << " batch(es).";
     }
     return oss.str();
 }

@@ -4,21 +4,22 @@
  * AttackRunReport is the telemetry view of a single end-to-end attack,
  * CampaignReport aggregates a whole victim queue: identification and
  * cloning outcomes per victim, cache economics, time-to-clone
- * percentiles via obs::LogHistogram, and the campaign watchdog
- * verdict. Serializable as JSON (byte-identical across lane counts),
- * foldable into a MetricsRegistry as campaign.* gauges, and printable
- * as a one-paragraph summary.
+ * percentiles via obs::LogHistogram, and the watchdog verdict judged
+ * from the report's own rows, batch by batch. Serializable as JSON
+ * (byte-identical across lane counts and telemetry settings), foldable
+ * into a MetricsRegistry as campaign.* gauges, and printable as a
+ * one-paragraph summary.
  */
 
 #ifndef DECEPTICON_CORE_CAMPAIGN_REPORT_HH
 #define DECEPTICON_CORE_CAMPAIGN_REPORT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/quantile.hh"
-#include "obs/watchdog.hh"
 
 namespace decepticon::obs {
 class MetricsRegistry;
@@ -53,6 +54,44 @@ struct VictimOutcome
     std::uint64_t timeToCloneMicros = 0;
 };
 
+/** One batch whose rows crossed the abstain band. */
+struct WatchdogFinding
+{
+    /** "abstain_anomaly". */
+    std::string kind;
+    /** What the finding is about ("level1.fusion"). */
+    std::string subject;
+    /** Observed abstain rate. */
+    double value = 0.0;
+    /** The band it crossed. */
+    double threshold = 0.0;
+    /** Human-readable one-liner. */
+    std::string message;
+};
+
+/** Verdict over a campaign's rows, accumulated by judgeBatch. */
+struct WatchdogReport
+{
+    /** Batches judged. */
+    std::uint64_t batches = 0;
+    std::vector<WatchdogFinding> findings;
+    /** The last batch with enough rows was above the band; the next
+     *  crossing is flagged only after a batch below it. */
+    bool abstainFlagged = false;
+
+    bool healthy() const { return findings.empty(); }
+};
+
+/**
+ * Judge one batch's rows. Flags an abstain_anomaly when the abstained
+ * rows exceed 0.5 of the rows that ran level-1 (every row but the
+ * cache hits), judging only batches with at least 4 such rows. A
+ * finding is flagged once at the crossing and re-armed by a later
+ * batch below the band.
+ */
+void judgeBatch(std::span<const VictimOutcome> rows,
+                WatchdogReport &watchdog);
+
 /** Aggregated, serializable rollup of one campaign run. */
 struct CampaignReport
 {
@@ -83,8 +122,8 @@ struct CampaignReport
     /** Per-victim outcomes, queue order. */
     std::vector<VictimOutcome> victims;
 
-    /** SLO verdict accumulated over the campaign (empty = no ticks). */
-    obs::WatchdogReport watchdog;
+    /** judgeBatch's verdict over every batch of the run. */
+    WatchdogReport watchdog;
 
     /** Fold one victim's outcome into the counters + histogram. */
     void recordVictim(VictimOutcome outcome);

@@ -71,9 +71,7 @@ AttackRunReport::toJson() const
         oss << "{\"name\":" << obs::jsonQuote(phases[i].name)
             << ",\"micros\":" << phases[i].micros << "}";
     }
-    oss << "],\"total_micros\":" << totalMicros() << ",\"watchdog\":";
-    watchdog.toJson(oss);
-    oss << "}";
+    oss << "],\"total_micros\":" << totalMicros() << "}";
     return oss.str();
 }
 
@@ -113,9 +111,6 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
     gauge("adversarial_success", adversarialSuccess);
     gauge("complete", complete ? 1.0 : 0.0);
     gauge("total_micros", static_cast<double>(totalMicros()));
-    gauge("watchdog_ticks", static_cast<double>(watchdog.ticks));
-    gauge("watchdog_findings",
-          static_cast<double>(watchdog.findings.size()));
     for (const auto &p : phases)
         registry.setGauge("phase." + p.name + ".micros",
                           static_cast<double>(p.micros));
@@ -173,15 +168,6 @@ AttackRunReport::summaryParagraph() const
                 << " ms";
         }
         oss << "). ";
-    }
-    if (watchdog.ticks > 0) {
-        if (watchdog.healthy())
-            oss << "Watchdog healthy over " << watchdog.ticks
-                << " tick(s). ";
-        else
-            oss << "Watchdog flagged " << watchdog.findings.size()
-                << " SLO violation(s) over " << watchdog.ticks
-                << " tick(s). ";
     }
     oss << "Run " << (complete ? "complete" : "incomplete") << ".";
     return oss.str();

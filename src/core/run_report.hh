@@ -20,7 +20,10 @@
 #include "core/decepticon.hh"
 #include "extraction/bitprobe.hh"
 #include "extraction/selective.hh"
-#include "obs/watchdog.hh"
+
+namespace decepticon::obs {
+class MetricsRegistry;
+}
 
 namespace decepticon::core {
 
@@ -52,9 +55,6 @@ struct AttackRunReport
 
     /** Per-phase wall clock, pipeline order. */
     std::vector<PhaseTiming> phases;
-
-    /** SLO verdict accumulated over the run (empty = never ticked). */
-    obs::WatchdogReport watchdog;
 
     /** Append one phase's wall time. */
     void recordPhase(std::string name, std::uint64_t micros);

@@ -51,23 +51,10 @@ TwoLevelAttack::execute(
 
     auto attack_span = obs::span("attack.execute");
     auto phase_start = obs::clock().nowMicros();
-    // One watchdog tick per phase boundary: the baseline tick here,
-    // then one after each end_phase, so every phase's counter deltas
-    // are judged against the SLO bands exactly once.
-    obs::Watchdog watchdog;
-    if (obs::metricsEnabled())
-        watchdog.tick(obs::metrics());
     const auto end_phase = [&](const char *name) {
         const std::uint64_t now = obs::clock().nowMicros();
         report.run.recordPhase(name, now - phase_start);
         phase_start = now;
-        if (obs::metricsEnabled()) {
-            obs::metrics().observeLatency(
-                std::string("phase.") + name + ".micros",
-                static_cast<double>(
-                    report.run.phases.back().micros));
-            watchdog.tick(obs::metrics());
-        }
     };
 
     // ------------------------------------------------------------------
@@ -87,7 +74,6 @@ TwoLevelAttack::execute(
     auto cloned = cloneVictim(report.run.identification.pretrainedName,
                               victim, query_set, opts_.cloner);
     if (cloned.clone == nullptr) {
-        report.run.watchdog = watchdog.report();
         if (obs::metricsEnabled())
             report.run.toMetrics(obs::metrics());
         return report; // identified something outside the pool
@@ -128,7 +114,6 @@ TwoLevelAttack::execute(
 
     report.run.adversarialSuccess = report.adversarial.successRate();
     report.run.complete = true;
-    report.run.watchdog = watchdog.report();
     if (obs::metricsEnabled())
         report.run.toMetrics(obs::metrics());
     return report;

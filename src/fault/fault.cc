@@ -153,8 +153,8 @@ FaultInjector::corruptTrace(const gpusim::KernelTrace &trace,
 {
     gpusim::KernelTrace out;
     out.kernelNames = trace.kernelNames;
-    // Attempts are counted before the healthy early-out so the
-    // watchdog's corrupted/attempts band sees honest denominators.
+    // Attempts are counted before the healthy early-out, so the
+    // exported corrupted/attempts ratio has an honest denominator.
     obs::count("fault.capture_attempts");
     if (trace.records.empty() || !spec_.traceFaultsEnabled()) {
         out.records = trace.records;

@@ -202,6 +202,7 @@ struct Parser
 bool
 parse(const std::string &text, Value &out, std::string *error)
 {
+    out = Value{};
     Parser p{text};
     if (!p.parseValue(out)) {
         if (error)

@@ -47,8 +47,9 @@ struct Value
 };
 
 /**
- * Parse one JSON document. Returns false (and fills *error) on
- * malformed input; trailing non-whitespace is an error.
+ * Parse one JSON document into out, replacing whatever it held.
+ * Returns false (and fills *error) on malformed input; trailing
+ * non-whitespace is an error.
  */
 bool parse(const std::string &text, Value &out,
            std::string *error = nullptr);

@@ -52,20 +52,6 @@ MetricsRegistry::latency(const std::string &name) const
     return it->second;
 }
 
-std::map<std::string, std::uint64_t>
-MetricsRegistry::counterSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_;
-}
-
-std::map<std::string, double>
-MetricsRegistry::gaugeSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return gauges_;
-}
-
 void
 MetricsRegistry::reset()
 {

@@ -54,14 +54,6 @@ class MetricsRegistry
     /** Copy of a latency histogram (nullopt if absent). */
     std::optional<LogHistogram> latency(const std::string &name) const;
 
-    /** Consistent copy of all counters (watchdog/rollup input). */
-    std::map<std::string, std::uint64_t> counterSnapshot() const;
-
-    /** Consistent copy of all gauges. */
-    // lint: suppress(R11) the read side of gauges, as counterSnapshot
-    // is of counters; the TwoLevelAttack report pin hashes every gauge
-    std::map<std::string, double> gaugeSnapshot() const;
-
     /** Drop every metric. */
     void reset();
 

@@ -120,12 +120,36 @@ samplerOptions(std::size_t sessions)
     return sopts;
 }
 
+/** Eight sessions, the first six dark: a batch that abstains on 6
+ *  of its 8 level-1 rows. */
+std::vector<dz::VictimSessionSpec>
+blackoutStorm(const dz::ModelZoo &zoo)
+{
+    auto sessions = dz::sampleSessions(zoo, samplerOptions(8), 13);
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+        sessions[i].blackout = i < 6;
+        sessions[i].traceFaultSeverity = sessions[i].blackout ? 1.0 : 0.0;
+    }
+    return sessions;
+}
+
+/** A 32-session queue with trace faults at @p severity and 5%
+ *  blackouts. */
+std::vector<dz::VictimSessionSpec>
+faultyQueue(const dz::ModelZoo &zoo, double severity)
+{
+    dz::SessionSamplerOptions sopts = samplerOptions(32);
+    sopts.faultSeverity = severity;
+    sopts.blackoutFraction = 0.05;
+    return dz::sampleSessions(zoo, sopts, 91);
+}
+
 /**
  * FNV-1a digest (util::hashString) of the 16-session CNN campaign
  * report under FakeClock, pinned across commits. A change that alters
  * campaign outcomes on purpose updates it and says so in CHANGES.md.
  */
-constexpr std::uint64_t kCnnReportDigest = 0x7aa52e78d4434decULL;
+constexpr std::uint64_t kCnnReportDigest = 0x8bfcee40969b6e88ULL;
 
 } // anonymous namespace
 
@@ -256,6 +280,78 @@ TEST(SessionSampler, DeterministicAndSkewed)
         top = std::max(top, kv.second);
     EXPECT_GT(top, a.size() / 2)
         << "skew=0.9 should make the head lineage dominate";
+}
+
+// ---------------------------------------------------------------------
+// The abstain verdict on hand-built batches of rows.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One batch: @p abstained dark rows, @p identified rows that named a
+ *  parent through level-1, and @p hits cache-hit rows. */
+std::vector<dc::VictimOutcome>
+batchRows(std::size_t abstained, std::size_t identified,
+          std::size_t hits = 0)
+{
+    std::vector<dc::VictimOutcome> rows(abstained + identified + hits);
+    for (std::size_t i = 0; i < abstained; ++i)
+        rows[i].abstained = true;
+    for (std::size_t i = abstained + identified; i < rows.size(); ++i)
+        rows[i].cacheHit = true;
+    return rows;
+}
+
+} // anonymous namespace
+
+TEST(JudgeBatch, QuietBelowTheBand)
+{
+    dc::WatchdogReport verdict;
+    dc::judgeBatch(batchRows(1, 7), verdict);
+    dc::judgeBatch(batchRows(4, 4), verdict); // 0.5 is not above 0.5
+    dc::judgeBatch(batchRows(0, 0, 8), verdict);
+    EXPECT_EQ(verdict.batches, 3u);
+    EXPECT_TRUE(verdict.healthy());
+}
+
+TEST(JudgeBatch, FlagsOverLevelOneRowsOnly)
+{
+    // 3 of the 4 level-1 rows abstained; the 4 cache hits ran no
+    // level-1 and do not dilute the rate to 3/8.
+    dc::WatchdogReport verdict;
+    dc::judgeBatch(batchRows(3, 1, 4), verdict);
+    ASSERT_EQ(verdict.findings.size(), 1u);
+    EXPECT_EQ(verdict.findings[0].kind, "abstain_anomaly");
+    EXPECT_DOUBLE_EQ(verdict.findings[0].value, 0.75);
+    EXPECT_DOUBLE_EQ(verdict.findings[0].threshold, 0.5);
+    EXPECT_EQ(verdict.findings[0].message,
+              "fusion abstained on 3 of 4 identification(s) (rate 0.75 "
+              "> 0.5)");
+}
+
+TEST(JudgeBatch, BelowTheFloorIsNotJudged)
+{
+    dc::WatchdogReport verdict;
+    dc::judgeBatch(batchRows(3, 0, 5), verdict);
+    EXPECT_EQ(verdict.batches, 1u);
+    EXPECT_TRUE(verdict.healthy());
+}
+
+TEST(JudgeBatch, FlagsOnceAndRearmsOnRecovery)
+{
+    dc::WatchdogReport verdict;
+    dc::judgeBatch(batchRows(6, 2), verdict);
+    dc::judgeBatch(batchRows(8, 0), verdict); // still above: no re-flag
+    dc::judgeBatch(batchRows(3, 0), verdict); // below the floor: no
+                                              // verdict, no re-arm
+    dc::judgeBatch(batchRows(5, 3), verdict);
+    EXPECT_EQ(verdict.findings.size(), 1u);
+
+    dc::judgeBatch(batchRows(1, 7), verdict); // recovery re-arms
+    dc::judgeBatch(batchRows(7, 1), verdict);
+    ASSERT_EQ(verdict.findings.size(), 2u);
+    EXPECT_DOUBLE_EQ(verdict.findings[1].value, 0.875);
+    EXPECT_EQ(verdict.batches, 6u);
 }
 
 // ---------------------------------------------------------------------
@@ -527,17 +623,12 @@ TEST(Campaign, WatchdogQuietOnHealthyCampaign)
     Harness &h = harness();
     sched::setThreads(1);
 
-    obs::ObsConfig cfg;
-    cfg.metricsEnabled = true;
-    obs::configure(cfg);
-
     const auto sessions =
         dz::sampleSessions(h.zoo, samplerOptions(16), 55);
     dcp::CampaignDriver driver(*h.attack, campaignOptions());
     const auto report = driver.run(sessions);
-    obs::shutdown();
 
-    EXPECT_GT(report.watchdog.ticks, 0u);
+    EXPECT_EQ(report.watchdog.batches, 2u);
     EXPECT_TRUE(report.watchdog.healthy())
         << "healthy campaign must not trip the SLO bands; first "
            "finding: "
@@ -552,32 +643,107 @@ TEST(Campaign, FaultStormFlagsAbstainAnomaly)
     Harness &h = harness();
     sched::setThreads(1);
 
-    obs::ObsConfig cfg;
-    cfg.metricsEnabled = true;
-    obs::configure(cfg);
-
-    // One batch where most victims are dark: the insufficient-
-    // evidence rate over identification attempts crosses the
-    // abstain band (0.5 with >= 4 samples).
-    dz::SessionSamplerOptions sopts = samplerOptions(8);
-    auto sessions = dz::sampleSessions(h.zoo, sopts, 13);
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-        sessions[i].blackout = i < 6;
-        sessions[i].traceFaultSeverity = sessions[i].blackout ? 1.0 : 0.0;
-    }
-
+    // One batch where most victims are dark: the abstained share of
+    // the rows that ran level-1 crosses the abstain band (0.5 with
+    // >= 4 rows).
+    const auto sessions = blackoutStorm(h.zoo);
     dcp::CampaignDriver driver(*h.attack, campaignOptions());
     const auto report = driver.run(sessions);
-    obs::shutdown();
 
-    bool flagged = false;
-    for (const auto &f : report.watchdog.findings)
-        flagged = flagged || f.kind == "abstain_anomaly";
-    EXPECT_TRUE(flagged)
-        << "a 6/8 blackout batch must trip the abstain detector";
+    ASSERT_EQ(report.watchdog.findings.size(), 1u)
+        << "a 6/8 blackout batch must trip the abstain detector once";
+    const dc::WatchdogFinding &f = report.watchdog.findings[0];
+    EXPECT_EQ(f.kind, "abstain_anomaly");
+    EXPECT_EQ(f.subject, "level1.fusion");
+    EXPECT_DOUBLE_EQ(f.value, 0.75);
+    EXPECT_DOUBLE_EQ(f.threshold, 0.5);
+    EXPECT_EQ(f.message,
+              "fusion abstained on 6 of 8 identification(s) (rate 0.75 "
+              "> 0.5)");
     // The storm still drains the queue.
     EXPECT_EQ(report.sessions, sessions.size());
     EXPECT_EQ(report.abstained, 6u);
+}
+
+// Each run judges only its own rows: after a storm, one driver (its
+// cache warm) reports a healthy queue healthy, and a second storm is
+// flagged again, once.
+TEST(Campaign, VerdictRearmsAcrossSequentialRuns)
+{
+    PoolGuard guard;
+    Harness &h = harness();
+    sched::setThreads(1);
+
+    const auto storm = blackoutStorm(h.zoo);
+    dcp::CampaignDriver driver(*h.attack, campaignOptions());
+    EXPECT_EQ(driver.run(storm).watchdog.findings.size(), 1u);
+
+    const auto healthy =
+        driver.run(dz::sampleSessions(h.zoo, samplerOptions(16), 55));
+    EXPECT_EQ(healthy.watchdog.batches, 2u);
+    EXPECT_TRUE(healthy.watchdog.healthy())
+        << "the storm's verdict must not leak into the next run";
+
+    // The storm's two lit sessions are cache hits now, so all six
+    // level-1 rows abstain.
+    const auto again = driver.run(storm);
+    ASSERT_EQ(again.watchdog.findings.size(), 1u);
+    EXPECT_DOUBLE_EQ(again.watchdog.findings[0].value, 1.0);
+}
+
+// Light trace faults leave identification intact, so the verdict is
+// healthy: the faults themselves are the injector's ground truth, and
+// only their effect on the rows (abstentions) is judged.
+TEST(Campaign, LightFaultsReportHealthy)
+{
+    PoolGuard guard;
+    Harness &h = harness();
+    sched::setThreads(1);
+
+    const auto report = dcp::CampaignDriver(*h.attack, campaignOptions())
+                            .run(faultyQueue(h.zoo, 0.05));
+    EXPECT_EQ(report.sessions, 32u);
+    EXPECT_EQ(report.watchdog.batches, 4u);
+    EXPECT_TRUE(report.watchdog.healthy());
+}
+
+// The report is a pure function of the queue: the metrics registry
+// and the flight recorder observe a run without moving a byte of it.
+TEST(Campaign, ReportIndependentOfTelemetrySettings)
+{
+    PoolGuard guard;
+    Harness &h = harness();
+    obs::FakeClock clock;
+    obs::setClockForTest(&clock);
+
+    obs::ObsConfig metrics_on;
+    metrics_on.metricsEnabled = true;
+    obs::ObsConfig flight_on;
+    flight_on.flightMode = obs::FlightMode::On;
+    const obs::ObsConfig settings[] = {obs::ObsConfig{}, metrics_on,
+                                       flight_on};
+    const std::vector<std::vector<dz::VictimSessionSpec>> queues = {
+        dz::sampleSessions(h.zoo, samplerOptions(16), 77), // CNN pin
+        faultyQueue(h.zoo, 0.5)};
+    for (const auto &sessions : queues) {
+        for (std::size_t threads : kThreadCounts) {
+            sched::setThreads(threads);
+            std::vector<std::string> json;
+            for (const obs::ObsConfig &cfg : settings) {
+                obs::configure(cfg);
+                dcp::CampaignDriver driver(*h.attack, campaignOptions());
+                json.push_back(driver.run(sessions).toJson());
+                obs::shutdown();
+            }
+            EXPECT_EQ(json[1], json[0])
+                << "metrics on moved the report at " << threads
+                << " lanes";
+            EXPECT_EQ(json[2], json[0])
+                << "flight on moved the report at " << threads
+                << " lanes";
+        }
+    }
+    obs::setClockForTest(nullptr);
 }
 
 TEST(Campaign, CachePersistsAcrossRuns)
@@ -610,16 +776,12 @@ TEST(Campaign, SkewedQueueOutcomesPinned)
     PoolGuard guard;
     Harness &h = harness();
 
-    obs::ObsConfig cfg;
-    cfg.metricsEnabled = true;
-    obs::configure(cfg);
     const auto sessions =
         dz::sampleSessions(h.zoo, samplerOptions(240), 4246);
     dcp::CampaignOptions opts = campaignOptions();
     opts.batchSize = 32;
     dcp::CampaignDriver driver(*h.attack, opts);
     const auto report = driver.run(sessions);
-    obs::shutdown();
 
     EXPECT_EQ(report.sessions, 240u);
     EXPECT_EQ(report.abstained, 0u);
@@ -628,5 +790,6 @@ TEST(Campaign, SkewedQueueOutcomesPinned)
     EXPECT_EQ(report.clonesBuilt, 32u);
     EXPECT_EQ(report.cloneReuses, 208u);
     EXPECT_EQ(report.correct, 240u);
+    EXPECT_EQ(report.watchdog.batches, 8u);
     EXPECT_TRUE(report.watchdog.healthy());
 }

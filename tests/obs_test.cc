@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -29,7 +28,6 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/quantile.hh"
-#include "obs/watchdog.hh"
 #include "sched/sched.hh"
 #include "util/rng.hh"
 #include "zoo/finetune_sim.hh"
@@ -42,6 +40,27 @@ namespace dz = decepticon::zoo;
 
 namespace {
 
+/** The registry's exportJson object, parsed back. */
+dob::json::Value
+exported(const dob::MetricsRegistry &reg)
+{
+    std::ostringstream oss;
+    reg.exportJson(oss);
+    dob::json::Value v;
+    std::string err;
+    EXPECT_TRUE(dob::json::parse(oss.str(), v, &err)) << err;
+    return v;
+}
+
+/** Both the counters and the gauges sections of an export are empty. */
+bool
+exportsNothing(const dob::MetricsRegistry &reg)
+{
+    const dob::json::Value v = exported(reg);
+    return v.find("counters")->object.empty() &&
+           v.find("gauges")->object.empty();
+}
+
 // ---------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------
@@ -49,7 +68,7 @@ namespace {
 TEST(MetricsRegistry, CountersGaugesLatencies)
 {
     dob::MetricsRegistry reg;
-    EXPECT_EQ(reg.counterSnapshot().count("c"), 0u);
+    EXPECT_EQ(exported(reg).find("counters")->find("c"), nullptr);
     EXPECT_EQ(reg.counter("c"), 0u);
 
     reg.add("c");
@@ -67,8 +86,7 @@ TEST(MetricsRegistry, CountersGaugesLatencies)
     EXPECT_EQ(h->total(), 2u);
 
     reg.reset();
-    EXPECT_TRUE(reg.counterSnapshot().empty());
-    EXPECT_TRUE(reg.gaugeSnapshot().empty());
+    EXPECT_TRUE(exportsNothing(reg));
     EXPECT_FALSE(reg.latency("h").has_value());
 }
 
@@ -114,6 +132,28 @@ TEST(MetricsRegistry, JsonObjectExportParses)
     EXPECT_EQ(v.find("histograms"), nullptr);
 }
 
+// Flight dumps are read line by line into one reused Value, which must
+// then hold the last line only: no member or item of an earlier
+// document survives.
+TEST(Json, ParseReplacesReusedValue)
+{
+    dob::json::Value row;
+    ASSERT_TRUE(dob::json::parse(
+        R"({"type":"flight","kind":"retry","seq":[1,2]})", row));
+    ASSERT_TRUE(
+        dob::json::parse(R"({"type":"flight_summary","seq":[3]})", row));
+    ASSERT_NE(row.find("type"), nullptr);
+    EXPECT_EQ(row.find("type")->string, "flight_summary");
+    EXPECT_EQ(row.find("kind"), nullptr);
+    EXPECT_EQ(row.find("seq")->array.size(), 1u);
+
+    dob::json::Value list;
+    ASSERT_TRUE(dob::json::parse("[1,2,3]", list));
+    ASSERT_TRUE(dob::json::parse("[4]", list));
+    ASSERT_EQ(list.array.size(), 1u);
+    EXPECT_DOUBLE_EQ(list.array[0].number, 4.0);
+}
+
 // ---------------------------------------------------------------------
 // Spans are flight events; the Chrome trace renders from that stream
 // ---------------------------------------------------------------------
@@ -133,8 +173,7 @@ TEST(ObsFacade, DisabledPathIsInert)
         EXPECT_FALSE(sp.active());
         sp.end(); // must be a no-op, not a crash
     }
-    EXPECT_TRUE(dob::metrics().counterSnapshot().empty());
-    EXPECT_TRUE(dob::metrics().gaugeSnapshot().empty());
+    EXPECT_TRUE(exportsNothing(dob::metrics()));
     EXPECT_FALSE(dob::metrics().latency("ghost.latency").has_value());
     EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
 
@@ -177,7 +216,7 @@ TEST(ObsFacade, EnabledFacadeCollectsAndShutdownClears)
     dob::shutdown();
     EXPECT_FALSE(dob::metricsEnabled());
     EXPECT_FALSE(dob::flightEnabled());
-    EXPECT_TRUE(dob::metrics().counterSnapshot().empty());
+    EXPECT_TRUE(exportsNothing(dob::metrics()));
     EXPECT_TRUE(dob::flightRecorder().canonicalEvents().empty());
 }
 
@@ -550,65 +589,6 @@ TEST(MetricsRegistry, LatencyExportCarriesQuantilesAndClipCounts)
 }
 
 // ---------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------
-
-TEST(Watchdog, QuietOnHealthyRun)
-{
-    dob::MetricsRegistry reg;
-    dob::Watchdog dog;
-    for (int t = 0; t < 6; ++t) {
-        reg.add("fault.capture_attempts", 10);
-        reg.add("fault.captures_corrupted", 2); // 20% << 75% band
-        reg.add("level1.identifies", 10);
-        reg.add("level1.insufficient_evidence", 1); // 10% << 50%
-        EXPECT_TRUE(dog.tick(reg).empty()) << "tick " << t;
-    }
-    EXPECT_TRUE(dog.report().healthy());
-    EXPECT_EQ(reg.counter("obs.watchdog.ticks"), 6u);
-    EXPECT_EQ(reg.counter("obs.watchdog.findings"), 0u);
-}
-
-TEST(Watchdog, FaultSpikeAndAbstainAnomaly)
-{
-    dob::MetricsRegistry reg;
-    dob::Watchdog dog;
-    dog.tick(reg); // baseline
-
-    reg.add("fault.capture_attempts", 8);
-    reg.add("fault.captures_corrupted", 8); // rate 1.0 > 0.75
-    reg.add("level1.identifies", 4);
-    reg.add("level1.insufficient_evidence", 3); // rate 0.75 > 0.5
-    const auto findings = dog.tick(reg);
-    ASSERT_EQ(findings.size(), 2u);
-    std::set<std::string> kinds;
-    for (const auto &f : findings)
-        kinds.insert(f.kind);
-    EXPECT_TRUE(kinds.count("fault_spike"));
-    EXPECT_TRUE(kinds.count("abstain_anomaly"));
-    EXPECT_EQ(reg.counter("obs.watchdog.fault_spikes"), 1u);
-    EXPECT_EQ(reg.counter("obs.watchdog.abstain_anomalies"), 1u);
-
-    // Below minSamples no rate is judged, however extreme.
-    dob::MetricsRegistry reg2;
-    dob::Watchdog dog2;
-    dog2.tick(reg2);
-    reg2.add("fault.capture_attempts", 2);
-    reg2.add("fault.captures_corrupted", 2);
-    EXPECT_TRUE(dog2.tick(reg2).empty());
-
-    // WatchdogReport JSON is parseable and carries the findings.
-    std::ostringstream oss;
-    dog.report().toJson(oss);
-    dob::json::Value v;
-    std::string err;
-    ASSERT_TRUE(dob::json::parse(oss.str(), v, &err)) << err;
-    EXPECT_DOUBLE_EQ(v.find("healthy")->number, 0.0);
-    ASSERT_TRUE(v.find("findings")->isArray());
-    EXPECT_EQ(v.find("findings")->array.size(), 2u);
-}
-
-// ---------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------
 
@@ -712,61 +692,6 @@ TEST(ObsFacade, StageTimerFeedsLatencyAndFlightEvents)
 // ---------------------------------------------------------------------
 // Multi-run processes (campaign driver regime)
 // ---------------------------------------------------------------------
-
-// A long-lived process (campaign driver, REPL) runs many attacks back
-// to back against one persistent registry, arming a fresh Watchdog
-// per run. The contract across runs: RATE history (fault, abstain
-// totals) is absorbed by the baseline tick and never re-judged, and a
-// spike during a later run is still flagged, once.
-TEST(Watchdog, RearmsCleanlyAcrossSequentialRuns)
-{
-    dob::MetricsRegistry reg;
-
-    // Run 1 ends badly: a fault storm and an abstain spike recorded.
-    {
-        dob::Watchdog dog;
-        dog.tick(reg); // baseline
-        reg.add("fault.capture_attempts", 8);
-        reg.add("fault.captures_corrupted", 8);
-        reg.add("level1.identifies", 4);
-        reg.add("level1.insufficient_evidence", 3);
-        dog.tick(reg);
-        EXPECT_FALSE(dog.report().healthy());
-    }
-
-    // Run 2: a fresh dog over the same (dirty) registry. The 100%
-    // historical fault rate and the abstain spike are pre-baseline —
-    // zero deltas — so a healthy run stays verdict-clean despite run
-    // 1's residue.
-    {
-        dob::Watchdog dog;
-        dog.tick(reg); // baseline absorbs run 1's totals
-        for (int t = 0; t < 4; ++t) {
-            reg.add("fault.capture_attempts", 10);
-            reg.add("fault.captures_corrupted", 1);
-            reg.add("level1.identifies", 10);
-            reg.add("level1.insufficient_evidence", 1);
-            EXPECT_TRUE(dog.tick(reg).empty()) << "tick " << t;
-        }
-        EXPECT_TRUE(dog.report().healthy())
-            << "run 1's residue must not leak into run 2's verdict";
-    }
-
-    // Run 3: the re-armed detector still has teeth — a spike during
-    // THIS run is flagged exactly once, not per tick.
-    {
-        dob::Watchdog dog;
-        dog.tick(reg);
-        for (int t = 0; t < 3; ++t) {
-            reg.add("fault.capture_attempts", 8);
-            reg.add("fault.captures_corrupted", 7);
-            EXPECT_EQ(dog.tick(reg).size(), t == 0 ? 1u : 0u)
-                << "tick " << t;
-        }
-        ASSERT_EQ(dog.report().findings.size(), 1u);
-        EXPECT_EQ(dog.report().findings[0].kind, "fault_spike");
-    }
-}
 
 // Campaign rollups call reset() + republish on the shared registry
 // while sched workers are still observing (the flush happens at batch

@@ -10,11 +10,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <vector>
 
 #include "fault/channel.hh"
 #include "gpusim/emission.hh"
 #include "gpusim/trace_generator.hh"
+#include "obs/json.hh"
 #include "obs/obs.hh"
 #include "sidechan/classifier.hh"
 #include "sidechan/features.hh"
@@ -278,7 +280,12 @@ TEST(ChannelFault, ResetRepublishesZeroedGauges)
     (void)model.corruptSeries(rampSeries(100), 0);
     model.publishCounters();
     auto &reg = dob::metrics();
-    ASSERT_EQ(reg.gaugeSnapshot().count("fault.channel.power.captures"), 1u);
+    std::ostringstream exported;
+    reg.exportJson(exported);
+    dob::json::Value v;
+    ASSERT_TRUE(dob::json::parse(exported.str(), v));
+    ASSERT_NE(v.find("gauges")->find("fault.channel.power.captures"),
+              nullptr);
     EXPECT_GT(reg.gauge("fault.channel.power.captures"), 0.0);
     EXPECT_GT(reg.gauge("fault.channel.power.samples_dropped"), 0.0);
 

@@ -3,9 +3,9 @@
  * obsview — run inspector for obs v2 exports. Loads one telemetry file
  * (a metrics JSON object: a DECEPTICON_OBS metrics dump or a
  * BENCH_*.json snapshot; or a flight-recorder JSONL dump) and renders
- * per-stage latency tables, watchdog counters, or the flight stream's
- * event census and top-N slowest spans. Comparing two exports is
- * bench/bench_compare.py's job.
+ * per-stage latency tables and the campaign watchdog gauges, or the
+ * flight stream's event census and top-N slowest spans. Comparing two
+ * exports is bench/bench_compare.py's job.
  *
  * Exit codes: 0 ok, 2 bad input.
  *
@@ -59,7 +59,6 @@ struct RunData
 {
     std::string path;
     bool isFlight = false;
-    std::map<std::string, double> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, LatencyStats> latencies;
     std::vector<FlightRow> flight;
@@ -116,10 +115,6 @@ parseLatency(const json::Value &obj)
 void
 loadMetricsObject(const json::Value &root, RunData &run)
 {
-    const json::Value *counters = root.find("counters");
-    if (counters != nullptr && counters->isObject())
-        for (const auto &[name, v] : counters->object)
-            run.counters[name] = v.number;
     const json::Value *gauges = root.find("gauges");
     if (gauges != nullptr && gauges->isObject())
         for (const auto &[name, v] : gauges->object)
@@ -228,24 +223,17 @@ void
 renderWatchdog(const RunData &run)
 {
     decepticon::util::printBanner(std::cout, "watchdog");
-    static const char *kCounters[] = {
-        "obs.watchdog.ticks", "obs.watchdog.fault_spikes",
-        "obs.watchdog.abstain_anomalies", "obs.watchdog.findings"};
+    static const char *kGauges[] = {"campaign.watchdog_batches",
+                                    "campaign.watchdog_findings"};
+    decepticon::util::Table table({"gauge", "value"});
     bool any = false;
-    decepticon::util::Table table({"counter", "value"});
-    for (const char *name : kCounters) {
-        const auto it = run.counters.find(name);
-        if (it == run.counters.end())
+    for (const char *name : kGauges) {
+        const auto it = run.gauges.find(name);
+        if (it == run.gauges.end())
             continue;
         any = true;
         table.row().cell(name).cell(
             static_cast<long long>(it->second));
-    }
-    const auto findings = run.gauges.find("run.watchdog_findings");
-    if (findings != run.gauges.end()) {
-        any = true;
-        table.row().cell("run.watchdog_findings").cell(
-            static_cast<long long>(findings->second));
     }
     if (!any) {
         std::cout << "(no watchdog data in this export)\n";
