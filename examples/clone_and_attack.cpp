@@ -33,15 +33,6 @@ main()
     // JSON object of every probe/retry/fallback counter below;
     // DECEPTICON_OBS_FLIGHT=on:/tmp/f.jsonl also dumps that stream.
     obs::initFromEnv();
-    std::uint64_t phase_start = obs::clock().nowMicros();
-    const auto end_phase = [&](const char *name) {
-        const std::uint64_t now = obs::clock().nowMicros();
-        if (obs::metricsEnabled())
-            obs::metrics().setGauge(
-                std::string("phase.") + name + ".micros",
-                static_cast<double>(now - phase_start));
-        phase_start = now;
-    };
 
     std::cout << "=== Decepticon: clone-and-attack economics ===\n";
 
@@ -72,7 +63,6 @@ main()
     fopts.lr = 2e-4f;
     fopts.headLrMultiplier = 30.0f;
     transformer::Trainer::fineTune(victim, task.sample(160, 2), fopts);
-    end_phase("world_setup");
 
     // ------------------------------------------------------------------
     // Level 1 first: identify a victim's pre-trained parent from its
@@ -98,7 +88,6 @@ main()
                   << ident.topProbability << "; actual "
                   << zvictim->pretrainedName << ")\n";
     }
-    end_phase("level1");
 
     auto level2_span = obs::span("example.level2");
     const auto dev = task.sample(120, 3);
@@ -218,7 +207,6 @@ main()
         }
     }
     level2_span.end();
-    end_phase("level2");
 
     // Quantization note (Sec. 8): the checked fraction bits survive a
     // bfloat16 round trip because bfloat16 keeps float32's exponent.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Machine-readable rollup of one multi-victim campaign. Where
- * AttackRunReport is the telemetry view of a single end-to-end attack,
+ * AttackReport is the record of a single end-to-end attack,
  * CampaignReport aggregates a whole victim queue: identification and
  * cloning outcomes per victim, cache economics, time-to-clone
  * percentiles via obs::LogHistogram, and the watchdog verdict judged

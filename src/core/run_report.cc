@@ -7,13 +7,13 @@
 namespace decepticon::core {
 
 void
-AttackRunReport::recordPhase(std::string name, std::uint64_t micros)
+AttackReport::recordPhase(std::string name, std::uint64_t micros)
 {
     phases.push_back(PhaseTiming{std::move(name), micros});
 }
 
 std::uint64_t
-AttackRunReport::totalMicros() const
+AttackReport::totalMicros() const
 {
     std::uint64_t total = 0;
     for (const auto &p : phases)
@@ -22,7 +22,7 @@ AttackRunReport::totalMicros() const
 }
 
 std::string
-AttackRunReport::toJson() const
+AttackReport::toJson() const
 {
     const IdentificationResult &id = identification;
     std::ostringstream oss;
@@ -62,7 +62,7 @@ AttackRunReport::toJson() const
         << ",\"clone_accuracy\":" << obs::jsonNumber(cloneAccuracy)
         << ",\"agreement\":" << obs::jsonNumber(cloneVictimAgreement)
         << ",\"adversarial_success\":"
-        << obs::jsonNumber(adversarialSuccess)
+        << obs::jsonNumber(adversarial.successRate())
         << ",\"complete\":" << (complete ? "true" : "false")
         << "},\"phases\":[";
     for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -76,7 +76,7 @@ AttackRunReport::toJson() const
 }
 
 void
-AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
+AttackReport::toMetrics(obs::MetricsRegistry &registry) const
 {
     const auto gauge = [&](const char *name, double value) {
         registry.setGauge(std::string("run.") + name, value);
@@ -108,7 +108,7 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
     gauge("victim_accuracy", victimAccuracy);
     gauge("clone_accuracy", cloneAccuracy);
     gauge("agreement", cloneVictimAgreement);
-    gauge("adversarial_success", adversarialSuccess);
+    gauge("adversarial_success", adversarial.successRate());
     gauge("complete", complete ? 1.0 : 0.0);
     gauge("total_micros", static_cast<double>(totalMicros()));
     for (const auto &p : phases)
@@ -117,7 +117,7 @@ AttackRunReport::toMetrics(obs::MetricsRegistry &registry) const
 }
 
 std::string
-AttackRunReport::summaryParagraph() const
+AttackReport::summaryParagraph() const
 {
     const IdentificationResult &id = identification;
     const extraction::ExtractionStats &ex = extraction;
@@ -158,7 +158,8 @@ AttackRunReport::summaryParagraph() const
     oss << ", using " << victimQueries << " victim queries. "
         << "Clone accuracy " << cloneAccuracy << " vs victim "
         << victimAccuracy << " (agreement " << cloneVictimAgreement
-        << "); adversarial success " << adversarialSuccess << ". ";
+        << "); adversarial success " << adversarial.successRate()
+        << ". ";
     if (!phases.empty()) {
         oss << "Wall time " << totalMicros() / 1000 << " ms (";
         for (std::size_t i = 0; i < phases.size(); ++i) {

@@ -1,25 +1,26 @@
 /**
  * @file
- * The one record of an end-to-end attack run: the level-1
- * identification, the level-2 cost ledger (probe and extraction
- * stats), the clone-quality numbers and every phase's wall time —
- * serializable as JSON, foldable into a MetricsRegistry, and printable
- * as a one-paragraph summary. AttackReport adds only the artifacts
- * (the clone, the adversarial transfer). The fields are filled
- * piecewise, so examples that drive the pipeline stages by hand
- * (quickstart) produce the same report as TwoLevelAttack.
+ * The one record of an end-to-end attack run, as
+ * TwoLevelAttack::execute fills it: the level-1 identification, the
+ * level-2 cost ledger (probe and extraction stats), the clone, its
+ * quality numbers, the adversarial transfer and every phase's wall
+ * time — serializable as JSON, foldable into a MetricsRegistry, and
+ * printable as a one-paragraph summary.
  */
 
 #ifndef DECEPTICON_CORE_RUN_REPORT_HH
 #define DECEPTICON_CORE_RUN_REPORT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "attack/adversarial.hh"
 #include "core/decepticon.hh"
 #include "extraction/bitprobe.hh"
 #include "extraction/selective.hh"
+#include "transformer/classifier.hh"
 
 namespace decepticon::obs {
 class MetricsRegistry;
@@ -34,8 +35,8 @@ struct PhaseTiming
     std::uint64_t micros = 0;
 };
 
-/** Aggregated, serializable telemetry of one full attack run. */
-struct AttackRunReport
+/** Structured, serializable outcome of one full attack run. */
+struct AttackReport
 {
     // ---- level 1 ----
     IdentificationResult identification;
@@ -46,11 +47,16 @@ struct AttackRunReport
     std::size_t layersExtracted = 0;
     std::size_t victimQueries = 0;
 
+    /** The level-2 clone (null if the identified parent has no
+     *  registered weights). */
+    std::unique_ptr<transformer::TransformerClassifier> clone;
+
     // ---- outcome quality ----
     double victimAccuracy = 0.0;
     double cloneAccuracy = 0.0;
     double cloneVictimAgreement = 0.0;
-    double adversarialSuccess = 0.0;
+    /** Adversarial follow-up with the clone. */
+    attack::TransferResult adversarial;
     bool complete = false;
 
     /** Per-phase wall clock, pipeline order. */

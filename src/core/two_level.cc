@@ -53,7 +53,7 @@ TwoLevelAttack::execute(
     auto phase_start = obs::clock().nowMicros();
     const auto end_phase = [&](const char *name) {
         const std::uint64_t now = obs::clock().nowMicros();
-        report.run.recordPhase(name, now - phase_start);
+        report.recordPhase(name, now - phase_start);
         phase_start = now;
     };
 
@@ -62,7 +62,7 @@ TwoLevelAttack::execute(
     // ------------------------------------------------------------------
     {
         auto sp = obs::span("attack.phase.identify");
-        report.run.identification =
+        report.identification =
             pipeline_->identify(victim_trace, query_victim);
     }
     end_phase("identify");
@@ -71,17 +71,17 @@ TwoLevelAttack::execute(
     // Level 2: clone via selective weight extraction from the
     // "downloaded" pre-trained parent.
     // ------------------------------------------------------------------
-    auto cloned = cloneVictim(report.run.identification.pretrainedName,
+    auto cloned = cloneVictim(report.identification.pretrainedName,
                               victim, query_set, opts_.cloner);
     if (cloned.clone == nullptr) {
         if (obs::metricsEnabled())
-            report.run.toMetrics(obs::metrics());
+            report.toMetrics(obs::metrics());
         return report; // identified something outside the pool
     }
-    report.run.probe = cloned.probeStats;
-    report.run.extraction = cloned.extractionStats;
-    report.run.layersExtracted = cloned.layersExtracted;
-    report.run.victimQueries = cloned.victimQueries;
+    report.probe = cloned.probeStats;
+    report.extraction = cloned.extractionStats;
+    report.layersExtracted = cloned.layersExtracted;
+    report.victimQueries = cloned.victimQueries;
     report.clone = std::move(cloned.clone);
     end_phase("extract");
 
@@ -92,14 +92,10 @@ TwoLevelAttack::execute(
         transformer::Trainer::evaluate(victim, eval_set);
     const auto clone_eval =
         transformer::Trainer::evaluate(*report.clone, eval_set);
-    std::vector<int> victim_preds;
-    victim_preds.reserve(eval_set.size());
-    for (const auto &ex : eval_set.examples)
-        victim_preds.push_back(victim.predict(ex.tokens));
-    report.run.victimAccuracy = victim_eval.accuracy;
-    report.run.cloneAccuracy = clone_eval.accuracy;
-    report.run.cloneVictimAgreement = transformer::Trainer::agreement(
-        clone_eval.predictions, victim_preds);
+    report.victimAccuracy = victim_eval.accuracy;
+    report.cloneAccuracy = clone_eval.accuracy;
+    report.cloneVictimAgreement = transformer::Trainer::agreement(
+        clone_eval.predictions, victim_eval.predictions);
     end_phase("evaluate");
 
     // ------------------------------------------------------------------
@@ -112,10 +108,9 @@ TwoLevelAttack::execute(
     }
     end_phase("adversarial");
 
-    report.run.adversarialSuccess = report.adversarial.successRate();
-    report.run.complete = true;
+    report.complete = true;
     if (obs::metricsEnabled())
-        report.run.toMetrics(obs::metrics());
+        report.toMetrics(obs::metrics());
     return report;
 }
 
@@ -136,27 +131,26 @@ TwoLevelAttack::cloneVictim(
 std::string
 formatReport(const AttackReport &report)
 {
-    const AttackRunReport &run = report.run;
     std::ostringstream oss;
-    oss << "identified parent: " << run.identification.pretrainedName
-        << (run.identification.usedQueryProbes ? " (query probes used)"
-                                               : "")
-        << "\n";
-    if (!run.complete) {
+    const IdentificationResult &id = report.identification;
+    oss << "identified parent: " << id.pretrainedName
+        << (id.usedQueryProbes ? " (query probes used)" : "") << "\n";
+    if (!report.complete) {
         oss << "attack incomplete: identified model not in the "
                "candidate pool\n";
         return oss.str();
     }
-    oss << "layers extracted: " << run.layersExtracted
-        << "; bits read: " << run.probe.bitsRead
-        << " (hammer rounds: " << run.probe.hammerRounds << ")\n"
+    oss << "layers extracted: " << report.layersExtracted
+        << "; bits read: " << report.probe.bitsRead
+        << " (hammer rounds: " << report.probe.hammerRounds << ")\n"
         << "weights skipped: "
-        << run.extraction.weightsSkippedFraction()
-        << "; bits excluded: " << run.extraction.bitsExcludedFraction()
+        << report.extraction.weightsSkippedFraction()
+        << "; bits excluded: "
+        << report.extraction.bitsExcludedFraction()
         << "\n"
-        << "victim accuracy " << run.victimAccuracy
-        << " | clone accuracy " << run.cloneAccuracy
-        << " | agreement " << run.cloneVictimAgreement << "\n"
+        << "victim accuracy " << report.victimAccuracy
+        << " | clone accuracy " << report.cloneAccuracy
+        << " | agreement " << report.cloneVictimAgreement << "\n"
         << "adversarial success: " << report.adversarial.successRate()
         << " (" << report.adversarial.fooled << "/"
         << report.adversarial.eligible << ")\n";

@@ -5,9 +5,10 @@
  * extractor, then execute against a black-box victim — identification
  * from the captured trace (+ query probes), level-2 selective weight
  * extraction from the identified parent, clone evaluation, and the
- * adversarial follow-up attack. Produces an AttackReport whose run
- * record holds every fact of the run. Level 2 has one entry point,
- * cloneVictim(), shared by execute() and the campaign driver's S6.
+ * adversarial follow-up attack. Produces an AttackReport
+ * (core/run_report.hh) that holds every fact of the run. Level 2 has
+ * one entry point, cloneVictim(), shared by execute() and the campaign
+ * driver's S6. examples/quickstart.cpp drives this API end to end.
  */
 
 #ifndef DECEPTICON_CORE_TWO_LEVEL_HH
@@ -26,24 +27,6 @@
 #include "transformer/task.hh"
 
 namespace decepticon::core {
-
-/** Structured outcome of one full attack run. */
-struct AttackReport
-{
-    /**
-     * Every level-1 and level-2 fact of the run, clone quality and
-     * per-phase wall time (run.toJson() / run.toMetrics() /
-     * run.summaryParagraph()).
-     */
-    AttackRunReport run;
-
-    /** The level-2 clone (null if the identified parent has no
-     *  registered weights). */
-    std::unique_ptr<transformer::TransformerClassifier> clone;
-
-    /** Adversarial follow-up. */
-    attack::TransferResult adversarial;
-};
 
 /** Options for the full pipeline. */
 struct TwoLevelOptions
@@ -91,9 +74,6 @@ class TwoLevelAttack
      *        rule (agreement with the victim)
      * @param adversarial_seeds inputs to perturb for the follow-up
      */
-    // lint: suppress(R11) the paper's attack on one victim end to end;
-    // the TwoLevelAttack report pin and the lane tests drive it, and
-    // campaign S6 shares its cloneVictim
     AttackReport execute(
         transformer::TransformerClassifier &victim,
         const gpusim::KernelTrace &victim_trace,
@@ -144,8 +124,6 @@ class TwoLevelAttack
 };
 
 /** Render a human-readable summary of a report. */
-// lint: suppress(R11) renders execute's report for the TwoLevelAttack
-// report pin
 std::string formatReport(const AttackReport &report);
 
 } // namespace decepticon::core

@@ -205,16 +205,22 @@ FaultInjector::corruptTrace(const gpusim::KernelTrace &trace,
     if (out.records.empty())
         out.records.push_back(trace.records.front());
 
-    obs::count("fault.captures_corrupted");
-    obs::flightRecord(
-        obs::FlightEventKind::Fault, "trace_capture", "trace_corrupted",
-        static_cast<double>(counters_.recordsDropped - dropped_before));
-    obs::count("fault.records_dropped",
-               counters_.recordsDropped - dropped_before);
-    obs::count("fault.records_duplicated",
-               counters_.recordsDuplicated - duplicated_before);
-    obs::count("fault.records_truncated",
-               counters_.recordsTruncated - truncated_before);
+    const std::size_t dropped = counters_.recordsDropped - dropped_before;
+    const std::size_t duplicated =
+        counters_.recordsDuplicated - duplicated_before;
+    const std::size_t truncated =
+        counters_.recordsTruncated - truncated_before;
+    // A capture counts as corrupted only when a fault fired on it; a
+    // configured rate that drew nothing delivers the trace intact.
+    if (dropped + duplicated + truncated > 0) {
+        obs::count("fault.captures_corrupted");
+        obs::flightRecord(obs::FlightEventKind::Fault, "trace_capture",
+                          "trace_corrupted",
+                          static_cast<double>(dropped));
+    }
+    obs::count("fault.records_dropped", dropped);
+    obs::count("fault.records_duplicated", duplicated);
+    obs::count("fault.records_truncated", truncated);
     return out;
 }
 

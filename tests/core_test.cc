@@ -278,9 +278,9 @@ namespace {
 
 /**
  * FNV-1a digest (util::hashString) of one TwoLevelAttack::execute run
- * under FakeClock: formatReport, run.toJson(), summaryParagraph() and
- * the registry export of run.toMetrics(), pinned across
- * commits. A change that alters the attack's outcome on purpose
+ * under FakeClock: formatReport, toJson(), summaryParagraph() and the
+ * registry export of toMetrics(), pinned across commits, with metrics
+ * off and on. A change that alters the attack's outcome on purpose
  * updates it and says so in CHANGES.md.
  */
 constexpr std::uint64_t kExecuteReportDigest = 0xf707e50aa1e3d252ULL;
@@ -324,34 +324,43 @@ preparedAttack(const dz::ModelZoo &zoo)
 
 TEST(TwoLevelAttack, ReportDigestPinnedAcrossCommits)
 {
-    obs::FakeClock clock;
-    obs::setClockForTest(&clock);
-    dz::ModelZoo zoo = dz::ModelZoo::buildDefault(51, 3, 0);
-    auto attack = preparedAttack(zoo);
-    // The determinism test's scenario: a random-weight victim served
-    // behind the first pre-trained release's trace.
-    const auto *parent = zoo.pretrained()[0];
-    dtr::TransformerClassifier victim(tinyVictimConfig(), 9);
-    dtr::MarkovTask task(16, 2, 8, 5100, 4.0);
-    const auto report = attack->execute(
-        victim, traceOf(*parent, 0xfee1),
-        dc::makeVictimQueryHook(parent->vocabProfile),
-        task.sample(20, 1), task.sample(10, 2).examples,
-        task.sample(10, 3).examples);
-    obs::setClockForTest(nullptr);
-    EXPECT_TRUE(report.run.complete);
+    // The same scenario with metrics off and on: the registry observes
+    // the run without moving a byte of its report.
+    obs::ObsConfig metrics_on;
+    metrics_on.metricsEnabled = true;
+    for (const obs::ObsConfig &cfg : {obs::ObsConfig{}, metrics_on}) {
+        obs::configure(cfg);
+        obs::FakeClock clock;
+        obs::setClockForTest(&clock);
+        dz::ModelZoo zoo = dz::ModelZoo::buildDefault(51, 3, 0);
+        auto attack = preparedAttack(zoo);
+        // The determinism test's scenario: a random-weight victim
+        // served behind the first pre-trained release's trace.
+        const auto *parent = zoo.pretrained()[0];
+        dtr::TransformerClassifier victim(tinyVictimConfig(), 9);
+        dtr::MarkovTask task(16, 2, 8, 5100, 4.0);
+        const auto report = attack->execute(
+            victim, traceOf(*parent, 0xfee1),
+            dc::makeVictimQueryHook(parent->vocabProfile),
+            task.sample(20, 1), task.sample(10, 2).examples,
+            task.sample(10, 3).examples);
+        obs::setClockForTest(nullptr);
+        obs::shutdown();
+        EXPECT_TRUE(report.complete);
 
-    std::string text = dc::formatReport(report) + "\n" +
-                       report.run.toJson() + "\n" +
-                       report.run.summaryParagraph() + "\n";
-    obs::MetricsRegistry registry;
-    report.run.toMetrics(registry);
-    std::ostringstream metrics;
-    registry.exportJson(metrics);
-    text += metrics.str();
-    EXPECT_EQ(decepticon::util::hashString(text.c_str()),
-              kExecuteReportDigest)
-        << text;
+        std::string text = dc::formatReport(report) + "\n" +
+                           report.toJson() + "\n" +
+                           report.summaryParagraph() + "\n";
+        obs::MetricsRegistry registry;
+        report.toMetrics(registry);
+        std::ostringstream metrics;
+        registry.exportJson(metrics);
+        text += metrics.str();
+        EXPECT_EQ(decepticon::util::hashString(text.c_str()),
+                  kExecuteReportDigest)
+            << "metrics " << (cfg.metricsEnabled ? "on" : "off") << "\n"
+            << text;
+    }
 }
 
 TEST(TwoLevelAttack, IncompleteWhenIdentifiedModelHasNoWeights)
@@ -372,7 +381,7 @@ TEST(TwoLevelAttack, IncompleteWhenIdentifiedModelHasNoWeights)
     EXPECT_EQ(cloned.victimQueries, 0u);
 
     dc::AttackReport empty;
-    empty.run.identification.pretrainedName = "unknown/lineage";
+    empty.identification.pretrainedName = "unknown/lineage";
     const std::string text = dc::formatReport(empty);
     EXPECT_NE(text.find("incomplete"), std::string::npos);
 }

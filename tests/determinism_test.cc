@@ -300,7 +300,7 @@ TEST(Determinism, TwoLevelAttackReportByteIdentical)
 
         // Byte-exact serializations of everything the run produced.
         return std::to_string(accuracy) + "\n" +
-               dc::formatReport(report) + "\n" + report.run.toJson();
+               dc::formatReport(report) + "\n" + report.toJson();
     };
 
     const std::string reference = run(1);

@@ -17,6 +17,7 @@
 #include "extraction/ieee.hh"
 #include "extraction/resilient.hh"
 #include "fault/fault.hh"
+#include "obs/obs.hh"
 #include "trace/repair.hh"
 #include "util/rng.hh"
 
@@ -271,6 +272,34 @@ TEST(FaultInjector, CorruptTraceNeverEmptiesANonEmptyTrace)
     dfa::FaultInjector injector(spec);
     for (std::uint64_t cap = 0; cap < 16; ++cap)
         EXPECT_GE(injector.corruptTrace(trace, cap).records.size(), 1u);
+}
+
+TEST(FaultInjector, CapturesCorruptedCountsOnlyCapturesAFaultHit)
+{
+    // A duplicate rate far too small to fire on an 8-record trace: every
+    // capture is an attempt, none comes back altered, so none counts as
+    // corrupted. A rate that fires on every capture counts every one.
+    decepticon::obs::ObsConfig cfg;
+    cfg.metricsEnabled = true;
+    const auto trace = syntheticTrace(8);
+    constexpr std::uint64_t kCaptures = 16;
+    for (const double rate : {1e-9, 0.9}) {
+        decepticon::obs::configure(cfg);
+        dfa::FaultSpec spec;
+        spec.recordDuplicateRate = rate;
+        spec.seed = 41;
+        dfa::FaultInjector injector(spec);
+        std::size_t altered = 0;
+        for (std::uint64_t cap = 0; cap < kCaptures; ++cap)
+            altered += injector.corruptTrace(trace, cap).records.size() !=
+                       trace.records.size();
+        const auto &registry = decepticon::obs::metrics();
+        EXPECT_EQ(registry.counter("fault.capture_attempts"), kCaptures);
+        EXPECT_EQ(registry.counter("fault.captures_corrupted"), altered)
+            << "duplicate rate " << rate;
+        EXPECT_EQ(altered, rate < 0.5 ? 0u : kCaptures);
+        decepticon::obs::shutdown();
+    }
 }
 
 // ---- trace repair ----

@@ -194,14 +194,14 @@ TEST(EndToEnd, TwoLevelAttackApi)
         task.sample(80, 3), task.sample(60, 4).examples,
         task.sample(40, 5).examples);
 
-    EXPECT_EQ(report.run.identification.pretrainedName, parent->name);
-    ASSERT_TRUE(report.run.complete);
+    EXPECT_EQ(report.identification.pretrainedName, parent->name);
+    ASSERT_TRUE(report.complete);
     ASSERT_NE(report.clone, nullptr);
-    EXPECT_GT(report.run.cloneVictimAgreement, 0.85);
-    EXPECT_NEAR(report.run.cloneAccuracy, report.run.victimAccuracy,
+    EXPECT_GT(report.cloneVictimAgreement, 0.85);
+    EXPECT_NEAR(report.cloneAccuracy, report.victimAccuracy,
                 0.15);
-    EXPECT_GT(report.run.probe.bitsRead, 0u);
-    EXPECT_GT(report.run.layersExtracted, 0u);
+    EXPECT_GT(report.probe.bitsRead, 0u);
+    EXPECT_GT(report.layersExtracted, 0u);
 
     const std::string text = dc::formatReport(report);
     EXPECT_NE(text.find(parent->name), std::string::npos);
@@ -263,7 +263,7 @@ TEST(EndToEnd, FlightStreamCarriesBothLevelsWithoutDrops)
         task.sample(20, 3), task.sample(20, 4).examples,
         task.sample(4, 5).examples);
     ASSERT_NE(report.clone, nullptr);
-    EXPECT_GT(report.run.probe.bitsRead, 0u);
+    EXPECT_GT(report.probe.bitsRead, 0u);
 
     EXPECT_EQ(dob::flightRecorder().dropped(), 0u);
     std::size_t level1 = 0;

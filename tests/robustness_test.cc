@@ -693,7 +693,7 @@ TEST(Fusion, InsufficientEvidenceInsteadOfSilentGuess)
     EXPECT_TRUE(none.insufficientEvidence);
 
     // The verdict survives into the run report.
-    dc::AttackRunReport report;
+    dc::AttackReport report;
     report.identification = res;
     EXPECT_TRUE(report.identification.insufficientEvidence);
     EXPECT_NE(report.toJson().find("\"insufficient_evidence\":true"),
