@@ -186,35 +186,4 @@ CampaignReport::toMetrics(obs::MetricsRegistry &registry) const
           static_cast<double>(watchdog.findings.size()));
 }
 
-std::string
-CampaignReport::summaryParagraph() const
-{
-    std::ostringstream oss;
-    oss << "Campaign: " << sessions << " victim session(s), "
-        << identified << " identified (" << correct << " correct, "
-        << abstained << " abstained, " << blackouts << " blackout(s)). "
-        << "Cache: " << cacheHits << " hit(s) / " << cacheMisses
-        << " miss(es) / " << cacheStale << " stale (hit rate "
-        << cacheHitRate() << ", " << cacheEvictions << " eviction(s), "
-        << cacheInvalidations << " invalidation(s)). "
-        << "Level 2: " << clonesBuilt << " clone(s) built, "
-        << cloneReuses << " reused from cache. ";
-    if (totalMicros > 0) {
-        oss << "Throughput " << victimsPerSec() << " victims/sec over "
-            << totalMicros / 1000 << " ms (time-to-clone p50 "
-            << timeToClone.quantile(0.5) << " us, p99 "
-            << timeToClone.quantile(0.99) << " us). ";
-    }
-    if (watchdog.batches > 0) {
-        if (watchdog.healthy())
-            oss << "Watchdog healthy over " << watchdog.batches
-                << " batch(es).";
-        else
-            oss << "Watchdog flagged " << watchdog.findings.size()
-                << " SLO violation(s) over " << watchdog.batches
-                << " batch(es).";
-    }
-    return oss.str();
-}
-
 } // namespace decepticon::core

@@ -6,9 +6,8 @@
  * cloning outcomes per victim, cache economics, time-to-clone
  * percentiles via obs::LogHistogram, and the watchdog verdict judged
  * from the report's own rows, batch by batch. Serializable as JSON
- * (byte-identical across lane counts and telemetry settings), foldable
- * into a MetricsRegistry as campaign.* gauges, and printable as a
- * one-paragraph summary.
+ * (byte-identical across lane counts and telemetry settings) and
+ * foldable into a MetricsRegistry as campaign.* gauges.
  */
 
 #ifndef DECEPTICON_CORE_CAMPAIGN_REPORT_HH
@@ -145,9 +144,6 @@ struct CampaignReport
     /** Publish as "campaign.*" gauges (victims_per_sec, cache.hit_rate,
      *  time_to_clone.p50/p99_micros, ...). */
     void toMetrics(obs::MetricsRegistry &registry) const;
-
-    /** One-paragraph human summary. */
-    std::string summaryParagraph() const;
 };
 
 } // namespace decepticon::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <numeric>
 
 #include "fingerprint/index/embedding.hh"
 #include "gpusim/emission.hh"
@@ -13,6 +11,7 @@
 #include "sidechan/features.hh"
 #include "trace/repair.hh"
 #include "util/rng.hh"
+#include "util/stats.hh"
 
 namespace decepticon::core {
 
@@ -34,54 +33,23 @@ constexpr std::size_t kMinSeriesSamples = 8;
 
 } // anonymous namespace
 
-std::vector<int>
-topKClasses(const std::vector<double> &probs, std::size_t k)
-{
-    // a ranks before b: higher probability, then lower index; NaN
-    // ranks below every number.
-    const auto before = [&](int a, int b) {
-        const double pa = probs[static_cast<std::size_t>(a)];
-        const double pb = probs[static_cast<std::size_t>(b)];
-        if (std::isnan(pa) || std::isnan(pb))
-            return std::isnan(pa) == std::isnan(pb) ? a < b
-                                                    : std::isnan(pb);
-        return pa > pb || (pa == pb && a < b);
-    };
-    std::vector<int> top;
-    top.reserve(std::min(k, probs.size()));
-    // Move the last entry up to its place in the sorted prefix.
-    const auto sift_last = [&] {
-        for (std::size_t j = top.size() - 1;
-             j > 0 && before(top[j], top[j - 1]); --j)
-            std::swap(top[j], top[j - 1]);
-    };
-    const int n = static_cast<int>(probs.size());
-    int i = 0;
-    for (; i < n && top.size() < k; ++i) {
-        top.push_back(i);
-        sift_last();
-    }
-    if (top.empty())
-        return top;
-    // Every later i is past every kept index, so only a strictly
-    // better probability (or a number over a NaN) takes the last slot.
-    double last = probs[static_cast<std::size_t>(top.back())];
-    bool last_nan = std::isnan(last);
-    for (; i < n; ++i) {
-        const double p = probs[static_cast<std::size_t>(i)];
-        if (p > last || (last_nan && !std::isnan(p))) {
-            top.back() = i;
-            sift_last();
-            last = probs[static_cast<std::size_t>(top.back())];
-            last_nan = std::isnan(last);
-        }
-    }
-    return top;
-}
-
 Decepticon::Decepticon(const DecepticonOptions &opts)
     : opts_(opts), probes_(zoo::standardProbeSet())
 {
+}
+
+void
+Decepticon::setClasses(const zoo::ModelZoo &candidate_pool,
+                       std::vector<std::string> names)
+{
+    classNames_ = std::move(names);
+    classProfiles_.clear();
+    classProfiles_.reserve(classNames_.size());
+    for (const auto &name : classNames_) {
+        const zoo::ModelIdentity *m = candidate_pool.byName(name);
+        assert(m != nullptr);
+        classProfiles_.push_back(m->vocabProfile);
+    }
 }
 
 double
@@ -99,14 +67,7 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
         fingerprint::buildDataset(candidate_pool, ds_opts);
     assert(!dataset.samples.empty());
 
-    classNames_ = dataset.classNames;
-    classProfiles_.clear();
-    classProfiles_.reserve(classNames_.size());
-    for (const auto &name : classNames_) {
-        const zoo::ModelIdentity *m = candidate_pool.byName(name);
-        assert(m != nullptr);
-        classProfiles_.push_back(m->vocabProfile);
-    }
+    setClasses(candidate_pool, dataset.classNames);
 
     auto [train, test] = dataset.split(0.8, opts_.seed ^ 0x5eedULL);
     cnn_ = std::make_unique<fingerprint::FingerprintCnn>(
@@ -169,7 +130,6 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
 
     fusion_ = std::make_unique<sidechan::FusionEngine>(classNames_.size());
     fusion_->setReliabilityPrior(fault::Channel::Timestamp, cnn_accuracy);
-    const sidechan::ChannelClassifierOptions channel_opts;
     for (std::size_t s = 0; s < 3; ++s) {
         const fault::Channel channel = kSeriesChannels[s];
         // Every model contributed two consecutive profiling runs:
@@ -186,8 +146,8 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
         auto &clf = channelClassifiers_[static_cast<std::size_t>(channel)];
         clf = std::make_unique<sidechan::ChannelClassifier>(
             channel, sidechan::featureDim(channel), classNames_.size(),
-            opts_.seed ^ (0xabcdULL + 0x101ULL * s), channel_opts.hidden);
-        clf->train(train_f, train_y, channel_opts);
+            opts_.seed ^ (0xabcdULL + 0x101ULL * s));
+        clf->train(train_f, train_y);
         fusion_->setReliabilityPrior(channel, clf->evaluate(held_f, held_y));
     }
     return cnn_accuracy;
@@ -205,15 +165,8 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     for (auto &clf : channelClassifiers_)
         clf.reset();
 
-    classNames_ = candidate_pool.lineageNames();
+    setClasses(candidate_pool, candidate_pool.lineageNames());
     assert(!classNames_.empty());
-    classProfiles_.clear();
-    classProfiles_.reserve(classNames_.size());
-    for (const auto &name : classNames_) {
-        const zoo::ModelIdentity *m = candidate_pool.byName(name);
-        assert(m != nullptr);
-        classProfiles_.push_back(m->vocabProfile);
-    }
     const std::size_t num_classes = classNames_.size();
     const std::size_t per_class = fingerprint::kIndexProfilesPerLineage;
 
@@ -348,13 +301,10 @@ Decepticon::resolveFromProbabilities(
 {
     IdentificationResult result;
 
-    // Top-k by probability, descending, index-stable on ties — the
-    // same ordering FingerprintCnn::topK produces, derived from the
+    // Top-k by probability, descending, index-stable on ties, from the
     // already-computed probability vector so batch callers pay one
-    // forward pass per victim. One linear scan with a k-slot prefix
-    // and no N-sized index vector: on the index path N is 4,096, and
-    // the tail runs once per victim.
-    const std::vector<int> top = topKClasses(probs, kTopK);
+    // forward pass per victim.
+    const std::vector<int> top = util::topKClasses(probs, kTopK);
     assert(!top.empty());
 
     for (int c : top)
@@ -667,21 +617,11 @@ Decepticon::identifyFused(
                 // evidence trail, so the candidate list and top
                 // probability come from it.
                 result.topProbability = decision.fusedProbs[label];
-                std::vector<std::size_t> order(classNames_.size());
-                std::iota(order.begin(), order.end(), std::size_t{0});
-                std::sort(order.begin(), order.end(),
-                          [&](std::size_t a, std::size_t b) {
-                              if (decision.fusedProbs[a] !=
-                                  decision.fusedProbs[b])
-                                  return decision.fusedProbs[a] >
-                                         decision.fusedProbs[b];
-                              return a < b;
-                          });
                 result.candidates.clear();
-                const std::size_t k_out =
-                    std::min(kTopK, order.size());
-                for (std::size_t k = 0; k < k_out; ++k)
-                    result.candidates.push_back(classNames_[order[k]]);
+                for (int c :
+                     util::topKClasses(decision.fusedProbs, kTopK))
+                    result.candidates.push_back(
+                        classNames_[static_cast<std::size_t>(c)]);
             }
             const bool confident =
                 decision.confidence >= kFusionMinConfidence;

@@ -222,6 +222,11 @@ class Decepticon
     /** trainExtractor body for pools at/above indexZooThreshold. */
     double trainIndexed(const zoo::ModelZoo &candidate_pool);
 
+    /** Set the class table: lineage names in label order, and each
+     *  lineage's vocabulary profile looked up in the pool. */
+    void setClasses(const zoo::ModelZoo &candidate_pool,
+                    std::vector<std::string> names);
+
     DecepticonOptions opts_;
     std::unique_ptr<fingerprint::FingerprintCnn> cnn_;
     /** Sublinear level-1 (valid after trainExtractor on large pools). */
@@ -238,16 +243,6 @@ class Decepticon
      *  on the exhaustive path). */
     std::unique_ptr<sidechan::FusionEngine> fusion_;
 };
-
-/**
- * The decision tail's top-k: the indices of the min(k, probs.size())
- * largest entries of @p probs, best first, under the total order
- * (probability descending, index ascending), with NaN ranked below
- * every number. One linear scan over a k-slot sorted prefix — the
- * same prefix a stable full sort would give, at O(N k).
- */
-std::vector<int> topKClasses(const std::vector<double> &probs,
-                             std::size_t k);
 
 /**
  * Convenience black-box query hook for a victim whose vocabulary

@@ -138,7 +138,7 @@ struct ProbeAttempt
  * without aggressors, warm-row cost amortization — see dram.hh). All
  * read noise comes from an attached fault::FaultInjector: transient
  * flips (FaultSpec::probeFlipRate, DeepSteal's noisy hammer read),
- * stuck cells, burst rows and transient probe failures.
+ * stuck cells and transient probe failures.
  */
 class BitProbeChannel
 {

@@ -1,15 +1,16 @@
 #include "fault/channel.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "obs/metrics.hh"
 #include "obs/obs.hh"
 
 namespace decepticon::fault {
 
 namespace {
+
+/** Maximum fraction of samples a tail truncation removes. */
+constexpr double kTruncateMaxFraction = 0.3;
 
 /** Mean absolute value — the scale noise/quantization are relative
  *  to, so one spec behaves comparably on watts, degrees, counters. */
@@ -80,8 +81,7 @@ ChannelFaultModel::corruptSeries(const std::vector<double> &series,
     // existed for any later process to touch.
     if (spec_.truncateProbability > 0.0 &&
         rng.bernoulli(spec_.truncateProbability)) {
-        const double frac =
-            rng.uniform(0.0, spec_.truncateMaxFraction);
+        const double frac = rng.uniform(0.0, kTruncateMaxFraction);
         const auto cut = static_cast<std::size_t>(
             static_cast<double>(out.size()) * frac);
         const std::size_t keep = std::max<std::size_t>(
@@ -130,49 +130,7 @@ ChannelFaultModel::corruptSeries(const std::vector<double> &series,
             v = std::round(v / step) * step;
         counters_.samplesQuantized += out.size();
     }
-
-    if (spec_.clipFraction < 1.0) {
-        const auto [mn_it, mx_it] =
-            std::minmax_element(out.begin(), out.end());
-        const double lo = *mn_it;
-        const double ceiling =
-            lo + std::max(0.0, spec_.clipFraction) * (*mx_it - lo);
-        for (double &v : out) {
-            if (v > ceiling) {
-                v = ceiling;
-                ++counters_.samplesClipped;
-            }
-        }
-    }
     return out;
-}
-
-void
-ChannelFaultModel::publishCounters() const
-{
-    if (!obs::metricsEnabled())
-        return;
-    auto &registry = obs::metrics();
-    const std::string prefix =
-        std::string("fault.channel.") + channelName(channel_) + ".";
-    const auto gauge = [&](const char *field, std::size_t value) {
-        registry.setGauge(prefix + field, static_cast<double>(value));
-    };
-    gauge("captures", counters_.captures);
-    gauge("jammed_captures", counters_.jammedCaptures);
-    gauge("samples_dropped", counters_.samplesDropped);
-    gauge("samples_truncated", counters_.samplesTruncated);
-    gauge("samples_noised", counters_.samplesNoised);
-    gauge("samples_quantized", counters_.samplesQuantized);
-    gauge("samples_clipped", counters_.samplesClipped);
-}
-
-void
-ChannelFaultModel::resetCounters()
-{
-    counters_ = ChannelFaultCounters{};
-    // Keep the registry honest across a reset.
-    publishCounters();
 }
 
 MultiChannelFaultModel::MultiChannelFaultModel(
@@ -185,13 +143,6 @@ MultiChannelFaultModel::MultiChannelFaultModel(
     for (std::size_t c = 0; c < kNumChannels; ++c)
         models_.emplace_back(static_cast<Channel>(c), spec.channels[c],
                              root.split(c));
-}
-
-void
-MultiChannelFaultModel::resetCounters()
-{
-    for (auto &m : models_)
-        m.resetCounters();
 }
 
 } // namespace decepticon::fault

@@ -4,8 +4,8 @@
  * Where fault.hh models the two original channels (bit probes and
  * kernel-record captures) with bespoke processes, this file gives
  * every emission channel its own generic sample-series fault model:
- * dropout, tail truncation, additive noise, quantization, clipping,
- * and outright jamming — the countermeasures a victim can aim at any
+ * dropout, tail truncation, additive noise, quantization and
+ * outright jamming — the countermeasures a victim can aim at any
  * one channel independently.
  *
  * Determinism contract: each ChannelFaultModel owns an independent
@@ -49,19 +49,15 @@ struct ChannelFaultSpec
     /** Probability each sample is lost. Fixed-length channels
      *  (profiler counters) zero the slot; series channels drop it. */
     double dropoutRate = 0.0;
-    /** Probability a capture loses its tail (sensor stopped early). */
+    /** Probability a capture loses its tail (sensor stopped early);
+     *  a truncation removes up to 30% of the samples. */
     double truncateProbability = 0.0;
-    /** Maximum fraction of samples a tail truncation removes. */
-    double truncateMaxFraction = 0.3;
     /** Additive Gaussian noise sigma, relative to the series' mean
      *  absolute value (0 = off). */
     double noiseSigma = 0.0;
     /** Quantization step, relative to the series' mean absolute
      *  value (0 = off). */
     double quantStep = 0.0;
-    /** Clip ceiling as a fraction of the observed range above the
-     *  minimum (1 = off): saturating sensors lose the peaks first. */
-    double clipFraction = 1.0;
     /** Channel fully suppressed: every capture arrives empty. */
     bool jammed = false;
 };
@@ -75,7 +71,6 @@ struct ChannelFaultCounters
     std::size_t samplesTruncated = 0;
     std::size_t samplesNoised = 0;
     std::size_t samplesQuantized = 0;
-    std::size_t samplesClipped = 0;
 };
 
 /**
@@ -103,24 +98,13 @@ class ChannelFaultModel
     /**
      * One noisy capture of a sample series. Returns empty when the
      * channel is jammed. Fault order: truncation, dropout, noise,
-     * quantization, clipping — the physical order (what the sensor
-     * never saw cannot be noised).
+     * quantization — the physical order (what the sensor never saw
+     * cannot be noised).
      */
     std::vector<double> corruptSeries(const std::vector<double> &series,
                                       std::uint64_t capture_seed);
 
     const ChannelFaultCounters &counters() const { return counters_; }
-
-    /** Publish "fault.channel.<name>.*" gauges to the global
-     *  registry (no-op when metrics are off). */
-    void publishCounters() const;
-
-    /**
-     * Zero the ledger and re-publish the zeroed gauges, so a reset is
-     * visible downstream instead of freezing the last session's
-     * totals.
-     */
-    void resetCounters();
 
   private:
     Channel channel_;
@@ -171,9 +155,6 @@ class MultiChannelFaultModel
     {
         return model(c).corruptSeries(series, capture_seed);
     }
-
-    /** Reset (and re-publish) every channel's counters. */
-    void resetCounters();
 
   private:
     std::vector<ChannelFaultModel> models_;

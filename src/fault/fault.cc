@@ -13,17 +13,11 @@ namespace {
 /** Stream tags separating the independent fault processes. */
 constexpr std::uint64_t kStuckTag = 0x57ac6b17ULL;
 constexpr std::uint64_t kStuckValueTag = 0x57ac6b18ULL;
-constexpr std::uint64_t kBurstTag = 0xb0257f00ULL;
 constexpr std::uint64_t kFlipTag = 0xf11bULL;
 constexpr std::uint64_t kFailTag = 0xfa11ULL;
 constexpr std::uint64_t kGarbageTag = 0x6a3ba6eULL;
 constexpr std::uint64_t kAttemptKeyTag = 0xa77e3b7ULL;
 constexpr std::uint64_t kTraceTag = 0x73ace0ULL;
-
-/** Flip probability inside a burst-faulty row. */
-constexpr double kBurstFlipRate = 0.25;
-/** Weights per modelled DRAM row (8 KB row / 4-byte float). */
-constexpr std::size_t kWeightsPerRow = 2048;
 
 /** Uniform double in [0, 1) from a 64-bit hash. */
 double
@@ -52,7 +46,6 @@ FaultInjector::FaultInjector(const FaultSpec &spec) : spec_(spec)
     assert(validRate(spec.probeFlipRate));
     assert(validRate(spec.stuckBitRate));
     assert(validRate(spec.transientFailureRate));
-    assert(validRate(spec.burstRowFraction));
     assert(validRate(spec.recordDropRate));
     assert(validRate(spec.recordDuplicateRate));
     assert(spec.truncateProbability >= 0.0 &&
@@ -82,16 +75,6 @@ FaultInjector::cellStuck(std::size_t layer, std::size_t index,
         return false;
     return uniformFromHash(addressHash(kStuckTag, layer, index,
                                        word_bit)) < spec_.stuckBitRate;
-}
-
-bool
-FaultInjector::rowBursty(std::size_t layer, std::size_t index) const
-{
-    if (spec_.burstRowFraction <= 0.0)
-        return false;
-    const std::size_t row = index / kWeightsPerRow;
-    return uniformFromHash(addressHash(kBurstTag, layer, row, 0)) <
-           spec_.burstRowFraction;
 }
 
 ProbeFaultOutcome
@@ -131,18 +114,12 @@ FaultInjector::perturbProbe(std::size_t layer, std::size_t index,
         return out;
     }
 
-    // Transient flips, elevated inside burst-faulty rows.
-    double flip_rate = spec_.probeFlipRate;
-    const bool bursty = rowBursty(layer, index);
-    if (bursty)
-        flip_rate = std::max(flip_rate, kBurstFlipRate);
-    if (flip_rate > 0.0 &&
+    // Transient flips.
+    if (spec_.probeFlipRate > 0.0 &&
         uniformFromHash(addressHash(kFlipTag ^ attempt, layer, index,
-                                    word_bit)) < flip_rate) {
+                                    word_bit)) < spec_.probeFlipRate) {
         out.bit = !out.bit;
         ++counters_.bitFlips;
-        if (bursty)
-            ++counters_.burstFlips;
     }
     return out;
 }

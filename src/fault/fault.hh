@@ -4,14 +4,14 @@
  * for the two side channels the attack depends on. The reproduction's
  * channels are otherwise perfect; the real ones are not. DeepSteal's
  * rowhammer reads are noisy and partially failing (bits flip, some
- * cells are stuck, whole bursts inside a DRAM row misbehave, and a
- * hammering attempt can simply not land while still costing rounds),
+ * cells are stuck, and a hammering attempt can simply not land while
+ * still costing rounds),
  * and GPU profiling channels lose kernel records (CUPTI-style buffer
  * overflows drop or duplicate records and truncate trace tails).
  *
  * Every fault decision draws from util::rng streams derived from one
  * FaultSpec seed, so a faulty experiment replays bit-for-bit:
- *  - *address-stable* faults (stuck-at cells, burst rows) are pure
+ *  - *address-stable* faults (stuck-at cells) are pure
  *    hashes of (seed, address) — re-reading a stuck bit returns the
  *    same wrong value, which is what defeats naive majority voting and
  *    forces the baseline fallback;
@@ -44,11 +44,6 @@ struct FaultSpec
      * nothing, but the hammer rounds are spent anyway.
      */
     double transientFailureRate = 0.0;
-    /**
-     * Fraction of modelled DRAM rows (8 KB: 2048 weights) whose reads
-     * flip at a rate of at least 0.25.
-     */
-    double burstRowFraction = 0.0;
 
     // ---- trace-capture channel ----
     /** Probability each kernel record is dropped from a capture. */
@@ -73,7 +68,6 @@ struct FaultCounters
 {
     std::size_t bitFlips = 0;
     std::size_t stuckReads = 0; ///< reads answered by a stuck cell
-    std::size_t burstFlips = 0; ///< flips attributable to burst rows
     std::size_t probeFailures = 0;
     std::size_t recordsDropped = 0;
     std::size_t recordsDuplicated = 0;
@@ -116,9 +110,6 @@ class FaultInjector
     bool cellStuck(std::size_t layer, std::size_t index,
                    int word_bit) const;
 
-    /** Whether the row holding this weight is burst-faulty. */
-    bool rowBursty(std::size_t layer, std::size_t index) const;
-
     /**
      * One noisy capture of a kernel trace: records dropped and
      * duplicated independently, plus an optional tail truncation —
@@ -130,8 +121,6 @@ class FaultInjector
                                      std::uint64_t capture_seed);
 
     const FaultCounters &counters() const { return counters_; }
-
-    void resetCounters() { counters_ = FaultCounters{}; }
 
   private:
     /** Stable 64-bit hash of an address under a stream tag. */

@@ -9,6 +9,7 @@
 #include "sched/sched.hh"
 #include "tensor/kernels/arena.hh"
 #include "util/rng.hh"
+#include "util/stats.hh"
 
 namespace decepticon::fingerprint {
 
@@ -212,15 +213,7 @@ FingerprintCnn::predict(const tensor::Tensor &image)
 std::vector<int>
 FingerprintCnn::topK(const tensor::Tensor &image, std::size_t k)
 {
-    const auto probs = classProbabilities(image);
-    std::vector<int> idx(probs.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-        return probs[static_cast<std::size_t>(a)] >
-               probs[static_cast<std::size_t>(b)];
-    });
-    idx.resize(std::min(k, idx.size()));
-    return idx;
+    return util::topKClasses(classProbabilities(image), k);
 }
 
 double

@@ -2,31 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace decepticon::fingerprint {
-
-std::size_t
-ConfusionMatrix::total() const
-{
-    std::size_t n = 0;
-    for (const auto &row : counts)
-        for (auto c : row)
-            n += c;
-    return n;
-}
-
-double
-ConfusionMatrix::accuracy() const
-{
-    const std::size_t n = total();
-    if (n == 0)
-        return 0.0;
-    std::size_t diag = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        diag += counts[i][i];
-    return static_cast<double>(diag) / static_cast<double>(n);
-}
 
 double
 ConfusionMatrix::precision(std::size_t c) const
@@ -50,25 +27,6 @@ ConfusionMatrix::recall(std::size_t c) const
     return seen == 0 ? 0.0
                      : static_cast<double>(counts[c][c]) /
                            static_cast<double>(seen);
-}
-
-std::string
-ConfusionMatrix::toString() const
-{
-    std::ostringstream oss;
-    oss << "truth\\pred";
-    for (std::size_t c = 0; c < counts.size(); ++c)
-        oss << "\t" << c;
-    oss << "\n";
-    for (std::size_t t = 0; t < counts.size(); ++t) {
-        oss << t;
-        if (t < classNames.size())
-            oss << " (" << classNames[t].substr(0, 18) << ")";
-        for (std::size_t p = 0; p < counts.size(); ++p)
-            oss << "\t" << counts[t][p];
-        oss << "\n";
-    }
-    return oss.str();
 }
 
 ConfusionMatrix

@@ -26,20 +26,11 @@ struct ConfusionMatrix
 
     std::size_t numClasses() const { return counts.size(); }
 
-    /** Total samples recorded. */
-    std::size_t total() const;
-
-    /** Overall accuracy (trace / total). */
-    double accuracy() const;
-
     /** Precision of one class (0 when never predicted). */
     double precision(std::size_t c) const;
 
     /** Recall of one class (0 when never seen). */
     double recall(std::size_t c) const;
-
-    /** Render as an aligned ASCII table. */
-    std::string toString() const;
 };
 
 /** Evaluate a CNN over a dataset into a confusion matrix. */

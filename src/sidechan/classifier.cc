@@ -15,24 +15,28 @@ namespace {
 
 /** Seed of the per-epoch sample shuffle. */
 constexpr std::uint64_t kShuffleSeed = 11;
+/** Hidden width, epochs, Adam learning rate and batch size. */
+constexpr std::size_t kHidden = 32;
+constexpr std::size_t kEpochs = 80;
+constexpr float kLr = 4e-3f;
+constexpr std::size_t kBatchSize = 8;
 
 } // anonymous namespace
 
 ChannelClassifier::ChannelClassifier(fault::Channel channel,
                                      std::size_t feature_dim,
                                      std::size_t num_classes,
-                                     std::uint64_t seed,
-                                     std::size_t hidden)
+                                     std::uint64_t seed)
     : channel_(channel),
       featureDim_(feature_dim),
       numClasses_(num_classes),
       rng_(seed),
       fc1_(std::string("sidechan.") + fault::channelName(channel) +
                ".fc1",
-           feature_dim, hidden, rng_),
+           feature_dim, kHidden, rng_),
       fc2_(std::string("sidechan.") + fault::channelName(channel) +
                ".fc2",
-           hidden, num_classes, rng_),
+           kHidden, num_classes, rng_),
       mean_(feature_dim, 0.0f),
       invScale_(feature_dim, 1.0f)
 {
@@ -57,7 +61,7 @@ ChannelClassifier::toBatch(
 float
 ChannelClassifier::train(
     const std::vector<std::vector<float>> &features,
-    const std::vector<int> &labels, const ChannelClassifierOptions &opts)
+    const std::vector<int> &labels)
 {
     assert(!features.empty() && features.size() == labels.size());
     auto sp = obs::span("sidechan.train");
@@ -82,20 +86,20 @@ ChannelClassifier::train(
 
     nn::Adam optim({fc1_.params()[0], fc1_.params()[1],
                     fc2_.params()[0], fc2_.params()[1]},
-                   opts.lr);
+                   kLr);
     util::Rng shuffle_rng(kShuffleSeed);
     std::vector<std::size_t> order(features.size());
     std::iota(order.begin(), order.end(), 0);
 
     float last_epoch_loss = 0.0f;
-    for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
         shuffle_rng.shuffle(order);
         double loss_sum = 0.0;
         std::size_t batches = 0;
         for (std::size_t start = 0; start < order.size();
-             start += opts.batchSize) {
+             start += kBatchSize) {
             const std::size_t end =
-                std::min(start + opts.batchSize, order.size());
+                std::min(start + kBatchSize, order.size());
             std::vector<const std::vector<float> *> rows;
             std::vector<int> batch_labels;
             for (std::size_t i = start; i < end; ++i) {

@@ -22,17 +22,8 @@
 
 namespace decepticon::sidechan {
 
-/** Training knobs for one channel classifier. */
-struct ChannelClassifierOptions
-{
-    std::size_t hidden = 32;
-    std::size_t epochs = 80;
-    float lr = 4e-3f;
-    std::size_t batchSize = 8;
-};
-
 /**
- * feature -> fc(hidden, ReLU) -> fc(classes) with standardized
+ * feature -> fc(32, ReLU) -> fc(classes) with standardized
  * inputs. Deliberately tiny: channel evidence is fused downstream,
  * so each classifier only needs to beat chance by a usable margin.
  */
@@ -40,21 +31,20 @@ class ChannelClassifier
 {
   public:
     ChannelClassifier(fault::Channel channel, std::size_t feature_dim,
-                      std::size_t num_classes, std::uint64_t seed,
-                      std::size_t hidden = 32);
+                      std::size_t num_classes, std::uint64_t seed);
 
     fault::Channel channel() const { return channel_; }
     std::size_t featureDim() const { return featureDim_; }
     std::size_t numClasses() const { return numClasses_; }
 
     /**
-     * Fit standardization and train the MLP. features[i] labels[i]
-     * pair up; every feature vector must have featureDim() entries.
-     * Returns the final-epoch mean loss.
+     * Fit standardization and train the MLP (80 epochs of Adam at
+     * lr 4e-3, batch 8). features[i] labels[i] pair up; every feature
+     * vector must have featureDim() entries. Returns the final-epoch
+     * mean loss.
      */
     float train(const std::vector<std::vector<float>> &features,
-                const std::vector<int> &labels,
-                const ChannelClassifierOptions &opts);
+                const std::vector<int> &labels);
 
     /** Softmax class probabilities for one feature vector. */
     std::vector<double>

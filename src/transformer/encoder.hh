@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/activations.hh"
 #include "nn/layernorm.hh"
 #include "nn/linear.hh"
 #include "nn/param.hh"

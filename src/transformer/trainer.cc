@@ -92,13 +92,11 @@ std::vector<EpochStats>
 Trainer::fineTune(TransformerClassifier &model, const Dataset &data,
                   const TrainOptions &opts)
 {
-    assert(opts.freezeFirstN <= model.numLayers());
-
-    // Trainable set: embeddings + encoders [freezeFirstN, L) + head.
+    // Trainable set: token embeddings + every encoder + head.
     nn::ParamRefs trainable;
     auto emb = model.embedding().params();
     trainable.insert(trainable.end(), emb.begin(), emb.end());
-    for (std::size_t l = opts.freezeFirstN; l < model.numLayers(); ++l) {
+    for (std::size_t l = 0; l < model.numLayers(); ++l) {
         auto ps = model.encoderParams(l);
         trainable.insert(trainable.end(), ps.begin(), ps.end());
     }

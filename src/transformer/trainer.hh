@@ -2,8 +2,8 @@
  * @file
  * Training/fine-tuning driver and evaluation metrics for
  * TransformerClassifier. Fine-tuning follows the regime the paper
- * characterizes: small learning rate, weight decay, few epochs, a
- * freshly initialized task head, and optionally frozen early layers.
+ * characterizes: small learning rate, weight decay, few epochs and a
+ * freshly initialized task head.
  */
 
 #ifndef DECEPTICON_TRANSFORMER_TRAINER_HH
@@ -30,8 +30,6 @@ struct TrainOptions
      */
     float headLrMultiplier = 1.0f;
     std::size_t batchSize = 8;
-    /** Encoder layers [0, freezeFirstN) are excluded from updates. */
-    std::size_t freezeFirstN = 0;
     /** Use only this leading fraction of the training data. */
     double dataFraction = 1.0;
     /** Invoked after each epoch (snapshotting for Fig. 6). */
@@ -66,7 +64,8 @@ class Trainer
                                          const TrainOptions &opts);
 
     /**
-     * Fine-tune: trains backbone (minus frozen layers) + head.
+     * Fine-tune: trains token embeddings, every encoder and the head
+     * (the positional table stays as pre-trained).
      * Callers reset the head for a new task beforehand via
      * TransformerClassifier::resetHead().
      */

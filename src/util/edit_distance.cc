@@ -5,11 +5,8 @@
 
 namespace decepticon::util {
 
-namespace {
-
-template <typename Seq>
 std::size_t
-editDistanceImpl(const Seq &a, const Seq &b)
+editDistance(const std::vector<int> &a, const std::vector<int> &b)
 {
     const std::size_t n = a.size();
     const std::size_t m = b.size();
@@ -31,20 +28,6 @@ editDistanceImpl(const Seq &a, const Seq &b)
         std::swap(prev, cur);
     }
     return prev[m];
-}
-
-} // anonymous namespace
-
-std::size_t
-editDistance(const std::vector<int> &a, const std::vector<int> &b)
-{
-    return editDistanceImpl(a, b);
-}
-
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    return editDistanceImpl(a, b);
 }
 
 double

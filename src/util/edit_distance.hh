@@ -1,6 +1,6 @@
 /**
  * @file
- * Levenshtein edit distance over arbitrary token sequences. Used by the
+ * Levenshtein edit distance over integer token sequences. Used by the
  * DeepSniffer-style baseline to compute the Layer prediction Error Rate
  * (LER): edit distance between predicted and ground-truth layer
  * sequences, normalized by ground-truth length (paper Table 2).
@@ -10,7 +10,6 @@
 #define DECEPTICON_UTIL_EDIT_DISTANCE_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace decepticon::util {
@@ -18,9 +17,6 @@ namespace decepticon::util {
 /** Levenshtein distance between two integer token sequences. */
 std::size_t editDistance(const std::vector<int> &a,
                          const std::vector<int> &b);
-
-/** Levenshtein distance between two strings of characters. */
-std::size_t editDistance(const std::string &a, const std::string &b);
 
 /**
  * Layer prediction Error Rate as defined by DeepSniffer:

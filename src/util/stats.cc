@@ -18,24 +18,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-variance(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double s = 0.0;
-    for (double x : xs)
-        s += (x - m) * (x - m);
-    return s / static_cast<double>(xs.size());
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    return std::sqrt(variance(xs));
-}
-
-double
 percentile(std::vector<double> xs, double p)
 {
     if (xs.empty())
@@ -74,6 +56,51 @@ pearson(const std::vector<double> &xs, const std::vector<double> &ys)
     return sxy / std::sqrt(sxx * syy);
 }
 
+std::vector<int>
+topKClasses(const std::vector<double> &probs, std::size_t k)
+{
+    // a ranks before b: higher probability, then lower index; NaN
+    // ranks below every number.
+    const auto before = [&](int a, int b) {
+        const double pa = probs[static_cast<std::size_t>(a)];
+        const double pb = probs[static_cast<std::size_t>(b)];
+        if (std::isnan(pa) || std::isnan(pb))
+            return std::isnan(pa) == std::isnan(pb) ? a < b
+                                                    : std::isnan(pb);
+        return pa > pb || (pa == pb && a < b);
+    };
+    std::vector<int> top;
+    top.reserve(std::min(k, probs.size()));
+    // Move the last entry up to its place in the sorted prefix.
+    const auto sift_last = [&] {
+        for (std::size_t j = top.size() - 1;
+             j > 0 && before(top[j], top[j - 1]); --j)
+            std::swap(top[j], top[j - 1]);
+    };
+    const int n = static_cast<int>(probs.size());
+    int i = 0;
+    for (; i < n && top.size() < k; ++i) {
+        top.push_back(i);
+        sift_last();
+    }
+    if (top.empty())
+        return top;
+    // Every later i is past every kept index, so only a strictly
+    // better probability (or a number over a NaN) takes the last slot.
+    double last = probs[static_cast<std::size_t>(top.back())];
+    bool last_nan = std::isnan(last);
+    for (; i < n; ++i) {
+        const double p = probs[static_cast<std::size_t>(i)];
+        if (p > last || (last_nan && !std::isnan(p))) {
+            top.back() = i;
+            sift_last();
+            last = probs[static_cast<std::size_t>(top.back())];
+            last_nan = std::isnan(last);
+        }
+    }
+    return top;
+}
+
 Histogram::Histogram(double low, double high, std::size_t bins)
     : lo(low), hi(high), counts(bins, 0)
 {
@@ -99,15 +126,6 @@ Histogram::addAll(const std::vector<double> &xs)
 {
     for (double x : xs)
         add(x);
-}
-
-std::size_t
-Histogram::total() const
-{
-    std::size_t n = 0;
-    for (auto c : counts)
-        n += c;
-    return n;
 }
 
 double

@@ -1,6 +1,6 @@
 /**
  * @file
- * Descriptive statistics used across the evaluation harness: moments,
+ * Descriptive statistics used across the evaluation harness: mean,
  * percentiles, histograms, and Pearson correlation (the metric behind
  * the paper's head-confidence analysis, Fig. 20).
  */
@@ -16,12 +16,6 @@ namespace decepticon::util {
 /** Arithmetic mean; 0 for an empty input. */
 double mean(const std::vector<double> &xs);
 
-/** Population variance; 0 for fewer than two samples. */
-double variance(const std::vector<double> &xs);
-
-/** Population standard deviation. */
-double stddev(const std::vector<double> &xs);
-
 /**
  * Linear-interpolated percentile.
  * @param xs samples (not required to be sorted)
@@ -34,6 +28,16 @@ double percentile(std::vector<double> xs, double p);
  * Returns 0 if either series is constant or the series are empty.
  */
 double pearson(const std::vector<double> &xs, const std::vector<double> &ys);
+
+/**
+ * Top-k class ranking: the indices of the min(k, probs.size()) largest
+ * entries of @p probs, best first, under the total order (probability
+ * descending, index ascending), with NaN ranked below every number.
+ * One linear scan over a k-slot sorted prefix — the same prefix a
+ * stable full sort would give, at O(N k).
+ */
+std::vector<int> topKClasses(const std::vector<double> &probs,
+                             std::size_t k);
 
 /**
  * Fixed-width histogram over [lo, hi]; values outside the range are
@@ -59,9 +63,6 @@ struct Histogram
 
     /** Insert many samples. */
     void addAll(const std::vector<double> &xs);
-
-    /** Total number of inserted samples. */
-    std::size_t total() const;
 
     /** Center of bin i. */
     double binCenter(std::size_t i) const;

@@ -4,22 +4,6 @@
 
 namespace decepticon::zoo {
 
-std::string
-toString(Language lang)
-{
-    switch (lang) {
-      case Language::English:
-        return "en";
-      case Language::French:
-        return "fr";
-      case Language::Russian:
-        return "ru";
-      case Language::German:
-        return "de";
-    }
-    return "??";
-}
-
 bool
 respondsCorrectly(const VocabularyProfile &profile, const QueryProbe &probe)
 {

@@ -26,8 +26,6 @@ enum class Language
     German,
 };
 
-std::string toString(Language lang);
-
 /** What a model was trained on, as exposed through its predictions. */
 struct VocabularyProfile
 {

@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -108,99 +106,6 @@ TEST(Decepticon, ReportsTopKCandidates)
     EXPECT_EQ(res.candidates.size(), 3u);
     EXPECT_GT(res.topProbability, 0.0);
     EXPECT_LE(res.topProbability, 1.0);
-}
-
-namespace {
-
-/** The tail's former top-k: iota + partial_sort under (prob desc,
- *  index asc), kept here as the reference the linear scan must match. */
-std::vector<int>
-partialSortTopK(const std::vector<double> &probs, std::size_t k)
-{
-    std::vector<int> top(probs.size());
-    std::iota(top.begin(), top.end(), 0);
-    k = std::min(k, top.size());
-    std::partial_sort(top.begin(),
-                      top.begin() + static_cast<std::ptrdiff_t>(k),
-                      top.end(), [&](int a, int b) {
-                          const double pa =
-                              probs[static_cast<std::size_t>(a)];
-                          const double pb =
-                              probs[static_cast<std::size_t>(b)];
-                          if (pa != pb)
-                              return pa > pb;
-                          return a < b;
-                      });
-    top.resize(k);
-    return top;
-}
-
-} // anonymous namespace
-
-TEST(TopKClasses, TiesBreakTowardTheLowerIndex)
-{
-    const std::vector<double> probs = {0.2, 0.5, 0.5, 0.1, 0.5, 0.2};
-    EXPECT_EQ(dc::topKClasses(probs, 3), (std::vector<int>{1, 2, 4}));
-    EXPECT_EQ(dc::topKClasses(probs, 2), (std::vector<int>{1, 2}));
-    EXPECT_EQ(dc::topKClasses(probs, 5),
-              (std::vector<int>{1, 2, 4, 0, 5}));
-    EXPECT_EQ(dc::topKClasses(std::vector<double>(6, 0.0), 3),
-              (std::vector<int>{0, 1, 2}));
-}
-
-TEST(TopKClasses, KLargerThanTheClassCount)
-{
-    EXPECT_EQ(dc::topKClasses({0.1, 0.3}, 3), (std::vector<int>{1, 0}));
-    EXPECT_EQ(dc::topKClasses({0.4}, 3), (std::vector<int>{0}));
-    EXPECT_TRUE(dc::topKClasses({}, 3).empty());
-    EXPECT_TRUE(dc::topKClasses({0.1, 0.3}, 0).empty());
-}
-
-TEST(TopKClasses, MatchesPartialSortOnSparseIndexVectors)
-{
-    // The index path's probability vector: exact zero outside a
-    // shortlist, so with one or two non-zero classes the remaining
-    // slots go to the lowest-index zero classes.
-    const std::size_t n = 4096;
-    std::vector<double> one(n, 0.0);
-    one[4000] = 1.0;
-    EXPECT_EQ(dc::topKClasses(one, 3), (std::vector<int>{4000, 0, 1}));
-    std::vector<double> two(n, 0.0);
-    two[3000] = 0.25;
-    two[17] = 0.75;
-    EXPECT_EQ(dc::topKClasses(two, 3), (std::vector<int>{17, 3000, 0}));
-    std::vector<double> tied(n, 0.0);
-    tied[2048] = 0.5;
-    tied[9] = 0.5;
-    EXPECT_EQ(dc::topKClasses(tied, 3), (std::vector<int>{9, 2048, 0}));
-    for (const auto *probs : {&one, &two, &tied}) {
-        for (std::size_t k : {1u, 2u, 3u, 5u})
-            EXPECT_EQ(dc::topKClasses(*probs, k),
-                      partialSortTopK(*probs, k));
-    }
-
-    // Dense vectors with many ties, as a softmax over few distinct
-    // distances gives.
-    decepticon::util::Rng rng(17);
-    for (int trial = 0; trial < 50; ++trial) {
-        std::vector<double> probs(1 + rng.uniformInt(300));
-        for (auto &p : probs)
-            p = static_cast<double>(rng.uniformInt(6)) / 8.0;
-        for (std::size_t k : {1u, 3u, 7u})
-            EXPECT_EQ(dc::topKClasses(probs, k),
-                      partialSortTopK(probs, k));
-    }
-}
-
-TEST(TopKClasses, NaNRanksBelowEveryNumber)
-{
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_EQ(dc::topKClasses({0.1, nan, 0.7, 0.2}, 3),
-              (std::vector<int>{2, 3, 0}));
-    EXPECT_EQ(dc::topKClasses({nan, 0.0, nan, 0.3}, 3),
-              (std::vector<int>{3, 1, 0}));
-    EXPECT_EQ(dc::topKClasses({nan, nan, nan, nan}, 3),
-              (std::vector<int>{0, 1, 2}));
 }
 
 TEST(Decepticon, QueryProbesDisambiguateVariants)

@@ -213,7 +213,6 @@ TEST(FaultInjector, IdenticalSeedsReplayIdentically)
     spec.probeFlipRate = 0.2;
     spec.transientFailureRate = 0.1;
     spec.stuckBitRate = 0.05;
-    spec.burstRowFraction = 0.3;
     spec.seed = 99;
 
     dfa::FaultInjector a(spec), b(spec);

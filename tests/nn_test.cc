@@ -10,7 +10,6 @@
 #include <cmath>
 #include <functional>
 
-#include "nn/activations.hh"
 #include "nn/conv.hh"
 #include "nn/embedding.hh"
 #include "nn/layernorm.hh"
@@ -130,17 +129,55 @@ TEST(Linear, ForwardKnownValues)
     dt::Tensor y = lin.forward(x);
     EXPECT_FLOAT_EQ(y[0], 3.5f);
     EXPECT_FLOAT_EQ(y[1], 8.0f);
+
+    // Identity weight, zero bias: the output is the fused epilogue
+    // applied to the input. ReLU clamps negatives; GELU (tanh form)
+    // reads 0, 0.8412 and -0.1588 at 0, 1 and -1.
+    struct Case
+    {
+        dt::kernels::Act act;
+        float expect[5];
+    };
+    const float in[5] = {-1.0f, 0.0f, 1.0f, 2.0f, -0.5f};
+    const Case cases[] = {
+        {dt::kernels::Act::None, {-1.0f, 0.0f, 1.0f, 2.0f, -0.5f}},
+        {dt::kernels::Act::Relu, {0.0f, 0.0f, 1.0f, 2.0f, 0.0f}},
+        {dt::kernels::Act::Gelu,
+         {-0.1588f, 0.0f, 0.8412f, 1.9546f, -0.1543f}},
+    };
+    dn::Linear id("id", 5, 5, rng);
+    id.weight.value.fill(0.0f);
+    for (std::size_t i = 0; i < 5; ++i)
+        id.weight.value.at(i, i) = 1.0f;
+    id.bias.value.fill(0.0f);
+    dt::Tensor xs({1, 5});
+    for (std::size_t i = 0; i < 5; ++i)
+        xs[i] = in[i];
+    for (const Case &c : cases) {
+        id.setActivation(c.act);
+        const dt::Tensor ys = id.forward(xs);
+        for (std::size_t i = 0; i < 5; ++i)
+            EXPECT_NEAR(ys[i], c.expect[i], 1e-3f)
+                << "act " << static_cast<int>(c.act) << " at " << in[i];
+    }
 }
 
 TEST(Linear, InputGradientMatchesFiniteDifference)
 {
-    du::Rng rng(2);
-    dn::Linear lin("l", 4, 3, rng);
-    dt::Tensor x = randomTensor({2, 4}, 3);
-    dt::Tensor lw = randomTensor({2, 3}, 4);
-    checkInputGradient(
-        [&](const dt::Tensor &in) { return lin.forward(in); },
-        [&](const dt::Tensor &dy) { return lin.backward(dy); }, x, lw);
+    // The fused epilogue's derivative rides the same backward: ReLU
+    // masks the gradient of clamped units, GELU matches the
+    // finite difference of its tanh form.
+    for (const auto act : {dt::kernels::Act::None, dt::kernels::Act::Relu,
+                           dt::kernels::Act::Gelu}) {
+        du::Rng rng(2);
+        dn::Linear lin("l", 4, 3, rng);
+        lin.setActivation(act);
+        dt::Tensor x = randomTensor({2, 4}, 3);
+        dt::Tensor lw = randomTensor({2, 3}, 4);
+        checkInputGradient(
+            [&](const dt::Tensor &in) { return lin.forward(in); },
+            [&](const dt::Tensor &dy) { return lin.backward(dy); }, x, lw);
+    }
 }
 
 TEST(Linear, ParamGradientMatchesFiniteDifference)
@@ -171,55 +208,6 @@ TEST(Linear, GradAccumulatesAcrossCalls)
     lin.forward(x);
     lin.backward(dy);
     EXPECT_NEAR(lin.weight.grad[0], 2.0f * g1, 1e-6f);
-}
-
-TEST(Relu, ForwardClampsNegatives)
-{
-    dn::Relu relu;
-    dt::Tensor x({4});
-    x[0] = -1.0f;
-    x[1] = 0.0f;
-    x[2] = 2.0f;
-    x[3] = -0.5f;
-    dt::Tensor y = relu.forward(x);
-    EXPECT_FLOAT_EQ(y[0], 0.0f);
-    EXPECT_FLOAT_EQ(y[2], 2.0f);
-}
-
-TEST(Relu, BackwardMasksNegatives)
-{
-    dn::Relu relu;
-    dt::Tensor x({2});
-    x[0] = -1.0f;
-    x[1] = 1.0f;
-    relu.forward(x);
-    dt::Tensor dy({2}, 1.0f);
-    dt::Tensor dx = relu.backward(dy);
-    EXPECT_FLOAT_EQ(dx[0], 0.0f);
-    EXPECT_FLOAT_EQ(dx[1], 1.0f);
-}
-
-TEST(Gelu, MatchesReferencePoints)
-{
-    dn::Gelu gelu;
-    dt::Tensor x({3});
-    x[0] = 0.0f;
-    x[1] = 1.0f;
-    x[2] = -1.0f;
-    dt::Tensor y = gelu.forward(x);
-    EXPECT_NEAR(y[0], 0.0f, 1e-6f);
-    EXPECT_NEAR(y[1], 0.8412f, 1e-3f);
-    EXPECT_NEAR(y[2], -0.1588f, 1e-3f);
-}
-
-TEST(Gelu, GradientMatchesFiniteDifference)
-{
-    dn::Gelu gelu;
-    dt::Tensor x = randomTensor({6}, 11);
-    dt::Tensor lw = randomTensor({6}, 12);
-    checkInputGradient(
-        [&](const dt::Tensor &in) { return gelu.forward(in); },
-        [&](const dt::Tensor &dy) { return gelu.backward(dy); }, x, lw);
 }
 
 TEST(LayerNorm, NormalizesRows)

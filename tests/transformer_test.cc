@@ -312,32 +312,6 @@ TEST(Trainer, LearnsMarkovTask)
     EXPECT_GT(eval.macroF1, 0.7);
 }
 
-TEST(Trainer, FreezeFirstNKeepsLayersFixed)
-{
-    dtr::TransformerClassifier model(microConfig(), 22);
-    dtr::TransformerClassifier before(model);
-
-    dtr::MarkovTask task(24, 3, 8, 201);
-    dtr::TrainOptions opts;
-    opts.epochs = 2;
-    opts.freezeFirstN = 1;
-    dtr::Trainer::fineTune(model, task.sample(40, 7), opts);
-
-    auto frozen = model.encoderParams(0);
-    auto frozen_ref = before.encoderParams(0);
-    for (std::size_t p = 0; p < frozen.size(); ++p)
-        for (std::size_t i = 0; i < frozen[p]->size(); ++i)
-            EXPECT_EQ(frozen[p]->value[i], frozen_ref[p]->value[i]);
-
-    auto live = model.encoderParams(1);
-    auto live_ref = before.encoderParams(1);
-    double moved = 0.0;
-    for (std::size_t p = 0; p < live.size(); ++p)
-        for (std::size_t i = 0; i < live[p]->size(); ++i)
-            moved += std::fabs(live[p]->value[i] - live_ref[p]->value[i]);
-    EXPECT_GT(moved, 0.0);
-}
-
 TEST(Trainer, HeadLrMultiplierMovesHeadMore)
 {
     dtr::TransformerClassifier model(microConfig(), 23);

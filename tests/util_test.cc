@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the util library: PRNG, statistics, edit distance,
- * and table rendering.
+ * Unit tests for the util library: PRNG, statistics (including the
+ * top-k class ranking), edit distance, and table rendering.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -16,6 +19,28 @@
 #include "util/table.hh"
 
 namespace du = decepticon::util;
+
+namespace {
+
+/** Population standard deviation of a sample. */
+double
+sampleStddev(const std::vector<double> &xs)
+{
+    const double m = du::mean(xs);
+    double s = 0.0;
+    for (double x : xs)
+        s += (x - m) * (x - m);
+    return std::sqrt(s / static_cast<double>(xs.size()));
+}
+
+/** Character codes of a string, as an edit-distance token sequence. */
+std::vector<int>
+codes(const std::string &s)
+{
+    return std::vector<int>(s.begin(), s.end());
+}
+
+} // anonymous namespace
 
 TEST(SplitMix64, ProducesKnownStream)
 {
@@ -90,7 +115,7 @@ TEST(Rng, GaussianMomentsApproximatelyStandard)
     for (int i = 0; i < 50000; ++i)
         xs.push_back(rng.gaussian());
     EXPECT_NEAR(du::mean(xs), 0.0, 0.02);
-    EXPECT_NEAR(du::stddev(xs), 1.0, 0.02);
+    EXPECT_NEAR(sampleStddev(xs), 1.0, 0.02);
 }
 
 TEST(Rng, GaussianShiftScale)
@@ -100,7 +125,7 @@ TEST(Rng, GaussianShiftScale)
     for (int i = 0; i < 20000; ++i)
         xs.push_back(rng.gaussian(5.0, 0.5));
     EXPECT_NEAR(du::mean(xs), 5.0, 0.02);
-    EXPECT_NEAR(du::stddev(xs), 0.5, 0.02);
+    EXPECT_NEAR(sampleStddev(xs), 0.5, 0.02);
 }
 
 TEST(Rng, BernoulliRate)
@@ -155,13 +180,6 @@ TEST(Stats, MeanBasics)
     EXPECT_DOUBLE_EQ(du::mean({1.0, 2.0, 3.0}), 2.0);
 }
 
-TEST(Stats, VarianceAndStddev)
-{
-    EXPECT_DOUBLE_EQ(du::variance({1.0}), 0.0);
-    EXPECT_DOUBLE_EQ(du::variance({2.0, 4.0}), 1.0);
-    EXPECT_DOUBLE_EQ(du::stddev({2.0, 4.0}), 1.0);
-}
-
 TEST(Stats, PercentileInterpolates)
 {
     std::vector<double> xs{4.0, 1.0, 3.0, 2.0};
@@ -195,7 +213,6 @@ TEST(Stats, HistogramBinningAndClamping)
     h.add(100.0); // clamps into last bin
     EXPECT_EQ(h.counts.front(), 2u);
     EXPECT_EQ(h.counts.back(), 2u);
-    EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Stats, HistogramBinCenter)
@@ -212,12 +229,104 @@ TEST(Stats, FractionWithinAbs)
     EXPECT_DOUBLE_EQ(du::Histogram::fractionWithinAbs(xs, 10.0), 1.0);
 }
 
+namespace {
+
+/** iota + partial_sort under (prob desc, index asc): the reference
+ *  the linear scan must match. */
+std::vector<int>
+partialSortTopK(const std::vector<double> &probs, std::size_t k)
+{
+    std::vector<int> top(probs.size());
+    std::iota(top.begin(), top.end(), 0);
+    k = std::min(k, top.size());
+    std::partial_sort(top.begin(),
+                      top.begin() + static_cast<std::ptrdiff_t>(k),
+                      top.end(), [&](int a, int b) {
+                          const double pa =
+                              probs[static_cast<std::size_t>(a)];
+                          const double pb =
+                              probs[static_cast<std::size_t>(b)];
+                          if (pa != pb)
+                              return pa > pb;
+                          return a < b;
+                      });
+    top.resize(k);
+    return top;
+}
+
+} // anonymous namespace
+
+TEST(TopKClasses, TiesBreakTowardTheLowerIndex)
+{
+    const std::vector<double> probs = {0.2, 0.5, 0.5, 0.1, 0.5, 0.2};
+    EXPECT_EQ(du::topKClasses(probs, 3), (std::vector<int>{1, 2, 4}));
+    EXPECT_EQ(du::topKClasses(probs, 2), (std::vector<int>{1, 2}));
+    EXPECT_EQ(du::topKClasses(probs, 5),
+              (std::vector<int>{1, 2, 4, 0, 5}));
+    EXPECT_EQ(du::topKClasses(std::vector<double>(6, 0.0), 3),
+              (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TopKClasses, KLargerThanTheClassCount)
+{
+    EXPECT_EQ(du::topKClasses({0.1, 0.3}, 3), (std::vector<int>{1, 0}));
+    EXPECT_EQ(du::topKClasses({0.4}, 3), (std::vector<int>{0}));
+    EXPECT_TRUE(du::topKClasses({}, 3).empty());
+    EXPECT_TRUE(du::topKClasses({0.1, 0.3}, 0).empty());
+}
+
+TEST(TopKClasses, MatchesPartialSortOnSparseIndexVectors)
+{
+    // The index path's probability vector: exact zero outside a
+    // shortlist, so with one or two non-zero classes the remaining
+    // slots go to the lowest-index zero classes.
+    const std::size_t n = 4096;
+    std::vector<double> one(n, 0.0);
+    one[4000] = 1.0;
+    EXPECT_EQ(du::topKClasses(one, 3), (std::vector<int>{4000, 0, 1}));
+    std::vector<double> two(n, 0.0);
+    two[3000] = 0.25;
+    two[17] = 0.75;
+    EXPECT_EQ(du::topKClasses(two, 3), (std::vector<int>{17, 3000, 0}));
+    std::vector<double> tied(n, 0.0);
+    tied[2048] = 0.5;
+    tied[9] = 0.5;
+    EXPECT_EQ(du::topKClasses(tied, 3), (std::vector<int>{9, 2048, 0}));
+    for (const auto *probs : {&one, &two, &tied}) {
+        for (std::size_t k : {1u, 2u, 3u, 5u})
+            EXPECT_EQ(du::topKClasses(*probs, k),
+                      partialSortTopK(*probs, k));
+    }
+
+    // Dense vectors with many ties, as a softmax over few distinct
+    // distances gives.
+    du::Rng rng(17);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<double> probs(1 + rng.uniformInt(300));
+        for (auto &p : probs)
+            p = static_cast<double>(rng.uniformInt(6)) / 8.0;
+        for (std::size_t k : {1u, 3u, 7u})
+            EXPECT_EQ(du::topKClasses(probs, k),
+                      partialSortTopK(probs, k));
+    }
+}
+
+TEST(TopKClasses, NaNRanksBelowEveryNumber)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(du::topKClasses({0.1, nan, 0.7, 0.2}, 3),
+              (std::vector<int>{2, 3, 0}));
+    EXPECT_EQ(du::topKClasses({nan, 0.0, nan, 0.3}, 3),
+              (std::vector<int>{3, 1, 0}));
+    EXPECT_EQ(du::topKClasses({nan, nan, nan, nan}, 3),
+              (std::vector<int>{0, 1, 2}));
+}
+
 TEST(EditDistance, KnownCases)
 {
-    EXPECT_EQ(du::editDistance(std::string("kitten"),
-                               std::string("sitting")), 3u);
-    EXPECT_EQ(du::editDistance(std::string(""), std::string("abc")), 3u);
-    EXPECT_EQ(du::editDistance(std::string("abc"), std::string("abc")), 0u);
+    EXPECT_EQ(du::editDistance(codes("kitten"), codes("sitting")), 3u);
+    EXPECT_EQ(du::editDistance(codes(""), codes("abc")), 3u);
+    EXPECT_EQ(du::editDistance(codes("abc"), codes("abc")), 0u);
 }
 
 TEST(EditDistance, IntSequences)
