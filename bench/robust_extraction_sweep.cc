@@ -63,21 +63,22 @@ struct CloneOutcome
     double error = 0.0; ///< mean |clone - victim| per parameter
     extraction::ExtractionStats stats;
     extraction::ProbeStats probe;
+    extraction::ReliabilityStats reliability;
     fault::FaultCounters faults;
 };
 
 bool
-sameStats(const extraction::ExtractionStats &a,
-          const extraction::ExtractionStats &b)
+sameStats(const CloneOutcome &a, const CloneOutcome &b)
 {
-    return a.bitsChecked == b.bitsChecked &&
-           a.weightsSkipped == b.weightsSkipped &&
-           a.baselineFallbackWeights == b.baselineFallbackWeights &&
-           a.probeRetries == b.probeRetries &&
-           a.voteReads == b.voteReads &&
-           a.probeFailures == b.probeFailures &&
-           a.fallbackBits == b.fallbackBits &&
-           a.exhaustedBits == b.exhaustedBits;
+    return a.stats.bitsChecked == b.stats.bitsChecked &&
+           a.stats.weightsSkipped == b.stats.weightsSkipped &&
+           a.stats.baselineFallbackWeights ==
+               b.stats.baselineFallbackWeights &&
+           a.reliability.retries == b.reliability.retries &&
+           a.reliability.voteReads == b.reliability.voteReads &&
+           a.reliability.probeFailures == b.reliability.probeFailures &&
+           a.reliability.fallbackBits == b.reliability.fallbackBits &&
+           a.reliability.exhaustedBits == b.reliability.exhaustedBits;
 }
 
 } // anonymous namespace
@@ -208,6 +209,7 @@ main()
         out.error = bench::meanAbsParamDiff(vic, *result.clone);
         out.stats = result.extractionStats;
         out.probe = result.probeStats;
+        out.reliability = result.reliability;
         out.faults = result.faultCounters;
         return out;
     };
@@ -256,7 +258,7 @@ main()
     bool sweep_par_ok = true;
     for (std::size_t i = 0; i < combos.size(); ++i)
         sweep_par_ok = sweep_par_ok &&
-                       sameStats(runs[i].stats, serial_runs[i].stats) &&
+                       sameStats(runs[i], serial_runs[i]) &&
                        runs[i].error == serial_runs[i].error &&
                        runs[i].probe.hammerRounds ==
                            serial_runs[i].probe.hammerRounds &&
@@ -283,6 +285,7 @@ main()
             point_label("flip", flip, resilient ? "res_on" : "res_off");
         out.stats.toMetrics(bench_reg, label + ".extract");
         out.probe.toMetrics(bench_reg, label + ".probe");
+        out.reliability.toMetrics(bench_reg, label + ".reliability");
         bench_reg.setGauge(label + ".clone_error", out.error);
         bench_reg.setGauge(label + ".error_vs_clean",
                            out.error / clean_run.error);
@@ -295,7 +298,7 @@ main()
             .cell(static_cast<double>(out.probe.hammerRounds) /
                       static_cast<double>(clean_run.probe.hammerRounds),
                   2)
-            .cell(out.stats.fallbackBits);
+            .cell(out.reliability.fallbackBits);
     }
     util::printBanner(std::cout,
                       "Level 2: clone error vs probe-fault rate "
@@ -440,7 +443,7 @@ main()
     const CloneOutcome rep_a = run_clone(*victim, 1e-3, true);
     const CloneOutcome rep_b = run_clone(*victim, 1e-3, true);
     const bool det_ok =
-        sameStats(rep_a.stats, rep_b.stats) &&
+        sameStats(rep_a, rep_b) &&
         rep_a.faults.bitFlips == rep_b.faults.bitFlips &&
         rep_a.faults.probeFailures == rep_b.faults.probeFailures &&
         rep_a.probe.hammerRounds == rep_b.probe.hammerRounds &&

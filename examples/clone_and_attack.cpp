@@ -188,7 +188,8 @@ main()
                   << "unreadable weights       " << es.unreadableWeights
                   << "\nbaseline fallbacks       "
                   << es.baselineFallbackWeights
-                  << "\nexhausted bits           " << es.exhaustedBits
+                  << "\nexhausted bits           "
+                  << result.reliability.exhaustedBits
                   << "\nread amplification       "
                   << result.reliability.amplification() << "x\n"
                   << "injected flips/failures  "

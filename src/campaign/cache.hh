@@ -102,7 +102,6 @@ class FingerprintCache
 
     const CacheStats &stats() const { return stats_; }
     std::size_t size() const { return entries_.size(); }
-    const CacheOptions &options() const { return opts_; }
 
   private:
     struct Entry

@@ -255,10 +255,7 @@ Decepticon::scoreTraces(
             obs::count("zooindex.lookups");
             obs::observeLatency("zooindex.shortlist_hist",
                                 static_cast<double>(st.shortlistClasses));
-            obs::gaugeSet("zooindex.shortlist_classes",
-                          static_cast<double>(st.shortlistClasses));
-            obs::gaugeSet("zooindex.bucket_probes",
-                          static_cast<double>(st.bucketProbes));
+            obs::count("zooindex.bucket_probes", st.bucketProbes);
             if (st.exhaustiveFallback)
                 obs::count("zooindex.exhaustive_fallbacks");
         }
@@ -326,7 +323,6 @@ Decepticon::resolveFromProbabilities(
         result.usedQueryProbes = true;
         obs::count("level1.query_probe_rounds");
         obs::StageTimer probe_timer("probe");
-        auto probe_span = obs::span("level1.query_probes");
         const std::vector<bool> victim_resp = query_victim();
         int best = ambiguous[0];
         std::size_t best_dist = probes_.size() + 1;
@@ -344,7 +340,6 @@ Decepticon::resolveFromProbabilities(
     } else {
         result.pretrainedName = classNames_[static_cast<std::size_t>(top[0])];
     }
-    obs::gaugeSet("level1.confidence", result.topProbability);
     obs::observeLatency("level1.confidence_pct",
                         100.0 * result.topProbability);
     return result;
@@ -357,7 +352,6 @@ Decepticon::identifyBatch(
 {
     assert(query_hooks.empty() || query_hooks.size() == traces.size());
 
-    auto sp = obs::span("level1.identify_batch");
     obs::StageTimer stage_timer("classify");
 
     // The decision tail (ambiguity handling, query probing, confidence
@@ -390,6 +384,15 @@ seriesQuality(std::size_t samples)
            (static_cast<double>(samples) + 16.0);
 }
 
+/** Per-channel {available, dark} counter names, in fault::Channel
+ *  order, so the disabled-telemetry path builds no string. */
+constexpr const char *kChannelCounters[fault::kNumChannels][2] = {
+    {"level1.channel.timestamp.available", "level1.channel.timestamp.dark"},
+    {"level1.channel.power.available", "level1.channel.power.dark"},
+    {"level1.channel.thermal.available", "level1.channel.thermal.dark"},
+    {"level1.channel.profiler.available", "level1.channel.profiler.dark"},
+};
+
 } // namespace
 
 IdentificationResult
@@ -398,7 +401,6 @@ Decepticon::identifyFused(
     const ResilientIdentifyOptions &ropts,
     const std::function<std::vector<bool>()> &query_victim)
 {
-    auto sp = obs::span("level1.identify_fused");
     obs::count("level1.identifies");
     obs::StageTimer stage_timer("classify");
 
@@ -447,18 +449,13 @@ Decepticon::identifyFused(
                                               thermal_usable,
                                               profiler_usable};
     for (std::size_t c = 0; c < fault::kNumChannels; ++c) {
-        const char *name =
-            fault::channelName(static_cast<fault::Channel>(c));
-        obs::count((std::string("level1.channel.") + name +
-                    (usable[c] ? ".available" : ".dark"))
-                       .c_str());
+        obs::count(kChannelCounters[c][usable[c] ? 0 : 1]);
         if (usable[c]) {
             ++result.channelsAvailable;
-            result.channelsUsed.emplace_back(name);
+            result.channelsUsed.emplace_back(
+                fault::channelName(static_cast<fault::Channel>(c)));
         }
     }
-    obs::gaugeSet("level1.channels_available",
-                  static_cast<double>(result.channelsAvailable));
 
     // ---- step 1: blackout -----------------------------------------
     if (result.channelsAvailable == 0) {
@@ -511,8 +508,6 @@ Decepticon::identifyFused(
             if (!result.usedQueryProbes)
                 result.pretrainedName =
                     classNames_[static_cast<std::size_t>(win - votes.begin())];
-            obs::gaugeSet("level1.quorum_agreement",
-                          result.quorumAgreement);
             obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
                               "timestamp", result.quorumAgreement);
             return result;
@@ -604,7 +599,6 @@ Decepticon::identifyFused(
         const sidechan::FusionDecision decision = fusion_->fuse(evidence);
         result.usedChannelFusion = true;
         result.fusedConfidence = decision.confidence;
-        obs::gaugeSet("level1.fused_confidence", decision.confidence);
 
         // At or above the confidence bar the fused label is adopted
         // outright; below it, it is still the best available evidence

@@ -51,11 +51,11 @@ AttackReport::toJson() const
         << ",\"hammer_rounds\":" << probe.hammerRounds
         << ",\"total_weights\":" << extraction.totalWeights
         << ",\"weights_skipped\":" << extraction.weightsSkipped
-        << ",\"probe_retries\":" << extraction.probeRetries
-        << ",\"vote_reads\":" << extraction.voteReads
-        << ",\"probe_failures\":" << extraction.probeFailures
-        << ",\"fallback_bits\":" << extraction.fallbackBits
-        << ",\"exhausted_bits\":" << extraction.exhaustedBits
+        << ",\"probe_retries\":" << reliability.retries
+        << ",\"vote_reads\":" << reliability.voteReads
+        << ",\"probe_failures\":" << reliability.probeFailures
+        << ",\"fallback_bits\":" << reliability.fallbackBits
+        << ",\"exhausted_bits\":" << reliability.exhaustedBits
         << ",\"victim_queries\":" << victimQueries
         << "},\"quality\":{"
         << "\"victim_accuracy\":" << obs::jsonNumber(victimAccuracy)
@@ -75,52 +75,12 @@ AttackReport::toJson() const
     return oss.str();
 }
 
-void
-AttackReport::toMetrics(obs::MetricsRegistry &registry) const
-{
-    const auto gauge = [&](const char *name, double value) {
-        registry.setGauge(std::string("run.") + name, value);
-    };
-    const IdentificationResult &id = identification;
-    gauge("identify_confidence", id.topProbability);
-    gauge("quorum_agreement", id.quorumAgreement);
-    gauge("captures_used", static_cast<double>(id.capturesUsed));
-    gauge("used_query_probes", id.usedQueryProbes ? 1.0 : 0.0);
-    gauge("used_channel_fusion", id.usedChannelFusion ? 1.0 : 0.0);
-    gauge("insufficient_evidence", id.insufficientEvidence ? 1.0 : 0.0);
-    gauge("fused_confidence", id.fusedConfidence);
-    gauge("channels_available",
-          static_cast<double>(id.channelsAvailable));
-    gauge("layers_extracted", static_cast<double>(layersExtracted));
-    gauge("bits_read", static_cast<double>(probe.bitsRead));
-    gauge("hammer_rounds", static_cast<double>(probe.hammerRounds));
-    gauge("total_weights", static_cast<double>(extraction.totalWeights));
-    gauge("weights_skipped",
-          static_cast<double>(extraction.weightsSkipped));
-    gauge("probe_retries", static_cast<double>(extraction.probeRetries));
-    gauge("vote_reads", static_cast<double>(extraction.voteReads));
-    gauge("probe_failures",
-          static_cast<double>(extraction.probeFailures));
-    gauge("fallback_bits", static_cast<double>(extraction.fallbackBits));
-    gauge("exhausted_bits",
-          static_cast<double>(extraction.exhaustedBits));
-    gauge("victim_queries", static_cast<double>(victimQueries));
-    gauge("victim_accuracy", victimAccuracy);
-    gauge("clone_accuracy", cloneAccuracy);
-    gauge("agreement", cloneVictimAgreement);
-    gauge("adversarial_success", adversarial.successRate());
-    gauge("complete", complete ? 1.0 : 0.0);
-    gauge("total_micros", static_cast<double>(totalMicros()));
-    for (const auto &p : phases)
-        registry.setGauge("phase." + p.name + ".micros",
-                          static_cast<double>(p.micros));
-}
-
 std::string
 AttackReport::summaryParagraph() const
 {
     const IdentificationResult &id = identification;
     const extraction::ExtractionStats &ex = extraction;
+    const extraction::ReliabilityStats &rel = reliability;
     std::ostringstream oss;
     if (id.insufficientEvidence) {
         oss << "Attack run: identification abstained — insufficient"
@@ -151,10 +111,10 @@ AttackReport::summaryParagraph() const
         << probe.bitsRead << " bits in " << probe.hammerRounds
         << " hammer rounds, skipping " << ex.weightsSkipped << " of "
         << ex.totalWeights << " weights";
-    if (ex.probeRetries + ex.voteReads + ex.fallbackBits > 0)
-        oss << " (" << ex.probeRetries << " retries, " << ex.voteReads
-            << " vote reads, " << ex.fallbackBits << " baseline-fallback"
-            << " bits, " << ex.exhaustedBits << " exhausted)";
+    if (rel.retries + rel.voteReads + rel.fallbackBits > 0)
+        oss << " (" << rel.retries << " retries, " << rel.voteReads
+            << " vote reads, " << rel.fallbackBits << " baseline-fallback"
+            << " bits, " << rel.exhaustedBits << " exhausted)";
     oss << ", using " << victimQueries << " victim queries. "
         << "Clone accuracy " << cloneAccuracy << " vs victim "
         << victimAccuracy << " (agreement " << cloneVictimAgreement

@@ -2,10 +2,10 @@
  * @file
  * The one record of an end-to-end attack run, as
  * TwoLevelAttack::execute fills it: the level-1 identification, the
- * level-2 cost ledger (probe and extraction stats), the clone, its
- * quality numbers, the adversarial transfer and every phase's wall
- * time — serializable as JSON, foldable into a MetricsRegistry, and
- * printable as a one-paragraph summary.
+ * level-2 cost ledger (probe, extraction and reliability stats), the
+ * clone, its quality numbers, the adversarial transfer and every
+ * phase's wall time — serializable as JSON and printable as a
+ * one-paragraph summary.
  */
 
 #ifndef DECEPTICON_CORE_RUN_REPORT_HH
@@ -19,12 +19,9 @@
 #include "attack/adversarial.hh"
 #include "core/decepticon.hh"
 #include "extraction/bitprobe.hh"
+#include "extraction/resilient.hh"
 #include "extraction/selective.hh"
 #include "transformer/classifier.hh"
-
-namespace decepticon::obs {
-class MetricsRegistry;
-}
 
 namespace decepticon::core {
 
@@ -44,6 +41,8 @@ struct AttackReport
     // ---- level 2 (zero when no clone was extracted) ----
     extraction::ProbeStats probe;
     extraction::ExtractionStats extraction;
+    /** Retry/vote/fallback accounting (zero without resilience). */
+    extraction::ReliabilityStats reliability;
     std::size_t layersExtracted = 0;
     std::size_t victimQueries = 0;
 
@@ -70,12 +69,6 @@ struct AttackReport
 
     /** Single JSON object (schema documented in DESIGN.md §8). */
     std::string toJson() const;
-
-    /**
-     * Publish as "run.*" gauges plus "phase.<name>.micros" per phase
-     * — the registry view a metrics dump or BENCH snapshot exports.
-     */
-    void toMetrics(obs::MetricsRegistry &registry) const;
 
     /** One-paragraph human summary (quickstart's closing print). */
     std::string summaryParagraph() const;

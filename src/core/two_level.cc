@@ -73,13 +73,11 @@ TwoLevelAttack::execute(
     // ------------------------------------------------------------------
     auto cloned = cloneVictim(report.identification.pretrainedName,
                               victim, query_set, opts_.cloner);
-    if (cloned.clone == nullptr) {
-        if (obs::metricsEnabled())
-            report.toMetrics(obs::metrics());
+    if (cloned.clone == nullptr)
         return report; // identified something outside the pool
-    }
     report.probe = cloned.probeStats;
     report.extraction = cloned.extractionStats;
+    report.reliability = cloned.reliability;
     report.layersExtracted = cloned.layersExtracted;
     report.victimQueries = cloned.victimQueries;
     report.clone = std::move(cloned.clone);
@@ -109,8 +107,6 @@ TwoLevelAttack::execute(
     end_phase("adversarial");
 
     report.complete = true;
-    if (obs::metricsEnabled())
-        report.toMetrics(obs::metrics());
     return report;
 }
 

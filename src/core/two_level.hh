@@ -110,9 +110,6 @@ class TwoLevelAttack
         return it == weightsByName_.end() ? nullptr : it->second.get();
     }
 
-    /** The registered candidate pool (identities only). */
-    const zoo::ModelZoo &candidates() const { return candidates_; }
-
   private:
     TwoLevelOptions opts_;
     zoo::ModelZoo candidates_;

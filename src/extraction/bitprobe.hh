@@ -113,10 +113,10 @@ struct ProbeStats
     /**
      * Publish the current snapshot as gauges "<prefix>.bits_read" and
      * "<prefix>.hammer_rounds" — the shared serialization every bench
-     * and report uses instead of hand-formatting these fields.
+     * uses instead of hand-formatting these fields.
      */
     void toMetrics(obs::MetricsRegistry &registry,
-                   const std::string &prefix = "probe") const;
+                   const std::string &prefix) const;
 };
 
 /**

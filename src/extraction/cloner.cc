@@ -182,10 +182,8 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     // The physical channel carries the cost ledger (the prober charges
     // every attempt and backoff penalty on it).
     result.probeStats = physical.stats();
-    if (prober) {
+    if (prober)
         result.reliability = prober->reliability();
-        mergeReliability(result.reliability, result.extractionStats);
-    }
     if (injector) {
         result.faultCounters = injector->counters();
         physical.attachFaultInjector(nullptr);
@@ -194,11 +192,6 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
 
     obs::count("level2.clone_sessions");
     obs::count("level2.victim_queries", result.victimQueries);
-    if (obs::metricsEnabled()) {
-        result.probeStats.toMetrics(obs::metrics());
-        result.extractionStats.toMetrics(obs::metrics());
-        result.reliability.toMetrics(obs::metrics());
-    }
     return result;
 }
 

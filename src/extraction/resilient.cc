@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "extraction/ieee.hh"
-#include "extraction/selective.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 
@@ -134,16 +133,6 @@ RetryingProber::tryReadBit(std::size_t layer, std::size_t index,
     out.ok = false;
     out.bit = ones >= zeros;
     return out;
-}
-
-void
-mergeReliability(const ReliabilityStats &rel, ExtractionStats &stats)
-{
-    stats.probeRetries += rel.retries;
-    stats.voteReads += rel.voteReads;
-    stats.probeFailures += rel.probeFailures;
-    stats.fallbackBits += rel.fallbackBits;
-    stats.exhaustedBits += rel.exhaustedBits;
 }
 
 } // namespace decepticon::extraction

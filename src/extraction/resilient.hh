@@ -54,7 +54,7 @@ struct ReliabilityStats
      * the derived amplification factor).
      */
     void toMetrics(obs::MetricsRegistry &registry,
-                   const std::string &prefix = "reliability") const;
+                   const std::string &prefix) const;
 };
 
 /**
@@ -126,10 +126,6 @@ class RetryingProber : public BitProbeChannel
     const VictimWeightOracle *fallback_;
     ReliabilityStats reliability_;
 };
-
-/** Fold a prober's reliability counters into extraction accounting. */
-void mergeReliability(const ReliabilityStats &rel,
-                      struct ExtractionStats &stats);
 
 } // namespace decepticon::extraction
 

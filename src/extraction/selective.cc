@@ -59,11 +59,6 @@ ExtractionStats::merge(const ExtractionStats &other)
     fullWeightsRead += other.fullWeightsRead;
     unreadableWeights += other.unreadableWeights;
     baselineFallbackWeights += other.baselineFallbackWeights;
-    probeRetries += other.probeRetries;
-    voteReads += other.voteReads;
-    probeFailures += other.probeFailures;
-    fallbackBits += other.fallbackBits;
-    exhaustedBits += other.exhaustedBits;
     auditedWeights += other.auditedWeights;
     extractionErrors += other.extractionErrors;
     signFlips += other.signFlips;
@@ -84,11 +79,6 @@ ExtractionStats::toMetrics(obs::MetricsRegistry &registry,
     gauge("unreadable_weights", static_cast<double>(unreadableWeights));
     gauge("baseline_fallback_weights",
           static_cast<double>(baselineFallbackWeights));
-    gauge("probe_retries", static_cast<double>(probeRetries));
-    gauge("vote_reads", static_cast<double>(voteReads));
-    gauge("probe_failures", static_cast<double>(probeFailures));
-    gauge("fallback_bits", static_cast<double>(fallbackBits));
-    gauge("exhausted_bits", static_cast<double>(exhaustedBits));
     gauge("audited_weights", static_cast<double>(auditedWeights));
     gauge("extraction_errors", static_cast<double>(extractionErrors));
     gauge("sign_flips", static_cast<double>(signFlips));

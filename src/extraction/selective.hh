@@ -79,14 +79,6 @@ struct ExtractionStats
      */
     std::size_t baselineFallbackWeights = 0;
 
-    // Reliability accounting (filled when a RetryingProber drives the
-    // channel; all zero on a perfectly reliable channel).
-    std::size_t probeRetries = 0;  ///< attempts beyond the vote plan
-    std::size_t voteReads = 0;     ///< extra reads bought by voting
-    std::size_t probeFailures = 0; ///< attempts that landed nothing
-    std::size_t fallbackBits = 0;  ///< bits answered from the baseline
-    std::size_t exhaustedBits = 0; ///< bits whose budget ran out
-
     // Audit fields (filled by auditAccuracy against ground truth).
     std::size_t auditedWeights = 0;
     std::size_t extractionErrors = 0; ///< gap beyond tolerance or sign flip
@@ -105,11 +97,11 @@ struct ExtractionStats
 
     /**
      * Publish the snapshot as "<prefix>.*" gauges (totals, skip/check
-     * counters, reliability fold-ins, audit results, and the derived
-     * fractions). The single serialization path for this struct.
+     * counters, audit results, and the derived fractions). The single
+     * serialization path for this struct.
      */
     void toMetrics(obs::MetricsRegistry &registry,
-                   const std::string &prefix = "extract") const;
+                   const std::string &prefix) const;
 };
 
 /** Algorithm 1 over a bit-probe channel. */
@@ -155,8 +147,6 @@ class SelectiveWeightExtractor
                        const std::vector<float> &actual,
                        const std::vector<float> &base,
                        ExtractionStats &stats) const;
-
-    const ExtractionPolicy &policy() const { return policy_; }
 
   private:
     ExtractionPolicy policy_;

@@ -61,12 +61,10 @@ ChannelFaultModel::ChannelFaultModel(Channel channel,
 
 std::vector<double>
 ChannelFaultModel::corruptSeries(const std::vector<double> &series,
-                                 std::uint64_t capture_seed)
+                                 std::uint64_t capture_seed) const
 {
-    ++counters_.captures;
     obs::count("fault.channel.capture_attempts");
     if (spec_.jammed) {
-        ++counters_.jammedCaptures;
         obs::count("fault.channel.jammed_captures");
         obs::flightRecord(obs::FlightEventKind::Fault, "trace_capture",
                           channelName(channel_), 1.0);
@@ -84,10 +82,7 @@ ChannelFaultModel::corruptSeries(const std::vector<double> &series,
         const double frac = rng.uniform(0.0, kTruncateMaxFraction);
         const auto cut = static_cast<std::size_t>(
             static_cast<double>(out.size()) * frac);
-        const std::size_t keep = std::max<std::size_t>(
-            1, out.size() - cut);
-        counters_.samplesTruncated += out.size() - keep;
-        out.resize(keep);
+        out.resize(std::max<std::size_t>(1, out.size() - cut));
     }
 
     // Dropout. Profiler counters are a fixed-layout vector, so a
@@ -95,18 +90,14 @@ ChannelFaultModel::corruptSeries(const std::vector<double> &series,
     if (spec_.dropoutRate > 0.0) {
         if (channel_ == Channel::Profiler) {
             for (double &v : out) {
-                if (rng.bernoulli(spec_.dropoutRate)) {
+                if (rng.bernoulli(spec_.dropoutRate))
                     v = 0.0;
-                    ++counters_.samplesDropped;
-                }
             }
         } else {
             std::vector<double> kept;
             kept.reserve(out.size());
             for (double v : out) {
-                if (rng.bernoulli(spec_.dropoutRate))
-                    ++counters_.samplesDropped;
-                else
+                if (!rng.bernoulli(spec_.dropoutRate))
                     kept.push_back(v);
             }
             out = std::move(kept);
@@ -121,14 +112,12 @@ ChannelFaultModel::corruptSeries(const std::vector<double> &series,
         const double sigma = spec_.noiseSigma * scale;
         for (double &v : out)
             v += rng.gaussian(0.0, sigma);
-        counters_.samplesNoised += out.size();
     }
 
     if (spec_.quantStep > 0.0 && scale > 0.0) {
         const double step = spec_.quantStep * scale;
         for (double &v : out)
             v = std::round(v / step) * step;
-        counters_.samplesQuantized += out.size();
     }
     return out;
 }

@@ -62,17 +62,6 @@ struct ChannelFaultSpec
     bool jammed = false;
 };
 
-/** Ground-truth bookkeeping of injected channel faults. */
-struct ChannelFaultCounters
-{
-    std::size_t captures = 0;
-    std::size_t jammedCaptures = 0;
-    std::size_t samplesDropped = 0;
-    std::size_t samplesTruncated = 0;
-    std::size_t samplesNoised = 0;
-    std::size_t samplesQuantized = 0;
-};
-
 /**
  * Applies one ChannelFaultSpec to sample series. Pure function of
  * (channel, spec, base stream, capture seed, input); corrupting the
@@ -89,12 +78,6 @@ class ChannelFaultModel
     ChannelFaultModel(Channel channel, const ChannelFaultSpec &spec,
                       const util::Rng &base);
 
-    Channel channel() const { return channel_; }
-    const ChannelFaultSpec &spec() const { return spec_; }
-
-    /** Whether this channel delivers anything at all. */
-    bool jammed() const { return spec_.jammed; }
-
     /**
      * One noisy capture of a sample series. Returns empty when the
      * channel is jammed. Fault order: truncation, dropout, noise,
@@ -102,16 +85,13 @@ class ChannelFaultModel
      * cannot be noised).
      */
     std::vector<double> corruptSeries(const std::vector<double> &series,
-                                      std::uint64_t capture_seed);
-
-    const ChannelFaultCounters &counters() const { return counters_; }
+                                      std::uint64_t capture_seed) const;
 
   private:
     Channel channel_;
     ChannelFaultSpec spec_;
     /** Per-channel stream; capture streams split off this. */
     util::Rng base_;
-    ChannelFaultCounters counters_;
 };
 
 /** One fault spec per channel under a single root seed. */
@@ -139,21 +119,13 @@ class MultiChannelFaultModel
   public:
     explicit MultiChannelFaultModel(const MultiChannelFaultSpec &spec);
 
-    ChannelFaultModel &model(Channel c)
-    {
-        return models_[static_cast<std::size_t>(c)];
-    }
-    const ChannelFaultModel &model(Channel c) const
-    {
-        return models_[static_cast<std::size_t>(c)];
-    }
-
     /** Corrupt one capture on the given channel. */
     std::vector<double> corrupt(Channel c,
                                 const std::vector<double> &series,
-                                std::uint64_t capture_seed)
+                                std::uint64_t capture_seed) const
     {
-        return model(c).corruptSeries(series, capture_seed);
+        return models_[static_cast<std::size_t>(c)].corruptSeries(
+            series, capture_seed);
     }
 
   private:

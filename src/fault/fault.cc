@@ -19,6 +19,9 @@ constexpr std::uint64_t kGarbageTag = 0x6a3ba6eULL;
 constexpr std::uint64_t kAttemptKeyTag = 0xa77e3b7ULL;
 constexpr std::uint64_t kTraceTag = 0x73ace0ULL;
 
+/** Maximum fraction of records a tail truncation removes. */
+constexpr double kTruncateMaxFraction = 0.2;
+
 /** Uniform double in [0, 1) from a 64-bit hash. */
 double
 uniformFromHash(std::uint64_t h)
@@ -50,8 +53,6 @@ FaultInjector::FaultInjector(const FaultSpec &spec) : spec_(spec)
     assert(validRate(spec.recordDuplicateRate));
     assert(spec.truncateProbability >= 0.0 &&
            spec.truncateProbability <= 1.0);
-    assert(spec.truncateMaxFraction >= 0.0 &&
-           spec.truncateMaxFraction < 1.0);
 }
 
 std::uint64_t
@@ -164,7 +165,7 @@ FaultInjector::corruptTrace(const gpusim::KernelTrace &trace,
     if (spec_.truncateProbability > 0.0 &&
         rng.bernoulli(spec_.truncateProbability) &&
         out.records.size() > 1) {
-        const double frac = rng.uniform(0.0, spec_.truncateMaxFraction);
+        const double frac = rng.uniform(0.0, kTruncateMaxFraction);
         const auto cut = static_cast<std::size_t>(
             frac * static_cast<double>(out.records.size()));
         const std::size_t keep =

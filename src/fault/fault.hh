@@ -52,8 +52,6 @@ struct FaultSpec
     double recordDuplicateRate = 0.0;
     /** Probability a capture loses its tail (profiler stopped early). */
     double truncateProbability = 0.0;
-    /** Maximum fraction of records lost by a tail truncation. */
-    double truncateMaxFraction = 0.2;
 
     /** Root seed of every fault stream. */
     std::uint64_t seed = 0;
@@ -95,8 +93,6 @@ class FaultInjector
 {
   public:
     explicit FaultInjector(const FaultSpec &spec);
-
-    const FaultSpec &spec() const { return spec_; }
 
     /**
      * Pass one probed bit through the probe fault process. Advances

@@ -219,7 +219,6 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     assert(arch.numLayers > 0 && arch.hidden > 0 && arch.numHeads > 0);
     assert(arch.prunedHeads < arch.numHeads);
 
-    auto sp = obs::span("gpusim.generate");
     obs::StageTimer stage_timer("trace_capture");
 
     util::Rng rng(run_seed ^ seed_);

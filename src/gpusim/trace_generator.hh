@@ -89,8 +89,6 @@ class TraceGenerator
                                  std::uint64_t run_seed,
                                  double strength) const;
 
-    const SoftwareSignature &signature() const { return sig_; }
-
     /** Number of kernels in the per-encoder group template. */
     // lint: suppress(R11) the generator's ground truth: the boundary
     // detection tests compare the detected period against it

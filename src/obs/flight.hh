@@ -72,9 +72,6 @@ class FlightRecorder
 
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-    /** Per-thread ring capacity (events). */
-    std::size_t capacity() const { return capacity_; }
-
     /** Append one event to the calling thread's ring. */
     void record(FlightEvent event);
 

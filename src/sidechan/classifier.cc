@@ -27,8 +27,7 @@ ChannelClassifier::ChannelClassifier(fault::Channel channel,
                                      std::size_t feature_dim,
                                      std::size_t num_classes,
                                      std::uint64_t seed)
-    : channel_(channel),
-      featureDim_(feature_dim),
+    : featureDim_(feature_dim),
       numClasses_(num_classes),
       rng_(seed),
       fc1_(std::string("sidechan.") + fault::channelName(channel) +

@@ -33,7 +33,6 @@ class ChannelClassifier
     ChannelClassifier(fault::Channel channel, std::size_t feature_dim,
                       std::size_t num_classes, std::uint64_t seed);
 
-    fault::Channel channel() const { return channel_; }
     std::size_t featureDim() const { return featureDim_; }
     std::size_t numClasses() const { return numClasses_; }
 
@@ -61,7 +60,6 @@ class ChannelClassifier
     tensor::Tensor
     toBatch(const std::vector<const std::vector<float> *> &rows) const;
 
-    fault::Channel channel_;
     std::size_t featureDim_;
     std::size_t numClasses_;
     util::Rng rng_; // must precede the layers it initializes

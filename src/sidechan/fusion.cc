@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 
 #include "obs/obs.hh"
 
@@ -15,6 +14,12 @@ namespace {
  *  chance — starving a weak channel entirely would forfeit its
  *  tie-breaking value. */
 constexpr double kPriorFloor = 0.05;
+
+/** Per-channel prior gauge names, in fault::Channel order, so the
+ *  disabled-telemetry path builds no string. */
+constexpr const char *kPriorGauges[fault::kNumChannels] = {
+    "sidechan.prior.timestamp", "sidechan.prior.power",
+    "sidechan.prior.thermal", "sidechan.prior.profiler"};
 
 } // anonymous namespace
 
@@ -31,10 +36,7 @@ FusionEngine::setReliabilityPrior(fault::Channel channel,
     const auto c = static_cast<std::size_t>(channel);
     priors_[c] = std::clamp(heldout_accuracy, 0.0, 1.0);
     registered_[c] = true;
-    obs::gaugeSet((std::string("sidechan.prior.") +
-                   fault::channelName(channel))
-                      .c_str(),
-                  priors_[c]);
+    obs::gaugeSet(kPriorGauges[c], priors_[c]);
 }
 
 double
@@ -55,7 +57,6 @@ FusionEngine::channelWeight(fault::Channel channel) const
 FusionDecision
 FusionEngine::fuse(const std::vector<ChannelEvidence> &evidence) const
 {
-    auto sp = obs::span("sidechan.fuse");
     obs::StageTimer stage_timer("fuse");
     FusionDecision decision;
 
@@ -121,8 +122,6 @@ FusionEngine::fuse(const std::vector<ChannelEvidence> &evidence) const
     obs::count("sidechan.fusion_decisions");
     obs::flightRecord(obs::FlightEventKind::Verdict, "fuse", "identified",
                       decision.confidence);
-    obs::gaugeSet("sidechan.fusion_confidence", decision.confidence);
-    obs::gaugeSet("sidechan.fusion_coverage", decision.coverage);
     return decision;
 }
 

@@ -93,16 +93,6 @@ class ScratchArena
         return p;
     }
 
-    /** Total floats held across slabs (telemetry/tests). */
-    std::size_t
-    capacity() const
-    {
-        std::size_t total = 0;
-        for (const auto &s : slabs_)
-            total += s.size;
-        return total;
-    }
-
   private:
     static constexpr std::size_t kSlabFloats = 1u << 20; // 4 MiB
 

@@ -216,19 +216,16 @@ repairTraces(const std::vector<gpusim::KernelTrace> &captures,
         out.records.push_back(rec);
     }
 
-    const double aligned_fraction =
-        aligned_sum / static_cast<double>(clean.size());
     if (report != nullptr) {
         report->captures = captures.size();
         report->referenceRecords = out.records.size();
         report->duplicatesRemoved = duplicates_removed;
-        report->meanAlignedFraction = aligned_fraction;
+        report->meanAlignedFraction =
+            aligned_sum / static_cast<double>(clean.size());
     }
     obs::count("trace.repairs");
     obs::count("trace.repair.duplicates_removed", duplicates_removed);
     obs::count("trace.repair.consensus_records", out.records.size());
-    obs::gaugeSet("trace.repair.mean_aligned_fraction",
-                  aligned_fraction);
     return out;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "core/two_level.hh"
 #include "gpusim/trace_generator.hh"
 #include "obs/clock.hh"
+#include "obs/json.hh"
+#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "sched/sched.hh"
 #include "transformer/classifier.hh"
@@ -733,6 +736,17 @@ TEST(Campaign, ReportIndependentOfTelemetrySettings)
                 obs::configure(cfg);
                 dcp::CampaignDriver driver(*h.attack, campaignOptions());
                 json.push_back(driver.run(sessions).toJson());
+                // The registry holds aggregates only: the one gauge
+                // family is CampaignReport::toMetrics's.
+                if (cfg.metricsEnabled) {
+                    std::ostringstream oss;
+                    obs::metrics().exportJson(oss);
+                    obs::json::Value v;
+                    ASSERT_TRUE(obs::json::parse(oss.str(), v));
+                    for (const auto &[name, value] :
+                         v.find("gauges")->object)
+                        EXPECT_EQ(name.rfind("campaign.", 0), 0u) << name;
+                }
                 obs::shutdown();
             }
             EXPECT_EQ(json[1], json[0])

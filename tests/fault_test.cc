@@ -266,7 +266,6 @@ TEST(FaultInjector, CorruptTraceNeverEmptiesANonEmptyTrace)
     dfa::FaultSpec spec;
     spec.recordDropRate = 0.999;
     spec.truncateProbability = 0.999;
-    spec.truncateMaxFraction = 0.99;
     spec.seed = 31;
     dfa::FaultInjector injector(spec);
     for (std::uint64_t cap = 0; cap < 16; ++cap)

@@ -490,11 +490,9 @@ TEST(StatStructs, ToMetricsPublishesGauges)
     es.totalWeights = 100;
     es.weightsSkipped = 60;
     es.bitsChecked = 80;
-    es.fallbackBits = 3;
-    es.toMetrics(reg);
+    es.toMetrics(reg, "extract");
     EXPECT_DOUBLE_EQ(reg.gauge("extract.total_weights"), 100.0);
     EXPECT_DOUBLE_EQ(reg.gauge("extract.weights_skipped"), 60.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("extract.fallback_bits"), 3.0);
     EXPECT_DOUBLE_EQ(reg.gauge("extract.weights_skipped_fraction"), 0.6);
 
     dex::ReliabilityStats rs;

@@ -648,9 +648,18 @@ TEST(Fusion, FusedIdentificationCountsOnce)
     };
     const std::uint64_t identifies = reg.counter("level1.identifies");
     const std::uint64_t classified = classifies();
+    const std::uint64_t ts_available =
+        reg.counter("level1.channel.timestamp.available");
+    const std::uint64_t power_dark =
+        reg.counter("level1.channel.power.dark");
     const auto res = fx.pipeline.identifyFused(mc);
     EXPECT_EQ(reg.counter("level1.identifies") - identifies, 1u);
     EXPECT_EQ(classifies() - classified, 1u);
+    // The per-channel availability counters keep their names.
+    EXPECT_EQ(reg.counter("level1.channel.timestamp.available") -
+                  ts_available,
+              1u);
+    EXPECT_EQ(reg.counter("level1.channel.power.dark") - power_dark, 1u);
     dob::shutdown();
     EXPECT_FALSE(res.insufficientEvidence);
 }
