@@ -68,8 +68,9 @@ main()
         std::set<std::string> names;
         std::map<std::string, std::size_t> counts;
         for (const auto &r : trace.records) {
-            names.insert((*trace.kernelNames)[r.kernelId]);
-            ++counts[(*trace.kernelNames)[r.kernelId]];
+            const std::string name((*trace.kernelNames)[r.kernelId]);
+            names.insert(name);
+            ++counts[name];
         }
         names_per_source.push_back(names);
 

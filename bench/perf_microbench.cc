@@ -18,6 +18,8 @@
 #include "fault/fault.hh"
 #include "fingerprint/cnn.hh"
 #include "fingerprint/dataset.hh"
+#include "fingerprint/index/embedding.hh"
+#include "fingerprint/index/lsh.hh"
 #include "gpusim/emission.hh"
 #include "gpusim/trace_generator.hh"
 #include "sched/sched.hh"
@@ -29,6 +31,7 @@
 #include "obs/obs.hh"
 #include "util/rng.hh"
 #include "zoo/finetune_sim.hh"
+#include "zoo/procedural.hh"
 #include "zoo/weight_store.hh"
 #include "zoo/zoo.hh"
 
@@ -160,6 +163,68 @@ BM_TraceGenerate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGenerate);
+
+/** The 4096-release procedural zoo of campaignbench's faulty_index. */
+const zoo::ModelZoo &
+proceduralZoo4096()
+{
+    static const zoo::ModelZoo pool = [] {
+        zoo::ProceduralZooOptions zopts;
+        zopts.identities = 4096;
+        zopts.families = 32;
+        zopts.seed = 21;
+        return zoo::buildProceduralZoo(zopts);
+    }();
+    return pool;
+}
+
+/**
+ * A generator build alone (catalog, name table, templates), cycling
+ * through the 4096 procedural releases: the per-release set-up cost S1
+ * pays once per lineage per batch.
+ */
+void
+BM_GeneratorBuild(benchmark::State &state)
+{
+    const auto &models = proceduralZoo4096().models();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const gpusim::TraceGenerator gen(models[i].signature);
+        benchmark::DoNotOptimize(&gen);
+        i = i + 1 == models.size() ? 0 : i + 1;
+    }
+}
+BENCHMARK(BM_GeneratorBuild);
+
+/**
+ * One S3 index lookup, shortlist plus exact re-rank, on the trained
+ * 4096-lineage index, cycling through 256 fresh victim embeddings.
+ */
+void
+BM_IndexLookup(benchmark::State &state)
+{
+    const zoo::ModelZoo &pool = proceduralZoo4096();
+    core::DecepticonOptions dopts;
+    dopts.seed = 2;
+    core::Decepticon level1(dopts);
+    level1.trainExtractor(pool);
+    const fingerprint::FingerprintIndex &index = *level1.index();
+    std::vector<std::vector<float>> queries;
+    for (std::size_t q = 0; q < 256; ++q) {
+        const zoo::ModelIdentity &m = pool.models()[q * 16 + q % 13];
+        queries.push_back(fingerprint::traceEmbedding(
+            gpusim::TraceGenerator(m.signature).generate(m.arch,
+                                                         0x100c + q)));
+    }
+    std::size_t q = 0;
+    for (auto _ : state) {
+        const std::vector<float> &emb = queries[q];
+        auto probs = index.scores(emb, index.shortlist(emb));
+        benchmark::DoNotOptimize(probs.data());
+        q = q + 1 == queries.size() ? 0 : q + 1;
+    }
+}
+BENCHMARK(BM_IndexLookup);
 
 /**
  * S1's repair cost: three captures of one TF trace at fault severity

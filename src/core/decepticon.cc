@@ -1,6 +1,7 @@
 #include "core/decepticon.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "fingerprint/index/embedding.hh"
@@ -85,21 +86,23 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
     // Two profiling runs per zoo model. The run seeds are drawn
     // serially in (class, model) order; trace generation, emission
     // and feature extraction are pure per run (the emitters split
-    // their noise streams from the run seed), so the runs fill
-    // independent slots in parallel.
+    // their noise streams from the run seed), so the models fill
+    // independent slots in parallel, each building its generator once
+    // for both runs.
     struct ProfileRun
     {
         const zoo::ModelIdentity *model;
         std::uint64_t runSeed;
         int label;
     };
+    constexpr std::size_t kRunsPerModel = 2;
     std::vector<ProfileRun> runs;
     util::Rng trace_rng(opts_.seed ^ 0x5e9ULL);
     for (std::size_t c = 0; c < classNames_.size(); ++c) {
         for (const auto &model : candidate_pool.models()) {
             if (model.pretrainedName != classNames_[c])
                 continue;
-            for (int r = 0; r < 2; ++r)
+            for (std::size_t r = 0; r < kRunsPerModel; ++r)
                 runs.push_back({&model, trace_rng.nextU64(),
                                 static_cast<int>(c)});
         }
@@ -113,19 +116,24 @@ Decepticon::trainExtractor(const zoo::ModelZoo &candidate_pool)
     std::array<std::vector<std::vector<float>>, 3> feats;
     for (auto &f : feats)
         f.resize(runs.size());
-    sched::parallelFor(runs.size(), 1, [&](std::size_t i) {
-        const ProfileRun &run = runs[i];
-        const gpusim::KernelTrace t =
-            gpusim::TraceGenerator(run.model->signature)
-                .generate(run.model->arch, run.runSeed);
-        feats[0][i] = sidechan::channelFeatures(
-            fault::Channel::Power, gpusim::emitPowerTrace(t, run.runSeed));
-        feats[1][i] = sidechan::channelFeatures(
-            fault::Channel::Thermal,
-            gpusim::emitThermalTrace(t, run.runSeed));
-        feats[2][i] = sidechan::channelFeatures(
-            fault::Channel::Profiler,
-            gpusim::emitProfilerCounters(t, run.runSeed));
+    sched::parallelFor(runs.size() / kRunsPerModel, 1, [&](std::size_t m) {
+        const gpusim::TraceGenerator gen(
+            runs[m * kRunsPerModel].model->signature);
+        for (std::size_t i = m * kRunsPerModel;
+             i < (m + 1) * kRunsPerModel; ++i) {
+            const ProfileRun &run = runs[i];
+            const gpusim::KernelTrace t =
+                gen.generate(run.model->arch, run.runSeed);
+            feats[0][i] = sidechan::channelFeatures(
+                fault::Channel::Power,
+                gpusim::emitPowerTrace(t, run.runSeed));
+            feats[1][i] = sidechan::channelFeatures(
+                fault::Channel::Thermal,
+                gpusim::emitThermalTrace(t, run.runSeed));
+            feats[2][i] = sidechan::channelFeatures(
+                fault::Channel::Profiler,
+                gpusim::emitProfilerCounters(t, run.runSeed));
+        }
     });
 
     fusion_ = std::make_unique<sidechan::FusionEngine>(classNames_.size());
@@ -168,38 +176,41 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
     setClasses(candidate_pool, candidate_pool.lineageNames());
     assert(!classNames_.empty());
     const std::size_t num_classes = classNames_.size();
-    const std::size_t per_class = fingerprint::kIndexProfilesPerLineage;
+    constexpr std::size_t per_class = fingerprint::kIndexProfilesPerLineage;
 
     // Per-run seeds are drawn serially in (class, profile) order (the
-    // §9 serial-schedule rule); trace generation and embedding are
-    // pure per job and fill private slots in parallel. The last run
-    // per class is held out for the accuracy estimate.
-    struct ProfileJob
+    // §9 serial-schedule rule), the held-out run's seed last per class.
+    // One job per class builds the lineage's trace generator once and
+    // runs all three profiles; trace generation and embedding are pure
+    // per job and fill private slots in parallel.
+    struct ClassJob
     {
         const zoo::ModelIdentity *model;
-        std::uint64_t runSeed;
+        std::array<std::uint64_t, per_class> refSeeds;
+        std::uint64_t heldSeed;
     };
-    std::vector<ProfileJob> ref_jobs;
-    std::vector<ProfileJob> held_jobs;
-    ref_jobs.reserve(num_classes * per_class);
-    held_jobs.reserve(num_classes);
+    std::vector<ClassJob> jobs(num_classes);
     util::Rng trace_rng(opts_.seed ^ 0x1d9e55ULL);
     for (std::size_t c = 0; c < num_classes; ++c) {
-        const zoo::ModelIdentity *m =
-            candidate_pool.byName(classNames_[c]);
-        for (std::size_t p = 0; p < per_class; ++p)
-            ref_jobs.push_back({m, trace_rng.nextU64()});
-        held_jobs.push_back({m, trace_rng.nextU64()});
+        jobs[c].model = candidate_pool.byName(classNames_[c]);
+        for (std::uint64_t &seed : jobs[c].refSeeds)
+            seed = trace_rng.nextU64();
+        jobs[c].heldSeed = trace_rng.nextU64();
     }
 
-    std::vector<std::vector<float>> ref_embs(ref_jobs.size());
-    sched::parallelFor(ref_jobs.size(), 1, [&](std::size_t i) {
-        const gpusim::TraceGenerator gen(ref_jobs[i].model->signature);
-        ref_embs[i] = fingerprint::traceEmbedding(
-            gen.generate(ref_jobs[i].model->arch, ref_jobs[i].runSeed));
+    std::vector<std::vector<float>> ref_embs(num_classes * per_class);
+    std::vector<std::vector<float>> held_embs(num_classes);
+    sched::parallelFor(num_classes, 1, [&](std::size_t c) {
+        const ClassJob &job = jobs[c];
+        const gpusim::TraceGenerator gen(job.model->signature);
+        for (std::size_t p = 0; p < per_class; ++p)
+            ref_embs[c * per_class + p] = fingerprint::traceEmbedding(
+                gen.generate(job.model->arch, job.refSeeds[p]));
+        held_embs[c] = fingerprint::traceEmbedding(
+            gen.generate(job.model->arch, job.heldSeed));
     });
-    std::vector<std::size_t> ref_class(ref_jobs.size());
-    for (std::size_t i = 0; i < ref_jobs.size(); ++i)
+    std::vector<std::size_t> ref_class(ref_embs.size());
+    for (std::size_t i = 0; i < ref_embs.size(); ++i)
         ref_class[i] = i / per_class;
 
     index_ = std::make_unique<fingerprint::FingerprintIndex>();
@@ -213,12 +224,9 @@ Decepticon::trainIndexed(const zoo::ModelZoo &candidate_pool)
                   static_cast<double>(index_->tableCount()));
 
     // Held-out accuracy: one unseen profiling run per lineage.
-    std::vector<std::size_t> preds(held_jobs.size());
-    sched::parallelFor(held_jobs.size(), 1, [&](std::size_t i) {
-        const gpusim::TraceGenerator gen(held_jobs[i].model->signature);
-        preds[i] = index_->classify(fingerprint::traceEmbedding(
-            gen.generate(held_jobs[i].model->arch,
-                         held_jobs[i].runSeed)));
+    std::vector<std::size_t> preds(num_classes);
+    sched::parallelFor(num_classes, 1, [&](std::size_t c) {
+        preds[c] = index_->classify(held_embs[c]);
     });
     std::size_t correct = 0;
     for (std::size_t i = 0; i < preds.size(); ++i) {
@@ -599,6 +607,11 @@ Decepticon::identifyFused(
         const sidechan::FusionDecision decision = fusion_->fuse(evidence);
         result.usedChannelFusion = true;
         result.fusedConfidence = decision.confidence;
+        // The share of the registered evidence weight that arrived:
+        // next to the confidence, it tells whether a weak fused verdict
+        // lacked channels or had them disagree.
+        obs::flightRecord(obs::FlightEventKind::Verdict, "classify",
+                          "fusion_coverage", decision.coverage);
 
         // At or above the confidence bar the fused label is adopted
         // outright; below it, it is still the best available evidence

@@ -91,14 +91,22 @@ buildDataset(const zoo::ModelZoo &zoo, const DatasetOptions &opts)
             jobs.push_back({&model, it->second, rng.nextU64()});
     }
 
+    // Each model's runs are consecutive jobs: one task per model
+    // builds its trace generator once and serves all of them.
+    const std::size_t per_model = opts.imagesPerModel;
     ds.samples.resize(jobs.size());
-    sched::parallelFor(jobs.size(), 1, [&](std::size_t i) {
-        const Job &job = jobs[i];
-        FingerprintSample &sample = ds.samples[i];
-        sample.label = job.label;
-        sample.modelName = job.model->name;
-        sample.image = fingerprintImage(*job.model, opts.resolution,
-                                        job.runSeed, opts.cropIrregular);
+    const std::size_t models = per_model == 0 ? 0 : jobs.size() / per_model;
+    sched::parallelFor(models, 1, [&](std::size_t m) {
+        const gpusim::TraceGenerator gen(jobs[m * per_model].model->signature);
+        for (std::size_t i = m * per_model; i < (m + 1) * per_model; ++i) {
+            const Job &job = jobs[i];
+            FingerprintSample &sample = ds.samples[i];
+            sample.label = job.label;
+            sample.modelName = job.model->name;
+            sample.image = fingerprintImage(
+                gen.generate(job.model->arch, job.runSeed), opts.resolution,
+                opts.cropIrregular);
+        }
     });
     return ds;
 }

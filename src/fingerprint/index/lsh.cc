@@ -5,6 +5,10 @@
 #include <cassert>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "fingerprint/index/embedding.hh"
 #include "util/rng.hh"
 
@@ -46,47 +50,61 @@ centre(const float *emb, const std::vector<float> &center, double *out)
                  static_cast<double>(center[d]);
 }
 
+/** Floats in one pair block of FingerprintIndex::refBlocks_. */
+constexpr std::size_t kBlockFloats = 2 * kDim;
+/** Blocks scored per pass: independent add chains that overlap. */
+constexpr std::size_t kBlocksPerPass = 4;
+
 /**
- * Squared L2 distance from @p query to each listed reference row.
- * Every distance sums its dimensions 0..23 in order, in double, as a
- * scalar loop would; four rows run side by side so their independent
- * chains overlap, which changes no bit of any one of them.
+ * Squared L2 distance from @p query to both references of each of
+ * kBlocksPerPass pair blocks: out[2j + lane] for block j. Every
+ * distance sums its dimensions 0..23 in order, in double, a multiply
+ * then an add per dimension, exactly as a scalar loop would; a
+ * register holds the two lanes of one block, so no dimension of one
+ * reference is ever added to another's.
  */
 void
-rowDistances(const double *query, const float *matrix,
-             const std::vector<std::uint32_t> &rows, double *out)
+blockDistances(const double *query, const float *const *blocks,
+               double *out)
 {
-    std::size_t r = 0;
-    for (; r + 4 <= rows.size(); r += 4) {
-        const float *a = matrix + std::size_t{rows[r]} * kDim;
-        const float *b = matrix + std::size_t{rows[r + 1]} * kDim;
-        const float *c = matrix + std::size_t{rows[r + 2]} * kDim;
-        const float *e = matrix + std::size_t{rows[r + 3]} * kDim;
-        double sa = 0.0, sb = 0.0, sc = 0.0, se = 0.0;
-        for (std::size_t d = 0; d < kDim; ++d) {
-            const double da = query[d] - static_cast<double>(a[d]);
-            const double db = query[d] - static_cast<double>(b[d]);
-            const double dc = query[d] - static_cast<double>(c[d]);
-            const double de = query[d] - static_cast<double>(e[d]);
-            sa += da * da;
-            sb += db * db;
-            sc += dc * dc;
-            se += de * de;
-        }
-        out[r] = sa;
-        out[r + 1] = sb;
-        out[r + 2] = sc;
-        out[r + 3] = se;
+#if defined(__SSE2__)
+    __m128d s0 = _mm_setzero_pd();
+    __m128d s1 = _mm_setzero_pd();
+    __m128d s2 = _mm_setzero_pd();
+    __m128d s3 = _mm_setzero_pd();
+    for (std::size_t d = 0; d < kDim; ++d) {
+        const __m128d q = _mm_set1_pd(query[d]);
+        // Dimension d of both lanes of block j, widened to double.
+        // ref - q is -(q - ref) exactly, so its square is the same.
+        auto lanes = [&](std::size_t j) {
+            return _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(blocks[j] + 2 * d))));
+        };
+        const __m128d d0 = _mm_sub_pd(lanes(0), q);
+        const __m128d d1 = _mm_sub_pd(lanes(1), q);
+        const __m128d d2 = _mm_sub_pd(lanes(2), q);
+        const __m128d d3 = _mm_sub_pd(lanes(3), q);
+        s0 = _mm_add_pd(s0, _mm_mul_pd(d0, d0));
+        s1 = _mm_add_pd(s1, _mm_mul_pd(d1, d1));
+        s2 = _mm_add_pd(s2, _mm_mul_pd(d2, d2));
+        s3 = _mm_add_pd(s3, _mm_mul_pd(d3, d3));
     }
-    for (; r < rows.size(); ++r) {
-        const float *a = matrix + std::size_t{rows[r]} * kDim;
+    _mm_storeu_pd(out, s0);
+    _mm_storeu_pd(out + 2, s1);
+    _mm_storeu_pd(out + 4, s2);
+    _mm_storeu_pd(out + 6, s3);
+#else
+    for (std::size_t j = 0; j < 2 * kBlocksPerPass; ++j) {
+        const float *block = blocks[j / 2];
         double s = 0.0;
         for (std::size_t d = 0; d < kDim; ++d) {
-            const double da = query[d] - static_cast<double>(a[d]);
-            s += da * da;
+            const double diff =
+                query[d] - static_cast<double>(block[2 * d + j % 2]);
+            s += diff * diff;
         }
-        out[r] = s;
+        out[j] = s;
     }
+#endif
 }
 
 } // anonymous namespace
@@ -105,44 +123,52 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
     assert(!ref_embeddings.empty());
     assert(ref_embeddings.size() == ref_class.size());
     numClasses_ = num_classes;
+    const std::size_t refs = ref_class.size();
 
-    // Store references grouped by class (stable within a class) so the
-    // re-rank of class c reads the rows [offset[c], offset[c+1]) —
-    // O(refs per class), never O(zoo).
-    std::vector<std::size_t> order(ref_embeddings.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return ref_class[a] < ref_class[b];
-                     });
-    refRows_.clear();
-    refClass_.clear();
-    refRows_.reserve(order.size() * kDim);
-    refClass_.reserve(order.size());
-    for (std::size_t i : order) {
-        assert(ref_embeddings[i].size() == kDim);
-        refRows_.insert(refRows_.end(), ref_embeddings[i].begin(),
-                        ref_embeddings[i].end());
-        refClass_.push_back(ref_class[i]);
+    // Each class's references fill its own run of pair blocks in input
+    // order, so the re-rank of class c reads the blocks
+    // [classBlock_[c], classBlock_[c+1]) — O(refs per class), never
+    // O(zoo).
+    std::vector<std::size_t> class_refs(numClasses_, 0);
+    for (std::size_t c : ref_class) {
+        assert(c < numClasses_);
+        ++class_refs[c];
     }
-    const std::size_t refs = refClass_.size();
-    classOffset_.assign(numClasses_ + 1, 0);
-    for (std::size_t c : refClass_)
-        ++classOffset_[c + 1];
+    classBlock_.assign(numClasses_ + 1, 0);
     for (std::size_t c = 0; c < numClasses_; ++c)
-        classOffset_[c + 1] += classOffset_[c];
+        classBlock_[c + 1] = classBlock_[c] + (class_refs[c] + 1) / 2;
+    refBlocks_.assign(classBlock_[numClasses_] * kBlockFloats, 0.0f);
+    std::vector<std::size_t> filled(numClasses_, 0);
+    for (std::size_t i = 0; i < refs; ++i) {
+        assert(ref_embeddings[i].size() == kDim);
+        const std::size_t c = ref_class[i];
+        const std::size_t slot = filled[c]++;
+        float *block =
+            refBlocks_.data() + (classBlock_[c] + slot / 2) * kBlockFloats;
+        // The last reference of an odd count fills both lanes; scoring
+        // it twice leaves its class's minimum as it was.
+        const bool both = slot % 2 == 0 && slot + 1 == class_refs[c];
+        for (std::size_t d = 0; d < kDim; ++d) {
+            block[2 * d + slot % 2] = ref_embeddings[i][d];
+            if (both)
+                block[2 * d + 1] = ref_embeddings[i][d];
+        }
+    }
     bits_ = autoHashBits(refs);
 
     // Center of the reference cloud (see center_ in the header):
     // hashing emb - center_ turns the one-orthant embedding cone into
-    // sign-balanced coordinates. Accumulated in reference order, so
-    // the center is as deterministic as the references themselves.
+    // sign-balanced coordinates. Accumulated class by class, each in
+    // input order, so the center is as deterministic as the
+    // references themselves.
     center_.assign(kDim, 0.0f);
-    for (std::size_t i = 0; i < refs; ++i) {
-        const float *row = refRows_.data() + i * kDim;
-        for (std::size_t d = 0; d < kDim; ++d)
-            center_[d] += row[d];
+    for (std::size_t c = 0; c < numClasses_; ++c) {
+        for (std::size_t slot = 0; slot < class_refs[c]; ++slot) {
+            const float *block =
+                refBlocks_.data() + (classBlock_[c] + slot / 2) * kBlockFloats;
+            for (std::size_t d = 0; d < kDim; ++d)
+                center_[d] += block[2 * d + slot % 2];
+        }
     }
     const float inv = 1.0f / static_cast<float>(refs);
     for (auto &v : center_)
@@ -166,10 +192,11 @@ FingerprintIndex::build(std::vector<std::vector<float>> ref_embeddings,
         table.reserve(refs);
     double centred[kDim];
     for (std::size_t i = 0; i < refs; ++i) {
-        centre(refRows_.data() + i * kDim, center_, centred);
+        centre(ref_embeddings[i].data(), center_, centred);
         for (std::size_t t = 0; t < kTables; ++t)
             buckets_[t].emplace_back(hashOf(t, centred),
-                                     static_cast<std::uint32_t>(i));
+                                     static_cast<std::uint32_t>(
+                                         ref_class[i]));
     }
     for (auto &table : buckets_)
         std::sort(table.begin(), table.end());
@@ -194,7 +221,7 @@ std::vector<std::size_t>
 FingerprintIndex::shortlist(const std::vector<float> &embedding,
                             IndexLookupStats *stats) const
 {
-    assert(!refClass_.empty() && "build() must run first");
+    assert(!buckets_.empty() && "build() must run first");
     assert(embedding.size() == kDim);
     double centred[kDim];
     centre(embedding.data(), center_, centred);
@@ -211,7 +238,7 @@ FingerprintIndex::shortlist(const std::vector<float> &embedding,
             table.begin(), table.end(),
             std::make_pair(h, std::uint32_t{0}));
         for (auto it = lo; it != table.end() && it->first == h; ++it) {
-            const std::size_t c = refClass_[it->second];
+            const std::size_t c = it->second;
             const std::uint64_t bit = std::uint64_t{1} << (c % 64);
             distinct += (seen[c / 64] & bit) == 0 ? 1 : 0;
             seen[c / 64] |= bit;
@@ -262,33 +289,44 @@ FingerprintIndex::scores(const std::vector<float> &embedding,
     for (std::size_t d = 0; d < kDim; ++d)
         query[d] = static_cast<double>(embedding[d]);
 
-    // The candidates' reference rows, in candidate order. References
-    // are grouped by class, so each candidate costs O(refs per class)
-    // — the re-rank stays independent of total zoo size.
-    std::vector<std::uint32_t> rows;
-    rows.reserve(candidates.size() * kIndexProfilesPerLineage);
-    for (std::size_t c : candidates) {
-        assert(c < numClasses_);
-        for (std::size_t i = classOffset_[c]; i < classOffset_[c + 1]; ++i)
-            rows.push_back(static_cast<std::uint32_t>(i));
-    }
-    std::vector<double> row_dist(rows.size());
-    rowDistances(query, refRows_.data(), rows, row_dist.data());
-
-    // Min reference distance per candidate class.
-    std::vector<double> dist(candidates.size());
-    std::size_t r = 0;
+    // Min reference distance per candidate class (1e9 for a class
+    // without references). A candidate's blocks join a pass of
+    // kBlocksPerPass in order, and their lanes fold into the minimum
+    // in reference order: the first reference sets it, and each later
+    // one replaces it only when strictly smaller. A short last pass
+    // repeats its first block in the unused slots.
+    std::vector<double> dist(candidates.size(), 1e9);
+    const float *pass[kBlocksPerPass];
+    std::size_t owner[kBlocksPerPass];
+    bool first[kBlocksPerPass];
+    std::size_t queued = 0;
+    auto score_pass = [&] {
+        for (std::size_t j = queued; j < kBlocksPerPass; ++j)
+            pass[j] = pass[0];
+        double lane_dist[2 * kBlocksPerPass];
+        blockDistances(query, pass, lane_dist);
+        for (std::size_t j = 0; j < queued; ++j) {
+            double &best = dist[owner[j]];
+            const double a = lane_dist[2 * j];
+            const double b = lane_dist[2 * j + 1];
+            best = first[j] || a < best ? a : best;
+            best = b < best ? b : best;
+        }
+        queued = 0;
+    };
     for (std::size_t k = 0; k < candidates.size(); ++k) {
         const std::size_t c = candidates[k];
-        double best = -1.0;
-        for (std::size_t i = classOffset_[c]; i < classOffset_[c + 1];
-             ++i, ++r) {
-            const double d = row_dist[r];
-            if (best < 0.0 || d < best)
-                best = d;
+        assert(c < numClasses_);
+        for (std::size_t b = classBlock_[c]; b < classBlock_[c + 1]; ++b) {
+            pass[queued] = refBlocks_.data() + b * kBlockFloats;
+            owner[queued] = k;
+            first[queued] = b == classBlock_[c];
+            if (++queued == kBlocksPerPass)
+                score_pass();
         }
-        dist[k] = best < 0.0 ? 1e9 : best;
     }
+    if (queued > 0)
+        score_pass();
     // Shortlist softmax in candidate (ascending class) order — a
     // fixed summation order keeps the probabilities bit-reproducible.
     // dist[k] becomes its exponential in place.

@@ -14,12 +14,15 @@
  * (their scratch is local to the call), so campaign batches score
  * shortlists from parallel sched workers.
  *
- * Reference layout: one row-major float matrix, one row per
- * reference and kTraceEmbeddingDim columns, grouped by class, so the
- * re-rank of class c reads one contiguous block of rows. Each reference's
- * distance is summed in double over dimensions 0..23 in order; only
- * independent references are interleaved, never the dimensions of
- * one, so every distance is bit-identical to a plain scalar loop.
+ * Reference layout: each class's references, in build order, padded
+ * to an even count with a copy of its last one, stored two per block
+ * with the rows' dimensions interleaved, so the re-rank of class c
+ * reads one contiguous run of blocks and scores two references per
+ * SSE2 register. Each reference's distance is still summed in double
+ * over dimensions 0..23 in order, as an explicit multiply then add
+ * (this library builds without FMA contraction); only independent
+ * references share a register, never the dimensions of one, so every
+ * distance is bit-identical to a plain scalar loop (DESIGN.md §15).
  */
 
 #ifndef DECEPTICON_FINGERPRINT_INDEX_LSH_HH
@@ -100,8 +103,15 @@ class FingerprintIndex
 
     std::size_t numClasses_ = 0;
     std::size_t bits_ = 0;
-    /** Reference embeddings, class-grouped rows of kTraceEmbeddingDim. */
-    std::vector<float> refRows_;
+    /**
+     * Reference embeddings in pair blocks of 2 * kTraceEmbeddingDim
+     * floats: dimension d of a block's two references sits at
+     * [2d, 2d + 1]. A class with an odd reference count repeats its
+     * last reference in its last block's second lane.
+     */
+    std::vector<float> refBlocks_;
+    /** Blocks of class c are [classBlock_[c], classBlock_[c+1]). */
+    std::vector<std::size_t> classBlock_;
     /**
      * Mean reference embedding, subtracted before hashing. Trace
      * embeddings are all-nonnegative (count/duration fractions), so
@@ -110,14 +120,11 @@ class FingerprintIndex
      * hash family discriminative.
      */
     std::vector<float> center_;
-    std::vector<std::size_t> refClass_;
-    /** Rows of class c are [classOffset_[c], classOffset_[c+1]). */
-    std::vector<std::size_t> classOffset_;
     /** Per table: bits_ stacked projection rows of kTraceEmbeddingDim. */
     std::vector<std::vector<float>> projections_;
-    /** Per table: (hash, reference index), sorted for binary search.
-     *  Sorted vectors instead of a hash map keep iteration order a
-     *  non-question (lint R3) and probes cache-friendly. */
+    /** Per table: (hash, class of one reference), sorted for binary
+     *  search. Sorted vectors instead of a hash map keep iteration
+     *  order a non-question (lint R3) and probes cache-friendly. */
     std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>>
         buckets_;
 };

@@ -51,8 +51,7 @@ KernelSequencePredictor::train(
     for (const auto &trace : traces) {
         for (const auto &rec : trace.records) {
             const auto op = static_cast<std::size_t>(groundTruthOp(rec));
-            const std::string &name = (*trace.kernelNames)[rec.kernelId];
-            ++votes[name][op];
+            ++votes[std::string((*trace.kernelNames)[rec.kernelId])][op];
         }
     }
     opOfKernel_.clear();
@@ -71,17 +70,18 @@ KernelSequencePredictor::predict(const gpusim::KernelTrace &trace) const
 {
     std::vector<int> out;
     for (const auto &rec : trace.records) {
-        const std::string &name = (*trace.kernelNames)[rec.kernelId];
-        const auto it = opOfKernel_.find(name);
+        const std::string_view name = (*trace.kernelNames)[rec.kernelId];
+        const auto it = opOfKernel_.find(std::string(name));
         LayerOp op;
         if (it != opOfKernel_.end()) {
             op = it->second;
         } else {
             // Out-of-vocabulary kernel: the decoder emits essentially
             // arbitrary operators (deterministic per name so the
-            // experiment is reproducible).
+            // experiment is reproducible). The name table ends each
+            // name with a NUL, so its data() is a C string.
             op = static_cast<LayerOp>(
-                util::hashString(name.c_str()) % 5);
+                util::hashString(name.data()) % 5);
         }
         if (op != LayerOp::NoOp)
             out.push_back(static_cast<int>(op));

@@ -11,8 +11,10 @@
 #define DECEPTICON_GPUSIM_CATALOG_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/kernel.hh"
@@ -28,39 +30,47 @@ namespace decepticon::gpusim {
 class KernelCatalog
 {
   public:
-    /** Build the catalog implied by a software signature. */
-    explicit KernelCatalog(const SoftwareSignature &sig);
+    /**
+     * Build the catalog implied by a software signature; @p seed is
+     * sig.seed(), which a TraceGenerator computes once and caches
+     * (it hashes the signature's string form).
+     */
+    KernelCatalog(const SoftwareSignature &sig, std::uint64_t seed);
 
     /**
      * Name of every kernel, indexed by id. Immutable and shared: this
      * is the KernelTrace::kernelNames table every trace of the
      * release points at.
      */
-    const std::shared_ptr<const std::vector<std::string>> &
+    const std::shared_ptr<const KernelNameTable> &
     names() const
     {
         return names_;
     }
 
     /** Indices of entries of the given class, in catalog order. */
-    const std::vector<int> &entriesOfClass(KernelClass klass) const
+    std::span<const int> entriesOfClass(KernelClass klass) const
     {
-        return byClass_[static_cast<std::size_t>(klass)];
+        const auto k = static_cast<std::size_t>(klass);
+        return {byClass_.data() + classStart_[k],
+                classStart_[k + 1] - classStart_[k]};
     }
 
     /** Number of distinct kernels the release can launch. */
     std::size_t size() const { return klasses_.size(); }
 
-    const std::string &name(int id) const { return (*names_)[id]; }
+    std::string_view name(int id) const { return (*names_)[id]; }
     KernelClass klass(int id) const { return klasses_[id]; }
 
   private:
-    std::shared_ptr<const std::vector<std::string>> names_;
+    std::shared_ptr<const KernelNameTable> names_;
     std::vector<KernelClass> klasses_;
-    /** entriesOfClass() pools, one per KernelClass, built once. */
-    std::array<std::vector<int>,
-               static_cast<std::size_t>(KernelClass::Fusion) + 1>
-        byClass_;
+    /** Every id, grouped by class (catalog order within a class):
+     *  the entriesOfClass() pools, built once. */
+    std::vector<int> byClass_;
+    /** Class k's pool is byClass_[classStart_[k], classStart_[k + 1]). */
+    std::array<std::size_t, static_cast<std::size_t>(KernelClass::Fusion) + 2>
+        classStart_{};
 };
 
 } // namespace decepticon::gpusim

@@ -4,6 +4,22 @@
 
 namespace decepticon::gpusim {
 
+void
+KernelNameTable::reserve(std::size_t names, std::size_t chars)
+{
+    starts_.reserve(names + 1);
+    chars_.reserve(chars);
+}
+
+void
+KernelNameTable::push(std::initializer_list<std::string_view> pieces)
+{
+    for (std::string_view piece : pieces)
+        chars_.append(piece);
+    chars_.push_back('\0');
+    starts_.push_back(static_cast<std::uint32_t>(chars_.size()));
+}
+
 double
 KernelTrace::totalTime() const
 {

@@ -11,8 +11,11 @@
 #define DECEPTICON_GPUSIM_KERNEL_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace decepticon::gpusim {
@@ -54,6 +57,40 @@ struct KernelRecord
     double duration() const { return tEnd - tStart; }
 };
 
+/**
+ * The kernel names of one release, indexed by kernel id, in one
+ * contiguous buffer: each name's bytes followed by a NUL. operator[]
+ * serves a view of the bytes, and the NUL after them is readable too,
+ * so a name's data() is a C string. A table costs two buffers, not one
+ * heap string per kernel.
+ */
+class KernelNameTable
+{
+  public:
+    /** Room for @p names names of @p chars bytes in all, NULs included. */
+    void reserve(std::size_t names, std::size_t chars);
+
+    /** Append the next id's name: the concatenation of @p pieces. */
+    void push(std::initializer_list<std::string_view> pieces);
+
+    std::size_t size() const { return starts_.size() - 1; }
+
+    std::string_view
+    operator[](std::size_t id) const
+    {
+        return {chars_.data() + starts_[id],
+                starts_[id + 1] - starts_[id] - 1};
+    }
+
+    bool operator==(const KernelNameTable &) const = default;
+
+  private:
+    /** Every name, each followed by its NUL. */
+    std::string chars_;
+    /** Name id spans [starts_[id], starts_[id + 1] - 1) of chars_. */
+    std::vector<std::uint32_t> starts_{0};
+};
+
 /** A full inference trace: kernel name table + time-ordered records. */
 struct KernelTrace
 {
@@ -63,7 +100,7 @@ struct KernelTrace
      * emits, and every trace derived from one (corrupted, repaired,
      * cropped), points at that same table instead of copying it.
      */
-    std::shared_ptr<const std::vector<std::string>> kernelNames;
+    std::shared_ptr<const KernelNameTable> kernelNames;
     std::vector<KernelRecord> records;
 
     /** Total wall time (end of last kernel). */

@@ -1,7 +1,5 @@
 #include "gpusim/signature.hh"
 
-#include <sstream>
-
 #include "util/rng.hh"
 
 namespace decepticon::gpusim {
@@ -50,11 +48,16 @@ SoftwareSignature::seed() const
 std::string
 SoftwareSignature::toString() const
 {
-    std::ostringstream oss;
-    oss << gpusim::toString(framework) << "/" << gpusim::toString(developer)
-        << "/tc" << (useTensorCores ? 1 : 0) << "/xla" << (useXla ? 1 : 0)
-        << "/f" << fusionLevel << "/d" << kernelDialect;
-    return oss.str();
+    std::string out = gpusim::toString(framework);
+    out += '/';
+    out += gpusim::toString(developer);
+    out += useTensorCores ? "/tc1" : "/tc0";
+    out += useXla ? "/xla1" : "/xla0";
+    out += "/f";
+    out += std::to_string(fusionLevel);
+    out += "/d";
+    out += std::to_string(kernelDialect);
+    return out;
 }
 
 } // namespace decepticon::gpusim

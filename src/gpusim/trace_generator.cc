@@ -33,22 +33,22 @@ constexpr std::size_t kXlaBurstSpread = 20;
 } // anonymous namespace
 
 TraceGenerator::TraceGenerator(const SoftwareSignature &sig)
-    : sig_(sig), seed_(sig.seed()), catalog_(sig)
+    : sig_(sig), seed_(sig.seed()), catalog_(sig, seed_)
 {
     util::Rng rng(seed_ ^ 0x7ace9e4e7a7e5eedULL);
 
-    const auto &gemms = catalog_.entriesOfClass(KernelClass::Gemm);
-    const auto &attns = catalog_.entriesOfClass(KernelClass::AttnGemm);
-    const auto &softmaxes = catalog_.entriesOfClass(KernelClass::Softmax);
-    const auto &norms = catalog_.entriesOfClass(KernelClass::LayerNorm);
-    const auto &elems = catalog_.entriesOfClass(KernelClass::Elementwise);
-    const auto &reduces = catalog_.entriesOfClass(KernelClass::Reduction);
-    const auto &mems = catalog_.entriesOfClass(KernelClass::Memory);
-    const auto &fusions = catalog_.entriesOfClass(KernelClass::Fusion);
+    const auto gemms = catalog_.entriesOfClass(KernelClass::Gemm);
+    const auto attns = catalog_.entriesOfClass(KernelClass::AttnGemm);
+    const auto softmaxes = catalog_.entriesOfClass(KernelClass::Softmax);
+    const auto norms = catalog_.entriesOfClass(KernelClass::LayerNorm);
+    const auto elems = catalog_.entriesOfClass(KernelClass::Elementwise);
+    const auto reduces = catalog_.entriesOfClass(KernelClass::Reduction);
+    const auto mems = catalog_.entriesOfClass(KernelClass::Memory);
+    const auto fusions = catalog_.entriesOfClass(KernelClass::Fusion);
     assert(!gemms.empty() && !attns.empty() && !softmaxes.empty());
     assert(!norms.empty() && !elems.empty() && !mems.empty());
 
-    auto pick = [&](const std::vector<int> &pool) {
+    auto pick = [&](std::span<const int> pool) {
         return pool[rng.uniformInt(pool.size())];
     };
 
@@ -62,6 +62,10 @@ TraceGenerator::TraceGenerator(const SoftwareSignature &sig)
     };
 
     const bool tf = sig.framework == Framework::TensorFlow;
+    // About the largest templates: no template regrows.
+    groupTemplate_.reserve(tf ? 128 : 48);
+    prologueTemplate_.reserve(tf ? 18 : 3);
+    epilogueTemplate_.reserve(2);
 
     // Developer/framework-dependent decoration applied around core ops.
     auto decorate = [&](std::vector<Slot> &dst) {
@@ -238,7 +242,7 @@ TraceGenerator::generateDefended(const ArchParams &arch,
             // Defense: re-route this launch to a random same-class
             // implementation with run-specific timing behaviour, and
             // pay the cost of not picking the tuned kernel.
-            const auto &pool = catalog_.entriesOfClass(slot.klass);
+            const auto pool = catalog_.entriesOfClass(slot.klass);
             launched.kernelId =
                 pool[rng.uniformInt(pool.size())];
             launched.personality =
@@ -272,7 +276,7 @@ TraceGenerator::generateDefended(const ArchParams &arch,
     if (sig_.useXla)
         xla_after = arch.numLayers * 2 / 5;
 
-    const auto &fusions = catalog_.entriesOfClass(KernelClass::Fusion);
+    const auto fusions = catalog_.entriesOfClass(KernelClass::Fusion);
     for (std::size_t layer = 0; layer < arch.numLayers; ++layer) {
         if (sig_.useXla && layer == xla_after && !fusions.empty()) {
             const std::size_t burst =

@@ -13,10 +13,31 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
+/**
+ * Median of @p values (reordered in place); an even count averages
+ * the two middle values. Campaign repair medians 1-3 captures, so
+ * those counts take min/max instead of nth_element: the same values
+ * (the middle of 3 is what nth_element selects, and 0.5 * (hi + lo) is
+ * its even-count average), without the partition.
+ */
 double
 median(std::vector<double> &values)
 {
     assert(!values.empty());
+    switch (values.size()) {
+      case 1:
+        return values[0];
+      case 2:
+        return 0.5 * (std::max(values[0], values[1]) +
+                      std::min(values[0], values[1]));
+      case 3: {
+        const double lo = std::min(values[0], values[1]);
+        const double hi = std::max(values[0], values[1]);
+        return std::max(lo, std::min(hi, values[2]));
+      }
+      default:
+        break;
+    }
     const std::size_t mid = values.size() / 2;
     std::nth_element(values.begin(), values.begin() + static_cast<long>(mid),
                      values.end());

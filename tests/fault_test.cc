@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -77,8 +78,10 @@ dg::KernelTrace
 syntheticTrace(std::size_t records = 40)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(
-        std::vector<std::string>{"gemm", "softmax", "norm", "copy"});
+    auto names = std::make_shared<dg::KernelNameTable>();
+    for (const char *name : {"gemm", "softmax", "norm", "copy"})
+        names->push({name});
+    t.kernelNames = std::move(names);
     double clock = 0.0;
     for (std::size_t i = 0; i < records; ++i) {
         dg::KernelRecord r;
@@ -410,7 +413,7 @@ fnv1a(std::uint64_t h, const void *data, std::size_t bytes)
 }
 
 /** One name table shared by every jitteredTrace(). */
-const std::shared_ptr<const std::vector<std::string>> &
+const std::shared_ptr<const dg::KernelNameTable> &
 sharedNames()
 {
     static const auto table = syntheticTrace(1).kernelNames;
@@ -446,6 +449,75 @@ jitteredTrace(std::uint64_t seed, std::size_t records = 40)
 constexpr std::uint64_t kRepairDigest = 0x06dd76bbf1a52f26ULL;
 
 } // anonymous namespace
+
+namespace {
+
+/** The nth_element median repair used for every capture count before
+ *  1-3 captures took min/max: the reference the fast path must match. */
+double
+nthElementMedian(std::vector<double> values)
+{
+    const std::size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + static_cast<long>(mid),
+                     values.end());
+    double m = values[mid];
+    if (values.size() % 2 == 0) {
+        const auto lower = std::max_element(
+            values.begin(), values.begin() + static_cast<long>(mid));
+        m = 0.5 * (m + *lower);
+    }
+    return m;
+}
+
+} // anonymous namespace
+
+TEST(TraceRepair, FewCaptureMedianMatchesNthElement)
+{
+    // Captures of one 3-record schedule with no drops, so every record
+    // aligns in every capture and each consensus duration and gap is
+    // the median across captures. Durations and gaps include ties.
+    const std::vector<std::vector<double>> durations = {
+        {4.0, 2.5, 3.0}, {4.0, 1.5, 3.0}, {2.0, 2.5, 3.0}};
+    const std::vector<std::vector<double>> gaps = {
+        {1.0, 0.5, 0.25}, {1.0, 0.75, 0.25}, {3.0, 0.5, 0.25}};
+    std::vector<dg::KernelTrace> all;
+    for (std::size_t c = 0; c < 3; ++c) {
+        dg::KernelTrace t = syntheticTrace(3);
+        double clock = 0.0;
+        for (std::size_t k = 0; k < 3; ++k) {
+            t.records[k].tStart = clock + gaps[c][k];
+            t.records[k].tEnd = t.records[k].tStart + durations[c][k];
+            clock = t.records[k].tEnd;
+        }
+        all.push_back(t);
+    }
+    // Capture subsets of size 1-3, in several orders.
+    const std::vector<std::vector<std::size_t>> subsets = {
+        {0}, {1}, {2}, {0, 1}, {1, 0}, {0, 2}, {2, 1},
+        {0, 1, 2}, {2, 0, 1}, {1, 2, 0}};
+    for (const auto &subset : subsets) {
+        std::vector<dg::KernelTrace> captures;
+        for (std::size_t c : subset)
+            captures.push_back(all[c]);
+        const dg::KernelTrace out = dtc::repairTraces(captures);
+        ASSERT_EQ(out.records.size(), 3u);
+        double clock = 0.0;
+        for (std::size_t k = 0; k < 3; ++k) {
+            std::vector<double> d, g;
+            for (const dg::KernelTrace &cap : captures) {
+                const dg::KernelRecord &rec = cap.records[k];
+                d.push_back(rec.duration());
+                g.push_back(k == 0 ? rec.tStart
+                                   : rec.tStart - cap.records[k - 1].tEnd);
+            }
+            const double start = clock + nthElementMedian(g);
+            const double end = start + nthElementMedian(d);
+            EXPECT_EQ(out.records[k].tStart, start) << "record " << k;
+            EXPECT_EQ(out.records[k].tEnd, end) << "record " << k;
+            clock = end;
+        }
+    }
+}
 
 TEST(TraceRepair, ConsensusDigestPinnedAcrossCommits)
 {

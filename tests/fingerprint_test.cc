@@ -91,7 +91,10 @@ TEST(Boundary, HandlesXlaTraceBySummingRegions)
 TEST(Boundary, NoPeriodicityInRandomTrace)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(64, "k");
+    auto names = std::make_shared<dg::KernelNameTable>();
+    for (int k = 0; k < 64; ++k)
+        names->push({"k"});
+    t.kernelNames = std::move(names);
     double time = 0.0;
     decepticon::util::Rng rng(5);
     for (int i = 0; i < 40; ++i) {
@@ -167,7 +170,10 @@ TEST(Boundary, CropIsIdentityWithoutPeriodicity)
     // The random, never-repeating trace from NoPeriodicityInRandomTrace:
     // cropToEncoderRegion must pass it through unchanged.
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(64, "k");
+    auto names = std::make_shared<dg::KernelNameTable>();
+    for (int k = 0; k < 64; ++k)
+        names->push({"k"});
+    t.kernelNames = std::move(names);
     double time = 0.0;
     decepticon::util::Rng rng(5);
     for (int i = 0; i < 40; ++i) {

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -60,6 +62,13 @@ tfSig(bool xla = false)
     sig.useXla = xla;
     sig.kernelDialect = 1;
     return sig;
+}
+
+/** The catalog a TraceGenerator builds for @p sig. */
+dg::KernelCatalog
+catalogOf(const dg::SoftwareSignature &sig)
+{
+    return dg::KernelCatalog(sig, sig.seed());
 }
 
 dg::ArchParams
@@ -132,8 +141,8 @@ TEST(Signature, EnumNames)
 
 TEST(Catalog, TensorFlowFarLargerThanPyTorch)
 {
-    const dg::KernelCatalog pt(pytorchSig());
-    const dg::KernelCatalog tf(tfSig());
+    const dg::KernelCatalog pt = catalogOf(pytorchSig());
+    const dg::KernelCatalog tf = catalogOf(tfSig());
     // Paper Fig. 9: TF releases expose ~40x more unique kernels.
     EXPECT_GT(tf.size(), 8 * pt.size());
     EXPECT_LT(pt.size(), 40u);
@@ -142,8 +151,8 @@ TEST(Catalog, TensorFlowFarLargerThanPyTorch)
 
 TEST(Catalog, DeterministicForSignature)
 {
-    const dg::KernelCatalog a(pytorchSig(3));
-    const dg::KernelCatalog b(pytorchSig(3));
+    const dg::KernelCatalog a = catalogOf(pytorchSig(3));
+    const dg::KernelCatalog b = catalogOf(pytorchSig(3));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a.name(static_cast<int>(i)), b.name(static_cast<int>(i)));
@@ -151,19 +160,19 @@ TEST(Catalog, DeterministicForSignature)
 
 TEST(Catalog, DialectsProduceDifferentCatalogs)
 {
-    const dg::KernelCatalog a(pytorchSig(1));
-    const dg::KernelCatalog b(pytorchSig(2));
-    std::set<std::string> na, nb;
-    for (const auto &name : *a.names())
-        na.insert(name);
-    for (const auto &name : *b.names())
-        nb.insert(name);
+    const dg::KernelCatalog a = catalogOf(pytorchSig(1));
+    const dg::KernelCatalog b = catalogOf(pytorchSig(2));
+    std::set<std::string_view> na, nb;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        na.insert(a.name(static_cast<int>(i)));
+    for (std::size_t i = 0; i < b.size(); ++i)
+        nb.insert(b.name(static_cast<int>(i)));
     EXPECT_NE(na, nb);
 }
 
 TEST(Catalog, HasAllCoreKernelClasses)
 {
-    const dg::KernelCatalog c(pytorchSig());
+    const dg::KernelCatalog c = catalogOf(pytorchSig());
     EXPECT_FALSE(c.entriesOfClass(dg::KernelClass::Gemm).empty());
     EXPECT_FALSE(c.entriesOfClass(dg::KernelClass::AttnGemm).empty());
     EXPECT_FALSE(c.entriesOfClass(dg::KernelClass::Softmax).empty());
@@ -176,10 +185,11 @@ TEST(Catalog, NvidiaUsesTensorCoreKernels)
     dg::SoftwareSignature sig;
     sig.developer = dg::Developer::Nvidia;
     sig.useTensorCores = true;
-    const dg::KernelCatalog c(sig);
+    const dg::KernelCatalog c = catalogOf(sig);
     bool has_fp16 = false;
-    for (const auto &name : *c.names())
-        has_fp16 |= name.find("fp16") != std::string::npos;
+    for (std::size_t i = 0; i < c.size(); ++i)
+        has_fp16 |= c.name(static_cast<int>(i)).find("fp16") !=
+                    std::string_view::npos;
     EXPECT_TRUE(has_fp16);
 }
 
@@ -187,8 +197,8 @@ TEST(Catalog, MetaHasManyReductionKernels)
 {
     dg::SoftwareSignature meta;
     meta.developer = dg::Developer::Meta;
-    const dg::KernelCatalog cm(meta);
-    const dg::KernelCatalog ch(pytorchSig());
+    const dg::KernelCatalog cm = catalogOf(meta);
+    const dg::KernelCatalog ch = catalogOf(pytorchSig());
     EXPECT_GT(cm.entriesOfClass(dg::KernelClass::Reduction).size(),
               ch.entriesOfClass(dg::KernelClass::Reduction).size());
 }
@@ -348,8 +358,10 @@ TEST(TraceGenerator, EpiloguePresent)
 TEST(KernelTrace, HelperAccessors)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(
-        std::vector<std::string>{"a", "b"});
+    auto names = std::make_shared<dg::KernelNameTable>();
+    names->push({"a"});
+    names->push({"b"});
+    t.kernelNames = std::move(names);
     t.records.push_back({0, 0.0, 2.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     t.records.push_back({1, 3.0, 4.0, dg::Phase::Encoder,
@@ -367,8 +379,10 @@ TEST(KernelTrace, HelperAccessors)
 TEST(KernelTrace, UniqueKernelCountIgnoresRepeatsAndGaps)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(
-        41, "k");
+    auto names = std::make_shared<dg::KernelNameTable>();
+    for (int k = 0; k < 41; ++k)
+        names->push({"k"});
+    t.kernelNames = std::move(names);
     double clock = 0.0;
     for (int id : {7, 2, 7, 40, 2, 2, 0, 40, 7}) {
         t.records.push_back({id, clock, clock + 1.0, dg::Phase::Encoder,
@@ -382,12 +396,12 @@ TEST(KernelTrace, UniqueKernelCountIgnoresRepeatsAndGaps)
 TEST(KernelCatalog, ClassPoolsPartitionTheCatalog)
 {
     for (const auto &sig : {pytorchSig(), tfSig(true)}) {
-        const dg::KernelCatalog c(sig);
+        const dg::KernelCatalog c = catalogOf(sig);
         std::size_t total = 0;
         for (int k = 0; k <= static_cast<int>(dg::KernelClass::Fusion);
              ++k) {
             const auto klass = static_cast<dg::KernelClass>(k);
-            const std::vector<int> &pool = c.entriesOfClass(klass);
+            const std::span<const int> pool = c.entriesOfClass(klass);
             total += pool.size();
             for (std::size_t i = 0; i < pool.size(); ++i) {
                 EXPECT_EQ(c.klass(pool[i]), klass);
@@ -396,7 +410,7 @@ TEST(KernelCatalog, ClassPoolsPartitionTheCatalog)
                 }
             }
             // Built once: every call hands back the same pool.
-            EXPECT_EQ(&c.entriesOfClass(klass), &pool);
+            EXPECT_EQ(c.entriesOfClass(klass).data(), pool.data());
         }
         EXPECT_EQ(total, c.size());
     }
@@ -434,7 +448,7 @@ TEST(TraceGenerator, NameTableSharedThroughFaultRepairAndCrop)
     const dg::TraceGenerator gen(tfSig());
     const dg::KernelTrace truth = gen.generate(bertBase(), 11);
     ASSERT_NE(truth.kernelNames, nullptr);
-    const std::vector<std::string> *table = truth.kernelNames.get();
+    const dg::KernelNameTable *table = truth.kernelNames.get();
     EXPECT_EQ(gen.generate(bertLarge(), 12).kernelNames.get(), table);
 
     decepticon::fault::FaultSpec fs;
@@ -707,8 +721,9 @@ TEST(TraceGenerator, TraceDigestPinnedAcrossCommits)
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     auto absorb = [&](const dg::KernelTrace &t) {
         ASSERT_NE(t.kernelNames, nullptr);
-        for (const std::string &name : *t.kernelNames)
-            digest = fnv1a(digest, name.data(), name.size() + 1);
+        const dg::KernelNameTable &names = *t.kernelNames;
+        for (std::size_t i = 0; i < names.size(); ++i)
+            digest = fnv1a(digest, names[i].data(), names[i].size() + 1);
         for (const dg::KernelRecord &rec : t.records) {
             const auto phase = static_cast<int>(rec.phase);
             const auto klass = static_cast<int>(rec.klass);

@@ -173,8 +173,9 @@ TEST(Robustness, DefenseCostsRuntime)
 TEST(Robustness, RasterizeSingleRecord)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(
-        std::vector<std::string>{"k"});
+    auto names = std::make_shared<dg::KernelNameTable>();
+    names->push({"k"});
+    t.kernelNames = std::move(names);
     t.records.push_back({0, 0.0, 5.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     const auto img = dtc::rasterize(t, 16);
@@ -662,6 +663,35 @@ TEST(Fusion, FusedIdentificationCountsOnce)
     EXPECT_EQ(reg.counter("level1.channel.power.dark") - power_dark, 1u);
     dob::shutdown();
     EXPECT_FALSE(res.insufficientEvidence);
+}
+
+TEST(Fusion, CoverageReachesTheFlightDump)
+{
+    // The timestamp channel is dark, so the fused decision rests on
+    // three of the four registered channels: its fusion_coverage
+    // verdict event must read below 1.
+    auto &fx = fusionFixture();
+    const VictimEmissions &ve = victimEmissions(fx).front();
+    dc::MultiChannelCapture mc;
+    mc.powerCaptures = {ve.power};
+    mc.thermalCaptures = {ve.thermal};
+    mc.profilerCaptures = {ve.profiler};
+
+    dob::ObsConfig cfg;
+    cfg.flightMode = dob::FlightMode::On;
+    dob::configure(cfg);
+    const auto res = fx.pipeline.identifyFused(mc);
+    std::vector<double> coverage;
+    for (const auto &ev : dob::flightRecorder().canonicalEvents()) {
+        if (ev.kind == dob::FlightEventKind::Verdict &&
+            ev.detail == "fusion_coverage")
+            coverage.push_back(ev.value);
+    }
+    dob::shutdown();
+    EXPECT_TRUE(res.usedChannelFusion);
+    ASSERT_EQ(coverage.size(), 1u);
+    EXPECT_GT(coverage[0], 0.0);
+    EXPECT_LT(coverage[0], 1.0);
 }
 
 TEST(Fusion, CapturesFromFourLineagesAbstain)

@@ -56,8 +56,9 @@ TEST(Rasterize, EmptyTraceIsBlack)
 TEST(Rasterize, PeakKernelLandsOnTopRow)
 {
     dg::KernelTrace t;
-    t.kernelNames = std::make_shared<const std::vector<std::string>>(
-        std::vector<std::string>{"k"});
+    auto names = std::make_shared<dg::KernelNameTable>();
+    names->push({"k"});
+    t.kernelNames = std::move(names);
     t.records.push_back({0, 0.0, 100.0, dg::Phase::Encoder,
                          dg::KernelClass::Gemm, 0});
     t.records.push_back({0, 150.0, 160.0, dg::Phase::Encoder,

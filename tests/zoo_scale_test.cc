@@ -8,6 +8,8 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -245,6 +247,113 @@ TEST(ZooIndex, LookupDigestPinnedAcrossCommits)
     }
     EXPECT_EQ(digest, kIndexLayerDigest)
         << "0x" << std::hex << digest;
+}
+
+namespace {
+
+/**
+ * The scalar re-rank FingerprintIndex::scores must reproduce bit for
+ * bit (the reference for its pair-block layout, as gemmNaive is for
+ * the GEMM kernel): per candidate class, the minimum over its
+ * references, in build order, of the squared L2 distance summed in
+ * double over dimensions 0..23 in order; then the shortlist softmax
+ * at the index's sharpness, 48.
+ */
+std::vector<double>
+scalarScores(const std::vector<std::vector<float>> &refs,
+             const std::vector<std::size_t> &ref_class,
+             std::size_t num_classes, const std::vector<float> &query,
+             const std::vector<std::size_t> &candidates)
+{
+    std::vector<double> dist(candidates.size());
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+        double best = -1.0;
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            if (ref_class[i] != candidates[k])
+                continue;
+            double s = 0.0;
+            for (std::size_t d = 0; d < df::kTraceEmbeddingDim; ++d) {
+                const double diff = static_cast<double>(query[d]) -
+                                    static_cast<double>(refs[i][d]);
+                s += diff * diff;
+            }
+            if (best < 0.0 || s < best)
+                best = s;
+        }
+        dist[k] = best < 0.0 ? 1e9 : best;
+    }
+    double min_d = dist[0];
+    for (double d : dist)
+        min_d = std::min(min_d, d);
+    double z = 0.0;
+    for (double &d : dist) {
+        d = std::exp(-48.0 * (d - min_d));
+        z += d;
+    }
+    std::vector<double> probs(num_classes, 0.0);
+    for (std::size_t k = 0; k < candidates.size(); ++k)
+        probs[candidates[k]] = dist[k] / z;
+    return probs;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+} // anonymous namespace
+
+TEST(ZooIndex, BlockReRankMatchesScalarOracleBitForBit)
+{
+    // Nine classes of 1, 2 and 3 references, interleaved in the input;
+    // class 5's third reference repeats its first (a distance tie).
+    constexpr std::size_t kClasses = 9;
+    decepticon::util::Rng rng(0x0b10c);
+    auto random_embedding = [&rng] {
+        std::vector<float> e(df::kTraceEmbeddingDim);
+        for (float &v : e)
+            v = static_cast<float>(rng.uniform());
+        return e;
+    };
+    std::vector<std::vector<float>> refs;
+    std::vector<std::size_t> ref_class;
+    for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t c = 0; c < kClasses; ++c) {
+            if (round >= 1 + c % 3)
+                continue;
+            refs.push_back(c == 5 && round == 2 ? refs[5]
+                                                : random_embedding());
+            ref_class.push_back(c);
+        }
+    }
+    df::FingerprintIndex index;
+    index.build(refs, ref_class, kClasses);
+
+    std::vector<std::vector<float>> queries;
+    for (int q = 0; q < 6; ++q)
+        queries.push_back(random_embedding());
+    queries.push_back(refs[3]); // a zero distance
+    const std::vector<std::vector<std::size_t>> candidate_lists = {
+        {0}, {4}, {1, 5, 8}, {0, 2, 3, 5, 7}, {1, 2, 3, 4, 5, 6, 8},
+        index.allClasses()};
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        for (const auto &candidates : candidate_lists) {
+            EXPECT_TRUE(sameBits(
+                index.scores(queries[q], candidates),
+                scalarScores(refs, ref_class, kClasses, queries[q],
+                             candidates)))
+                << "query " << q << ", " << candidates.size()
+                << " candidates";
+        }
+        const std::vector<std::size_t> shortlist =
+            index.shortlist(queries[q]);
+        EXPECT_TRUE(sameBits(index.scores(queries[q], shortlist),
+                             scalarScores(refs, ref_class, kClasses,
+                                          queries[q], shortlist)))
+            << "query " << q << " shortlist";
+    }
 }
 
 TEST(ZooIndex, IdentifyBatchBitIdenticalAcrossLanes)
