@@ -37,11 +37,10 @@ main()
                    "hammer rounds", "rounds/bit"});
     double correct_full = 0.0, correct_half = 0.0;
     for (double frac : {1.0, 0.9, 0.7, 0.5}) {
-        extraction::WeightStoreOracle oracle(victim);
         extraction::DramGeometry geom;
         geom.hammerableRowFraction = frac;
-        extraction::DramWeightLayout layout(oracle, geom, 17);
-        extraction::DramBitProbeChannel channel(oracle, layout);
+        extraction::DramWeightLayout layout(victim, geom, 17);
+        extraction::DramBitProbeChannel channel(victim, layout);
 
         extraction::ExtractionStats stats;
         for (std::size_t l = 0; l < pre.layers.size(); ++l) {

@@ -46,8 +46,7 @@ main()
         // The victim's checkpoint is quantized; the attacker's
         // pre-trained baseline stays float32 (he downloaded it).
         const auto victim = extraction::quantizeStore(victim_fp32, f.fmt);
-        extraction::WeightStoreOracle oracle(victim);
-        extraction::BitProbeChannel channel(oracle);
+        extraction::BitProbeChannel channel(victim);
 
         extraction::ExtractionPolicy policy;
         policy.storageFormat = f.fmt;

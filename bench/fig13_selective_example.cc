@@ -68,8 +68,7 @@ main()
     // Run Algorithm 1 on the example.
     zoo::WeightStore store;
     store.layers.push_back({"l0", {actual}});
-    extraction::WeightStoreOracle oracle(store);
-    extraction::BitProbeChannel channel(oracle);
+    extraction::BitProbeChannel channel(store);
     extraction::ExtractionPolicy policy;
     policy.baseDist = 0.002;
     policy.uShapeAlpha = 0.0;

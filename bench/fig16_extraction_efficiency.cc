@@ -33,8 +33,7 @@ main()
     fopts.headWeights = 64;
     const auto victim = zoo::FineTuneSimulator::fineTune(pre, fopts, 17);
 
-    extraction::WeightStoreOracle oracle(victim);
-    extraction::BitProbeChannel channel(oracle);
+    extraction::BitProbeChannel channel(victim);
     extraction::ExtractionPolicy policy;
     extraction::SelectiveWeightExtractor extractor(policy);
 

@@ -291,11 +291,10 @@ BM_SelectiveExtraction(benchmark::State &state)
     const auto pre = zoo::WeightStore::makePretrained(arch, 5, 10000);
     zoo::FineTuneOptions fopts;
     const auto victim = zoo::FineTuneSimulator::fineTune(pre, fopts, 6);
-    extraction::WeightStoreOracle oracle(victim);
     extraction::ExtractionPolicy policy;
     extraction::SelectiveWeightExtractor extractor(policy);
     for (auto _ : state) {
-        extraction::BitProbeChannel channel(oracle);
+        extraction::BitProbeChannel channel(victim);
         extraction::ExtractionStats stats;
         auto clone =
             extractor.extractLayer(pre.layers[0].w, channel, 0, stats);
@@ -449,8 +448,7 @@ runStageLatencyWorkload()
     const auto pre = zoo::WeightStore::makePretrained(arch, 5, 2000);
     zoo::FineTuneOptions fopts;
     const auto victim = zoo::FineTuneSimulator::fineTune(pre, fopts, 6);
-    extraction::WeightStoreOracle oracle(victim);
-    extraction::BitProbeChannel channel(oracle);
+    extraction::BitProbeChannel channel(victim);
     extraction::RetryingProber prober(channel, nullptr);
     extraction::ExtractionPolicy policy;
     extraction::SelectiveWeightExtractor extractor(policy);

@@ -143,9 +143,10 @@ main()
                     report.cloneVictimAgreement > 0.9 &&
                     report.adversarial.successRate() > 0.4;
 
-    // The same run, as the machine-readable report (one paragraph).
-    // It carries wall times, so it goes to stderr: stdout stays
-    // byte-identical across runs (the paper gate digests it).
+    // The same run as one prose paragraph (toJson() is the
+    // machine-readable form). It carries wall times, so it goes to
+    // stderr: stdout stays byte-identical across runs (the paper gate
+    // digests it).
     std::cerr << "[report] " << report.summaryParagraph() << "\n\n";
 
     std::cout << (ok ? "Quickstart attack succeeded."

@@ -18,32 +18,9 @@ ProbeStats::toMetrics(obs::MetricsRegistry &registry,
                       static_cast<double>(hammerRounds));
 }
 
-std::size_t
-ParamGroupOracle::layerSize(std::size_t layer) const
-{
-    assert(layer < groups_.size());
-    std::size_t n = 0;
-    for (const auto *p : groups_[layer])
-        n += p->size();
-    return n;
-}
-
-float
-ParamGroupOracle::weightValue(std::size_t layer, std::size_t index) const
-{
-    assert(layer < groups_.size());
-    for (const auto *p : groups_[layer]) {
-        if (index < p->size())
-            return p->value[index];
-        index -= p->size();
-    }
-    assert(false && "weight index out of range");
-    return 0.0f;
-}
-
-BitProbeChannel::BitProbeChannel(const VictimWeightOracle &oracle,
+BitProbeChannel::BitProbeChannel(const zoo::WeightStore &memory,
                                  std::size_t rounds_per_bit)
-    : oracle_(oracle), roundsPerBit_(rounds_per_bit)
+    : memory_(memory), roundsPerBit_(rounds_per_bit)
 {
     assert(rounds_per_bit >= 1);
 }
@@ -62,7 +39,7 @@ BitProbeChannel::attemptBit(std::size_t layer, std::size_t index,
     assert(word_bit >= 0 && word_bit <= 31);
     ProbeAttempt attempt;
     attempt.bit =
-        (floatToBits(oracle_.weightValue(layer, index)) >> word_bit) & 1u;
+        (floatToBits(memory_.slotWeight(layer, index)) >> word_bit) & 1u;
     if (injector_ != nullptr) {
         const fault::ProbeFaultOutcome faulty =
             injector_->perturbProbe(layer, index, word_bit, attempt.bit);

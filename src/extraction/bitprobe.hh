@@ -4,8 +4,10 @@
  * the paper builds on). The channel exposes single bits of the victim
  * model's weight memory at an accounted cost; Decepticon's selective
  * extraction wins by reading orders of magnitude fewer bits than a
- * full-weight attack. The victim's weights are reachable only through
- * this interface, never by value, mirroring the black-box threat
+ * full-weight attack. The memory is a zoo::WeightStore addressed by
+ * slot (WeightStore::slotWeight: slot l < layers.size() is a layer,
+ * slot layers.size() the task head); the attacker reaches it only
+ * bit by bit through this channel, mirroring the black-box threat
  * model. A channel reads exactly; transient flips and every other
  * read fault come from one model, an attached fault::FaultInjector.
  */
@@ -14,9 +16,7 @@
 #define DECEPTICON_EXTRACTION_BITPROBE_HH
 
 #include <string>
-#include <vector>
 
-#include "nn/param.hh"
 #include "zoo/weight_store.hh"
 
 namespace decepticon::fault {
@@ -28,80 +28,6 @@ class MetricsRegistry;
 }
 
 namespace decepticon::extraction {
-
-/**
- * Addressable view of a victim's weight memory. Layer indices
- * [0, numLayers) address encoder layers; layer == numLayers addresses
- * the task head.
- */
-class VictimWeightOracle
-{
-  public:
-    virtual ~VictimWeightOracle() = default;
-
-    /** Number of encoder layers. */
-    virtual std::size_t numLayers() const = 0;
-
-    /** Weights in the given layer (numLayers() addresses the head). */
-    virtual std::size_t layerSize(std::size_t layer) const = 0;
-
-    /** The raw weight value (used only inside the channel). */
-    virtual float weightValue(std::size_t layer,
-                              std::size_t index) const = 0;
-};
-
-/** Oracle over a zoo::WeightStore. */
-class WeightStoreOracle : public VictimWeightOracle
-{
-  public:
-    explicit WeightStoreOracle(const zoo::WeightStore &store)
-        : store_(store)
-    {
-    }
-
-    std::size_t numLayers() const override { return store_.layers.size(); }
-
-    std::size_t
-    layerSize(std::size_t layer) const override
-    {
-        return layer == store_.layers.size() ? store_.head.w.size()
-                                             : store_.layers[layer].w.size();
-    }
-
-    float
-    weightValue(std::size_t layer, std::size_t index) const override
-    {
-        return layer == store_.layers.size() ? store_.head.w[index]
-                                             : store_.layers[layer].w[index];
-    }
-
-  private:
-    const zoo::WeightStore &store_;
-};
-
-/**
- * Oracle over grouped nn parameters (e.g. a TransformerClassifier's
- * per-encoder parameter groups plus a head group). Each group's
- * parameters are addressed as one flat concatenated layer.
- */
-class ParamGroupOracle : public VictimWeightOracle
-{
-  public:
-    /** groups[i] is encoder i; the last group is the task head. */
-    explicit ParamGroupOracle(std::vector<nn::ParamRefs> groups)
-        : groups_(std::move(groups))
-    {
-    }
-
-    std::size_t numLayers() const override { return groups_.size() - 1; }
-
-    std::size_t layerSize(std::size_t layer) const override;
-
-    float weightValue(std::size_t layer, std::size_t index) const override;
-
-  private:
-    std::vector<nn::ParamRefs> groups_;
-};
 
 /** Cost accounting of a probe session. */
 struct ProbeStats
@@ -143,7 +69,7 @@ struct ProbeAttempt
 class BitProbeChannel
 {
   public:
-    explicit BitProbeChannel(const VictimWeightOracle &oracle,
+    explicit BitProbeChannel(const zoo::WeightStore &memory,
                              std::size_t rounds_per_bit = 1);
 
     virtual ~BitProbeChannel() = default;
@@ -202,7 +128,8 @@ class BitProbeChannel
 
     const ProbeStats &stats() const { return stats_; }
 
-    const VictimWeightOracle &oracle() const { return oracle_; }
+    /** The victim weight memory this channel reads. */
+    const zoo::WeightStore &memory() const { return memory_; }
 
   protected:
     /**
@@ -217,7 +144,7 @@ class BitProbeChannel
     void charge(std::size_t rounds);
 
   private:
-    const VictimWeightOracle &oracle_;
+    const zoo::WeightStore &memory_;
     std::size_t roundsPerBit_;
     ProbeStats stats_;
     fault::FaultInjector *injector_ = nullptr;

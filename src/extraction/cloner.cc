@@ -10,29 +10,7 @@ namespace decepticon::extraction {
 std::vector<nn::ParamRefs>
 victimParamGroups(transformer::TransformerClassifier &victim)
 {
-    std::vector<nn::ParamRefs> groups;
-    // Group 0: embeddings (token table + positions).
-    nn::ParamRefs emb;
-    {
-        nn::ParamRefs all = victim.backboneParams();
-        nn::ParamRefs enc_all;
-        for (std::size_t l = 0; l < victim.numLayers(); ++l) {
-            auto ps = victim.encoderParams(l);
-            enc_all.insert(enc_all.end(), ps.begin(), ps.end());
-        }
-        for (auto *p : all) {
-            bool in_encoder = false;
-            for (auto *q : enc_all) {
-                if (p == q) {
-                    in_encoder = true;
-                    break;
-                }
-            }
-            if (!in_encoder)
-                emb.push_back(p);
-        }
-    }
-    groups.push_back(std::move(emb));
+    std::vector<nn::ParamRefs> groups{victim.embeddingParams()};
     for (std::size_t l = 0; l < victim.numLayers(); ++l)
         groups.push_back(victim.encoderParams(l));
     groups.push_back(victim.headParams());
@@ -46,6 +24,18 @@ groupWeights(const nn::ParamRefs &group)
     for (const auto *p : group)
         out.insert(out.end(), p->value.vec().begin(), p->value.vec().end());
     return out;
+}
+
+zoo::WeightStore
+snapshotGroups(const std::vector<nn::ParamRefs> &groups)
+{
+    assert(!groups.empty());
+    zoo::WeightStore memory;
+    memory.layers.resize(groups.size() - 1);
+    for (std::size_t g = 0; g + 1 < groups.size(); ++g)
+        memory.layers[g].w = groupWeights(groups[g]);
+    memory.head.w = groupWeights(groups.back());
+    return memory;
 }
 
 void
@@ -76,17 +66,18 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
 
     // The victim's weight memory, reachable only via the bit channel
     // (idealized, or DRAM-constrained when a geometry is configured).
-    auto victim_groups = victimParamGroups(victim);
-    ParamGroupOracle oracle(victim_groups);
+    // Extraction never writes the victim, so a snapshot holds the
+    // floats every read would find in the live parameters.
+    const zoo::WeightStore memory = snapshotGroups(victimParamGroups(victim));
     std::unique_ptr<DramWeightLayout> dram_layout;
     std::unique_ptr<BitProbeChannel> channel_holder;
     if (opts.dramGeometry) {
         dram_layout = std::make_unique<DramWeightLayout>(
-            oracle, *opts.dramGeometry, opts.dramSeed);
+            memory, *opts.dramGeometry, opts.dramSeed);
         channel_holder = std::make_unique<DramBitProbeChannel>(
-            oracle, *dram_layout);
+            memory, *dram_layout);
     } else {
-        channel_holder = std::make_unique<BitProbeChannel>(oracle);
+        channel_holder = std::make_unique<BitProbeChannel>(memory);
     }
     BitProbeChannel &physical = *channel_holder;
 
@@ -115,16 +106,11 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     // The graceful-degradation baseline is the clone's pre-extraction
     // state: the identified pre-trained weights plus the freshly reset
     // head — snapshot it before extraction mutates the groups.
-    std::unique_ptr<SnapshotOracle> baseline;
+    zoo::WeightStore baseline;
     std::unique_ptr<RetryingProber> prober;
     if (opts.resilient) {
-        std::vector<std::vector<float>> baseline_groups;
-        baseline_groups.reserve(clone_groups.size());
-        for (const auto &group : clone_groups)
-            baseline_groups.push_back(groupWeights(group));
-        baseline = std::make_unique<SnapshotOracle>(
-            std::move(baseline_groups));
-        prober = std::make_unique<RetryingProber>(physical, baseline.get());
+        baseline = snapshotGroups(clone_groups);
+        prober = std::make_unique<RetryingProber>(physical, &baseline);
     }
     BitProbeChannel &channel = prober ? *prober : physical;
 
@@ -147,8 +133,8 @@ ModelCloner::extract(transformer::TransformerClassifier &victim,
     // Step 1: full extraction of the baseline-less task head.
     {
         auto sp = obs::span("level2.extract_head");
-        const std::size_t head_size = oracle.layerSize(head_group);
-        auto head = extractor.extractHead(channel, head_group, head_size,
+        auto head = extractor.extractHead(channel, head_group,
+                                          memory.head.w.size(),
                                           result.extractionStats);
         setGroupWeights(clone_groups[head_group], head);
         result.agreementTrajectory.push_back(agreement_now());

@@ -80,14 +80,22 @@ struct CloneResult
 };
 
 /**
- * Build the victim-memory oracle layout used by the cloner:
- * group 0 = embeddings, groups 1..L = encoders, group L+1 = head.
+ * Group a model's parameters the way the cloner addresses its weight
+ * memory: group 0 = embeddings, groups 1..L = encoders, group L+1 =
+ * head.
  */
 std::vector<nn::ParamRefs>
 victimParamGroups(transformer::TransformerClassifier &victim);
 
 /** Read a parameter group's weights as one flat vector. */
 std::vector<float> groupWeights(const nn::ParamRefs &group);
+
+/**
+ * Snapshot parameter groups into a weight memory: every group but the
+ * last becomes a layer (slot g holds groupWeights(groups[g])), the
+ * last group becomes the head.
+ */
+zoo::WeightStore snapshotGroups(const std::vector<nn::ParamRefs> &groups);
 
 /** Write a flat vector back into a parameter group. */
 void setGroupWeights(const nn::ParamRefs &group,

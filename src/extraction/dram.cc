@@ -6,7 +6,7 @@
 
 namespace decepticon::extraction {
 
-DramWeightLayout::DramWeightLayout(const VictimWeightOracle &oracle,
+DramWeightLayout::DramWeightLayout(const zoo::WeightStore &memory,
                                    const DramGeometry &geometry,
                                    std::uint64_t seed)
     : geometry_(geometry)
@@ -17,11 +17,11 @@ DramWeightLayout::DramWeightLayout(const VictimWeightOracle &oracle,
 
     // Tensors are laid out back to back, layer by layer (head last).
     std::size_t offset = 0;
-    const std::size_t groups = oracle.numLayers() + 1;
-    layerByteBase_.reserve(groups);
-    for (std::size_t l = 0; l < groups; ++l) {
+    const std::size_t slots = memory.layers.size() + 1;
+    layerByteBase_.reserve(slots);
+    for (std::size_t l = 0; l < slots; ++l) {
         layerByteBase_.push_back(offset);
-        offset += 4 * oracle.layerSize(l);
+        offset += 4 * memory.slotSize(l);
     }
     const std::size_t rows =
         (offset + geometry.rowBytes - 1) / geometry.rowBytes;
@@ -50,9 +50,9 @@ DramWeightLayout::hammerable(std::size_t layer, std::size_t index) const
     return rowHammerable_[row];
 }
 
-DramBitProbeChannel::DramBitProbeChannel(const VictimWeightOracle &oracle,
+DramBitProbeChannel::DramBitProbeChannel(const zoo::WeightStore &memory,
                                          const DramWeightLayout &layout)
-    : BitProbeChannel(oracle, kRoundsPerBitCold), layout_(layout)
+    : BitProbeChannel(memory, kRoundsPerBitCold), layout_(layout)
 {
 }
 

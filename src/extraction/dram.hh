@@ -50,12 +50,12 @@ class DramWeightLayout
 {
   public:
     /**
-     * @param oracle defines the victim's layer sizes
+     * @param memory defines the victim's slot sizes
      * @param geometry DRAM parameters
      * @param seed scrambles which rows lack aggressors (allocation is
      *        system-dependent)
      */
-    DramWeightLayout(const VictimWeightOracle &oracle,
+    DramWeightLayout(const zoo::WeightStore &memory,
                      const DramGeometry &geometry, std::uint64_t seed);
 
     /** Row holding a weight (float32 = 4 bytes each). */
@@ -83,7 +83,7 @@ class DramWeightLayout
 class DramBitProbeChannel : public BitProbeChannel
 {
   public:
-    DramBitProbeChannel(const VictimWeightOracle &oracle,
+    DramBitProbeChannel(const zoo::WeightStore &memory,
                         const DramWeightLayout &layout);
 
     bool canRead(std::size_t layer, std::size_t index) const override;

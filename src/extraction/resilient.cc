@@ -54,8 +54,8 @@ ReliabilityStats::toMetrics(obs::MetricsRegistry &registry,
 }
 
 RetryingProber::RetryingProber(BitProbeChannel &inner,
-                               const VictimWeightOracle *fallback)
-    : BitProbeChannel(inner.oracle()),
+                               const zoo::WeightStore *fallback)
+    : BitProbeChannel(inner.memory()),
       inner_(inner),
       fallback_(fallback)
 {
@@ -125,7 +125,7 @@ RetryingProber::tryReadBit(std::size_t layer, std::size_t index,
     if (fallback_ != nullptr) {
         ++reliability_.fallbackBits;
         out.ok = true;
-        out.bit = (floatToBits(fallback_->weightValue(layer, index)) >>
+        out.bit = (floatToBits(fallback_->slotWeight(layer, index)) >>
                    word_bit) &
                   1u;
         return out;

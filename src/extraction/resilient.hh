@@ -27,7 +27,6 @@
 #define DECEPTICON_EXTRACTION_RESILIENT_HH
 
 #include <cstddef>
-#include <vector>
 
 #include "extraction/bitprobe.hh"
 
@@ -58,38 +57,6 @@ struct ReliabilityStats
 };
 
 /**
- * Oracle over an owned snapshot of per-layer weight vectors. Used as
- * the baseline-bit provider for graceful degradation (and by tests
- * needing a self-contained victim).
- */
-class SnapshotOracle : public VictimWeightOracle
-{
-  public:
-    /** groups[0..L-1] are encoder layers, groups[L] is the head. */
-    explicit SnapshotOracle(std::vector<std::vector<float>> groups)
-        : groups_(std::move(groups))
-    {
-    }
-
-    std::size_t numLayers() const override { return groups_.size() - 1; }
-
-    std::size_t
-    layerSize(std::size_t layer) const override
-    {
-        return groups_[layer].size();
-    }
-
-    float
-    weightValue(std::size_t layer, std::size_t index) const override
-    {
-        return groups_[layer][index];
-    }
-
-  private:
-    std::vector<std::vector<float>> groups_;
-};
-
-/**
  * Majority-voting, retrying, gracefully degrading wrapper around any
  * BitProbeChannel. Drop-in for the selective extractor: logical reads
  * go through this object, physical attempts (and every hammer round,
@@ -103,12 +70,13 @@ class RetryingProber : public BitProbeChannel
   public:
     /**
      * @param inner the physical (possibly faulty) channel
-     * @param fallback baseline weights for budget-exhausted bits
-     *        (typically the identified pre-trained model); nullptr
-     *        degrades exhausted bits to a failed attempt instead
+     * @param fallback baseline weight memory for budget-exhausted
+     *        bits, slot for slot like the victim's (typically the
+     *        identified pre-trained model); nullptr degrades exhausted
+     *        bits to a failed attempt instead
      */
     explicit RetryingProber(BitProbeChannel &inner,
-                            const VictimWeightOracle *fallback = nullptr);
+                            const zoo::WeightStore *fallback = nullptr);
 
     bool
     canRead(std::size_t layer, std::size_t index) const override
@@ -123,7 +91,7 @@ class RetryingProber : public BitProbeChannel
 
   private:
     BitProbeChannel &inner_;
-    const VictimWeightOracle *fallback_;
+    const zoo::WeightStore *fallback_;
     ReliabilityStats reliability_;
 };
 

@@ -129,7 +129,7 @@ class SelectiveWeightExtractor
 
     /**
      * Full 32-bit extraction for the baseline-less task head
-     * (layer index = oracle.numLayers()).
+     * (head_layer = the head slot, WeightStore::layers.size()).
      */
     std::vector<float> extractHead(BitProbeChannel &channel,
                                    std::size_t head_layer,

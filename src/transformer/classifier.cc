@@ -120,14 +120,19 @@ TransformerClassifier::params()
 nn::ParamRefs
 TransformerClassifier::backboneParams()
 {
-    nn::ParamRefs out;
-    auto ep = tokEmb_.params();
-    out.insert(out.end(), ep.begin(), ep.end());
-    out.push_back(&posEmb_);
+    nn::ParamRefs out = embeddingParams();
     for (auto &enc : encoders_) {
         auto ps = enc->params();
         out.insert(out.end(), ps.begin(), ps.end());
     }
+    return out;
+}
+
+nn::ParamRefs
+TransformerClassifier::embeddingParams()
+{
+    nn::ParamRefs out = tokEmb_.params();
+    out.push_back(&posEmb_);
     return out;
 }
 

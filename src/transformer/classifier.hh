@@ -62,6 +62,9 @@ class TransformerClassifier
     /** Backbone parameters only (embeddings + all encoders). */
     nn::ParamRefs backboneParams();
 
+    /** Embedding parameters: the token table, then the positions. */
+    nn::ParamRefs embeddingParams();
+
     /** Task-head parameters only. */
     nn::ParamRefs headParams();
 

@@ -51,6 +51,18 @@ WeightStore::makePretrained(const gpusim::ArchParams &arch,
 }
 
 std::size_t
+WeightStore::slotSize(std::size_t slot) const
+{
+    return slot == layers.size() ? head.w.size() : layers.at(slot).w.size();
+}
+
+float
+WeightStore::slotWeight(std::size_t slot, std::size_t index) const
+{
+    return (slot == layers.size() ? head.w : layers.at(slot).w).at(index);
+}
+
+std::size_t
 WeightStore::analyticTotalWeights() const
 {
     return analyticEmbeddingWeights +

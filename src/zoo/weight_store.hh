@@ -51,6 +51,16 @@ class WeightStore
     /** Task head (empty for pre-trained stores until fine-tuned). */
     LayerWeights head;
 
+    /**
+     * Weights in a slot, the bit-probe channel's address space: slot
+     * l < layers.size() is layers[l], slot layers.size() is the head.
+     * Out-of-range slots throw std::out_of_range.
+     */
+    std::size_t slotSize(std::size_t slot) const;
+
+    /** One weight of a slot (slot and index bounds are checked). */
+    float slotWeight(std::size_t slot, std::size_t index) const;
+
     /** Analytic (true, unsampled) per-encoder-layer weight count. */
     std::size_t analyticLayerWeights = 0;
 

@@ -133,11 +133,10 @@ TEST(Determinism, SelectiveExtractionBitIdentical)
     auto run = [&](std::size_t threads, std::vector<float> &out,
                    de::ExtractionStats &stats, de::ProbeStats &probe) {
         sched::setThreads(threads);
-        de::WeightStoreOracle oracle(victim);
         de::DramGeometry geom;
         geom.rowBytes = 256;
-        const de::DramWeightLayout layout(oracle, geom, 99);
-        de::DramBitProbeChannel channel(oracle, layout);
+        const de::DramWeightLayout layout(victim, geom, 99);
+        de::DramBitProbeChannel channel(victim, layout);
         dfa::FaultSpec spec;
         spec.probeFlipRate = 0.02;
         spec.seed = 99;
@@ -211,8 +210,7 @@ TEST(Determinism, FlightDumpBitIdenticalAcrossLanes)
 
         // A real pipeline slice on top: stage timers + retry events
         // through the resilient prober (transient flips injected).
-        de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle);
+        de::BitProbeChannel channel(victim);
         dfa::FaultSpec spec;
         spec.probeFlipRate = 0.02;
         spec.seed = 13;

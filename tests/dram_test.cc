@@ -41,9 +41,8 @@ struct Fixture
 TEST(DramLayout, AddressesAreSequential)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
-    de::DramWeightLayout layout(oracle, geom, 1);
+    de::DramWeightLayout layout(fx.victim, geom, 1);
 
     // A row holds exactly rowBytes / 4 consecutive float32 weights.
     const std::size_t per_row = geom.rowBytes / 4;
@@ -57,9 +56,8 @@ TEST(DramLayout, AddressesAreSequential)
 TEST(DramLayout, LayersDoNotOverlap)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
-    de::DramWeightLayout layout(oracle, geom, 2);
+    de::DramWeightLayout layout(fx.victim, geom, 2);
 
     // Layer 1 starts right after layer 0's last weight: it shares that
     // row and crosses into the next one exactly where a gapless layout
@@ -77,9 +75,8 @@ TEST(DramLayout, LayersDoNotOverlap)
 TEST(DramLayout, FullHammerabilityByDefault)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom; // fraction = 1.0
-    de::DramWeightLayout layout(oracle, geom, 4);
+    de::DramWeightLayout layout(fx.victim, geom, 4);
     for (std::size_t i = 0; i < 100; ++i)
         EXPECT_TRUE(layout.hammerable(0, i));
 }
@@ -87,10 +84,9 @@ TEST(DramLayout, FullHammerabilityByDefault)
 TEST(DramLayout, PartialHammerabilityMasksRows)
 {
     Fixture fx(20000);
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
     geom.hammerableRowFraction = 0.5;
-    de::DramWeightLayout layout(oracle, geom, 5);
+    de::DramWeightLayout layout(fx.victim, geom, 5);
     std::size_t hammerable = 0, weights = 0;
     for (std::size_t l = 0; l < 2; ++l)
         for (std::size_t i = 0; i < fx.victim.layers[l].w.size(); ++i, ++weights)
@@ -110,10 +106,9 @@ TEST(DramLayout, PartialHammerabilityMasksRows)
 TEST(DramChannel, WarmRowsAreCheaper)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
-    de::DramWeightLayout layout(oracle, geom, 6);
-    de::DramBitProbeChannel chan(oracle, layout);
+    de::DramWeightLayout layout(fx.victim, geom, 6);
+    de::DramBitProbeChannel chan(fx.victim, layout);
 
     // Two reads in the same row: cold then warm.
     chan.readBit(0, 0, 22);
@@ -134,11 +129,10 @@ TEST(DramChannel, WarmRowsAreCheaper)
 TEST(DramChannel, ReadsMatchPlainChannel)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
-    de::DramWeightLayout layout(oracle, geom, 7);
-    de::DramBitProbeChannel dram_chan(oracle, layout);
-    de::BitProbeChannel plain_chan(oracle);
+    de::DramWeightLayout layout(fx.victim, geom, 7);
+    de::DramBitProbeChannel dram_chan(fx.victim, layout);
+    de::BitProbeChannel plain_chan(fx.victim);
     for (std::size_t i = 0; i < 200; ++i) {
         for (int b : {31, 22, 10}) {
             EXPECT_EQ(dram_chan.readBit(0, i, b),
@@ -150,11 +144,10 @@ TEST(DramChannel, ReadsMatchPlainChannel)
 TEST(DramExtraction, UnreadableWeightsKeepBaseline)
 {
     Fixture fx(20000);
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
     geom.hammerableRowFraction = 0.5;
-    de::DramWeightLayout layout(oracle, geom, 8);
-    de::DramBitProbeChannel chan(oracle, layout);
+    de::DramWeightLayout layout(fx.victim, geom, 8);
+    de::DramBitProbeChannel chan(fx.victim, layout);
 
     de::ExtractionPolicy policy;
     policy.significance = 1e-5; // check almost everything
@@ -197,11 +190,10 @@ TEST(DramExtraction, UnreadableWeightsKeepBaseline)
 TEST(DramExtraction, HeadUnreadableBecomesZero)
 {
     Fixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
     de::DramGeometry geom;
     geom.hammerableRowFraction = 0.0; // nothing reachable
-    de::DramWeightLayout layout(oracle, geom, 9);
-    de::DramBitProbeChannel chan(oracle, layout);
+    de::DramWeightLayout layout(fx.victim, geom, 9);
+    de::DramBitProbeChannel chan(fx.victim, layout);
 
     de::ExtractionPolicy policy;
     de::SelectiveWeightExtractor ex(policy);
@@ -229,12 +221,11 @@ TEST_P(HammerabilitySweep, CorrectnessDecaysGently)
 
     double prev = 1.1;
     for (double frac : {1.0, 0.7, 0.4}) {
-        de::WeightStoreOracle oracle(fx.victim);
         de::DramGeometry geom;
         geom.hammerableRowFraction = frac;
         de::DramWeightLayout layout(
-            oracle, geom, static_cast<std::uint64_t>(GetParam()));
-        de::DramBitProbeChannel chan(oracle, layout);
+            fx.victim, geom, static_cast<std::uint64_t>(GetParam()));
+        de::DramBitProbeChannel chan(fx.victim, layout);
         de::ExtractionStats stats;
         const auto clone =
             ex.extractLayer(fx.pre.layers[0].w, chan, 0, stats);

@@ -108,7 +108,7 @@ TEST(Ieee, QuantizeIsIdempotent)
 
 namespace {
 
-/** Small weight store + oracle fixture. */
+/** Small pre-trained + fine-tuned weight store fixture. */
 struct StoreFixture
 {
     decepticon::gpusim::ArchParams arch;
@@ -131,8 +131,7 @@ struct StoreFixture
 TEST(BitProbe, CountsReads)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel chan(oracle, 3);
+    de::BitProbeChannel chan(fx.victim, 3);
     chan.readBit(0, 0, 31);
     chan.readBit(0, 1, 22);
     EXPECT_EQ(chan.stats().bitsRead, 2u);
@@ -142,8 +141,7 @@ TEST(BitProbe, CountsReads)
 TEST(BitProbe, FullWeightReadIsExact)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(fx.victim);
     const float v = chan.readFullWeight(1, 5);
     EXPECT_EQ(v, fx.victim.layers[1].w[5]);
     EXPECT_EQ(chan.stats().bitsRead, 32u);
@@ -152,8 +150,7 @@ TEST(BitProbe, FullWeightReadIsExact)
 TEST(BitProbe, SignBitMatches)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(fx.victim);
     for (std::size_t i = 0; i < 50; ++i) {
         const bool sign = chan.readBit(0, i, 31);
         EXPECT_EQ(sign, std::signbit(fx.victim.layers[0].w[i]));
@@ -163,8 +160,7 @@ TEST(BitProbe, SignBitMatches)
 TEST(BitProbe, ErrorRateFlipsSomeBits)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel noisy(oracle);
+    de::BitProbeChannel noisy(fx.victim);
     dfa::FaultSpec spec;
     spec.probeFlipRate = 0.5;
     spec.seed = 7;
@@ -183,10 +179,9 @@ TEST(BitProbe, ErrorRateFlipsSomeBits)
 TEST(BitProbe, HeadLayerAddressable)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    EXPECT_EQ(oracle.numLayers(), 3u);
-    EXPECT_EQ(oracle.layerSize(3), 40u);
-    de::BitProbeChannel chan(oracle);
+    EXPECT_EQ(fx.victim.layers.size(), 3u);
+    EXPECT_EQ(fx.victim.slotSize(3), 40u);
+    de::BitProbeChannel chan(fx.victim);
     EXPECT_EQ(chan.readFullWeight(3, 0), fx.victim.head.w[0]);
 }
 
@@ -208,8 +203,7 @@ TEST(Selective, Fig13WorkedExample)
 
     dz::WeightStore store;
     store.layers.push_back({"l0", {actual}});
-    de::WeightStoreOracle oracle(store);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(store);
 
     de::ExtractionPolicy policy;
     policy.baseDist = 0.002;
@@ -228,8 +222,7 @@ TEST(Selective, TinyWeightsSkipped)
 {
     dz::WeightStore store;
     store.layers.push_back({"l0", {0.0005f}});
-    de::WeightStoreOracle oracle(store);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(store);
     de::ExtractionPolicy policy;
     de::SelectiveWeightExtractor ex(policy);
     de::ExtractionStats stats;
@@ -245,8 +238,7 @@ TEST(Selective, InsignificantUpdateSkipped)
     // is also skipped (the attacker's step-1 pruning).
     dz::WeightStore store;
     store.layers.push_back({"l0", {0.05f}});
-    de::WeightStoreOracle oracle(store);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(store);
     de::ExtractionPolicy policy;
     policy.baseDist = 0.0005;
     policy.significance = 0.002;
@@ -260,8 +252,7 @@ TEST(Selective, ChecksAtMostMaxBits)
 {
     dz::WeightStore store;
     store.layers.push_back({"l0", {0.52f}});
-    de::WeightStoreOracle oracle(store);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(store);
     de::ExtractionPolicy policy;
     policy.maxBitsPerWeight = 2;
     policy.significance = 1e-6;
@@ -275,8 +266,7 @@ TEST(Selective, ChecksAtMostMaxBits)
 TEST(Selective, LayerExtractionEfficiency)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(fx.victim);
     de::ExtractionPolicy policy;
     de::SelectiveWeightExtractor ex(policy);
     de::ExtractionStats stats;
@@ -296,8 +286,7 @@ TEST(Selective, LayerExtractionEfficiency)
 TEST(Selective, HeadExtractionIsExact)
 {
     StoreFixture fx;
-    de::WeightStoreOracle oracle(fx.victim);
-    de::BitProbeChannel chan(oracle);
+    de::BitProbeChannel chan(fx.victim);
     de::ExtractionPolicy policy;
     de::SelectiveWeightExtractor ex(policy);
     de::ExtractionStats stats;
@@ -362,7 +351,7 @@ TEST(Cloner, GroupRoundTrip)
     EXPECT_EQ(de::groupWeights(groups[1]), w);
 }
 
-TEST(Cloner, OracleMatchesGroups)
+TEST(Cloner, SnapshotMatchesGroups)
 {
     dtr::TransformerConfig cfg;
     cfg.vocab = 16;
@@ -372,12 +361,21 @@ TEST(Cloner, OracleMatchesGroups)
     cfg.numHeads = 2;
     cfg.ffnDim = 16;
     dtr::TransformerClassifier model(cfg, 32);
-    auto groups = de::victimParamGroups(model);
-    de::ParamGroupOracle oracle(groups);
-    EXPECT_EQ(oracle.numLayers(), 3u); // emb counts as a "layer" slot
+    const auto groups = de::victimParamGroups(model);
+    // Group 0 is the backbone minus its encoders, in backbone order.
+    auto backbone = groups[0];
+    for (std::size_t l = 1; l + 1 < groups.size(); ++l)
+        backbone.insert(backbone.end(), groups[l].begin(), groups[l].end());
+    EXPECT_EQ(backbone, model.backboneParams());
+
+    const dz::WeightStore memory = de::snapshotGroups(groups);
+    EXPECT_EQ(memory.layers.size(), 3u); // emb counts as a "layer" slot
+    for (std::size_t g = 0; g + 1 < groups.size(); ++g)
+        EXPECT_EQ(memory.layers[g].w, de::groupWeights(groups[g]));
+    EXPECT_EQ(memory.head.w, de::groupWeights(groups.back()));
     const auto w1 = de::groupWeights(groups[1]);
     for (std::size_t i = 0; i < w1.size(); i += 37)
-        EXPECT_EQ(oracle.weightValue(1, i), w1[i]);
+        EXPECT_EQ(memory.slotWeight(1, i), w1[i]);
 }
 
 TEST(Cloner, ClonesFineTunedVictim)

@@ -21,39 +21,41 @@
 #include "obs/obs.hh"
 #include "trace/repair.hh"
 #include "util/rng.hh"
+#include "zoo/weight_store.hh"
 
 namespace dex = decepticon::extraction;
 namespace dfa = decepticon::fault;
 namespace dg = decepticon::gpusim;
 namespace dtc = decepticon::trace;
+namespace dz = decepticon::zoo;
 
 namespace {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 /** A one-encoder + head victim with reproducible weights. */
-dex::SnapshotOracle
-makeOracle(std::uint64_t seed, std::size_t layer_size = 24,
+dz::WeightStore
+makeVictim(std::uint64_t seed, std::size_t layer_size = 24,
            std::size_t head_size = 8)
 {
     decepticon::util::Rng rng(seed);
-    std::vector<std::vector<float>> groups(2);
+    dz::WeightStore victim;
+    victim.layers.resize(1);
     for (std::size_t i = 0; i < layer_size; ++i)
-        groups[0].push_back(
+        victim.layers[0].w.push_back(
             static_cast<float>(rng.gaussian(0.0, 0.2)));
     for (std::size_t i = 0; i < head_size; ++i)
-        groups[1].push_back(
+        victim.head.w.push_back(
             static_cast<float>(rng.gaussian(0.0, 0.5)));
-    return dex::SnapshotOracle(std::move(groups));
+    return victim;
 }
 
 /** Channel that flips exactly one chosen attempt (by global count). */
 class FlipOnAttemptChannel : public dex::BitProbeChannel
 {
   public:
-    FlipOnAttemptChannel(const dex::VictimWeightOracle &oracle,
-                         int flip_attempt)
-        : BitProbeChannel(oracle), flipAttempt_(flip_attempt)
+    FlipOnAttemptChannel(const dz::WeightStore &victim, int flip_attempt)
+        : BitProbeChannel(victim), flipAttempt_(flip_attempt)
     {
     }
 
@@ -103,14 +105,14 @@ syntheticTrace(std::size_t records = 40)
 
 TEST(RetryingProber, FaultFreeIsBitIdenticalToRawChannel)
 {
-    const auto oracle = makeOracle(7);
-    dex::BitProbeChannel raw(oracle);
-    dex::BitProbeChannel inner(oracle);
+    const auto victim = makeVictim(7);
+    dex::BitProbeChannel raw(victim);
+    dex::BitProbeChannel inner(victim);
     dex::RetryingProber prober(inner);
 
     std::size_t bits = 0;
     for (std::size_t layer = 0; layer < 2; ++layer) {
-        for (std::size_t i = 0; i < oracle.layerSize(layer); ++i) {
+        for (std::size_t i = 0; i < victim.slotSize(layer); ++i) {
             for (int b = 0; b < 32; ++b) {
                 EXPECT_EQ(prober.readBit(layer, i, b),
                           raw.readBit(layer, i, b))
@@ -135,12 +137,12 @@ TEST(RetryingProber, FaultFreeIsBitIdenticalToRawChannel)
 
 TEST(RetryingProber, MajorityCorrectsAnySingleFlip)
 {
-    const auto oracle = makeOracle(9);
-    dex::BitProbeChannel truth(oracle);
+    const auto victim = makeVictim(9);
+    dex::BitProbeChannel truth(victim);
     // Whichever single attempt the flip lands on, 3-vote majority
     // still recovers the true bit.
     for (int flip_attempt = 0; flip_attempt < 3; ++flip_attempt) {
-        FlipOnAttemptChannel flaky(oracle, flip_attempt);
+        FlipOnAttemptChannel flaky(victim, flip_attempt);
         dex::RetryingProber prober(flaky);
         for (int b = 0; b < 8; ++b) {
             // Only the first read of this loop sees the flip; the
@@ -153,12 +155,12 @@ TEST(RetryingProber, MajorityCorrectsAnySingleFlip)
 
 TEST(RetryingProber, StuckCellAnswersConsistentlyWrongOrRight)
 {
-    const auto oracle = makeOracle(11);
+    const auto victim = makeVictim(11);
     dfa::FaultSpec spec;
     spec.stuckBitRate = 0.999;
     spec.seed = 5;
     dfa::FaultInjector injector(spec);
-    dex::BitProbeChannel inner(oracle);
+    dex::BitProbeChannel inner(victim);
     inner.attachFaultInjector(&injector);
     dex::RetryingProber prober(inner);
 
@@ -175,15 +177,13 @@ TEST(RetryingProber, StuckCellAnswersConsistentlyWrongOrRight)
 
 TEST(RetryingProber, ExhaustedBudgetFallsBackToBaselineBits)
 {
-    const auto victim = makeOracle(13);
+    const auto victim = makeVictim(13);
     // A baseline that disagrees with the victim everywhere, so any
     // bit answered from it is provably a fallback.
-    std::vector<std::vector<float>> base_groups(2);
-    for (std::size_t i = 0; i < victim.layerSize(0); ++i)
-        base_groups[0].push_back(-2.5f);
-    for (std::size_t i = 0; i < victim.layerSize(1); ++i)
-        base_groups[1].push_back(-2.5f);
-    const dex::SnapshotOracle baseline(base_groups);
+    dz::WeightStore baseline;
+    baseline.layers.resize(1);
+    baseline.layers[0].w.assign(victim.slotSize(0), -2.5f);
+    baseline.head.w.assign(victim.slotSize(1), -2.5f);
 
     dfa::FaultSpec spec;
     spec.transientFailureRate = 0.999999; // nothing ever lands
@@ -211,7 +211,7 @@ TEST(RetryingProber, ExhaustedBudgetFallsBackToBaselineBits)
 
 TEST(FaultInjector, IdenticalSeedsReplayIdentically)
 {
-    const auto oracle = makeOracle(19);
+    const auto victim = makeVictim(19);
     dfa::FaultSpec spec;
     spec.probeFlipRate = 0.2;
     spec.transientFailureRate = 0.1;
@@ -219,7 +219,7 @@ TEST(FaultInjector, IdenticalSeedsReplayIdentically)
     spec.seed = 99;
 
     dfa::FaultInjector a(spec), b(spec);
-    for (std::size_t i = 0; i < oracle.layerSize(0); ++i) {
+    for (std::size_t i = 0; i < victim.slotSize(0); ++i) {
         for (int bit = 0; bit < 32; ++bit) {
             for (int attempt = 0; attempt < 3; ++attempt) {
                 const auto oa = a.perturbProbe(0, i, bit, true);

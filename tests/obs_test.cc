@@ -284,8 +284,7 @@ TEST(ObsFacade, FlushWritesMetricsTraceAndFlightFiles)
     const dz::WeightStore pre = dz::WeightStore::makePretrained(arch, 7, 800);
     const dz::WeightStore victim =
         dz::FineTuneSimulator::fineTune(pre, dz::FineTuneOptions{}, 8);
-    dex::WeightStoreOracle oracle(victim);
-    dex::BitProbeChannel channel(oracle);
+    dex::BitProbeChannel channel(victim);
     dfa::FaultSpec spec;
     spec.probeFlipRate = 0.02;
     spec.seed = 13;

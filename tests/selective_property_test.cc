@@ -26,18 +26,16 @@ namespace du = decepticon::util;
 
 namespace {
 
-/** Single-weight store + oracle wrapper. */
+/** Single-weight store + a channel over it. */
 struct OneWeight
 {
     dz::WeightStore store;
-    std::unique_ptr<de::WeightStoreOracle> oracle;
     std::unique_ptr<de::BitProbeChannel> channel;
 
     explicit OneWeight(float actual)
     {
         store.layers.push_back({"l0", {actual}});
-        oracle = std::make_unique<de::WeightStoreOracle>(store);
-        channel = std::make_unique<de::BitProbeChannel>(*oracle);
+        channel = std::make_unique<de::BitProbeChannel>(store);
     }
 };
 
@@ -106,8 +104,7 @@ TEST(SelectiveProperty, BitCostMonotoneInMaxBits)
 
     std::size_t prev = 0;
     for (int bits = 1; bits <= 8; ++bits) {
-        de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle);
+        de::BitProbeChannel channel(victim);
         de::ExtractionPolicy policy;
         policy.maxBitsPerWeight = bits;
         de::SelectiveWeightExtractor ex(policy);
@@ -130,8 +127,7 @@ TEST(SelectiveProperty, CheckedCountMonotoneInSignificance)
 
     std::size_t prev_checked = arch.hidden * 100000;
     for (double sig : {0.0005, 0.001, 0.002, 0.004, 0.008}) {
-        de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle);
+        de::BitProbeChannel channel(victim);
         de::ExtractionPolicy policy;
         policy.significance = sig;
         de::SelectiveWeightExtractor ex(policy);
@@ -264,8 +260,7 @@ TEST_P(NoisyChannelSweep, ErrorRateDegradesGracefully)
         pre, fopts, 20 + GetParam());
 
     auto correct_at = [&](double ber) {
-        de::WeightStoreOracle oracle(victim);
-        de::BitProbeChannel channel(oracle);
+        de::BitProbeChannel channel(victim);
         dfa::FaultSpec spec;
         spec.probeFlipRate = ber;
         spec.seed = static_cast<std::uint64_t>(GetParam());
@@ -306,9 +301,8 @@ TEST(SelectiveProperty, HammerRoundsScale)
     de::ExtractionPolicy policy;
     de::SelectiveWeightExtractor ex(policy);
 
-    de::WeightStoreOracle oracle(victim);
-    de::BitProbeChannel c1(oracle, 1);
-    de::BitProbeChannel c5(oracle, 5);
+    de::BitProbeChannel c1(victim, 1);
+    de::BitProbeChannel c5(victim, 5);
     de::ExtractionStats s1, s5;
     ex.extractLayer(pre.layers[0].w, c1, 0, s1);
     ex.extractLayer(pre.layers[0].w, c5, 0, s5);

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "util/stats.hh"
 #include "zoo/finetune_sim.hh"
@@ -179,6 +180,30 @@ TEST(WeightStore, MaterializedSampling)
     EXPECT_EQ(ws.layers.size(), 4u);
     for (const auto &l : ws.layers)
         EXPECT_EQ(l.w.size(), 500u);
+}
+
+TEST(WeightStore, SlotsAddressLayersThenHead)
+{
+    decepticon::gpusim::ArchParams arch;
+    arch.numLayers = 3;
+    arch.hidden = 64;
+    auto ws = dz::WeightStore::makePretrained(arch, 3, 50);
+    const std::size_t head_slot = ws.layers.size();
+    // A pre-trained store has no head yet: its slot exists and is empty.
+    EXPECT_EQ(ws.slotSize(head_slot), 0u);
+    for (std::size_t l = 0; l < ws.layers.size(); ++l) {
+        ASSERT_EQ(ws.slotSize(l), 50u);
+        for (std::size_t i = 0; i < 50; i += 7)
+            EXPECT_EQ(ws.slotWeight(l, i), ws.layers[l].w[i]);
+    }
+    ws.head.w = {0.25f, -1.5f};
+    EXPECT_EQ(ws.slotSize(head_slot), 2u);
+    EXPECT_EQ(ws.slotWeight(head_slot, 1), -1.5f);
+    // Both accessors check their bounds.
+    EXPECT_THROW(ws.slotSize(head_slot + 1), std::out_of_range);
+    EXPECT_THROW(ws.slotWeight(head_slot + 1, 0), std::out_of_range);
+    EXPECT_THROW(ws.slotWeight(0, 50), std::out_of_range);
+    EXPECT_THROW(ws.slotWeight(head_slot, 2), std::out_of_range);
 }
 
 TEST(WeightStore, DifferentSeedsDifferentWeights)

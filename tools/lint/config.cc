@@ -15,8 +15,6 @@
 
 namespace decepticon::lint {
 
-namespace {
-
 std::string
 trim(const std::string &s)
 {
@@ -27,8 +25,6 @@ trim(const std::string &s)
         --e;
     return s.substr(b, e - b);
 }
-
-} // namespace
 
 bool
 hasPrefix(const std::string &s, const std::string &prefix)

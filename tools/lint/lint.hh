@@ -132,6 +132,9 @@ bool loadConfig(const std::string &path, Config &out, std::string *error);
 
 bool hasPrefix(const std::string &s, const std::string &prefix);
 
+/** `s` without leading and trailing whitespace. */
+std::string trim(const std::string &s);
+
 /** True if `path` is one of `dirs` or lies under one of them. */
 bool underAny(const std::string &path, const std::vector<std::string> &dirs);
 
@@ -206,6 +209,11 @@ const std::string &tokText(const std::vector<Token> &t, std::size_t i);
 
 /** Keywords that may precede `(` or `{` but never name a function. */
 bool isKeyword(const std::string &s);
+
+/** Skip a balanced <...> template argument list starting at t[i]
+ *  (which must be "<"). Returns one past the closing ">", or i if
+ *  the list never closes before a ';'. */
+std::size_t skipTemplateArgs(const std::vector<Token> &t, std::size_t i);
 
 /** A lambda expression: capture semantics plus body token range. */
 struct LambdaInfo

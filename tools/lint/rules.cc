@@ -40,27 +40,6 @@ isUnorderedContainer(const std::string &id)
            id == "unordered_multimap" || id == "unordered_multiset";
 }
 
-/** Skip a balanced <...> template argument list starting at t[i]
- *  (which must be "<"). Returns the index one past the closing ">",
- *  or i if the list never closes. */
-std::size_t
-skipTemplateArgs(const std::vector<Token> &t, std::size_t i)
-{
-    if (tokText(t, i) != "<")
-        return i;
-    int depth = 0;
-    std::size_t k = i;
-    for (; k < t.size(); ++k) {
-        if (t[k].text == "<")
-            ++depth;
-        else if (t[k].text == ">" && --depth == 0)
-            return k + 1;
-        else if (t[k].text == ";")
-            break; // statement ended: was a comparison, not a template
-    }
-    return i;
-}
-
 // --- R1: banned nondeterminism ------------------------------------
 
 void

@@ -37,17 +37,6 @@ startsWith(const std::string &s, std::size_t i, const char *lit)
     return true;
 }
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 /** Strip leading separator punctuation from a justification ("-",
  *  "--", ":", an em dash) so `// lint: ordered-ok -- reason` and
  *  `// lint: ordered-ok reason` read the same. */

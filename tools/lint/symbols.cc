@@ -82,6 +82,23 @@ isKeyword(const std::string &s)
     return kw.count(s) != 0;
 }
 
+std::size_t
+skipTemplateArgs(const std::vector<Token> &t, std::size_t i)
+{
+    if (tokText(t, i) != "<")
+        return i;
+    int depth = 0;
+    for (std::size_t k = i; k < t.size(); ++k) {
+        if (t[k].text == "<")
+            ++depth;
+        else if (t[k].text == ">" && --depth == 0)
+            return k + 1;
+        else if (t[k].text == ";")
+            break; // statement ended: was a comparison, not a template
+    }
+    return i;
+}
+
 namespace {
 
 /** Index of the ')' matching the '(' at `open`, or t.size(). */
@@ -124,26 +141,6 @@ matchBracket(const std::vector<Token> &t, std::size_t open)
             return k;
     }
     return t.size();
-}
-
-/** Skip a balanced <...> template argument list starting at t[i]
- *  (which must be "<"). Returns one past the closing ">", or i if
- *  the list never closes before a ';'. */
-std::size_t
-skipTemplateArgs(const std::vector<Token> &t, std::size_t i)
-{
-    if (tokText(t, i) != "<")
-        return i;
-    int depth = 0;
-    for (std::size_t k = i; k < t.size(); ++k) {
-        if (t[k].text == "<")
-            ++depth;
-        else if (t[k].text == ">" && --depth == 0)
-            return k + 1;
-        else if (t[k].text == ";")
-            break; // statement ended: was a comparison, not a template
-    }
-    return i;
 }
 
 /** Number of arguments inside ( open .. close ): top-level commas
